@@ -5,8 +5,7 @@ Run from the repository root:
     python3 benchmarks/bench_kernels.py [--steps 2000] [--repeats 5]
 
 The compiled path is warmed once so JIT compilation is not billed to the
-timings.  Set DIMERWAVE_KERNELS=numpy to see what the package falls back to
-when numba is missing.
+timings.
 """
 
 import argparse

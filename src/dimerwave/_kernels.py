@@ -4,16 +4,15 @@ Both code paths advance the relative-displacement system
 
     r_ddot_j = s_{j+1} + s_{j-1} - 2 s_j,   s_j = F_parity(j)(r_j)
 
-with the classical 4th-order one-step method on a periodic ring.  The
-compiled kernels are used when numba imports and the environment variable
-``DIMERWAVE_KERNELS`` is not set to ``numpy``; the pure-numpy twins produce
-the same trajectories to rounding and keep the package importable anywhere.
-``benchmarks/bench_kernels.py`` times one against the other.
+with the classical 4th-order one-step method on a periodic ring.  The numpy
+path evaluates the force laws of ``model.force``; the compiled kernels mirror
+them and are used whenever numba imports, producing the same trajectories to
+rounding.  ``benchmarks/bench_kernels.py`` times one against the other.
 """
 
-import os
-
 import numpy as np
+
+from .model import DimerParams, force
 
 try:
     from numba import njit
@@ -23,45 +22,20 @@ except ImportError:  # pragma: no cover - exercised only without numba
     HAS_NUMBA = False
 
 
-def use_numba() -> bool:
-    """True when the compiled path is selected (import worked, no override)."""
-    return HAS_NUMBA and os.environ.get("DIMERWAVE_KERNELS", "").lower() != "numpy"
-
-
 # -- pure-numpy path --------------------------------------------------------------
 
 
-def _poly_ascending(coeffs, r):
-    """sum_i coeffs[i] r^i by Horner; zeros for an empty tuple."""
-    out = np.zeros_like(r)
-    for c in coeffs[::-1]:
-        out = out * r + c
-    return out
-
-
-def spring_forces_numpy(r, odd, kappa, beta, n1, n2):
-    """Per-site spring force: stiff F1 on odd sites, soft F2 on even.
-
-    F1(r) = kappa r + beta r^2 + r^3 N1(r),  F2(r) = r + r^2 + r^3 N2(r).
-    """
-    s = np.where(odd, kappa * r + beta * r * r, r + r * r)
-    if len(n1):
-        s = np.where(odd, s + r**3 * _poly_ascending(n1, r), s)
-    if len(n2):
-        s = np.where(odd, s, s + r**3 * _poly_ascending(n2, r))
-    return s
-
-
-def accel_numpy(r, odd, kappa, beta, n1, n2):
-    s = spring_forces_numpy(r, odd, kappa, beta, n1, n2)
+def accel_numpy(r, odd, params: DimerParams):
+    """Right-hand side r_ddot: stiff law on odd sites, soft law on even ones."""
+    s = np.where(odd, force(params, "odd", r), force(params, "even", r))
     return np.roll(s, -1) + np.roll(s, 1) - 2 * s
 
 
-def rk4_steps_numpy(r, v, dt, steps, odd, kappa, beta, n1, n2):
+def rk4_steps_numpy(r, v, dt, steps, odd, params: DimerParams):
     r, v = r.copy(), v.copy()
 
     def a_of(x):
-        return accel_numpy(x, odd, kappa, beta, n1, n2)
+        return accel_numpy(x, odd, params)
 
     for _ in range(steps):
         a1 = a_of(r)
@@ -134,15 +108,15 @@ if HAS_NUMBA:
 
 
 def rk4_steps(r, v, dt, steps, odd, kappa, beta, n1, n2, compiled=None):
-    """Advance ``steps`` RK4 steps; ``compiled`` overrides the backend choice."""
-    pick = use_numba() if compiled is None else (compiled and HAS_NUMBA)
-    if pick:
+    """Advance ``steps`` RK4 steps.
+
+    The compiled kernel runs whenever numba imports; ``compiled=False``
+    forces the numpy path (``True`` without numba also falls back to it).
+    """
+    if HAS_NUMBA and compiled is not False:
         return rk4_steps_numba(
             r.astype(np.float64), v.astype(np.float64), float(dt), int(steps),
             odd, float(kappa), float(beta),
             np.asarray(n1, dtype=np.float64), np.asarray(n2, dtype=np.float64),
         )
-    return rk4_steps_numpy(
-        r, v, dt, steps, odd, kappa, beta,
-        np.asarray(n1, dtype=np.float64), np.asarray(n2, dtype=np.float64),
-    )
+    return rk4_steps_numpy(r, v, dt, steps, odd, DimerParams(kappa, beta, n1, n2))

@@ -43,6 +43,7 @@ loads with ``numpy.loadtxt(path, delimiter=",", skiprows=1)`` and reshapes to
 import argparse
 import sys
 import time
+import zipfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -189,18 +190,42 @@ def save_solution(path, params: DimerParams, eps, state, wave):
 
 
 def load_solution(path):
-    """Rebuild ``(params, eps, state, wave)`` from a solution archive."""
+    """Rebuild ``(params, eps, state, wave)`` from a solution archive.
+
+    Raises
+    ------
+    InvalidParams
+        If the file is not an ``.npz`` archive, lacks a key, holds a
+        non-finite number, or describes an invalid solution; the message
+        names the file and, where one is at fault, the key.
+    """
     from .periodic import PeriodicWave  # local import keeps module load light
 
-    with np.load(path) as z:
+    try:
+        archive = np.load(path)
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise InvalidParams(f"{path}: not a solution archive ({exc})") from exc
+    if not isinstance(archive, np.lib.npyio.NpzFile):
+        raise InvalidParams(f"{path}: not a solution archive (a bare array, not .npz)")
+    with archive:
+        z = {key: archive[key] for key in archive.files}
+    for key, value in z.items():
+        if value.dtype.kind == "f" and not np.all(np.isfinite(value)):
+            raise InvalidParams(f"{path}: key {key!r} holds a non-finite value")
+
+    try:
         if str(z["schema"]) != SCHEMA_SOLUTION:
-            raise InvalidParams(f"{path}: unknown solution schema {z['schema']!r}")
+            raise InvalidParams(f"unknown solution schema {z['schema']!r}")
+        n = int(z["grid_n"])
+        for key in ("eta1", "eta2"):
+            if z[key].shape != (n,):
+                raise InvalidParams(f"key {key!r} has shape {z[key].shape}, not ({n},)")
         params = DimerParams(
             kappa=float(z["kappa"]), beta=float(z["beta"]),
             n1=tuple(z["n1"]), n2=tuple(z["n2"]),
         )
         eps = float(z["eps"])
-        grid = LineGrid(int(z["grid_n"]), float(z["grid_L"]))
+        grid = LineGrid(n, float(z["grid_L"]))
         state = NanopteronState(
             LineField(grid, z["eta1"], even=True),
             LineField(grid, z["eta2"], even=True),
@@ -218,6 +243,10 @@ def load_solution(path):
             residual=float(z["wave_residual"]), iterations=int(z["wave_iterations"]),
             contraction_ratio=float(z["wave_contraction"]), converged=True,
         )
+    except KeyError as exc:
+        raise InvalidParams(f"{path}: missing key {exc}") from exc
+    except (InvalidParams, TypeError, ValueError) as exc:
+        raise InvalidParams(f"{path}: {exc}") from exc
     return params, eps, state, wave
 
 

@@ -23,7 +23,7 @@ from ._kernels import accel_numpy, rk4_steps
 from .dispersion import SymbolSet
 from .errors import InvalidParams, NoConvergence
 from .kdv import core_profile
-from .model import DimerParams, derived_constants
+from .model import DimerParams, derived_constants, potential
 from .nanopteron import NanopteronState
 from .nonlinear import VectorField, apply_J
 from .periodic import PeriodicWave
@@ -197,16 +197,6 @@ class LatticeTrajectory:
         return float(np.max(np.abs(H - H[0])) / abs(H[0]))
 
 
-def _potential(params: DimerParams, r, odd):
-    """Spring potentials integrated from the force polynomials."""
-    kap, beta = params.kappa, params.beta
-    V = np.where(odd, kap * r**2 / 2 + beta * r**3 / 3, r**2 / 2 + r**3 / 3)
-    for coeffs, mask in ((params.n1, odd), (params.n2, ~odd)):
-        for i, c in enumerate(coeffs):
-            V = V + np.where(mask, c * r ** (4 + i) / (4 + i), 0.0)
-    return np.sum(V)
-
-
 def lattice_energy(params: DimerParams, r, rdot) -> float:
     """Kinetic + potential energy of the ring.
 
@@ -215,30 +205,29 @@ def lattice_energy(params: DimerParams, r, rdot) -> float:
     the reconstruction is exact on the ring and the value is a constant of
     the motion (the integrator's defect is what ``energy_drift`` reports).
     """
-    odd = (np.arange(len(r)) - len(r) // 2) % 2 != 0
+    odd = _odd_mask(len(r))
     u_dot = np.cumsum(rdot - np.mean(rdot))
     u_dot = u_dot - np.mean(u_dot)
-    return float(np.sum(u_dot**2) / 2 + _potential(params, r, odd))
+    V = np.where(odd, potential(params, "odd", r), potential(params, "even", r))
+    return float(np.sum(u_dot**2) / 2 + np.sum(V))
 
 
-def step(params: DimerParams, r, rdot, dt, compiled=None):
+def step(params: DimerParams, r, rdot, dt):
     """One classical 4th-order step of the ring system."""
     r = np.asarray(r, dtype=np.float64)
     rdot = np.asarray(rdot, dtype=np.float64)
     odd = _odd_mask(len(r))
     return rk4_steps(r, rdot, dt, 1, odd, params.kappa, params.beta,
-                     params.n1, params.n2, compiled=compiled)
+                     params.n1, params.n2)
 
 
 def acceleration(params: DimerParams, r):
     """Right-hand side r_ddot (pure-numpy reference path)."""
     odd = _odd_mask(len(r))
-    return accel_numpy(np.asarray(r, dtype=np.float64), odd, params.kappa,
-                       params.beta, np.asarray(params.n1), np.asarray(params.n2))
+    return accel_numpy(np.asarray(r, dtype=np.float64), odd, params)
 
 
-def simulate(params: DimerParams, config: LatticeConfig, r0, v0,
-             compiled=None, verbose=False) -> LatticeTrajectory:
+def simulate(params: DimerParams, config: LatticeConfig, r0, v0) -> LatticeTrajectory:
     """Integrate the ring from ``(r0, v0)`` to ``T``, recording snapshots.
 
     Raises
@@ -264,20 +253,16 @@ def simulate(params: DimerParams, config: LatticeConfig, r0, v0,
     stride = max(1, min(config.snap_every, n_steps))
     times, Rs, Vs = [0.0], [r.copy()], [v.copy()]
     done = 0
-    n1 = np.asarray(params.n1, dtype=np.float64)
-    n2 = np.asarray(params.n2, dtype=np.float64)
     while done < n_steps:
         chunk = min(stride, n_steps - done)
         r, v = rk4_steps(r, v, config.dt, chunk, odd, params.kappa, params.beta,
-                         n1, n2, compiled=compiled)
+                         params.n1, params.n2)
         done += chunk
         if not (np.all(np.isfinite(r)) and np.all(np.isfinite(v))):
             raise NoConvergence(f"lattice state blew up by t = {done * config.dt:.3f}")
         times.append(done * config.dt)
         Rs.append(r.copy())
         Vs.append(v.copy())
-        if verbose and done % (10 * stride) == 0:
-            print(f"  t = {done * config.dt:8.2f}  max|r| = {np.max(np.abs(r)):.3e}")
     return LatticeTrajectory(params, config, sites, np.array(times),
                              np.array(Rs), np.array(Vs))
 

@@ -146,26 +146,6 @@ class DimerParams:
         object.__setattr__(self, "sound_speed", float(c))
         object.__setattr__(self, "kdv_alpha", float(alpha))
 
-    @classmethod
-    def from_config(cls, config):
-        """Build parameters from a key-value mapping.
-
-        Recognized keys: ``kappa``, ``beta``, ``n1_coeffs``, ``n2_coeffs``
-        (the last two as comma-separated decimals; missing means zero).
-        """
-        def coeffs(key):
-            raw = str(config.get(key, "")).strip()
-            if not raw:
-                return ()
-            return tuple(float(tok) for tok in raw.split(",") if tok.strip())
-
-        return cls(
-            kappa=float(config["kappa"]),
-            beta=float(config["beta"]),
-            n1=coeffs("n1_coeffs"),
-            n2=coeffs("n2_coeffs"),
-        )
-
 
 def nondimensionalize(p: PhysicalSprings) -> DimerParams:
     """Convert dimensional spring data to nondimensional dimer parameters.
@@ -195,8 +175,20 @@ def nondimensionalize(p: PhysicalSprings) -> DimerParams:
     )
 
 
+def _law(params: DimerParams, which: str):
+    """``(linear, quadratic, cubic remainder)`` coefficients of one spring."""
+    if which == "odd":
+        return params.kappa, params.beta, params.n1
+    if which == "even":
+        return 1.0, 1.0, params.n2
+    raise ValueError(f"which must be 'odd' or 'even', got {which!r}")
+
+
 def force(params: DimerParams, which: str, r):
     """Nondimensional spring force.
+
+    The one definition of the force laws: the lattice integrator's numpy
+    path evaluates it directly (the numba kernel mirrors it).
 
     Parameters
     ----------
@@ -207,14 +199,11 @@ def force(params: DimerParams, which: str, r):
     r : float or ndarray
         Relative displacement(s); dtype is preserved.
     """
-    if which == "odd":
-        lin, quad, rem = params.kappa, params.beta, params.n1
-    elif which == "even":
-        lin, quad, rem = 1.0, 1.0, params.n2
-    else:
-        raise ValueError(f"which must be 'odd' or 'even', got {which!r}")
-    # r*(lin + r*(quad + r*N(r))) keeps the evaluation in Horner form.
-    return r * (lin + r * (quad + r * polyval_ascending(rem, r)))
+    lin, quad, rem = _law(params, which)
+    f = lin * r + quad * r * r
+    if len(rem):
+        f = f + r**3 * polyval_ascending(rem, r)
+    return f
 
 
 def potential(params: DimerParams, which: str, r):
@@ -223,11 +212,6 @@ def potential(params: DimerParams, which: str, r):
     Used by the lattice energy diagnostic; exact for the polynomial force laws:
     ``lin*r**2/2 + quad*r**3/3 + sum(n_i * r**(i+4)/(i+4))``.
     """
-    if which == "odd":
-        lin, quad, rem = params.kappa, params.beta, params.n1
-    elif which == "even":
-        lin, quad, rem = 1.0, 1.0, params.n2
-    else:
-        raise ValueError(f"which must be 'odd' or 'even', got {which!r}")
+    lin, quad, rem = _law(params, which)
     integrated = tuple(c / (i + 4) for i, c in enumerate(rem))
     return r * r * (lin / 2 + r * (quad / 3 + r * polyval_ascending(integrated, r)))

@@ -54,6 +54,10 @@ from .spectral import (
     weighted_norm,
 )
 
+# Relative amplitude change after which the outer loop re-solves the ripple
+# (the periodic family depends Lipschitz-continuously on ``a``).
+RIPPLE_UPDATE_THRESHOLD = 0.1
+
 
 def iota_eps(g: LineField, omega) -> float:
     """Solvability functional ``integral of g(X) cos(omega X) dX``.
@@ -207,7 +211,9 @@ class NanopteronConfig:
     ``fixed_point`` selects which update the acoustic solve uses for the
     cross term: ``"new"`` couples to the freshly computed optical corrector,
     ``"original"`` to the previous iterate's.  Both have the same fixed
-    points; "new" contracts slightly faster.
+    points; "new" contracts slightly faster.  ``n`` is the starting grid
+    size; the solve doubles it (up to 2**16) until the spacing resolves the
+    ripple.
     """
 
     n: int = 4096
@@ -218,10 +224,7 @@ class NanopteronConfig:
     fixed_point: str = "new"
     gmres_tol: float = 1e-12
     gmres_max_iter: int = 400
-    ripple_update_threshold: float = 0.1
-    m_subscript: str = "1/kappa"
     dtype: type = np.float64
-    auto_refine_grid: bool = True
     periodic: PeriodicConfig = field(default_factory=PeriodicConfig)
 
     def __post_init__(self):
@@ -242,9 +245,8 @@ class SolverOperators:
     """
 
     def __init__(self, params: DimerParams, eps, grid: LineGrid,
-                 resonance: Resonance = None, m_subscript: str = "1/kappa",
-                 gmres_tol: float = 1e-12, gmres_max_iter: int = 400,
-                 check: bool = True):
+                 resonance: Resonance = None, gmres_tol: float = 1e-12,
+                 gmres_max_iter: int = 400, check: bool = True):
         self.params = params
         self.grid = grid
         dt = grid.X.dtype.type
@@ -256,7 +258,6 @@ class SolverOperators:
                 f"grid spacing {grid.dx:.4f} cannot resolve the ripple at "
                 f"omega = {float(self.resonance.omega):.2f}; increase n"
             )
-        self.m_subscript = m_subscript
         self.gmres_tol = gmres_tol
         self.gmres_max_iter = gmres_max_iter
         self.has_cubic = bool(len(params.n1) or len(params.n2))
@@ -391,8 +392,7 @@ def _combined_nonlinearity(ops: SolverOperators, v: VectorField, third: VectorFi
     """``B(v, v) + Q(v, v, third)`` with ``third`` defaulting to ``v``."""
     out = B_eps(ops.symbols, v, v, ops.eps)
     if ops.has_cubic:
-        out = out + Q_eps(ops.symbols, v, v, third if third is not None else v,
-                          ops.eps, m_subscript=ops.m_subscript)
+        out = out + Q_eps(ops.symbols, v, v, third if third is not None else v, ops.eps)
     return out
 
 
@@ -433,7 +433,7 @@ def assemble_terms(ops: SolverOperators, state: NanopteronState,
             labels[f"j{fam}1"] = cf * ops.apply_varpi_eps(bxy.line1)
             labels[f"l{fam}1"] = cf * ops.apply_lambda_plus(bxy.line2)
             if ops.has_cubic:
-                qxy = Q_eps(ops.symbols, x, y, ansatz, ops.eps, m_subscript=ops.m_subscript)
+                qxy = Q_eps(ops.symbols, x, y, ansatz, ops.eps)
                 labels[f"j{fam}2"] = cf * ops.apply_varpi_eps(qxy.line1)
                 labels[f"l{fam}2"] = cf * ops.apply_lambda_plus(qxy.line2)
             else:
@@ -444,8 +444,7 @@ def assemble_terms(ops: SolverOperators, state: NanopteronState,
         # cancel against the periodic solve at the mode level, so only the
         # cubic's cross-coupling to the localized part survives on the line.
         if ops.has_cubic and float(np.max(np.abs(ripple_vec.per2.coeffs))) > 0:
-            q6 = Q_eps(ops.symbols, ripple_vec, ripple_vec, ansatz, ops.eps,
-                       m_subscript=ops.m_subscript)
+            q6 = Q_eps(ops.symbols, ripple_vec, ripple_vec, ansatz, ops.eps)
             labels["j6"] = ops.apply_varpi_eps(q6.line1)
             labels["l6"] = ops.apply_lambda_plus(q6.line2)
         else:
@@ -524,14 +523,13 @@ class SolveDiagnostics:
     upsilon: float
 
 
-def solve_nanopteron(params: DimerParams, eps, config: NanopteronConfig = None,
-                     verbose: bool = False):
+def solve_nanopteron(params: DimerParams, eps, config: NanopteronConfig = None):
     """Solve the nanopteron fixed point; returns ``(state, wave, diagnostics)``.
 
     Outer iteration from ``(0, 0, 0)``: re-solve the periodic family only
-    when the amplitude has moved by more than the configured relative
-    threshold (its dependence on ``a`` is Lipschitz), then apply the three
-    maps and measure the state change in sup norm.
+    when the amplitude has moved by more than ``RIPPLE_UPDATE_THRESHOLD``
+    relative to itself (its dependence on ``a`` is Lipschitz), then apply
+    the three maps and measure the state change in sup norm.
 
     Raises
     ------
@@ -546,17 +544,10 @@ def solve_nanopteron(params: DimerParams, eps, config: NanopteronConfig = None,
     resonance = symbols.find_resonance(eps)
     n = config.n
     grid = LineGrid(n, config.L, dtype=dt)
-    while not grid.resolves_ripple(resonance.omega):
-        if not config.auto_refine_grid or grid.n >= 1 << 16:
-            raise InvalidParams(
-                f"n = {grid.n} cannot resolve the ripple at omega = "
-                f"{float(resonance.omega):.2f}"
-            )
+    while not grid.resolves_ripple(resonance.omega) and grid.n < 1 << 16:
         grid = LineGrid(2 * grid.n, config.L, dtype=dt)
-        if verbose:
-            print(f"  refining grid to n={grid.n} to resolve the ripple")
     ops = SolverOperators(
-        params, eps, grid, resonance=resonance, m_subscript=config.m_subscript,
+        params, eps, grid, resonance=resonance,
         gmres_tol=config.gmres_tol, gmres_max_iter=config.gmres_max_iter,
     )
     state = NanopteronState(LineField.zero(grid), LineField.zero(grid), dt(0.0))
@@ -568,7 +559,7 @@ def solve_nanopteron(params: DimerParams, eps, config: NanopteronConfig = None,
     converged = False
     iterations = config.max_iter
     for it in range(1, config.max_iter + 1):
-        if abs(state.a - wave_amplitude) > config.ripple_update_threshold * abs(state.a):
+        if abs(state.a - wave_amplitude) > RIPPLE_UPDATE_THRESHOLD * abs(state.a):
             wave = solve_periodic(params, eps, state.a, config.periodic)
             wave_amplitude = state.a
             ripple_solves += 1
@@ -581,9 +572,6 @@ def solve_nanopteron(params: DimerParams, eps, config: NanopteronConfig = None,
         state = NanopteronState(eta1_new, eta2_new, a_new)
         step_history.append(float(step))
         a_history.append(float(a_new))
-        if verbose:
-            print(f"  outer it={it:3d} step={float(step):.3e} a={float(a_new):.6e} "
-                  f"gmres={ops.last_gmres_iterations}")
         if not abs(a_new) <= config.a_max:
             raise NoConvergence(
                 f"ripple amplitude |a| = {abs(a_new):.3e} escaped the ansatz "
@@ -619,8 +607,6 @@ def solve_nanopteron(params: DimerParams, eps, config: NanopteronConfig = None,
         step_history.append(float(step))
         a_history.append(float(a_new))
         iterations += 1
-        if verbose:
-            print(f"  polish it={it:3d} step={float(step):.3e} a={float(a_new):.6e}")
         if step <= config.tol:
             break
     if state.a != wave_amplitude and abs(state.a) > 0:

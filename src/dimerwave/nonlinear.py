@@ -106,12 +106,6 @@ class VectorField:
 
     __rmul__ = __mul__
 
-    def line_part(self):
-        return self.line1, self.line2
-
-    def periodic_part(self):
-        return self.per1, self.per2
-
     def sampled(self, X):
         """Physical samples of both components at points X (core + ripple)."""
         out = []
@@ -260,25 +254,14 @@ def apply_J(symbols: SymbolSet, eps, v: VectorField, inverse: bool = False) -> V
     return _apply_matrix(symbols, eps, v, inverse)
 
 
-def Q_eps(
-    symbols: SymbolSet,
-    theta: VectorField,
-    theta2: VectorField,
-    theta3: VectorField,
-    eps,
-    m_subscript: str = "1/kappa",
-) -> VectorField:
+def Q_eps(symbols: SymbolSet, theta: VectorField, theta2: VectorField,
+          theta3: VectorField, eps) -> VectorField:
     """Trilinear cubic-remainder operator.
 
-    ``J1 . M [(J theta).(J theta2).calN(eps**2 * J theta3)]`` with the scaling
-    matrix ``M = M_{1/kappa}`` by default; ``m_subscript="beta/kappa"``
-    selects the alternative normalization (see the package notes on the two
-    printed variants).
+    ``J1 . M_{1/kappa} [(J theta).(J theta2).calN(eps**2 * J theta3)]``.
     """
-    if m_subscript not in ("1/kappa", "beta/kappa"):
-        raise InvalidParams(f"unknown m_subscript {m_subscript!r}")
     p = symbols.params
-    scale = 1 / p.kappa if m_subscript == "1/kappa" else p.beta / p.kappa
+    scale = 1 / p.kappa
     omegas = {
         v.omega
         for v in (theta, theta2, theta3)

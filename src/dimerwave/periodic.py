@@ -49,9 +49,6 @@ class PeriodicConfig:
     eps_max: float = 0.5
     tail_rel: float = 1e-13
     tail_abs: float = 1e-16
-    anderson: bool = False
-    anderson_depth: int = 3
-    m_subscript: str = "1/kappa"
 
 
 @dataclass
@@ -152,11 +149,7 @@ class PeriodicSolver:
         total = B_eps(self.symbols, phi, phi, self.eps)
         if len(self.params.n1) or len(self.params.n2):
             a_phi = self._phi_vector(psi1, psi2, t, scale=a)
-            cubic = Q_eps(
-                self.symbols, phi, phi, a_phi, self.eps,
-                m_subscript=self.config.m_subscript,
-            )
-            total = total + cubic
+            total = total + Q_eps(self.symbols, phi, phi, a_phi, self.eps)
         return total.per1, total.per2
 
     def _truncate(self, f: PeriodicField) -> PeriodicField:
@@ -262,18 +255,6 @@ class PeriodicSolver:
         z = PeriodicField.zero(self.M, dtype=self._dtype)
         return PeriodicState(z, z.copy(), self._dtype(0.0), a)
 
-    def _pack(self, st: PeriodicState):
-        return np.concatenate([st.psi1.coeffs, st.psi2.coeffs, [st.t]])
-
-    def _unpack(self, x, a) -> PeriodicState:
-        M = self.M
-        return PeriodicState(
-            PeriodicField(x[: M + 1]),
-            PeriodicField(x[M + 1 : 2 * M + 2]),
-            x[-1],
-            a,
-        )
-
     def _apply_map(self, st: PeriodicState) -> PeriodicState:
         psi = (st.psi1, st.psi2)
         return PeriodicState(
@@ -283,34 +264,14 @@ class PeriodicSolver:
             st.a,
         )
 
-    def iterate(self, a, verbose=False):
-        """Picard (optionally Anderson-mixed) iteration from the zero state."""
+    def iterate(self, a):
+        """Picard iteration from the zero state."""
         cfg = self.config
         st = self._zero_state(a)
         prev_step = None
         worst_ratio = 0.0
-        history_x, history_g = [], []
         for it in range(1, cfg.max_iter + 1):
             new = self._apply_map(st)
-            if cfg.anderson and history_x:
-                x = self._pack(st)
-                g = self._pack(new)
-                history_x.append(x)
-                history_g.append(g)
-                if len(history_x) > cfg.anderson_depth + 1:
-                    history_x.pop(0)
-                    history_g.pop(0)
-                F = np.stack([gg - xx for xx, gg in zip(history_x, history_g)])
-                dF = F[1:] - F[:-1]
-                if dF.shape[0] > 0:
-                    gamma, *_ = np.linalg.lstsq(dF.T, F[-1], rcond=None)
-                    mixed = history_g[-1] - gamma @ (
-                        np.stack(history_g[1:]) - np.stack(history_g[:-1])
-                    )
-                    new = self._unpack(mixed, a)
-            elif cfg.anderson:
-                history_x.append(self._pack(st))
-                history_g.append(self._pack(new))
             step = max(
                 float(np.max(np.abs(new.psi1.coeffs - st.psi1.coeffs))),
                 float(np.max(np.abs(new.psi2.coeffs - st.psi2.coeffs))),
@@ -318,8 +279,6 @@ class PeriodicSolver:
             )
             ratio = step / prev_step if (prev_step not in (None, 0.0)) else 0.0
             worst_ratio = max(worst_ratio, ratio)
-            if verbose:
-                print(f"  ripple it={it:3d} step={step:.3e} ratio={ratio:.3f}")
             st = new
             if step <= cfg.tol:
                 return st, it, worst_ratio, True
@@ -333,8 +292,7 @@ class PeriodicSolver:
 
 
 def solve_periodic(
-    params: DimerParams, eps: float, a: float, config: PeriodicConfig = PeriodicConfig(),
-    verbose: bool = False,
+    params: DimerParams, eps: float, a: float, config: PeriodicConfig = PeriodicConfig()
 ) -> PeriodicWave:
     """Solve the ripple family at one amplitude, refining the mode cutoff.
 
@@ -350,7 +308,7 @@ def solve_periodic(
         raise InvalidParams(f"|a|={abs(a)} exceeds a_max={config.a_max}")
     solver = PeriodicSolver(params, eps, config)
     while True:
-        st, iters, ratio, ok = solver.iterate(a, verbose=verbose)
+        st, iters, ratio, ok = solver.iterate(a)
         if not ok:
             raise NoConvergence(
                 f"ripple solve did not reach tol={config.tol} in {config.max_iter} iterations"
@@ -367,8 +325,6 @@ def solve_periodic(
                 f"coefficient tail {tail:.2e} persists at mode cutoff {solver.M}"
             )
         solver.M *= 2
-        if verbose:
-            print(f"  refining ripple mode cutoff to M={solver.M}")
     st.validate()
     residual = solver.system_residual((st.psi1, st.psi2), st.t, a)
     return PeriodicWave(

@@ -233,14 +233,6 @@ class PeriodicField:
         j = np.arange(self.M + 1)
         return np.cos(np.multiply.outer(np.asarray(theta), j)) @ self.coeffs
 
-    def tail_fraction(self) -> float:
-        """Relative size of the top-quarter modes; drives mode-count refinement."""
-        peak = float(np.max(np.abs(self.coeffs)))
-        if peak == 0:
-            return 0.0
-        tail = self.coeffs[3 * (self.M + 1) // 4 :]
-        return float(np.max(np.abs(tail))) / peak
-
     def dump_csv(self, path):
         rows = np.column_stack([np.arange(self.M + 1), self.coeffs])
         np.savetxt(path, rows, delimiter=",", header="mode,coefficient", comments="")

@@ -106,6 +106,35 @@ class TestSolutionRoundtrip:
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
+class TestBadSolutionArchive:
+    @pytest.mark.parametrize("defect, message", [
+        ("missing_key", "missing key 'psi1'"),
+        ("not_npz", "not a solution archive"),
+        ("nan_eta1", "key 'eta1' holds a non-finite value"),
+    ], ids=["missing_key", "not_npz", "nan_eta1"])
+    def test_exits_2_naming_file_and_key(self, tmp_path, solved02, capsys,
+                                         defect, message):
+        state, wave, _ = solved02
+        path = tmp_path / "sol.npz"
+        save_solution(path, QUAD, 0.2, state, wave)
+        with np.load(path) as z:
+            data = {k: z[k] for k in z.files}
+        if defect == "missing_key":
+            del data["psi1"]
+            np.savez(path, **data)
+        elif defect == "not_npz":
+            path.write_text("not an archive\n")
+        else:
+            data["eta1"] = data["eta1"].copy()
+            data["eta1"][len(data["eta1"]) // 2] = np.nan
+            np.savez(path, **data)
+        code = dispatch(["simulate", "--init", str(path), "--sites", "64",
+                         "--T", "0.1", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert str(path) in err and message in err
+
+
 class TestSimulateCommand:
     def test_from_solution_file(self, tmp_path, solved02, capsys):
         state, wave, _ = solved02

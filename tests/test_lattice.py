@@ -25,7 +25,7 @@ from dimerwave.lattice import (
     stegoton_diagnostics,
     step,
 )
-from dimerwave.model import DimerParams, derived_constants
+from dimerwave.model import DimerParams, derived_constants, force, potential
 from dimerwave.nanopteron import solve_nanopteron
 from dimerwave.spectral import LineGrid
 
@@ -187,6 +187,17 @@ class TestConservationAndOrder:
         s = np.where(odd, 2.0 * r + r**2 + 0.5 * r**3, r + r**2 + (-0.3 + 0.1 * r) * r**3)
         want = np.roll(s, -1) + np.roll(s, 1) - 2 * s
         assert np.allclose(acceleration(CUBIC, r), want, atol=1e-15)
+        # the integrator's force is exactly the one in model.py
+        s = np.where(odd, force(CUBIC, "odd", r), force(CUBIC, "even", r))
+        want = np.roll(s, -1) + np.roll(s, 1) - 2 * s
+        assert np.array_equal(acceleration(CUBIC, r), want)
+        # zero-mean bead velocities w give relative rates w_j - w_{j-1}
+        w = 0.1 * rng.standard_normal(32)
+        w -= np.mean(w)
+        V = np.where(odd, potential(CUBIC, "odd", r), potential(CUBIC, "even", r))
+        assert lattice_energy(CUBIC, r, w - np.roll(w, 1)) == pytest.approx(
+            np.sum(w**2) / 2 + np.sum(V), rel=1e-13
+        )
 
     @pytest.mark.skipif(not HAS_NUMBA, reason="numba unavailable")
     def test_compiled_matches_numpy(self):

@@ -304,10 +304,8 @@ class TestSolve:
             solve_nanopteron(QUAD, 0.2, NanopteronConfig(max_iter=2))
 
     def test_grid_resolution_gate(self):
-        with pytest.raises(InvalidParams):
-            solve_nanopteron(
-                QUAD, 0.05, NanopteronConfig(n=4096, auto_refine_grid=False)
-            )
+        with pytest.raises(InvalidParams, match="cannot resolve the ripple"):
+            SolverOperators(QUAD, 0.05, LineGrid(4096, 60.0))
 
     def test_state_validation_gates(self, ops01):
         grid = ops01.grid

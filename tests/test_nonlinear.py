@@ -135,8 +135,6 @@ def test_Q_zero_remainder_and_linearity(setup):
     q = Q_eps(S, th, th2, th, 0.1)
     qs = Q_eps(S, 3.0 * th, th2, th, 0.1)
     assert np.max(np.abs(qs.line1.values - 3.0 * q.line1.values)) < 1e-12
-    with pytest.raises(InvalidParams):
-        Q_eps(S, th, th2, th, 0.1, m_subscript="bogus")
 
 
 def test_Q_pointwise_oracle_pure_line(setup):

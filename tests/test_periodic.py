@@ -155,12 +155,6 @@ class TestSolve:
         with pytest.raises(InvalidParams):
             PeriodicSolver(QUAD, 0.9)
 
-    def test_anderson_matches_picard(self):
-        plain = solve_periodic(CUBIC, 0.1, 1e-3)
-        mixed = solve_periodic(CUBIC, 0.1, 1e-3, PeriodicConfig(anderson=True))
-        assert abs(plain.t - mixed.t) < 1e-13
-        assert np.max(np.abs(plain.psi1.coeffs - mixed.psi1.coeffs)) < 1e-13
-
     def test_iteration_budget_raises(self):
         with pytest.raises(NoConvergence):
             solve_periodic(QUAD, 0.1, 1e-3, PeriodicConfig(max_iter=2))
