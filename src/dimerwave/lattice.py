@@ -27,7 +27,7 @@ from .model import DimerParams, derived_constants, potential
 from .nanopteron import NanopteronState
 from .nonlinear import VectorField, apply_J
 from .periodic import PeriodicWave
-from .spectral import LineField, LineGrid
+from .spectral import LineField, LineGrid, PeriodicField
 
 
 def _site_array(sites: int):
@@ -88,6 +88,9 @@ class TravelingProfile:
         grid = line1.grid
         self.dline1 = LineField(grid, grid.derivative(line1.values), even=False)
         self.dline2 = LineField(grid, grid.derivative(line2.values), even=False)
+        rippled = self.omega and (np.any(self.per1) or np.any(self.per2))
+        self._ripples = (PeriodicField(self.per1), PeriodicField(self.per2)) if rippled else None
+        self._r0 = None  # the t = 0 sample, computed once
 
     @classmethod
     def leading_order(cls, params: DimerParams, eps, sites: int, grid: LineGrid = None):
@@ -126,27 +129,38 @@ class TravelingProfile:
         return cls(params, eps, wave.resonance.c, omega,
                    p.line1, p.line2, p.per1.coeffs, p.per2.coeffs, sites)
 
-    def _eval(self, f1, f2, per_kind, t):
+    def _eval(self, t, derivative: bool):
+        """Profile values, or their X-derivatives, at every site at time t.
+
+        Each parity class is evaluated only at its own sites: odd sites sample
+        the first component, even sites the second.
+        """
         X = self.eps * (self.sites - self.c * t)
-        vals = np.where(self.odd, f1.eval_at(X), f2.eval_at(X))
-        if self.omega and (np.any(self.per1) or np.any(self.per2)):
-            m = np.arange(len(self.per1))
-            phase = np.multiply.outer(self.omega * X, m)
-            if per_kind == "cos":
-                pv1, pv2 = np.cos(phase) @ self.per1, np.cos(phase) @ self.per2
-            else:
-                pv1 = -np.sin(phase) @ (m * self.omega * self.per1)
-                pv2 = -np.sin(phase) @ (m * self.omega * self.per2)
-            vals = vals + np.where(self.odd, pv1, pv2)
+        lines = (self.dline1, self.dline2) if derivative else (self.line1, self.line2)
+        vals = np.empty(X.shape)
+        for k, sel in enumerate((self.odd, ~self.odd)):
+            x = X[sel]
+            v = lines[k].eval_at(x)
+            if self._ripples is not None:
+                ripple, theta = self._ripples[k], self.omega * x
+                if derivative:
+                    v = v + self.omega * ripple.derivative_at(theta)
+                else:
+                    v = v + ripple.eval_at(theta)
+            vals[sel] = v
         return vals
 
     def sample(self, t=0.0):
         """Relative displacements r_j(t) of the exact traveling wave."""
-        return self._eval(self.line1, self.line2, "cos", t)
+        if t != 0:
+            return self._eval(t, derivative=False)
+        if self._r0 is None:
+            self._r0 = self._eval(0.0, derivative=False)
+        return self._r0.copy()
 
     def velocity(self, t=0.0):
         """Time derivatives r_dot_j(t) = -c eps p'(eps (j - c t))."""
-        return (-self.c * self.eps) * self._eval(self.dline1, self.dline2, "sin", t)
+        return (-self.c * self.eps) * self._eval(t, derivative=True)
 
     def initial(self):
         """Initial ring data ``(r_j(0), r_dot_j(0))`` in the zero-stretch gauge.
@@ -255,8 +269,10 @@ def simulate(params: DimerParams, config: LatticeConfig, r0, v0) -> LatticeTraje
     done = 0
     while done < n_steps:
         chunk = min(stride, n_steps - done)
-        r, v = rk4_steps(r, v, config.dt, chunk, odd, params.kappa, params.beta,
-                         params.n1, params.n2)
+        # a blow-up overflows inside the step; the finiteness check reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            r, v = rk4_steps(r, v, config.dt, chunk, odd, params.kappa, params.beta,
+                             params.n1, params.n2)
         done += chunk
         if not (np.all(np.isfinite(r)) and np.all(np.isfinite(v))):
             raise NoConvergence(f"lattice state blew up by t = {done * config.dt:.3f}")

@@ -9,7 +9,14 @@ Conventions fixed repo-wide:
 * A field is even (about X = 0) exactly when its samples satisfy
   ``v[m] = v[(n-m) % n]``, equivalently when its rFFT coefficients are real.
 * Periodic fields are even 2*pi-periodic profiles stored as cosine
-  coefficients: ``f(th) = sum_j coeffs[j]*cos(j*th)``.
+  coefficients: ``f(th) = sum_j coeffs[j]*cos(j*th)``.  Since
+  ``cos(j*th) = T_j(cos th)``, such a series (and its derivative, through
+  ``d/dth cos(j*th) = -j*sin(th)*U_{j-1}(cos th)``) is evaluated with the
+  Clenshaw recurrence: one ``cos`` call and M multiply-add sweeps, in the
+  dtype of the angles and coefficients.  The error is about
+  ``eps*sum_j j**2*|coeffs[j]|`` at worst (near ``th = 0, pi``, where
+  ``|T_j'(+-1)| = j**2`` amplifies the rounding of ``cos th``) and does not
+  grow with ``|th|``, since no product ``j*th`` is formed.
 * Pointwise products are de-aliased by evaluating on a 2x zero-padded grid
   and truncating back; this is exact through cubic products of band-limited
   fields and leaves only rounding-level aliasing for the analytic,
@@ -230,12 +237,41 @@ class PeriodicField:
         return PeriodicField(-self.coeffs)
 
     def eval_at(self, theta):
-        j = np.arange(self.M + 1)
-        return np.cos(np.multiply.outer(np.asarray(theta), j)) @ self.coeffs
+        """``sum_j coeffs[j]*cos(j*theta)``, with the shape of ``theta``."""
+        x = np.cos(np.asarray(theta))
+        b1, b2 = _clenshaw(x, self.coeffs)
+        return self.coeffs[0] + x * b1 - b2
+
+    def derivative_at(self, theta):
+        """``-sum_j j*coeffs[j]*sin(j*theta)``, with the shape of ``theta``."""
+        theta = np.asarray(theta)
+        x = np.cos(theta)
+        d = np.arange(1, self.M + 1) * self.coeffs[1:]  # U_{j-1} coefficients
+        b1, b2 = _clenshaw(x, d)
+        return -np.sin(theta) * (d[0] + 2 * x * b1 - b2)
 
     def dump_csv(self, path):
         rows = np.column_stack([np.arange(self.M + 1), self.coeffs])
         np.savetxt(path, rows, delimiter=",", header="mode,coefficient", comments="")
+
+
+def _clenshaw(x, a):
+    """``(b_1, b_2)`` of ``b_k = a_k + 2*x*b_{k+1} - b_{k+2}`` swept down from k = len(a)-1.
+
+    ``sum_k a_k*T_k(x) = a_0 + x*b_1 - b_2`` and ``sum_k a_k*U_k(x) = a_0 +
+    2*x*b_1 - b_2``.
+    """
+    dtype = np.result_type(x, a)
+    two_x = 2 * x
+    b1 = np.zeros(x.shape, dtype)
+    b2 = np.zeros(x.shape, dtype)
+    tmp = np.empty(x.shape, dtype)
+    for ak in a[:0:-1]:
+        np.multiply(two_x, b1, out=tmp)
+        np.subtract(tmp, b2, out=b2)
+        b2 += ak
+        b1, b2 = b2, b1
+    return b1, b2
 
 
 def periodic_product(f: PeriodicField, g: PeriodicField) -> PeriodicField:

@@ -317,6 +317,38 @@ class TestTravelingWave:
         assert free.omega == float(wave.omega)
         assert abs(prof.omega - free.omega) / free.omega < 2e-2
 
+    @pytest.mark.parametrize("t", [0.0, 7.3])
+    def test_sampling_matches_dense_ripple_formula(self, solved02, t):
+        # oracle: both line fields at every site, and the ripple series as
+        # dense cos/sin matrices, with np.where picking each site's parity
+        state, wave, _ = solved02
+        prof = TravelingProfile.from_nanopteron(QUAD, 0.2, state, wave, 512)
+        X = prof.eps * (prof.sites - prof.c * t)
+        m = np.arange(len(prof.per1))
+        phase = np.multiply.outer(prof.omega * X, m)
+
+        def dense(f1, f2, pv1, pv2):
+            return np.where(prof.odd, f1.eval_at(X), f2.eval_at(X)) + np.where(prof.odd, pv1, pv2)
+
+        r = dense(prof.line1, prof.line2, np.cos(phase) @ prof.per1, np.cos(phase) @ prof.per2)
+        rdot = (-prof.c * prof.eps) * dense(
+            prof.dline1, prof.dline2,
+            -np.sin(phase) @ (m * prof.omega * prof.per1),
+            -np.sin(phase) @ (m * prof.omega * prof.per2),
+        )
+        assert np.max(np.abs(prof.sample(t) - r)) <= 1e-13 * np.max(np.abs(r))
+        assert np.max(np.abs(prof.velocity(t) - rdot)) <= 1e-13 * np.max(np.abs(rdot))
+
+    def test_zero_time_sample_kept_and_copied(self, solved02):
+        state, wave, _ = solved02
+        prof = TravelingProfile.from_nanopteron(QUAD, 0.2, state, wave, 512)
+        first = prof.sample(0.0)
+        want = first.copy()
+        first[:] = 0.0  # callers get a copy; the kept sample is untouched
+        assert prof._r0 is not None
+        assert np.array_equal(prof.sample(0.0), want)
+        assert np.array_equal(prof.initial()[0], want)
+
     def test_reconstruct_initial_wrapper(self, solved02):
         state, wave, _ = solved02
         r0, v0 = reconstruct_initial(QUAD, 0.2, state, wave, sites=512)

@@ -163,6 +163,53 @@ def test_periodic_product_matches_pointwise(data):
     assert prod.M == f.M + g.M
 
 
+def _exact_angles(values, dtype):
+    # multiples of 2**-30 with |theta| <= 2e3 carry at most 41 significant
+    # bits, so every product j*theta with j <= 128 is exact in both dtypes
+    return (np.round(np.asarray(values) * 2.0**30) / 2.0**30).astype(dtype)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_periodic_eval_matches_dense_formula(data):
+    # Clenshaw against the dense cos(j*theta) and -sin(j*theta)*j sums.  The
+    # rounding of cos(theta) is amplified by |T_j'(+-1)| = j**2 near theta = 0
+    # and pi, so the error is bounded by eps*sum_j (1 + j**2)*|c_j| (and by
+    # the same weights times j for the derivative).
+    dtype = data.draw(st.sampled_from([np.float64, np.longdouble]))
+    M = data.draw(st.integers(8, 128))
+    coeff = st.floats(-1, 1, allow_subnormal=False)
+    c = np.array(data.draw(st.lists(coeff, min_size=M + 1, max_size=M + 1)), dtype=dtype)
+    theta = _exact_angles(
+        data.draw(st.lists(st.floats(-2e3, 2e3), min_size=1, max_size=16)), dtype
+    )
+    j = np.arange(M + 1)
+    phase = np.multiply.outer(theta, j)
+    f = PeriodicField(c)
+    value, slope = f.eval_at(theta), f.derivative_at(theta)
+    assert value.dtype == dtype and slope.dtype == dtype
+    eps = np.finfo(dtype).eps
+    weight = (1 + j**2) * np.abs(c)
+    assert np.max(np.abs(value - np.cos(phase) @ c)) <= 4 * eps * np.sum(weight)
+    assert np.max(np.abs(slope + np.sin(phase) @ (j * c))) <= 4 * eps * np.sum(j * weight)
+
+
+def test_periodic_eval_keeps_shape_and_dtype():
+    c = np.linspace(1.0, -0.5, 17) * np.exp(-0.3 * np.arange(17))
+    f = PeriodicField(c)
+    grid2d = np.linspace(-7.0, 7.0, 12).reshape(3, 4)
+    for method in (f.eval_at, f.derivative_at):
+        assert np.shape(method(0.7)) == ()
+        assert method(grid2d).shape == (3, 4)
+        flat = method(grid2d.ravel())
+        assert np.array_equal(method(grid2d).ravel(), flat)
+        assert method(grid2d[1, 2]) == flat[6]
+    ld = PeriodicField(c.astype(np.longdouble))
+    assert ld.eval_at(grid2d).dtype == np.longdouble
+    assert ld.derivative_at(0.7).dtype == np.longdouble
+    assert f.eval_at(np.longdouble(0.7)).dtype == np.longdouble
+
+
 def test_periodic_field_validation():
     with pytest.raises(InvalidParams):
         PeriodicField(np.zeros(5))  # M < 8
