@@ -1,32 +1,45 @@
-"""Time the ring integrator's compiled and pure-numpy paths.
+"""Time the ring integrator's pure-numpy path, and the compiled one if numba imports.
 
-Run from the repository root:
+Run from the repository root (the package is imported from this checkout's
+``src/``; nothing needs to be installed):
 
     python3 benchmarks/bench_kernels.py [--steps 2000] [--repeats 5]
 
-The compiled path is warmed once so JIT compilation is not billed to the
-timings.
+Times are the best of ``--repeats`` runs, in ns per site-step (wall time over
+sites x steps), the unit of the traced benchmark's ``kernels.ns_per_site_step``.
+The numba column is printed only when numba imports; the compiled path is
+warmed once so JIT compilation is not billed to the timings.
 """
 
 import argparse
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
-from dimerwave._kernels import HAS_NUMBA, rk4_steps
-from dimerwave.lattice import TravelingProfile
-from dimerwave.model import DimerParams
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from dimerwave._kernels import HAS_NUMBA, rk4_steps  # noqa: E402
+from dimerwave.lattice import TravelingProfile  # noqa: E402
+from dimerwave.model import DimerParams  # noqa: E402
 
 PARAMS = DimerParams(kappa=2.0, beta=1.0, n1=(0.5,), n2=(-0.3, 0.1))
+SITES = (256, 1024, 4096, 16384)
+BASE = 1024
 
 
-def run_one(sites, steps, compiled):
-    prof = TravelingProfile.leading_order(PARAMS, 0.2, sites)
-    r, v = prof.initial()
+def ns_per_site_step(sites, steps, compiled):
+    # copies of one wave on at most BASE sites: sampling the profile costs
+    # memory in proportion to the sites, which the kernel does not
+    base = min(sites, BASE)
+    prof = TravelingProfile.leading_order(PARAMS, 0.2, base)
+    r, v = (np.tile(x, sites // base) for x in prof.initial())
+    odd = np.tile(prof.odd, sites // base)
     t0 = time.perf_counter()
-    rk4_steps(r, v, 0.02, steps, prof.odd, PARAMS.kappa, PARAMS.beta,
+    rk4_steps(r, v, 0.02, steps, odd, PARAMS.kappa, PARAMS.beta,
               PARAMS.n1, PARAMS.n2, compiled=compiled)
-    return time.perf_counter() - t0
+    return 1e9 * (time.perf_counter() - t0) / (sites * steps)
 
 
 def main():
@@ -35,18 +48,21 @@ def main():
     ap.add_argument("--repeats", type=int, default=5)
     args = ap.parse_args()
 
-    if HAS_NUMBA:
-        run_one(64, 2, compiled=True)  # trigger compilation outside the timings
+    def best(sites, compiled):
+        return min(ns_per_site_step(sites, args.steps, compiled) for _ in range(args.repeats))
 
-    print(f"{'sites':>8} {'numpy (ms)':>12} {'numba (ms)':>12} {'speedup':>9}")
-    for sites in (256, 1024, 4096, 16384):
-        t_np = min(run_one(sites, args.steps, False) for _ in range(args.repeats))
+    if HAS_NUMBA:
+        ns_per_site_step(64, 2, compiled=True)  # trigger compilation outside the timings
+        print(f"{'sites':>8} {'numpy (ns)':>12} {'numba (ns)':>12} {'speedup':>9}")
+    else:
+        print(f"{'sites':>8} {'numpy (ns)':>12}")
+    for sites in SITES:
+        t_np = best(sites, False)
         if HAS_NUMBA:
-            t_nb = min(run_one(sites, args.steps, True) for _ in range(args.repeats))
-            print(f"{sites:>8} {1e3 * t_np:>12.2f} {1e3 * t_nb:>12.2f}"
-                  f" {t_np / t_nb:>8.1f}x")
+            t_nb = best(sites, True)
+            print(f"{sites:>8} {t_np:>12.1f} {t_nb:>12.1f} {t_np / t_nb:>8.1f}x")
         else:
-            print(f"{sites:>8} {1e3 * t_np:>12.2f} {'n/a':>12} {'n/a':>9}")
+            print(f"{sites:>8} {t_np:>12.1f}")
 
 
 if __name__ == "__main__":

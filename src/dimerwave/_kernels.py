@@ -5,14 +5,19 @@ Both code paths advance the relative-displacement system
     r_ddot_j = s_{j+1} + s_{j-1} - 2 s_j,   s_j = F_parity(j)(r_j)
 
 with the classical 4th-order one-step method on a periodic ring.  The numpy
-path evaluates the force laws of ``model.force``; the compiled kernels mirror
-them and are used whenever numba imports, producing the same trajectories to
-rounding.  ``benchmarks/bench_kernels.py`` times one against the other.
+path builds the per-site spring law of ``model.spring_law`` once per call
+(per-site ``lin``/``quad`` arrays and zero-padded cubic-remainder rows, so
+every site runs one formula) and writes the forces into the middle of a
+``J + 2`` buffer whose two ends are copied from the opposite edges; the
+periodic Laplacian is then a sum of three slices of that buffer.  The
+compiled kernels mirror the force laws and are used whenever numba imports,
+producing the same trajectories to rounding.  ``benchmarks/bench_kernels.py``
+times the paths in ns per site-step.
 """
 
 import numpy as np
 
-from .model import DimerParams, force
+from .model import DimerParams, spring_law
 
 try:
     from numba import njit
@@ -25,17 +30,25 @@ except ImportError:  # pragma: no cover - exercised only without numba
 # -- pure-numpy path --------------------------------------------------------------
 
 
+def _accel(r, law, s):
+    """r_ddot of ``law`` at ``r``, with ``s`` the ``len(r) + 2`` force buffer."""
+    s[1:-1] = law.force(r)
+    s[0], s[-1] = s[-2], s[1]
+    return s[2:] + s[:-2] - 2 * s[1:-1]
+
+
 def accel_numpy(r, odd, params: DimerParams):
     """Right-hand side r_ddot: stiff law on odd sites, soft law on even ones."""
-    s = np.where(odd, force(params, "odd", r), force(params, "even", r))
-    return np.roll(s, -1) + np.roll(s, 1) - 2 * s
+    return _accel(r, spring_law(params, odd), np.empty(len(r) + 2))
 
 
 def rk4_steps_numpy(r, v, dt, steps, odd, params: DimerParams):
     r, v = r.copy(), v.copy()
+    law = spring_law(params, odd)
+    s = np.empty(len(r) + 2)
 
     def a_of(x):
-        return accel_numpy(x, odd, params)
+        return _accel(x, law, s)
 
     for _ in range(steps):
         a1 = a_of(r)

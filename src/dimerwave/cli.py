@@ -147,12 +147,33 @@ class RunRecord:
             print(f"  {name:<{width}}  {'PASS' if p else 'FAIL'}  {detail}")
 
 
-def _write_csv(path: Path, header, rows):
+_CSV_ROWS_PER_WRITE = 256
+
+
+def _cells(values: np.ndarray):
+    """``_fmt`` of every value of one column, formatted a column at a time."""
+    if values.dtype.kind == "f":  # _fmt prints repr of the float64 value
+        return list(map(repr, values.astype(np.float64).tolist()))
+    if values.dtype.kind in "iu":
+        return list(map(str, values.tolist()))
+    return list(map(_fmt, values.tolist()))
+
+
+def _write_csv(path: Path, header, blocks):
+    """Write a CSV whose cells read as ``_fmt`` prints them.
+
+    ``blocks`` yields tuples of equal-length columns.  Each block is formatted
+    a column at a time, ``_CSV_ROWS_PER_WRITE`` rows per write call, so
+    memory holds that many formatted rows whatever the file size.
+    """
     with path.open("w", newline="\n") as fh:
         fh.write(f"# schema = {SCHEMA_CSV}\n")
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+        for columns in blocks:
+            columns = [np.asarray(col) for col in columns]
+            for lo in range(0, min(map(len, columns)), _CSV_ROWS_PER_WRITE):
+                cells = [_cells(col[lo:lo + _CSV_ROWS_PER_WRITE]) for col in columns]
+                fh.write("".join(",".join(row) + "\n" for row in zip(*cells)))
 
 
 # -- solution files -----------------------------------------------------------
@@ -337,7 +358,7 @@ def cmd_dispersion(cfg) -> int:
     out = _outdir(cfg)
     _write_csv(out / "dispersion.csv", ("k", "lambda_minus", "lambda_plus",
                                         "dlambda_minus", "dlambda_plus"),
-               zip(ks, lam_minus, lam_plus, d_minus, d_plus))
+               [(ks, lam_minus, lam_plus, d_minus, d_plus)])
     rec.write(out / "dispersion_record.txt")
     rec.print_gates()
     return 0 if rec.all_passed else 1
@@ -362,7 +383,7 @@ def cmd_periodic(cfg) -> int:
     out = _outdir(cfg)
     c1, c2 = wave.psi1.coeffs, wave.psi2.coeffs
     _write_csv(out / "periodic.csv", ("mode", "psi1", "psi2"),
-               zip(range(len(c1)), c1, c2))
+               [(np.arange(len(c1)), c1, c2)])
     rec.write(out / "periodic_record.txt")
     rec.print_gates()
     return 0 if rec.all_passed else 1
@@ -422,7 +443,7 @@ def cmd_nanopteron(cfg) -> int:
         grid = state.eta1.grid
         sigma, _ = core_profile(params, grid)
         _write_csv(out / f"nanopteron_{tag}.csv", ("X", "sigma", "eta1", "eta2"),
-                   zip(grid.X, sigma.values, state.eta1.values, state.eta2.values))
+                   [(grid.X, sigma.values, state.eta1.values, state.eta2.values)])
         print(f"eps = {eps:g}: a = {state.a:.6e}")
         rec.print_gates()
         if not rec.all_passed:
@@ -468,12 +489,9 @@ def cmd_simulate(cfg) -> int:
         rec.gate("peak_ratio", ratio_dev <= 0.02,
                  f"max deviation {ratio_dev * 100:.2f}% <= 2%")
     out = _outdir(cfg)
-    rows = (
-        (traj.times[i], traj.sites[j], traj.R[i, j])
-        for i in range(len(traj.times))
-        for j in range(len(traj.sites))
-    )
-    _write_csv(out / "trajectory.csv", ("t", "j", "r_j"), rows)
+    blocks = ((np.full(len(traj.sites), t), traj.sites, R)
+              for t, R in zip(traj.times, traj.R))
+    _write_csv(out / "trajectory.csv", ("t", "j", "r_j"), blocks)
     rec.write(out / "simulate_record.txt")
     rec.print_gates()
     return 0 if rec.all_passed else 1

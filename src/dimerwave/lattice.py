@@ -222,7 +222,7 @@ def lattice_energy(params: DimerParams, r, rdot) -> float:
     odd = _odd_mask(len(r))
     u_dot = np.cumsum(rdot - np.mean(rdot))
     u_dot = u_dot - np.mean(u_dot)
-    V = np.where(odd, potential(params, "odd", r), potential(params, "even", r))
+    V = potential(params, odd, r)
     return float(np.sum(u_dot**2) / 2 + np.sum(V))
 
 

@@ -19,6 +19,7 @@ The long-wave theory is governed by two derived constants:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -175,43 +176,73 @@ def nondimensionalize(p: PhysicalSprings) -> DimerParams:
     )
 
 
-def _law(params: DimerParams, which: str):
-    """``(linear, quadratic, cubic remainder)`` coefficients of one spring."""
-    if which == "odd":
-        return params.kappa, params.beta, params.n1
-    if which == "even":
-        return 1.0, 1.0, params.n2
-    raise ValueError(f"which must be 'odd' or 'even', got {which!r}")
+class SpringLaw(NamedTuple):
+    """Coefficients of ``lin*r + quad*r**2 + r**3*sum(rem[i]*r**i)``.
+
+    The fields are scalars for one spring, or per-site arrays for a ring (see
+    :func:`spring_law`); :meth:`force` and :meth:`potential` hold the one
+    definition of the force laws either way.  The lattice integrator's numpy
+    path evaluates them directly (the numba kernel mirrors the force).
+    """
+
+    lin: object
+    quad: object
+    rem: tuple
+
+    def force(self, r):
+        """Spring force at relative displacement(s) ``r``; dtype is preserved."""
+        f = self.lin * r + self.quad * r * r
+        if len(self.rem):
+            f = f + r**3 * polyval_ascending(self.rem, r)
+        return f
+
+    def potential(self, r):
+        """Antiderivative of :meth:`force` that vanishes at ``r = 0``.
+
+        Exact for the polynomial laws:
+        ``lin*r**2/2 + quad*r**3/3 + sum(rem[i] * r**(i+4)/(i+4))``.
+        """
+        integrated = tuple(c / (i + 4) for i, c in enumerate(self.rem))
+        return r * r * (self.lin / 2 + r * (self.quad / 3 + r * polyval_ascending(integrated, r)))
 
 
-def force(params: DimerParams, which: str, r):
-    """Nondimensional spring force.
-
-    The one definition of the force laws: the lattice integrator's numpy
-    path evaluates it directly (the numba kernel mirrors it).
+def spring_law(params: DimerParams, which) -> SpringLaw:
+    """The spring law of one parity class, or of every site of a ring.
 
     Parameters
     ----------
     params : DimerParams
-    which : {"odd", "even"}
+    which : {"odd", "even"} or boolean ndarray
         Odd springs: ``kappa*r + beta*r**2 + r**3*N1(r)``.
         Even springs: ``r + r**2 + r**3*N2(r)``.
-    r : float or ndarray
-        Relative displacement(s); dtype is preserved.
+        A mask of the odd sites gives per-site coefficient arrays, the
+        shorter remainder padded with zeros (which leaves its value exact).
     """
-    lin, quad, rem = _law(params, which)
-    f = lin * r + quad * r * r
-    if len(rem):
-        f = f + r**3 * polyval_ascending(rem, r)
-    return f
+    if isinstance(which, str):
+        if which == "odd":
+            return SpringLaw(params.kappa, params.beta, params.n1)
+        if which == "even":
+            return SpringLaw(1.0, 1.0, params.n2)
+        raise ValueError(f"which must be 'odd', 'even' or a site mask, got {which!r}")
+    odd = np.asarray(which, dtype=bool)
+    width = max(len(params.n1), len(params.n2))
+    n1 = params.n1 + (0.0,) * (width - len(params.n1))
+    n2 = params.n2 + (0.0,) * (width - len(params.n2))
+    return SpringLaw(
+        np.where(odd, params.kappa, 1.0),
+        np.where(odd, params.beta, 1.0),
+        tuple(np.where(odd, c1, c2) for c1, c2 in zip(n1, n2)),
+    )
 
 
-def potential(params: DimerParams, which: str, r):
-    """Antiderivative of :func:`force` with ``potential(., ., 0) = 0``.
+def force(params: DimerParams, which, r):
+    """Nondimensional spring force ``spring_law(params, which).force(r)``."""
+    return spring_law(params, which).force(r)
 
-    Used by the lattice energy diagnostic; exact for the polynomial force laws:
-    ``lin*r**2/2 + quad*r**3/3 + sum(n_i * r**(i+4)/(i+4))``.
+
+def potential(params: DimerParams, which, r):
+    """Spring potential ``spring_law(params, which).potential(r)``.
+
+    Used by the lattice energy diagnostic; ``potential(., ., 0) = 0``.
     """
-    lin, quad, rem = _law(params, which)
-    integrated = tuple(c / (i + 4) for i, c in enumerate(rem))
-    return r * r * (lin / 2 + r * (quad / 3 + r * polyval_ascending(integrated, r)))
+    return spring_law(params, which).potential(r)

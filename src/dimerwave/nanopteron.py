@@ -240,8 +240,9 @@ class SolverOperators:
     the localized linearization ``A = I - K1`` with its companion ``K2``, the
     resonant field ``chi``, and the solvability weight ``upsilon``.
 
-    Instances are immutable after construction and safe to share read-only
-    across worker threads *at the same eps*.
+    Instances are immutable after construction, apart from the GMRES
+    iteration counters that ``A_solve`` updates, and safe to share across
+    worker threads *at the same eps* (the counters then mix their solves).
     """
 
     def __init__(self, params: DimerParams, eps, grid: LineGrid,
@@ -284,6 +285,7 @@ class SolverOperators:
             self.symbols, grid, self.sigma, self.eps, self.resonance
         )
         self.last_gmres_iterations = 0
+        self.gmres_iterations = 0  # over every A-solve of these operators
         if check:
             self.self_check()
 
@@ -318,10 +320,11 @@ class SolverOperators:
         return values + 2 * self.gamma1 * self._smooth_core_multiply(values)
 
     def A_solve(self, f: LineField) -> LineField:
-        """``A^{-1} f`` by matrix-free GMRES (records the iteration count)."""
+        """``A^{-1} f`` by matrix-free GMRES (records the iteration counts)."""
         x, its = gmres(self._A_values, f.values, tol=self.gmres_tol,
                        max_iter=self.gmres_max_iter)
         self.last_gmres_iterations = its
+        self.gmres_iterations += its
         return LineField(self.grid, x, f.even)
 
     def iota(self, g: LineField):
@@ -507,7 +510,10 @@ def system_residual(ops: SolverOperators, state: NanopteronState, wave: Periodic
 
 @dataclass
 class SolveDiagnostics:
-    """Iteration log and converged-state measurements."""
+    """Iteration log and converged-state measurements.
+
+    ``gmres_iterations`` is the total over every ``A``-solve of the solve.
+    """
 
     converged: bool
     iterations: int
@@ -627,7 +633,7 @@ def solve_nanopteron(params: DimerParams, eps, config: NanopteronConfig = None):
         step_history=step_history,
         a_history=a_history,
         ripple_solves=ripple_solves,
-        gmres_iterations=ops.last_gmres_iterations,
+        gmres_iterations=ops.gmres_iterations,
         eta_sup=(sup_norm(state.eta1), sup_norm(state.eta2)),
         eta_weighted=float(eta_weighted),
         core_sup=float(core_peak),

@@ -10,8 +10,15 @@ import sys
 import numpy as np
 import pytest
 
-from dimerwave.cli import DEFAULTS, dispatch, load_solution, save_solution
-from dimerwave.lattice import TravelingProfile
+from dimerwave.cli import (
+    DEFAULTS,
+    SCHEMA_CSV,
+    _write_csv,
+    dispatch,
+    load_solution,
+    save_solution,
+)
+from dimerwave.lattice import LatticeConfig, TravelingProfile, simulate
 from dimerwave.model import DimerParams
 
 QUAD = DimerParams(kappa=2.0, beta=1.0, n1=(), n2=())
@@ -19,6 +26,24 @@ QUAD = DimerParams(kappa=2.0, beta=1.0, n1=(), n2=())
 
 def _strip_timings(text: str) -> str:
     return text.split("[timings]")[0]
+
+
+def _per_element_fmt(x):
+    """The record's cell format: repr of floats, str of ints, true/false."""
+    if isinstance(x, (bool, np.bool_)):
+        return "true" if x else "false"
+    if isinstance(x, (float, np.floating)):
+        return repr(float(x))
+    return str(x)
+
+
+def _per_element_csv(path, header, rows):
+    """A CSV written one row and one formatted element at a time."""
+    with path.open("w", newline="\n") as fh:
+        fh.write(f"# schema = {SCHEMA_CSV}\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_per_element_fmt(x) for x in row) + "\n")
 
 
 class TestDispatch:
@@ -168,6 +193,39 @@ class TestSimulateCommand:
         assert _strip_timings((a / "simulate_record.txt").read_text()) == _strip_timings(
             (b / "simulate_record.txt").read_text()
         )
+
+
+class TestCsvWriter:
+    """The column-at-a-time writer gives the bytes of the per-element one."""
+
+    def test_trajectory_matches_per_element_writer(self, tmp_path, capsys):
+        code = dispatch(["simulate", "--init", "leading", "--eps", "0.2",
+                         "--sites", "64", "--T", "1.0", "--snap-every", "10",
+                         "--out", str(tmp_path)])
+        assert code == 0
+        prof = TravelingProfile.leading_order(QUAD, 0.2, 64)
+        traj = simulate(QUAD, LatticeConfig(sites=64, dt=0.02, T=1.0, snap_every=10),
+                        *prof.initial())
+        rows = ((traj.times[i], traj.sites[j], traj.R[i, j])
+                for i in range(len(traj.times)) for j in range(len(traj.sites)))
+        _per_element_csv(tmp_path / "want.csv", ("t", "j", "r_j"), rows)
+        assert (tmp_path / "trajectory.csv").read_bytes() == (
+            tmp_path / "want.csv").read_bytes()
+
+    def test_mixed_table_matches_per_element_writer(self, tmp_path):
+        header = ("flag", "n", "x", "x_ld", "x_f32")
+        block = (
+            np.array([True, False, True, False, True]),
+            np.arange(5) - 2,
+            np.array([0.1, -0.0, 1e22, 5e-324, np.nan]),
+            np.array([1, 2, 3, 7, 11], dtype=np.longdouble) / 3,
+            np.array([0.1, 1e-7, -2.5, np.inf, 3e38], dtype=np.float32),
+        )
+        blocks = [block, tuple(col[::-2] for col in block)]
+        _write_csv(tmp_path / "got.csv", header, blocks)
+        _per_element_csv(tmp_path / "want.csv", header,
+                         (row for cols in blocks for row in zip(*cols)))
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 class TestConfigLayering:

@@ -213,6 +213,58 @@ class TestConservationAndOrder:
         assert np.max(np.abs(va - vb)) < 1e-13
 
 
+REMAINDERS = [((0.5,), (-0.3, 0.1)), ((), (-0.3, 0.1)), ((0.5, 0.2, -0.1), ()), ((), ())]
+
+
+def _two_law_rk4(r, v, dt, steps, odd, params):
+    """The numpy RK4 with both laws on every site, picked by ``np.where``,
+    and an ``np.roll`` Laplacian: the reference the per-site law must match."""
+
+    def a_of(x):
+        s = np.where(odd, force(params, "odd", x), force(params, "even", x))
+        return np.roll(s, -1) + np.roll(s, 1) - 2 * s
+
+    for _ in range(steps):
+        a1 = a_of(r)
+        v2 = v + (0.5 * dt) * a1
+        a2 = a_of(r + (0.5 * dt) * v)
+        v3 = v + (0.5 * dt) * a2
+        a3 = a_of(r + (0.5 * dt) * v2)
+        v4 = v + dt * a3
+        a4 = a_of(r + dt * v3)
+        r = r + (dt / 6) * (v + 2 * v2 + 2 * v3 + v4)
+        v = v + (dt / 6) * (a1 + 2 * a2 + 2 * a3 + a4)
+    return r, v
+
+
+class TestPerSiteLaw:
+    """The per-site spring law reproduces the two-law formulas bit for bit."""
+
+    @pytest.mark.parametrize("sites", [64, 1024])
+    @pytest.mark.parametrize("n1, n2", REMAINDERS)
+    def test_rk4_matches_two_law_reference(self, n1, n2, sites):
+        params = DimerParams(kappa=2.0, beta=1.0, n1=n1, n2=n2)
+        prof = TravelingProfile.leading_order(params, 0.3, sites)
+        r0, v0 = prof.initial()
+        r, v = rk4_steps(r0, v0, 0.02, 200, prof.odd, params.kappa, params.beta,
+                         params.n1, params.n2, compiled=False)
+        r_ref, v_ref = _two_law_rk4(r0, v0, 0.02, 200, prof.odd, params)
+        assert np.array_equal(r, r_ref) and np.array_equal(v, v_ref)
+
+    @pytest.mark.parametrize("n1, n2", REMAINDERS)
+    def test_energy_matches_two_law_formula(self, n1, n2):
+        params = DimerParams(kappa=2.0, beta=1.0, n1=n1, n2=n2)
+        rng = np.random.default_rng(5)
+        r = 0.1 * rng.standard_normal(64)
+        rdot = 0.1 * rng.standard_normal(64)
+        odd = ((np.arange(64) - 32) % 2) != 0
+        u_dot = np.cumsum(rdot - np.mean(rdot))
+        u_dot = u_dot - np.mean(u_dot)
+        V = np.where(odd, potential(params, "odd", r), potential(params, "even", r))
+        assert np.array_equal(potential(params, odd, r), V)
+        assert lattice_energy(params, r, rdot) == float(np.sum(u_dot**2) / 2 + np.sum(V))
+
+
 class TestPhonons:
     def test_linearization_spectrum_matches_branches(self):
         J = 64

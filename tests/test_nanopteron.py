@@ -13,6 +13,7 @@ import pytest
 from dimerwave.dispersion import Resonance, SymbolSet
 from dimerwave.errors import InvalidParams, LinearSolveFailure, NoConvergence
 from dimerwave.kdv import Soliton, core_profile
+from dimerwave import nanopteron
 from dimerwave.model import DimerParams
 from dimerwave.nanopteron import (
     NanopteronConfig,
@@ -293,6 +294,19 @@ class TestSolve:
         assert sup_norm(state_new.eta1 - state_orig.eta1) < 1e-8
         assert sup_norm(state_new.eta2 - state_orig.eta2) < 1e-8
         assert abs(state_new.a - state_orig.a) < 1e-8
+
+    def test_gmres_iterations_total_every_A_solve(self, monkeypatch):
+        counts = []
+
+        def counting_gmres(*args, **kwargs):
+            x, its = gmres(*args, **kwargs)
+            counts.append(its)
+            return x, its
+
+        monkeypatch.setattr(nanopteron, "gmres", counting_gmres)
+        _, _, diag = solve_nanopteron(QUAD, 0.2)
+        assert len(counts) > 1
+        assert diag.gmres_iterations == sum(counts)
 
     def test_cubic_forces_converge_too(self):
         state, wave, diag = solve_nanopteron(CUBIC, 0.2)
