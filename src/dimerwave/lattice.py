@@ -24,7 +24,7 @@ from .dispersion import SymbolSet
 from .errors import InvalidParams, NoConvergence
 from .kdv import core_profile
 from .model import DimerParams, derived_constants, potential
-from .nanopteron import NanopteronState
+from .nanopteron import DECAY_TOL, NanopteronState
 from .nonlinear import VectorField, apply_J
 from .periodic import PeriodicWave
 from .spectral import LineField, LineGrid, PeriodicField
@@ -73,6 +73,15 @@ class TravelingProfile:
     evaluates ``r_j(t) = p_parity(j)(j - c t)`` and its time derivative at
     any time by spectral interpolation, which is what "the initial profile
     shifted by c t" means for band-limited data.
+
+    The profile is ring-periodic: each site's offset ``j - c t`` is wrapped
+    into the ring's period ``[-sites/2, sites/2)`` before scaling by eps.
+    The decaying part is sampled only where ``|X| < L`` (the line window)
+    and is zero elsewhere, so a ring wider than ``2L/eps`` sites carries one
+    core, not the periodic images of the line grid's interpolant; the ripple
+    is sampled at every site.  The line fields must therefore have decayed
+    at ``X = -L`` to ``nanopteron.DECAY_TOL`` of their peak, or
+    construction raises ``InvalidParams``.
     """
 
     def __init__(self, params, eps, c, omega, line1, line2, per1, per2, sites):
@@ -85,6 +94,13 @@ class TravelingProfile:
         self.per2 = np.asarray(per2, dtype=np.float64)
         self.sites = _site_array(sites)
         self.odd = _odd_mask(sites)
+        for name, f in (("line1", line1), ("line2", line2)):
+            if not f.boundary_decay() <= DECAY_TOL:
+                raise InvalidParams(
+                    f"profile {name} boundary value {f.boundary_decay():.2e} of peak "
+                    f"exceeds {DECAY_TOL:.0e}; the ring samples the line window "
+                    "|X| < L only, so this field would be cut off"
+                )
         grid = line1.grid
         self.dline1 = LineField(grid, grid.derivative(line1.values), even=False)
         self.dline2 = LineField(grid, grid.derivative(line2.values), even=False)
@@ -133,14 +149,21 @@ class TravelingProfile:
         """Profile values, or their X-derivatives, at every site at time t.
 
         Each parity class is evaluated only at its own sites: odd sites sample
-        the first component, even sites the second.
+        the first component, even sites the second.  Offsets wrap into the
+        ring; the decaying part is sampled inside the line window only.
         """
-        X = self.eps * (self.sites - self.c * t)
+        n = len(self.sites)
+        offset = self.sites - self.c * t
+        offset = offset - n * np.floor((offset + n // 2) / n)
+        X = self.eps * offset
+        L = self.line1.grid.L
         lines = (self.dline1, self.dline2) if derivative else (self.line1, self.line2)
         vals = np.empty(X.shape)
         for k, sel in enumerate((self.odd, ~self.odd)):
             x = X[sel]
-            v = lines[k].eval_at(x)
+            inside = np.abs(x) < L
+            v = np.zeros(x.shape)
+            v[inside] = lines[k].eval_at(x[inside])
             if self._ripples is not None:
                 ripple, theta = self._ripples[k], self.omega * x
                 if derivative:
@@ -288,7 +311,9 @@ def shape_error(traj: LatticeTrajectory, profile: TravelingProfile, t=None) -> f
 
     The reference at time t is the initial profile advanced by ``c t``
     through the profile's own spectral interpolant (parity classes shift
-    together, each sampling its own component).
+    together, each sampling its own component).  It is ring-periodic: a
+    core that crosses the seam re-enters on the far side, and the decaying
+    part is windowed to ``|X| < L`` (see ``TravelingProfile``).
     """
     if t is None:
         t = traj.times[-1]

@@ -193,7 +193,7 @@ class SpringLaw(NamedTuple):
         """Spring force at relative displacement(s) ``r``; dtype is preserved."""
         f = self.lin * r + self.quad * r * r
         if len(self.rem):
-            f = f + r**3 * polyval_ascending(self.rem, r)
+            f = f + r * r * r * polyval_ascending(self.rem, r)
         return f
 
     def potential(self, r):

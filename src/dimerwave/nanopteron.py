@@ -58,6 +58,11 @@ from .spectral import (
 # (the periodic family depends Lipschitz-continuously on ``a``).
 RIPPLE_UPDATE_THRESHOLD = 0.1
 
+# Largest boundary value |f(-L)|/max|f| a decaying field may keep (see
+# ``NanopteronState.validate``); the lattice, which samples decaying fields
+# only where |X| < L, holds its profiles to the same bound.
+DECAY_TOL = 1e-5
+
 
 def iota_eps(g: LineField, omega) -> float:
     """Solvability functional ``integral of g(X) cos(omega X) dX``.
@@ -173,7 +178,7 @@ class NanopteronState:
     eta2: LineField
     a: float
 
-    def validate(self, a_max: float = 1e-2, decay_tol: float = 1e-5,
+    def validate(self, a_max: float = 1e-2, decay_tol: float = DECAY_TOL,
                  symmetry_tol: float = 1e-11):
         """Check evenness, boundary decay, and the amplitude bound.
 

@@ -160,26 +160,27 @@ class _Mixed:
         self.per_fine = per_fine  # ripple sampled on the fine grid (cached)
 
 
-def _fine_nodes(grid: LineGrid):
+def _fine_cos(grid: LineGrid, omega):
+    """``cos(omega*X)`` on the 2x fine grid: the one Chebyshev argument at
+    which an operator samples every ripple (all share the frequency omega)."""
     m = np.arange(2 * grid.n, dtype=grid.dtype)
-    return -grid.L + 2 * grid.L * m / (2 * grid.n)
+    return np.cos(omega * (-grid.L + 2 * grid.L * m / (2 * grid.n)))
 
 
-def _to_mixed(v: VectorField, Xf):
+def _to_mixed(v: VectorField, cx):
     comps = []
     for ln, pr in ((v.line1, v.per1), (v.line2, v.per2)):
-        per_fine = pr.eval_at(v.omega * Xf)
-        comps.append(_Mixed(fine_samples(ln), pr, per_fine))
+        comps.append(_Mixed(fine_samples(ln), pr, pr.chebyshev_at(cx)))
     return comps
 
 
-def _mixed_mul(a: _Mixed, b: _Mixed, omega, Xf) -> _Mixed:
+def _mixed_mul(a: _Mixed, b: _Mixed, cx) -> _Mixed:
     fine = a.fine * b.fine + a.fine * b.per_fine + a.per_fine * b.fine
     per = periodic_product(a.per, b.per)
-    return _Mixed(fine, per, per.eval_at(omega * Xf))
+    return _Mixed(fine, per, per.chebyshev_at(cx))
 
 
-def _mixed_calN_factor(h: _Mixed, coeffs, omega, Xf) -> _Mixed:
+def _mixed_calN_factor(h: _Mixed, coeffs, cx) -> _Mixed:
     """The cubic-remainder factor ``calN(h) = h*N(h)`` of a mixed component.
 
     The ripple part is exact cosine algebra (Horner in periodic products);
@@ -201,7 +202,7 @@ def _mixed_calN_factor(h: _Mixed, coeffs, omega, Xf) -> _Mixed:
     fine = total * polyval_ascending(coeffs, total) - h.per_fine * polyval_ascending(
         coeffs, h.per_fine
     )
-    return _Mixed(fine, per, per.eval_at(omega * Xf))
+    return _Mixed(fine, per, per.chebyshev_at(cx))
 
 
 def _from_mixed(grid: LineGrid, comps, omega, even=True) -> VectorField:
@@ -215,11 +216,11 @@ def _from_mixed(grid: LineGrid, comps, omega, even=True) -> VectorField:
 
 def calN(params: DimerParams, v: VectorField) -> VectorField:
     """Componentwise cubic remainder ``calN(h)_j = h_j * N_j(h_j)`` (pointwise)."""
-    Xf = _fine_nodes(v.grid)
-    comps = _to_mixed(v, Xf)
+    cx = _fine_cos(v.grid, v.omega)
+    comps = _to_mixed(v, cx)
     out = [
-        _mixed_calN_factor(comps[0], params.n1, v.omega, Xf),
-        _mixed_calN_factor(comps[1], params.n2, v.omega, Xf),
+        _mixed_calN_factor(comps[0], params.n1, cx),
+        _mixed_calN_factor(comps[1], params.n2, cx),
     ]
     even = v.line1.even and v.line2.even
     return _from_mixed(v.grid, out, v.omega, even)
@@ -233,10 +234,10 @@ def B_eps(symbols: SymbolSet, theta: VectorField, theta2: VectorField, eps) -> V
     p = symbols.params
     W = _apply_matrix(symbols, eps, theta)
     W2 = _apply_matrix(symbols, eps, theta2)
-    Xf = _fine_nodes(theta.grid)
-    a = _to_mixed(W, Xf)
-    b = _to_mixed(W2, Xf)
-    prod = [_mixed_mul(a[i], b[i], omega, Xf) for i in range(2)]
+    cx = _fine_cos(theta.grid, omega)
+    a = _to_mixed(W, cx)
+    b = _to_mixed(W2, cx)
+    prod = [_mixed_mul(a[i], b[i], cx) for i in range(2)]
     prod[0].fine = prod[0].fine * (p.beta / p.kappa)
     prod[0].per = prod[0].per * (p.beta / p.kappa)
     even = all(f.even for f in (theta.line1, theta.line2, theta2.line1, theta2.line2))
@@ -273,13 +274,13 @@ def Q_eps(symbols: SymbolSet, theta: VectorField, theta2: VectorField,
     W = _apply_matrix(symbols, eps, theta)
     W2 = _apply_matrix(symbols, eps, theta2)
     W3 = _apply_matrix(symbols, eps, theta3)
-    Xf = _fine_nodes(theta.grid)
-    a, b, h = _to_mixed(W, Xf), _to_mixed(W2, Xf), _to_mixed(W3 * (eps * eps), Xf)
+    cx = _fine_cos(theta.grid, omega)
+    a, b, h = _to_mixed(W, cx), _to_mixed(W2, cx), _to_mixed(W3 * (eps * eps), cx)
     ncoeffs = (p.n1, p.n2)
     prod = []
     for i in range(2):
-        nfac = _mixed_calN_factor(h[i], ncoeffs[i], omega, Xf)
-        prod.append(_mixed_mul(_mixed_mul(a[i], b[i], omega, Xf), nfac, omega, Xf))
+        nfac = _mixed_calN_factor(h[i], ncoeffs[i], cx)
+        prod.append(_mixed_mul(_mixed_mul(a[i], b[i], cx), nfac, cx))
     prod[0].fine = prod[0].fine * scale
     prod[0].per = prod[0].per * scale
     even = all(

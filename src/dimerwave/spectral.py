@@ -238,7 +238,14 @@ class PeriodicField:
 
     def eval_at(self, theta):
         """``sum_j coeffs[j]*cos(j*theta)``, with the shape of ``theta``."""
-        x = np.cos(np.asarray(theta))
+        return self.chebyshev_at(np.cos(np.asarray(theta)))
+
+    def chebyshev_at(self, x):
+        """``sum_j coeffs[j]*T_j(x)``, i.e. :meth:`eval_at` where ``x = cos(theta)``.
+
+        Lets callers that sample several series at one set of angles take
+        the cosine once.
+        """
         b1, b2 = _clenshaw(x, self.coeffs)
         return self.coeffs[0] + x * b1 - b2
 

@@ -172,6 +172,22 @@ class TestSimulateCommand:
         assert "shape_error = PASS" in record
         assert "peak_ratio = PASS" in record
 
+    def test_undecayed_profile_exits_2(self, tmp_path, solved02, capsys):
+        # a corrector offset by a constant is not decayed at X = -L; the ring
+        # must refuse it rather than cut it off at the window's edge
+        state, wave, _ = solved02
+        sol = tmp_path / "sol.npz"
+        save_solution(sol, QUAD, 0.2, state, wave)
+        with np.load(sol) as z:
+            data = {k: z[k] for k in z.files}
+        data["eta1"] = data["eta1"] + 1e-3
+        np.savez(sol, **data)
+        code = dispatch(["simulate", "--init", str(sol), "--sites", "4096",
+                         "--T", "0.1", "--out", str(tmp_path)])
+        assert code == 2
+        assert "profile line1 boundary value" in capsys.readouterr().err
+        assert not (tmp_path / "trajectory.csv").exists()
+
     def test_leading_trajectory_dump(self, tmp_path, capsys):
         code = dispatch(["simulate", "--init", "leading", "--eps", "0.2",
                          "--sites", "64", "--T", "1.0", "--snap-every", "25",

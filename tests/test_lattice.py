@@ -27,7 +27,7 @@ from dimerwave.lattice import (
 )
 from dimerwave.model import DimerParams, derived_constants, force, potential
 from dimerwave.nanopteron import solve_nanopteron
-from dimerwave.spectral import LineGrid
+from dimerwave.spectral import LineField, LineGrid
 
 QUAD = DimerParams(kappa=2.0, beta=1.0, n1=(), n2=())
 CUBIC = DimerParams(kappa=2.0, beta=1.0, n1=(0.5,), n2=(-0.3, 0.1))
@@ -352,12 +352,22 @@ class TestTravelingWave:
         scaled = rep.tail_amplitudes / (abs(state.a) * 0.04)
         assert np.all((scaled > 1.0) & (scaled < 20.0))
 
-    def test_leading_order_shape_error(self):
+    @staticmethod
+    def _leading_order_shape_error(distance):
+        """shape_error of the leading-order wave on 512 sites after it has
+        moved ``distance`` sites."""
         prof = TravelingProfile.leading_order(QUAD, 0.2, 512)
         r0, v0 = prof.initial()
-        cfg = LatticeConfig(sites=512, dt=0.02, T=20.0 / prof.c, snap_every=50)
-        traj = simulate(QUAD, cfg, r0, v0)
-        assert shape_error(traj, prof) <= 5e-2
+        cfg = LatticeConfig(sites=512, dt=0.02, T=distance / prof.c, snap_every=50)
+        return shape_error(simulate(QUAD, cfg, r0, v0), prof)
+
+    def test_leading_order_shape_error(self):
+        assert self._leading_order_shape_error(20.0) <= 5e-2
+
+    def test_leading_order_core_crosses_seam(self):
+        # after 300 sites the core has crossed the seam at j = 256, so the
+        # reference must re-enter on the far side (unwrapped, it reads 0.97)
+        assert self._leading_order_shape_error(300.0) <= 5e-2
 
     def test_ring_commensurate_snap(self, solved02):
         state, wave, _ = solved02
@@ -371,16 +381,19 @@ class TestTravelingWave:
 
     @pytest.mark.parametrize("t", [0.0, 7.3])
     def test_sampling_matches_dense_ripple_formula(self, solved02, t):
-        # oracle: both line fields at every site, and the ripple series as
-        # dense cos/sin matrices, with np.where picking each site's parity
+        # oracle: offsets wrapped into the ring, both line fields at every
+        # site inside the window |X| < L and zero outside it, and the ripple
+        # series as dense cos/sin matrices, np.where picking each parity
         state, wave, _ = solved02
         prof = TravelingProfile.from_nanopteron(QUAD, 0.2, state, wave, 512)
-        X = prof.eps * (prof.sites - prof.c * t)
+        X = prof.eps * ((prof.sites - prof.c * t + 256) % 512 - 256)
+        inside = np.abs(X) < prof.line1.grid.L
         m = np.arange(len(prof.per1))
         phase = np.multiply.outer(prof.omega * X, m)
 
         def dense(f1, f2, pv1, pv2):
-            return np.where(prof.odd, f1.eval_at(X), f2.eval_at(X)) + np.where(prof.odd, pv1, pv2)
+            line = np.where(prof.odd, f1.eval_at(X), f2.eval_at(X))
+            return np.where(inside, line, 0.0) + np.where(prof.odd, pv1, pv2)
 
         r = dense(prof.line1, prof.line2, np.cos(phase) @ prof.per1, np.cos(phase) @ prof.per2)
         rdot = (-prof.c * prof.eps) * dense(
@@ -390,6 +403,26 @@ class TestTravelingWave:
         )
         assert np.max(np.abs(prof.sample(t) - r)) <= 1e-13 * np.max(np.abs(r))
         assert np.max(np.abs(prof.velocity(t) - rdot)) <= 1e-13 * np.max(np.abs(rdot))
+
+    def test_ring_wider_than_window_passes_512_site_gates(self, solved02):
+        # 4096 sites hold 6.8 line windows (2L/eps = 600 sites): one core, no images
+        state, wave, _ = solved02
+        prof = TravelingProfile.from_nanopteron(QUAD, 0.2, state, wave, 4096)
+        r0, v0 = prof.initial()
+        cfg = LatticeConfig(sites=4096, dt=0.02, T=20.0 / prof.c, snap_every=50)
+        traj = simulate(QUAD, cfg, r0, v0)
+        assert shape_error(traj, prof) <= 1e-3
+        assert traj.energy_drift() <= 1e-8
+        rep = stegoton_diagnostics(traj, prof.core_width_sites(),
+                                   ripple_wavenumber=0.2 * prof.omega)
+        assert np.max(np.abs(rep.ratios - 2.0) / 2.0) <= 0.02
+
+    def test_undecayed_line_field_rejected(self):
+        grid = LineGrid(1024, 60.0)
+        wide = LineField.from_function(grid, lambda X: np.exp(-(X / 30.0) ** 2))
+        assert wide.boundary_decay() > 1e-5
+        with pytest.raises(InvalidParams, match="boundary value 1.83e-02 of peak exceeds 1e-05"):
+            TravelingProfile(QUAD, 0.2, 1.2, 0.0, wide, wide, np.zeros(1), np.zeros(1), 4096)
 
     def test_zero_time_sample_kept_and_copied(self, solved02):
         state, wave, _ = solved02
