@@ -81,6 +81,9 @@ class SymbolSet:
             raise InvalidParams(f"delta_sing must lie in (0, 1e-3), got {delta_sing}")
         self.params = params
         self.delta_sing = float(delta_sing)
+        # symbol tables on line grids, keyed by grid and eps; filled by the
+        # nonlinear operators, which read the same diagonalizer many times
+        self.line_tables = {}
 
     # -- eigenvalue branches ------------------------------------------------
 

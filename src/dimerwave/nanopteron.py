@@ -63,6 +63,11 @@ RIPPLE_UPDATE_THRESHOLD = 0.1
 # only where |X| < L, holds its profiles to the same bound.
 DECAY_TOL = 1e-5
 
+# A solved amplitude below this many machine epsilons of the core's peak is
+# rounding noise, not a ripple: at kappa = 2, beta = 1 the float64 solve at
+# eps = 0.04 returns a = -5.8e-17 where longdouble finds -1.4e-19.
+AMPLITUDE_FLOOR_ULPS = 100
+
 
 def iota_eps(g: LineField, omega) -> float:
     """Solvability functional ``integral of g(X) cos(omega X) dX``.
@@ -241,9 +246,10 @@ class SolverOperators:
     """Precomputed linear machinery for one ``(params, eps, grid)`` slice.
 
     Holds the symbol tables (smoothing ``varpi``, optical ``lambda_plus``,
-    traveling ``xi``, diagonalizer entries), the core profile and its slope,
-    the localized linearization ``A = I - K1`` with its companion ``K2``, the
-    resonant field ``chi``, and the solvability weight ``upsilon``.
+    traveling ``xi``; the nonlinear operators keep the diagonalizer's on
+    ``symbols``), the core profile and its slope, the localized
+    linearization ``A = I - K1`` with its companion ``K2``, the resonant
+    field ``chi``, and the solvability weight ``upsilon``.
 
     Instances are immutable after construction, apart from the GMRES
     iteration counters that ``A_solve`` updates, and safe to share across
@@ -277,7 +283,6 @@ class SolverOperators:
         _, self.varpi_eps_table, self.varpi0_table = self.symbols.varpi_symbols(self.eps, k)
         self.lambda_plus_table = self.symbols.lambda_pm(self.eps * k)[1]
         self.xi_table = self.symbols.xi_symbol(self.resonance.c, self.eps * k)
-        self.v_minus_table, self.v_plus_table = self.symbols.eigvec_v_pm(self.eps * k)
         # the resonant band where the traveling symbol's zero is removable
         self.band = np.abs(k - self.resonance.omega) < 2 * grid.dk
         off_band = np.abs(self.xi_table[~self.band])
@@ -507,9 +512,9 @@ def system_residual(ops: SolverOperators, state: NanopteronState, wave: Periodic
         eps * eps
     ) * lam_m * W.per2.pad_to(M).coeffs
 
-    phase = omega * grid.X
-    total1 = th1_line.values + PeriodicField(th1_per).eval_at(phase)
-    total2 = th2_line.values + PeriodicField(th2_per).eval_at(phase)
+    cos_phase = np.cos(omega * grid.X)
+    total1 = th1_line.values + PeriodicField(th1_per).chebyshev_at(cos_phase)
+    total2 = th2_line.values + PeriodicField(th2_per).chebyshev_at(cos_phase)
     return max(np.max(np.abs(total1)), np.max(np.abs(total2)))
 
 
@@ -547,6 +552,10 @@ def solve_nanopteron(params: DimerParams, eps, config: NanopteronConfig = None):
     NoConvergence
         If the iteration budget is exhausted, the state diverges, or the
         amplitude escapes ``|a| <= a_max``.
+    InvalidParams
+        If the converged state fails ``NanopteronState.validate``, or
+        ``|a|`` is below ``AMPLITUDE_FLOOR_ULPS`` machine epsilons of the
+        core's peak, where the dtype cannot resolve the ripple.
     """
     config = config or NanopteronConfig()
     dt = config.dtype
@@ -645,4 +654,14 @@ def solve_nanopteron(params: DimerParams, eps, config: NanopteronConfig = None):
         upsilon=float(ops.upsilon),
     )
     state.validate(a_max=config.a_max)
+    floor = AMPLITUDE_FLOOR_ULPS * float(np.finfo(dt).eps) * float(core_peak)
+    if not abs(state.a) >= floor:
+        longdouble = np.dtype(dt) == np.dtype(np.longdouble)
+        raise InvalidParams(
+            f"ripple amplitude |a| = {abs(float(state.a)):.3e} at eps = {float(eps):g} is "
+            f"below the {'longdouble' if longdouble else np.dtype(dt).name} noise floor "
+            f"{floor:.3e} ({AMPLITUDE_FLOOR_ULPS} * machine epsilon * core peak); "
+            + ("use a larger eps" if longdouble
+               else "solve in longdouble (NanopteronConfig(dtype=numpy.longdouble))")
+        )
     return state, wave, diagnostics

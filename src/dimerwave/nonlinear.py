@@ -18,6 +18,11 @@ exactly in cosine-coefficient algebra.  This keeps each term of the solver in
 a known representation and avoids numerically splitting a sampled total into
 core and tail.  Decaying products are evaluated on the 2x fine grid (see
 ``spectral``) and truncated back, so there is no quadratic or cubic aliasing.
+
+Each operator J-transforms an argument passed more than once (the solvers'
+``B_eps(v, v)``) only once, samples a ripple on the fine grid only when a
+product reads it, and reads the diagonalizer's line-grid entries from a
+table kept on the ``SymbolSet`` for each grid and eps.
 """
 
 from __future__ import annotations
@@ -127,10 +132,24 @@ def _diag_entries(symbols: SymbolSet, x, inverse: bool):
     return [[vp / det, -one / det], [-one / det, vm / det]]
 
 
+def _line_entries(symbols: SymbolSet, eps, grid: LineGrid, inverse: bool):
+    """``_diag_entries`` at ``eps*grid.k``, tabulated once per grid and eps.
+
+    The table lives in ``symbols.line_tables``, so it lasts as long as the
+    solve that owns the symbols.  Two threads that miss the same key both
+    compute it, with equal results.
+    """
+    key = (grid, type(eps), eps, inverse)
+    E = symbols.line_tables.get(key)
+    if E is None:
+        E = symbols.line_tables[key] = _diag_entries(symbols, eps * grid.k, inverse)
+    return E
+
+
 def _apply_matrix(symbols: SymbolSet, eps, v: VectorField, inverse=False) -> VectorField:
     """Apply J (or J1) with symbol arguments eps*k to both halves of v."""
     grid = v.grid
-    E = _diag_entries(symbols, eps * grid.k, inverse)
+    E = _line_entries(symbols, eps, grid, inverse)
     F1, F2 = grid.rfft(v.line1.values), grid.rfft(v.line2.values)
     out_l1 = grid.irfft(E[0][0] * F1 + E[0][1] * F2)
     out_l2 = grid.irfft(E[1][0] * F1 + E[1][1] * F2)
@@ -150,14 +169,30 @@ def _apply_matrix(symbols: SymbolSet, eps, v: VectorField, inverse=False) -> Vec
 
 
 class _Mixed:
-    """One component as fine-grid decaying samples plus an exact ripple."""
+    """One component as fine-grid decaying samples plus an exact ripple.
 
-    __slots__ = ("fine", "per", "per_fine")
+    The ripple is sampled on the fine grid (``per_fine``: Clenshaw at the
+    Chebyshev argument ``cx``) when a product first reads it, and the sample
+    is kept.  A ripple that only goes back to coefficient space through
+    ``_from_mixed`` is never sampled.
+    """
 
-    def __init__(self, fine, per: PeriodicField, per_fine):
+    __slots__ = ("fine", "per", "cx", "_per_fine")
+
+    def __init__(self, fine, per: PeriodicField, cx):
         self.fine = fine
         self.per = per
-        self.per_fine = per_fine  # ripple sampled on the fine grid (cached)
+        self.cx = cx
+        self._per_fine = None
+
+    @property
+    def per_fine(self):
+        if self._per_fine is None:
+            self._per_fine = self.per.chebyshev_at(self.cx)
+        return self._per_fine
+
+    def scaled(self, s) -> "_Mixed":
+        return _Mixed(self.fine * s, self.per * s, self.cx)
 
 
 def _fine_cos(grid: LineGrid, omega):
@@ -168,27 +203,22 @@ def _fine_cos(grid: LineGrid, omega):
 
 
 def _to_mixed(v: VectorField, cx):
-    comps = []
-    for ln, pr in ((v.line1, v.per1), (v.line2, v.per2)):
-        comps.append(_Mixed(fine_samples(ln), pr, pr.chebyshev_at(cx)))
-    return comps
+    return [_Mixed(fine_samples(ln), pr, cx) for ln, pr in ((v.line1, v.per1), (v.line2, v.per2))]
 
 
-def _mixed_mul(a: _Mixed, b: _Mixed, cx) -> _Mixed:
+def _mixed_mul(a: _Mixed, b: _Mixed) -> _Mixed:
     fine = a.fine * b.fine + a.fine * b.per_fine + a.per_fine * b.fine
-    per = periodic_product(a.per, b.per)
-    return _Mixed(fine, per, per.chebyshev_at(cx))
+    return _Mixed(fine, periodic_product(a.per, b.per), a.cx)
 
 
-def _mixed_calN_factor(h: _Mixed, coeffs, cx) -> _Mixed:
+def _mixed_calN_factor(h: _Mixed, coeffs) -> _Mixed:
     """The cubic-remainder factor ``calN(h) = h*N(h)`` of a mixed component.
 
     The ripple part is exact cosine algebra (Horner in periodic products);
     the decaying part is the pointwise total minus the pure-ripple value.
     """
     if len(coeffs) == 0:
-        zero_per = PeriodicField.zero(dtype=h.per.coeffs.dtype)
-        return _Mixed(np.zeros_like(h.fine), zero_per, np.zeros_like(h.per_fine))
+        return _Mixed(np.zeros_like(h.fine), PeriodicField.zero(dtype=h.per.coeffs.dtype), h.cx)
     # periodic half: Horner scheme acc -> acc*h_per + c_j, then one more h_per
     acc = PeriodicField.zero(dtype=h.per.coeffs.dtype)
     for c in reversed(coeffs):
@@ -202,7 +232,7 @@ def _mixed_calN_factor(h: _Mixed, coeffs, cx) -> _Mixed:
     fine = total * polyval_ascending(coeffs, total) - h.per_fine * polyval_ascending(
         coeffs, h.per_fine
     )
-    return _Mixed(fine, per, per.chebyshev_at(cx))
+    return _Mixed(fine, per, h.cx)
 
 
 def _from_mixed(grid: LineGrid, comps, omega, even=True) -> VectorField:
@@ -218,28 +248,25 @@ def calN(params: DimerParams, v: VectorField) -> VectorField:
     """Componentwise cubic remainder ``calN(h)_j = h_j * N_j(h_j)`` (pointwise)."""
     cx = _fine_cos(v.grid, v.omega)
     comps = _to_mixed(v, cx)
-    out = [
-        _mixed_calN_factor(comps[0], params.n1, cx),
-        _mixed_calN_factor(comps[1], params.n2, cx),
-    ]
+    out = [_mixed_calN_factor(comps[0], params.n1), _mixed_calN_factor(comps[1], params.n2)]
     even = v.line1.even and v.line2.even
     return _from_mixed(v.grid, out, v.omega, even)
 
 
 def B_eps(symbols: SymbolSet, theta: VectorField, theta2: VectorField, eps) -> VectorField:
-    """Symmetric bilinear operator: J1 . M_{beta/kappa} [(J theta).(J theta2)]."""
+    """Symmetric bilinear operator: J1 . M_{beta/kappa} [(J theta).(J theta2)].
+
+    ``B_eps(v, v)`` transforms and samples ``v`` once.
+    """
     if theta.grid != theta2.grid:
         raise InvalidParams("arguments live on different grids")
     omega = theta._common_omega(theta2)
     p = symbols.params
-    W = _apply_matrix(symbols, eps, theta)
-    W2 = _apply_matrix(symbols, eps, theta2)
     cx = _fine_cos(theta.grid, omega)
-    a = _to_mixed(W, cx)
-    b = _to_mixed(W2, cx)
-    prod = [_mixed_mul(a[i], b[i], cx) for i in range(2)]
-    prod[0].fine = prod[0].fine * (p.beta / p.kappa)
-    prod[0].per = prod[0].per * (p.beta / p.kappa)
+    a = _to_mixed(_apply_matrix(symbols, eps, theta), cx)
+    b = a if theta2 is theta else _to_mixed(_apply_matrix(symbols, eps, theta2), cx)
+    prod = [_mixed_mul(a[i], b[i]) for i in range(2)]
+    prod[0] = prod[0].scaled(p.beta / p.kappa)
     even = all(f.even for f in (theta.line1, theta.line2, theta2.line1, theta2.line2))
     inner = _from_mixed(theta.grid, prod, omega, even)
     return _apply_matrix(symbols, eps, inner, inverse=True)
@@ -260,6 +287,7 @@ def Q_eps(symbols: SymbolSet, theta: VectorField, theta2: VectorField,
     """Trilinear cubic-remainder operator.
 
     ``J1 . M_{1/kappa} [(J theta).(J theta2).calN(eps**2 * J theta3)]``.
+    An argument passed more than once is J-transformed once.
     """
     p = symbols.params
     scale = 1 / p.kappa
@@ -272,17 +300,23 @@ def Q_eps(symbols: SymbolSet, theta: VectorField, theta2: VectorField,
         raise InvalidParams("cannot combine ripples of different frequencies")
     omega = omegas.pop() if omegas else 0.0
     W = _apply_matrix(symbols, eps, theta)
-    W2 = _apply_matrix(symbols, eps, theta2)
-    W3 = _apply_matrix(symbols, eps, theta3)
+    W2 = W if theta2 is theta else _apply_matrix(symbols, eps, theta2)
+    if theta3 is theta:
+        W3 = W
+    elif theta3 is theta2:
+        W3 = W2
+    else:
+        W3 = _apply_matrix(symbols, eps, theta3)
     cx = _fine_cos(theta.grid, omega)
-    a, b, h = _to_mixed(W, cx), _to_mixed(W2, cx), _to_mixed(W3 * (eps * eps), cx)
+    a = _to_mixed(W, cx)
+    b = a if W2 is W else _to_mixed(W2, cx)
+    h = _to_mixed(W3 * (eps * eps), cx)
     ncoeffs = (p.n1, p.n2)
     prod = []
     for i in range(2):
-        nfac = _mixed_calN_factor(h[i], ncoeffs[i], cx)
-        prod.append(_mixed_mul(_mixed_mul(a[i], b[i], cx), nfac, cx))
-    prod[0].fine = prod[0].fine * scale
-    prod[0].per = prod[0].per * scale
+        nfac = _mixed_calN_factor(h[i], ncoeffs[i])
+        prod.append(_mixed_mul(_mixed_mul(a[i], b[i]), nfac))
+    prod[0] = prod[0].scaled(scale)
     even = all(
         f.even
         for v in (theta, theta2, theta3)

@@ -71,6 +71,9 @@ class LineGrid:
             and self.dtype == other.dtype
         )
 
+    def __hash__(self):
+        return hash((self.n, self.L, self.dtype))
+
     def __repr__(self):
         return f"LineGrid(n={self.n}, L={float(self.L)})"
 

@@ -274,6 +274,13 @@ class TestSweep:
         record = (tmp_path / "nanopteron_eps0.25_record.txt").read_text()
         assert "converged = FAIL" in record
 
+    def test_noise_level_amplitude_exits_2(self, tmp_path, capsys):
+        # the CLI solves in float64, whose noise floor is above |a| at eps 0.04
+        code = dispatch(["nanopteron", "--eps", "0.04", "--out", str(tmp_path)])
+        assert code == 2
+        assert "noise floor" in capsys.readouterr().err
+        assert not list(tmp_path.glob("nanopteron_*.npz"))
+
 
 class TestValidateCommand:
     def test_full_gate_table_passes(self, tmp_path, capsys):

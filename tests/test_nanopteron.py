@@ -313,6 +313,20 @@ class TestSolve:
         assert diag.residual_rel <= 1e-6
         assert abs(state.a + 3.05e-3) < 2e-4  # same order as the quadratic model
 
+    def test_noise_level_amplitude_refused(self):
+        # float64 returns a = -5.8e-17 at eps 0.04, where longdouble finds
+        # -1.4e-19: below 100 machine epsilons of the core peak (3.3e-14)
+        with pytest.raises(InvalidParams, match=r"eps = 0\.04 .*float64 noise floor 3\.33"):
+            solve_nanopteron(QUAD, 0.04)
+
+    def test_longdouble_resolves_amplitude_above_its_floor(self):
+        # |a| = 2.8e-17 against the longdouble floor 100 * 1.08e-19 * 1.5
+        state, _, diag = solve_nanopteron(
+            QUAD, np.longdouble(0.045), NanopteronConfig(dtype=np.longdouble)
+        )
+        floor = nanopteron.AMPLITUDE_FLOOR_ULPS * np.finfo(np.longdouble).eps * diag.core_sup
+        assert 1.5 * floor < abs(state.a) < 3e-17
+
     def test_iteration_budget_raises(self):
         with pytest.raises(NoConvergence):
             solve_nanopteron(QUAD, 0.2, NanopteronConfig(max_iter=2))

@@ -209,3 +209,72 @@ def test_outputs_even_for_even_inputs(setup):
     assert out.line1.even_defect() < 1e-11 * max(1.0, np.max(np.abs(out.line1.values)))
     out_q = Q_eps(S, v, v, v, 0.15)
     assert out_q.line2.even_defect() < 1e-11
+
+
+CUBIC = DimerParams(kappa=2.0, beta=1.0, n1=(0.5,), n2=(-0.3, 0.1))
+
+
+def _line_and_ripple(grid, sigma, bump, dtype):
+    p1, p2 = _ripple(grid, 0.0, [0.05, -0.01], [0.02, 0.004])
+    return VectorField(
+        LineField(grid, sigma.values.astype(dtype)), LineField(grid, bump.values.astype(dtype)),
+        PeriodicField(p1.coeffs.astype(dtype)), PeriodicField(p2.coeffs.astype(dtype)),
+        omega=dtype(2.3),
+    )
+
+
+def _copy(v):
+    return VectorField(v.line1.copy(), v.line2.copy(), v.per1.copy(), v.per2.copy(), v.omega)
+
+
+def _parts(v):
+    return v.line1.values, v.line2.values, v.per1.coeffs, v.per2.coeffs
+
+
+def test_B_transforms_and_samples_each_distinct_operand_once(setup, monkeypatch):
+    _, grid, sigma, bump = setup
+    S = SymbolSet(CUBIC)
+    v = _line_and_ripple(grid, sigma, bump, np.float64)
+    calls = []
+    sample = PeriodicField.chebyshev_at
+
+    def counting(self, x):
+        calls.append(self.M)
+        return sample(self, x)
+
+    monkeypatch.setattr(PeriodicField, "chebyshev_at", counting)
+    B_eps(S, v, v, 0.15)
+    assert len(calls) == 2  # one ripple per component; product ripples unread
+    calls.clear()
+    B_eps(S, v, _copy(v), 0.15)
+    assert len(calls) == 4
+    assert len(S.line_tables) == 2  # J and its inverse on this grid and eps
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_aliased_operands_match_copies_bit_for_bit(setup, dtype):
+    _, grid64, sigma, bump = setup
+    grid = LineGrid(grid64.n, 20.0, dtype=dtype)
+    S = SymbolSet(CUBIC)
+    eps = dtype(0.15)
+    v = _line_and_ripple(grid, sigma, bump, dtype)
+    c1, c2 = _copy(v), _copy(v)
+    want = B_eps(S, v, c1, eps)
+    for got, ref in zip(_parts(B_eps(S, v, v, eps)), _parts(want)):
+        assert got.dtype == dtype and np.array_equal(got, ref)
+    want = Q_eps(S, v, c1, c2, eps)
+    for args in ((v, v, v), (v, v, c1), (v, c1, v), (c1, v, v)):
+        for got, ref in zip(_parts(Q_eps(S, *args, eps)), _parts(want)):
+            assert np.array_equal(got, ref)
+
+
+def test_line_tables_kept_per_grid_and_eps(setup):
+    # a table tabulated at one eps (or eps type) must not serve another
+    _, grid, sigma, bump = setup
+    v = _line_and_ripple(grid, sigma, bump, np.float64)
+    S = SymbolSet(CUBIC)
+    for eps in (0.15, np.longdouble(0.15), 0.1):
+        got, want = B_eps(S, v, v, eps), B_eps(SymbolSet(CUBIC), v, v, eps)
+        for g, w in zip(_parts(got), _parts(want)):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+    assert len(S.line_tables) == 6
