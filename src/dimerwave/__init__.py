@@ -16,6 +16,7 @@ from .errors import (
     NoConvergence,
     RootNotBracketed,
     SingularMatrix,
+    UnresolvedAmplitude,
 )
 from .model import DimerParams, PhysicalSprings, force, nondimensionalize, potential
 from .dispersion import Resonance, SymbolSet
@@ -47,7 +48,6 @@ from .lattice import (
     StegotonReport,
     TravelingProfile,
     lattice_energy,
-    reconstruct_initial,
     shape_error,
     simulate,
     stegoton_diagnostics,

@@ -6,7 +6,11 @@ dispersion   sample both branches and their derivatives; locate the resonance
 periodic     solve the ripple family at one (eps, amplitude)
 nanopteron   solve the core + ripple + corrector system, optionally sweeping eps
 simulate     integrate a ring initialized from a profile; dump (t, j, r_j)
-validate     run the identity/property gate table
+validate     run the whole gate table
+
+Every gate in a run record comes from ``dimerwave.gates``: ``validate`` runs
+its whole table, the acceptance suite's checks at the configured kappa and
+beta, and each other command records the groups it shares with that table.
 
 Configuration resolves in three layers: command-line flags override entries
 from ``--config FILE`` (``key = value`` lines, ``#`` comments), which override
@@ -50,30 +54,15 @@ from pathlib import Path
 
 import numpy as np
 
+from . import gates
 from .dispersion import Resonance, SymbolSet
-from .errors import InvalidParams, LinearSolveFailure, NoConvergence
-from .kdv import core_profile, kdv_residual
-from .lattice import (
-    LatticeConfig,
-    TravelingProfile,
-    shape_error,
-    simulate,
-    stegoton_diagnostics,
-)
-from .model import DimerParams, derived_constants
-from .nanopteron import NanopteronState, SolverOperators, solve_nanopteron
+from .errors import InvalidParams, LinearSolveFailure, NoConvergence, UnresolvedAmplitude
+from .kdv import core_profile
+from .lattice import LatticeConfig, TravelingProfile, simulate
+from .model import DimerParams
+from .nanopteron import NanopteronState, solve_nanopteron
 from .periodic import PeriodicField, solve_periodic
-from .spectral import (
-    LineField,
-    LineGrid,
-    Multiplier,
-    NORM_VARIANTS,
-    apply_line,
-    conjugated_multiplier,
-    l2_norm,
-    sup_norm,
-    weighted_norm,
-)
+from .spectral import LineField, LineGrid
 
 SCHEMA_RECORD = "dimerwave-runrecord/1"
 SCHEMA_SOLUTION = "dimerwave-nanopteron/1"
@@ -108,8 +97,9 @@ def _fmt(x):
 class RunRecord:
     """Everything one run decided and measured, as structured text.
 
-    ``gates`` rows are (name, passed, detail); every number printed in the
-    summary or a gate detail comes from a named module output.
+    ``gates`` rows are (name, passed, detail), as ``dimerwave.gates``
+    returns them; every number printed in the summary or a gate detail comes
+    from a named module output.
     """
 
     command: str
@@ -118,8 +108,8 @@ class RunRecord:
     gates: list = field(default_factory=list)
     timings: dict = field(default_factory=dict)
 
-    def gate(self, name, passed, detail):
-        self.gates.append((name, bool(passed), detail))
+    def add(self, rows):
+        self.gates += [(name, bool(passed), detail) for name, passed, detail in rows]
 
     @property
     def all_passed(self):
@@ -338,23 +328,10 @@ def cmd_dispersion(cfg) -> int:
     ks = np.linspace(-np.pi, np.pi, cfg["samples"])
     lam_minus, lam_plus = S.lambda_pm(ks)
     d_minus, d_plus = S.lambda_pm_prime(ks)
-    kap = params.kappa
-    trace_dev = float(np.max(np.abs(lam_minus + lam_plus - (2 + 2 * kap))))
-    det_dev = float(np.max(np.abs(lam_minus * lam_plus - 4 * kap * np.sin(ks) ** 2)))
-    slope = float(max(np.max(np.abs(d_minus)), np.max(np.abs(d_plus))))
     res = S.find_resonance(cfg["eps"])
+    rec.summary.update(speed=res.c, Omega=res.Omega, omega=res.omega, Upsilon=res.Upsilon)
+    rec.add(gates.dispersion(params) + gates.resonance(params, (cfg["eps"],)))
     rec.timings["total"] = time.perf_counter() - t0
-    rec.summary.update(
-        speed=res.c, Omega=res.Omega, omega=res.omega, Upsilon=res.Upsilon,
-        trace_deviation=trace_dev, det_deviation=det_dev, max_branch_slope=slope,
-    )
-    rec.gate("trace_identity", trace_dev <= 1e-12, f"{trace_dev:.3e} <= 1e-12")
-    rec.gate("det_identity", det_dev <= 1e-12, f"{det_dev:.3e} <= 1e-12")
-    rec.gate("branch_slope_bound", slope <= 2 + 1e-6, f"{slope:.6f} <= 2 + 1e-6")
-    rec.gate("resonance_residual", res.residual <= 1e-12, f"{res.residual:.3e} <= 1e-12")
-    lo, hi = np.sqrt(2 * kap) / res.c, np.sqrt(2 + 2 * kap) / res.c
-    rec.gate("resonance_bracket", lo <= res.Omega <= hi,
-             f"{lo:.6f} <= {res.Omega:.6f} <= {hi:.6f}")
     out = _outdir(cfg)
     _write_csv(out / "dispersion.csv", ("k", "lambda_minus", "lambda_plus",
                                         "dlambda_minus", "dlambda_plus"),
@@ -375,11 +352,7 @@ def cmd_periodic(cfg) -> int:
         contraction_ratio=wave.contraction_ratio, residual=wave.residual,
         modes=wave.psi1.M,
     )
-    rec.gate("converged", wave.converged, f"{wave.iterations} iterations")
-    rec.gate("iteration_budget", wave.iterations <= 50, f"{wave.iterations} <= 50")
-    rec.gate("contraction", wave.contraction_ratio <= 0.9,
-             f"{wave.contraction_ratio:.3f} <= 0.9")
-    rec.gate("residual", wave.residual <= 1e-10, f"{wave.residual:.3e} <= 1e-10")
+    rec.add(gates.periodic(wave))
     out = _outdir(cfg)
     c1, c2 = wave.psi1.coeffs, wave.psi2.coeffs
     _write_csv(out / "periodic.csv", ("mode", "psi1", "psi2"),
@@ -390,14 +363,15 @@ def cmd_periodic(cfg) -> int:
 
 
 def _solve_one_nanopteron(params, eps, cfg):
+    """The run record of one eps, and ``(state, wave)`` or the solve's failure."""
     rec = RunRecord("nanopteron", dict(_record_config(cfg, ()), eps=eps))
     t0 = time.perf_counter()
     try:
         state, wave, diag = solve_nanopteron(params, eps)
-    except (NoConvergence, LinearSolveFailure) as exc:
+    except gates.SOLVE_FAILURES as exc:
         rec.timings["solve"] = time.perf_counter() - t0
-        rec.gate("converged", False, str(exc))
-        return rec, None
+        rec.add([gates.failure(exc)])
+        return rec, exc
     rec.timings["solve"] = time.perf_counter() - t0
     rec.summary.update(
         a=state.a, residual_rel=diag.residual_rel, residual_sup=diag.residual_sup,
@@ -406,20 +380,16 @@ def _solve_one_nanopteron(params, eps, cfg):
         eta2_sup=diag.eta_sup[1], upsilon=diag.upsilon, omega=wave.omega,
         speed=wave.resonance.c,
     )
-    rec.gate("converged", diag.converged, f"{diag.iterations} iterations")
-    rec.gate("residual_rel", diag.residual_rel <= 1e-6,
-             f"{diag.residual_rel:.3e} <= 1e-6")
-    rec.gate("corrector_bound", max(diag.eta_sup) / eps <= 2.0,
-             f"sup(eta)/eps = {max(diag.eta_sup) / eps:.3f} <= 2.0")
-    try:
-        state.validate()
-        rec.gate("state_checks", True, "evenness, decay, amplitude bound")
-    except InvalidParams as exc:
-        rec.gate("state_checks", False, str(exc))
+    rec.add(gates.nanopteron(eps, state, diag))
     return rec, (state, wave)
 
 
 def cmd_nanopteron(cfg) -> int:
+    """Solve each eps; write every record, and the data of each solved eps.
+
+    An eps whose amplitude the dtype cannot resolve keeps a record with a
+    failed ``amplitude_resolved`` gate, and the command then exits 2.
+    """
     params = _params(cfg)
     eps_list = ([float(s) for s in str(cfg["sweep"]).split(",")]
                 if cfg["sweep"] else [cfg["eps"]])
@@ -430,11 +400,14 @@ def cmd_nanopteron(cfg) -> int:
                                     eps_list))
     else:
         results = [_solve_one_nanopteron(params, e, cfg) for e in eps_list]
-    code = 0
+    code, refusal = 0, None
     for eps, (rec, solved) in zip(eps_list, results):
         tag = f"eps{eps:g}"
         rec.write(out / f"nanopteron_{tag}_record.txt")
-        if solved is None:
+        if isinstance(solved, UnresolvedAmplitude):
+            refusal = refusal or solved
+            continue
+        if isinstance(solved, Exception):
             code = 1
             print(f"eps = {eps:g}: solver did not converge")
             continue
@@ -448,6 +421,8 @@ def cmd_nanopteron(cfg) -> int:
         rec.print_gates()
         if not rec.all_passed:
             code = 1
+    if refusal is not None:
+        raise refusal
     return code
 
 
@@ -473,21 +448,9 @@ def cmd_simulate(cfg) -> int:
     t0 = time.perf_counter()
     traj = simulate(params, lat, r0, v0)
     rec.timings["integrate"] = time.perf_counter() - t0
-    err = shape_error(traj, prof)
-    drift = traj.energy_drift()
-    rep = stegoton_diagnostics(traj, prof.core_width_sites(), ripple_wavenumber=ripple_k)
-    ratio_dev = float(np.max(np.abs(rep.ratios - params.kappa) / params.kappa))
-    rec.summary.update(
-        speed=prof.c, steps=int(round(horizon / cfg["dt"])), shape_error=err,
-        energy_drift=drift, ratio_min=float(rep.ratios.min()),
-        ratio_max=float(rep.ratios.max()), tail_max=float(rep.tail_amplitudes.max()),
-    )
-    shape_gate = 1e-3 if cfg["init"] != "leading" else 5e-2
-    rec.gate("shape_error", err <= shape_gate, f"{err:.3e} <= {shape_gate:g}")
-    rec.gate("energy_drift", drift <= 1e-8, f"{drift:.3e} <= 1e-8")
-    if cfg["init"] != "leading":
-        rec.gate("peak_ratio", ratio_dev <= 0.02,
-                 f"max deviation {ratio_dev * 100:.2f}% <= 2%")
+    rows, measured = gates.ring(params, prof, traj, ripple_k)
+    rec.summary.update(speed=prof.c, steps=int(round(horizon / cfg["dt"])), **measured)
+    rec.add(rows)
     out = _outdir(cfg)
     blocks = ((np.full(len(traj.sites), t), traj.sites, R)
               for t, R in zip(traj.times, traj.R))
@@ -498,126 +461,13 @@ def cmd_simulate(cfg) -> int:
 
 
 def cmd_validate(cfg) -> int:
-    params = _params(cfg)
-    kap = params.kappa
-    S = SymbolSet(params)
+    """Run ``gates.table`` at the configured params and eps; time each group."""
     rec = RunRecord("validate", _record_config(cfg, ("eps",)))
-    t_all = time.perf_counter()
-
-    ks = np.linspace(-np.pi, np.pi, 10001)
-    lam_minus, lam_plus = S.lambda_pm(ks)
-    trace_dev = float(np.max(np.abs(lam_minus + lam_plus - (2 + 2 * kap))))
-    det_dev = float(np.max(np.abs(lam_minus * lam_plus - 4 * kap * np.sin(ks) ** 2)))
-    rec.gate("dispersion_trace", trace_dev <= 1e-12, f"{trace_dev:.3e} <= 1e-12")
-    rec.gate("dispersion_det", det_dev <= 1e-12, f"{det_dev:.3e} <= 1e-12")
-    d_minus, d_plus = S.lambda_pm_prime(ks)
-    slope = float(max(np.max(np.abs(d_minus)), np.max(np.abs(d_plus))))
-    rec.gate("branch_slope_bound", slope <= 2 + 1e-6, f"{slope:.6f} <= 2 + 1e-6")
-
-    res_dev, in_bracket = 0.0, True
-    for e in (0.3, 0.1, 0.03):
-        res = S.find_resonance(e)
-        res_dev = max(res_dev, res.residual)
-        lo, hi = np.sqrt(2 * kap) / res.c, np.sqrt(2 + 2 * kap) / res.c
-        in_bracket = in_bracket and (lo <= res.Omega <= hi)
-    rec.gate("resonance_residual", res_dev <= 1e-12, f"{res_dev:.3e} <= 1e-12")
-    rec.gate("resonance_bracket", in_bracket, "sqrt(2k)/c <= Omega <= sqrt(2+2k)/c")
-    rec.timings["dispersion"] = time.perf_counter() - t_all
-
-    t0 = time.perf_counter()
-    grid = LineGrid(2048, 40.0)
-    sigma, _ = core_profile(params, grid)
-    kdv_dev = sup_norm(kdv_residual(params, sigma))
-    rec.gate("kdv_residual", kdv_dev <= 1e-10, f"{kdv_dev:.3e} <= 1e-10")
-
-    ops = SolverOperators(params, 0.1, LineGrid(4096, 40.0))
-    slope_field = LineField(ops.grid, ops.grid.derivative(ops.sigma.values), even=False)
-    kernel_ratio = sup_norm(ops.A_apply(slope_field)) / sup_norm(slope_field)
-    rec.gate("fp_kernel", kernel_ratio <= 1e-6, f"{kernel_ratio:.3e} <= 1e-6")
-    rec.timings["core_operators"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    c0, alpha = derived_constants(kap)
-    mu = Multiplier(lambda k: -c0 * c0 / (1 + alpha * k * k), name="varpi0")
-    cgrid = LineGrid(1024, 30.0)
-    rng = np.random.default_rng(0)
-    envelope = np.exp(-(cgrid.X**2) / 16)
-    fields = []
-    for _ in range(20):
-        spec = np.zeros(cgrid.n // 2 + 1)
-        spec[:24] = rng.standard_normal(24)
-        vals = envelope * cgrid.irfft(spec)
-        fields.append(LineField(cgrid, vals / np.max(np.abs(vals)), even=False))
-    devs = []
-    for q in (0.2, 0.1, 0.05, 0.025):
-        acc = 0.0
-        for f in fields:
-            delta = conjugated_multiplier(mu, q, f) - apply_line(mu, f)
-            acc += l2_norm(delta) / l2_norm(f)
-        devs.append(acc / len(fields))
-    monotone = all(a > b for a, b in zip(devs, devs[1:]))
-    rec.summary["conjugation_deviations"] = ",".join(f"{d:.3e}" for d in devs)
-    rec.gate("conjugation_monotone", monotone, "deviation shrinks as q halves")
-
-    worst = 1.0
-    rng = np.random.default_rng(1)
-    ngrid = LineGrid(512, 20.0)
-    for _ in range(100):
-        spec = np.zeros(ngrid.n // 2 + 1)
-        spec[:16] = rng.standard_normal(16)
-        vals = np.exp(-ngrid.X**2 / 8) * ngrid.irfft(spec)
-        f = LineField(ngrid, vals, even=False)
-        for q in (0.1, 0.3):
-            for r in (1, 2):
-                norms = [weighted_norm(f, q, r, v) for v in NORM_VARIANTS]
-                worst = max(worst, max(norms) / min(norms))
-    rec.gate("norm_equivalence", worst <= 20.0,
-             f"worst pairwise ratio {worst:.2f} <= 20")
-    rec.timings["weighted_spaces"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    wave = solve_periodic(params, 0.1, 1e-3)
-    wave0 = solve_periodic(params, 0.1, 0.0)
-    rec.gate("periodic_converged", wave.converged and wave.iterations <= 50,
-             f"{wave.iterations} iterations <= 50")
-    rec.gate("periodic_contraction", wave.contraction_ratio <= 0.9,
-             f"{wave.contraction_ratio:.3f} <= 0.9")
-    rec.gate("periodic_residual", wave.residual <= 1e-10,
-             f"{wave.residual:.3e} <= 1e-10")
-    omega_dev = abs(wave0.omega - wave0.resonance.omega)
-    rec.gate("periodic_linear_frequency", omega_dev <= 1e-12,
-             f"|omega(a=0) - omega_eps| = {omega_dev:.3e} <= 1e-12")
-    rec.timings["periodic"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    try:
-        state, nwave, diag = solve_nanopteron(params, cfg["eps"])
-    except (NoConvergence, LinearSolveFailure) as exc:
-        rec.gate("nanopteron_converged", False, str(exc))
-        state = None
-    if state is not None:
-        rec.gate("nanopteron_converged", diag.converged, f"{diag.iterations} iterations")
-        rec.gate("nanopteron_residual", diag.residual_rel <= 1e-6,
-                 f"{diag.residual_rel:.3e} <= 1e-6")
-        rec.summary["a"] = state.a
-        rec.timings["nanopteron"] = time.perf_counter() - t0
-
+    t_all = t0 = time.perf_counter()
+    for group, rows in gates.table(_params(cfg), cfg["eps"]):
+        rec.add(rows)
+        rec.timings[group] = time.perf_counter() - t0
         t0 = time.perf_counter()
-        prof = TravelingProfile.from_nanopteron(params, cfg["eps"], state, nwave, 512)
-        r0, v0 = prof.initial()
-        lat = LatticeConfig(sites=512, dt=0.02, T=10.0 / prof.c, snap_every=50)
-        traj = simulate(params, lat, r0, v0)
-        err = shape_error(traj, prof)
-        drift = traj.energy_drift()
-        rep = stegoton_diagnostics(traj, prof.core_width_sites(),
-                                   ripple_wavenumber=cfg["eps"] * prof.omega)
-        ratio_dev = float(np.max(np.abs(rep.ratios - kap) / kap))
-        rec.gate("lattice_shape", err <= 1e-3, f"{err:.3e} <= 1e-3")
-        rec.gate("lattice_drift", drift <= 1e-8, f"{drift:.3e} <= 1e-8")
-        rec.gate("lattice_peak_ratio", ratio_dev <= 0.02,
-                 f"max deviation {ratio_dev * 100:.2f}% <= 2%")
-        rec.timings["lattice"] = time.perf_counter() - t0
-
     rec.timings["total"] = time.perf_counter() - t_all
     rec.write(_outdir(cfg) / "validate_record.txt")
     rec.print_gates()
@@ -666,7 +516,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=float)
     p.add_argument("--snap-every", dest="snap_every", type=int)
 
-    p = sub.add_parser("validate", help="run the identity/property gate table")
+    p = sub.add_parser("validate", help="run the whole gate table")
     common(p)
     p.add_argument("--eps", type=float)
 

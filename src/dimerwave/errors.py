@@ -9,6 +9,10 @@ class InvalidParams(DimerwaveError):
     """Lattice parameters violate the standing hypotheses (kappa > 1, beta != 0, ...)."""
 
 
+class UnresolvedAmplitude(InvalidParams):
+    """The solved ripple amplitude lies below the noise floor of the solve's dtype."""
+
+
 class SingularMatrix(DimerwaveError):
     """A diagonalizer matrix is numerically singular; signals parameter degeneracy."""
 

@@ -202,12 +202,6 @@ class TravelingProfile:
         return float(2 * np.sqrt(alpha) / self.eps)
 
 
-def reconstruct_initial(params: DimerParams, eps, state: NanopteronState,
-                        wave: PeriodicWave, sites: int = 512):
-    """Initial lattice data ``(r_j(0), r_dot_j(0))`` from a solved wave."""
-    return TravelingProfile.from_nanopteron(params, eps, state, wave, sites).initial()
-
-
 @dataclass
 class LatticeTrajectory:
     """Snapshots of one simulation: times, displacements, and velocities."""

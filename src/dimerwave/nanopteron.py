@@ -41,6 +41,7 @@ from .errors import (
     LinearSolveFailure,
     NearSingularMode,
     NoConvergence,
+    UnresolvedAmplitude,
 )
 from .kdv import core_profile
 from .model import DimerParams, derived_constants
@@ -67,6 +68,11 @@ DECAY_TOL = 1e-5
 # rounding noise, not a ripple: at kappa = 2, beta = 1 the float64 solve at
 # eps = 0.04 returns a = -5.8e-17 where longdouble finds -1.4e-19.
 AMPLITUDE_FLOOR_ULPS = 100
+
+
+def amplitude_floor(dtype, core_sup) -> float:
+    """Smallest ``|a|`` a solve in ``dtype`` resolves against a core of peak ``core_sup``."""
+    return AMPLITUDE_FLOOR_ULPS * float(np.finfo(dtype).eps) * float(core_sup)
 
 
 def iota_eps(g: LineField, omega) -> float:
@@ -553,9 +559,10 @@ def solve_nanopteron(params: DimerParams, eps, config: NanopteronConfig = None):
         If the iteration budget is exhausted, the state diverges, or the
         amplitude escapes ``|a| <= a_max``.
     InvalidParams
-        If the converged state fails ``NanopteronState.validate``, or
-        ``|a|`` is below ``AMPLITUDE_FLOOR_ULPS`` machine epsilons of the
-        core's peak, where the dtype cannot resolve the ripple.
+        If the converged state fails ``NanopteronState.validate``.
+    UnresolvedAmplitude
+        (an ``InvalidParams``) If ``|a|`` is below ``amplitude_floor``, where
+        the dtype cannot resolve the ripple.
     """
     config = config or NanopteronConfig()
     dt = config.dtype
@@ -576,10 +583,11 @@ def solve_nanopteron(params: DimerParams, eps, config: NanopteronConfig = None):
     core_peak = sup_norm(ops.sigma)
     step_history, a_history = [], []
     ripple_solves = 0
-    converged = False
-    iterations = config.max_iter
-    for it in range(1, config.max_iter + 1):
-        if abs(state.a - wave_amplitude) > RIPPLE_UPDATE_THRESHOLD * abs(state.a):
+
+    def iterate(resolve_ripple):
+        """One outer step, re-solving the ripple at the current ``a`` first if asked."""
+        nonlocal state, wave, wave_amplitude, ripple_solves
+        if resolve_ripple:
             wave = solve_periodic(params, eps, state.a, config.periodic)
             wave_amplitude = state.a
             ripple_solves += 1
@@ -592,9 +600,15 @@ def solve_nanopteron(params: DimerParams, eps, config: NanopteronConfig = None):
         state = NanopteronState(eta1_new, eta2_new, a_new)
         step_history.append(float(step))
         a_history.append(float(a_new))
-        if not abs(a_new) <= config.a_max:
+        return step
+
+    converged = False
+    iterations = config.max_iter
+    for it in range(1, config.max_iter + 1):
+        step = iterate(abs(state.a - wave_amplitude) > RIPPLE_UPDATE_THRESHOLD * abs(state.a))
+        if not abs(state.a) <= config.a_max:
             raise NoConvergence(
-                f"ripple amplitude |a| = {abs(a_new):.3e} escaped the ansatz "
+                f"ripple amplitude |a| = {abs(state.a):.3e} escaped the ansatz "
                 f"region a_max = {config.a_max}"
             )
         if state.sup() > 1e3 * core_peak:
@@ -612,22 +626,9 @@ def solve_nanopteron(params: DimerParams, eps, config: NanopteronConfig = None):
     # the transient but leaves the state converged against a ripple solved at
     # a slightly stale amplitude; a few tightly-coupled steps pin the reported
     # pair to the fixed point of the exactly-coupled map.
-    for it in range(1, 11):
-        if state.a != wave_amplitude and abs(state.a) > 0:
-            wave = solve_periodic(params, eps, state.a, config.periodic)
-            wave_amplitude = state.a
-            ripple_solves += 1
-        eta1_new, eta2_new, a_new = N_maps(ops, state, wave, config.fixed_point)
-        step = max(
-            sup_norm(eta1_new - state.eta1),
-            sup_norm(eta2_new - state.eta2),
-            abs(a_new - state.a),
-        )
-        state = NanopteronState(eta1_new, eta2_new, a_new)
-        step_history.append(float(step))
-        a_history.append(float(a_new))
+    for _ in range(10):
         iterations += 1
-        if step <= config.tol:
+        if iterate(state.a != wave_amplitude and abs(state.a) > 0) <= config.tol:
             break
     if state.a != wave_amplitude and abs(state.a) > 0:
         wave = solve_periodic(params, eps, state.a, config.periodic)
@@ -654,10 +655,10 @@ def solve_nanopteron(params: DimerParams, eps, config: NanopteronConfig = None):
         upsilon=float(ops.upsilon),
     )
     state.validate(a_max=config.a_max)
-    floor = AMPLITUDE_FLOOR_ULPS * float(np.finfo(dt).eps) * float(core_peak)
+    floor = amplitude_floor(dt, core_peak)
     if not abs(state.a) >= floor:
         longdouble = np.dtype(dt) == np.dtype(np.longdouble)
-        raise InvalidParams(
+        raise UnresolvedAmplitude(
             f"ripple amplitude |a| = {abs(float(state.a)):.3e} at eps = {float(eps):g} is "
             f"below the {'longdouble' if longdouble else np.dtype(dt).name} noise floor "
             f"{floor:.3e} ({AMPLITUDE_FLOOR_ULPS} * machine epsilon * core peak); "

@@ -116,10 +116,6 @@ class LineField:
     def zero(cls, grid: LineGrid):
         return cls(grid, np.zeros(grid.n, dtype=grid.dtype))
 
-    @classmethod
-    def from_function(cls, grid: LineGrid, fn, even: bool = True):
-        return cls(grid, fn(grid.X), even=even)
-
     def copy(self):
         return LineField(self.grid, self.values.copy(), self.even)
 
@@ -176,10 +172,6 @@ class LineField:
         interior = 2 * (cos[..., 1:-1] @ F[1:-1].real - sin[..., 1:-1] @ F[1:-1].imag)
         edge = F[0].real + cos[..., -1] * F[-1].real - sin[..., -1] * F[-1].imag
         return (interior + edge) / n
-
-    def dump_csv(self, path):
-        rows = np.column_stack([self.grid.X, self.values])
-        np.savetxt(path, rows, delimiter=",", header="X,value", comments="")
 
 
 class PeriodicField:
@@ -259,10 +251,6 @@ class PeriodicField:
         d = np.arange(1, self.M + 1) * self.coeffs[1:]  # U_{j-1} coefficients
         b1, b2 = _clenshaw(x, d)
         return -np.sin(theta) * (d[0] + 2 * x * b1 - b2)
-
-    def dump_csv(self, path):
-        rows = np.column_stack([np.arange(self.M + 1), self.coeffs])
-        np.savetxt(path, rows, delimiter=",", header="mode,coefficient", comments="")
 
 
 def _clenshaw(x, a):
@@ -384,11 +372,6 @@ def apply_periodic(mu: Multiplier, f: PeriodicField, omega) -> PeriodicField:
     if not np.all(np.isfinite(sym)):
         raise InvalidParams(f"symbol {mu.name!r} not finite at some periodic mode")
     return PeriodicField(f.coeffs * sym)
-
-
-def superpose_apply(mu: Multiplier, f: LineField, g: PeriodicField, omega):
-    """Multiplier action on a superposition: each half in its own representation."""
-    return apply_line(mu, f), apply_periodic(mu, g, omega)
 
 
 # -- norms and conjugation -----------------------------------------------------

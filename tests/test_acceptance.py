@@ -1,13 +1,10 @@
-"""Release gates: one test per quantitative gate, each at a fixed tolerance
-with a runtime budget.
+"""Release gates: one test per group of ``dimerwave.gates``, each with a
+runtime budget.
 
-Every test prints a single ``gate NN`` line with the measured quantities, so
-``pytest -v`` (or ``-s``) reads as a checklist.  Gates 02b and 06b assert
-the bounds that the expansions give: the acoustic branch opens as
-``c**2*k**2``, so its slope cone is ``2*c**2*|k|``; and the cosh/sech
-conjugation of an even symbol has no ``q**(1/2)`` term, so the deviation's
-halving ratios lie in ``[2, 4]`` and rise from the O(q) toward the O(q**2)
-regime as q halves.
+The gate functions compute every quantity and bound; ``dimerwave validate``
+runs the same functions.  Every test prints a single ``gate NN`` line with
+the measured quantities, so ``pytest -v`` (or ``-s``) reads as a checklist,
+and asserts every row it checks.
 """
 
 import time
@@ -15,390 +12,105 @@ import time
 import numpy as np
 import pytest
 
-from dimerwave.dispersion import SymbolSet
-from dimerwave.kdv import core_profile, kdv_residual
-from dimerwave.lattice import (
-    LatticeConfig,
-    TravelingProfile,
-    shape_error,
-    simulate,
-    stegoton_diagnostics,
-)
-from dimerwave.model import DimerParams, derived_constants
-from dimerwave.nanopteron import NanopteronConfig, SolverOperators, solve_nanopteron
-from dimerwave.periodic import solve_periodic
-from dimerwave.spectral import (
-    NORM_VARIANTS,
-    LineField,
-    LineGrid,
-    Multiplier,
-    apply_line,
-    conjugated_multiplier,
-    l2_norm,
-    sup_norm,
-    weighted_norm,
-)
+from dimerwave import gates
+from dimerwave.model import DimerParams
 
 QUAD = DimerParams(kappa=2.0, beta=1.0, n1=(), n2=())
 
 
-def _gate(name: str, detail: str):
-    print(f"gate {name}: {detail}")
-
-
-# -- 01: eigenvalue identities -------------------------------------------------
+def _check(label, rows, t0, budget):
+    elapsed = time.perf_counter() - t0
+    print(f"gate {label}: " + "; ".join(f"{name} {detail}" for name, _, detail in rows)
+          + f", {elapsed:.3f}s")
+    failed = [f"{name}: {detail}" for name, passed, detail in rows if not passed]
+    assert rows and not failed, "; ".join(failed)
+    assert elapsed < budget
 
 
 def test_c01_dispersion_trace_det_identities():
     t0 = time.perf_counter()
     rng = np.random.default_rng(11)
-    worst_trace = worst_det = 0.0
+    rows = []
     for kap in (1.5, 2.0, 5.0):
-        symbols = SymbolSet(DimerParams(kappa=kap, beta=1.0))
-        k = rng.uniform(-np.pi, np.pi, 10_000)
-        lam_m, lam_p = symbols.lambda_pm(k)
-        worst_trace = max(worst_trace, np.max(np.abs(lam_m + lam_p - (2 + 2 * kap))))
-        worst_det = max(
-            worst_det, np.max(np.abs(lam_m * lam_p - 4 * kap * np.sin(k) ** 2))
-        )
-    elapsed = time.perf_counter() - t0
-    _gate(
-        "01 trace/det identities",
-        f"trace dev {worst_trace:.2e}, det dev {worst_det:.2e} "
-        f"(tol 1e-12), {elapsed:.3f}s",
-    )
-    assert worst_trace <= 1e-12
-    assert worst_det <= 1e-12
-    assert elapsed < 1.0
-
-
-# -- 02: branch derivative bounds ----------------------------------------------
-
-
-def _fd_slopes(kap: float):
-    k = np.linspace(-np.pi, np.pi, 10_000)
-    lam_m, lam_p = SymbolSet(DimerParams(kappa=kap, beta=1.0)).lambda_pm(k)
-    return k, np.gradient(lam_m, k), np.gradient(lam_p, k)
+        rows += gates.identities(DimerParams(kappa=kap, beta=1.0),
+                                 rng.uniform(-np.pi, np.pi, 10_000))
+    _check("01 trace/det identities", rows, t0, 1.0)
 
 
 def test_c02a_branch_slopes_bounded_by_two():
     t0 = time.perf_counter()
-    worst = 0.0
+    rows = []
     for kap in (1.5, 2.0, 5.0):
-        _, dm, dp = _fd_slopes(kap)
-        worst = max(worst, np.max(np.abs(dm)), np.max(np.abs(dp)))
-    elapsed = time.perf_counter() - t0
-    _gate(
-        "02a global slope bound",
-        f"max |lam'| = {worst:.9f} <= 2 + 1e-6, {elapsed:.3f}s",
-    )
-    assert worst <= 2.0 + 1e-6
-    assert elapsed < 1.0
+        rows += gates.slope_bound(DimerParams(kappa=kap, beta=1.0))
+    _check("02a global slope bound", rows, t0, 1.0)
 
 
 def test_c02b_branch_slopes_bounded_by_sound_cone():
     t0 = time.perf_counter()
-    k, dm, dp = _fd_slopes(2.0)
-    c0 = QUAD.sound_speed
-    cone = 2.0 * c0 * c0 * np.abs(k)
-    excess = max(np.max(np.abs(dm) - cone), np.max(np.abs(dp) - cone))
-    small = np.abs(k) < 0.1
-    near_zero_ratio = np.max(np.abs(dm[small & (np.abs(k) > 0)]) /
-                             cone[small & (np.abs(k) > 0)])
-    elapsed = time.perf_counter() - t0
-    _gate(
-        "02b sound-cone slope bound",
-        f"max(|lam'| - 2c^2|k|) = {excess:.4e}, near-zero ratio "
-        f"|lam'|/(2c^2|k|) = {near_zero_ratio:.8f}, {elapsed:.3f}s",
-    )
-    assert elapsed < 1.0
-    assert excess <= 1e-6, (
-        f"|lam'(k)| exceeds 2*c**2*|k| by up to {excess:.4e}: the acoustic "
-        f"branch opens as c**2*k**2 with c = {c0:.6f}, so its slope is at "
-        f"most 2*c**2*|k|"
-    )
-    # The cone is sharp at k = 0: lambda_minus = c**2*k**2 + O(k**4).
-    assert abs(near_zero_ratio - 1.0) <= 1e-6, (
-        f"near-zero ratio |lam'|/(2*c**2*|k|) = {near_zero_ratio:.8f}, not 1: "
-        f"the acoustic branch does not open at sound_speed = {c0:.6f}"
-    )
-
-
-# -- 03: optical resonance ------------------------------------------------------
+    _check("02b sound-cone slope bound", gates.sound_cone(QUAD), t0, 1.0)
 
 
 def test_c03_resonance_residual_and_bracket():
     t0 = time.perf_counter()
-    symbols = SymbolSet(QUAD)
-    kap = QUAD.kappa
-    rows = []
-    for eps in (0.3, 0.1, 0.03):
-        res = symbols.find_resonance(eps)
-        lam_p = symbols.lambda_pm(res.Omega)[1]
-        defect = abs(res.c**2 * res.Omega**2 - lam_p)
-        rows.append((eps, defect, res))
-        assert defect <= 1e-12
-        assert np.sqrt(2 * kap) / res.c <= res.Omega <= np.sqrt(2 + 2 * kap) / res.c
-    elapsed = time.perf_counter() - t0
-    _gate(
-        "03 resonance",
-        "max defect "
-        f"{max(d for _, d, _ in rows):.2e} (tol 1e-12), bracket holds for "
-        f"eps in (0.3, 0.1, 0.03), {elapsed:.3f}s",
-    )
-    assert elapsed < 1.0
-
-
-# -- 04: core profile solves its equation ---------------------------------------
+    _check("03 resonance", gates.resonance(QUAD, (0.3, 0.1, 0.03)), t0, 1.0)
 
 
 def test_c04_core_profile_residual():
     # run at two half-lengths so the gate also certifies that the domain
     # truncation is converged, not coincidental
     t0 = time.perf_counter()
-    worst = 0.0
+    rows = []
     for kap, bet in ((2.0, 1.0), (3.0, -1.0)):
-        params = DimerParams(kappa=kap, beta=bet)
-        for L in (40.0, 60.0):
-            sigma, _ = core_profile(params, LineGrid(2048, L))
-            worst = max(worst, sup_norm(kdv_residual(params, sigma)))
-    elapsed = time.perf_counter() - t0
-    _gate(
-        "04 core residual",
-        f"max residual {worst:.2e} (tol 1e-10, L in (40, 60)), {elapsed:.3f}s",
-    )
-    assert worst <= 1e-10
-    assert elapsed < 1.0
-
-
-# -- 05: the linearized-core operator annihilates the slope ----------------------
+        rows += gates.core(DimerParams(kappa=kap, beta=bet), (40.0, 60.0))
+    _check("04 core residual", rows, t0, 1.0)
 
 
 def test_c05_core_operator_kernel():
     t0 = time.perf_counter()
-    ops = SolverOperators(QUAD, 0.1, LineGrid(4096, 40.0))
-    slope = LineField(ops.grid, ops.grid.derivative(ops.sigma.values), even=False)
-    ratio = sup_norm(ops.A_apply(slope)) / sup_norm(slope)
-    elapsed = time.perf_counter() - t0
-    _gate("05 kernel", f"|A sigma'| / |sigma'| = {ratio:.2e} (tol 1e-6), {elapsed:.3f}s")
-    assert ratio <= 1e-6
-    assert elapsed < 5.0
-
-
-# -- 06: conjugated-multiplier deviation ----------------------------------------
-
-
-def _conjugation_deviations():
-    """Per-field deviation of the conjugated acoustic symbol, per weight q."""
-    c0, alpha = derived_constants(QUAD.kappa)
-    mu = Multiplier(lambda k: -c0 * c0 / (1 + alpha * k * k), name="varpi0")
-    grid = LineGrid(1024, 30.0)
-    rng = np.random.default_rng(0)
-    devs = np.empty((20, 4))
-    for i in range(20):
-        spec = np.zeros(grid.n // 2 + 1)
-        spec[:24] = rng.standard_normal(24)
-        vals = grid.irfft(spec)
-        f = LineField(grid, vals / np.max(np.abs(vals)), even=True)
-        for j, q in enumerate((0.2, 0.1, 0.05, 0.025)):
-            delta = conjugated_multiplier(mu, q, f) - apply_line(mu, f)
-            devs[i, j] = l2_norm(delta) / l2_norm(f)
-    return devs
+    _check("05 kernel", gates.kernel(QUAD, 0.1), t0, 5.0)
 
 
 def test_c06a_conjugation_deviation_monotone():
     t0 = time.perf_counter()
-    devs = _conjugation_deviations()
-    elapsed = time.perf_counter() - t0
-    means = devs.mean(axis=0)
-    _gate(
-        "06a conjugation monotone",
-        "mean deviations " + " > ".join(f"{d:.3e}" for d in means)
-        + f" over q = 0.2, 0.1, 0.05, 0.025, {elapsed:.3f}s",
-    )
-    assert np.all(devs[:, :-1] > devs[:, 1:])
-    assert elapsed < 5.0
+    rows = [row for row in gates.conjugation(QUAD) if row[0] == "monotone"]
+    _check("06a conjugation monotone", rows, t0, 5.0)
 
 
 def test_c06b_conjugation_halving_ratio_window():
     t0 = time.perf_counter()
-    devs = _conjugation_deviations()
-    ratios = devs[:, :-1] / devs[:, 1:]
-    elapsed = time.perf_counter() - t0
-    _gate(
-        "06b halving-ratio window",
-        f"per-halving ratios in [{ratios.min():.3f}, {ratios.max():.3f}] "
-        f"vs window [2, 4], rising as q halves, {elapsed:.3f}s",
-    )
-    assert elapsed < 5.0
-    # The first-order term of cosh(qX) * mu(sech(qX) f) - mu f is
-    # proportional to q*tanh(qX) * mu'(D) f, whose pointwise halving ratio
-    # 4/(1 + tanh(qX/2)**2) lies in (2, 4]: 2 in the O(q) regime at large
-    # |qX|, 4 in the O(q**2) regime where the even symbol cancels the O(q)
-    # term.
-    assert np.all((2.0 <= ratios) & (ratios <= 4.0)), (
-        f"per-halving deviation ratios lie in [{ratios.min():.3f}, "
-        f"{ratios.max():.3f}], outside [2, 4]: the deviation must decay "
-        f"between O(q) (ratio 2) and O(q**2) (ratio 4, the cosh/sech "
-        f"cancellation of the O(q) term for an even analytic symbol)"
-    )
-    assert np.all(ratios[:, 1:] > ratios[:, :-1]), (
-        f"per-halving ratios do not rise as q halves for every field "
-        f"(smallest step {np.min(np.diff(ratios, axis=1)):.3e}): the "
-        f"deviation must move from the O(q) toward the O(q**2) regime"
-    )
-
-
-# -- 07: weighted-norm variants are equivalent -----------------------------------
+    rows = [row for row in gates.conjugation(QUAD) if row[0].startswith("halving")]
+    _check("06b halving-ratio window", rows, t0, 5.0)
 
 
 def test_c07_norm_variant_equivalence():
     t0 = time.perf_counter()
-    rng = np.random.default_rng(1)
-    grid = LineGrid(512, 20.0)
-    worst = 1.0
-    for _ in range(100):
-        spec = np.zeros(grid.n // 2 + 1)
-        spec[:16] = rng.standard_normal(16)
-        vals = np.exp(-grid.X**2 / 8) * grid.irfft(spec)
-        f = LineField(grid, vals, even=False)
-        for q in (0.1, 0.3):
-            for r in (1, 2):
-                norms = [weighted_norm(f, q, r, v) for v in NORM_VARIANTS]
-                worst = max(worst, max(norms) / min(norms))
-    elapsed = time.perf_counter() - t0
-    _gate(
-        "07 norm equivalence",
-        f"worst pairwise ratio {worst:.3f} (allowed up to 20), {elapsed:.3f}s",
-    )
-    assert worst <= 20.0
-    assert elapsed < 5.0
-
-
-# -- 08: the ripple family ------------------------------------------------------
+    _check("07 norm equivalence", gates.norms(), t0, 5.0)
 
 
 def test_c08_periodic_family():
     t0 = time.perf_counter()
-    resonance = SymbolSet(QUAD).find_resonance(0.1)
-    wave = solve_periodic(QUAD, 0.1, 1e-3)
-    wave0 = solve_periodic(QUAD, 0.1, 0.0)
-    amps = np.linspace(0.0, 1e-3, 9)
-    omegas = np.array([solve_periodic(QUAD, 0.1, a).omega for a in amps])
-    lipschitz = np.max(np.abs(np.diff(omegas) / np.diff(amps)))
-    elapsed = time.perf_counter() - t0
-    _gate(
-        "08 periodic family",
-        f"{wave.iterations} iters, contraction {wave.contraction_ratio:.3f}, "
-        f"residual {wave.residual:.2e}, |omega(0) - omega_res| = "
-        f"{abs(wave0.omega - resonance.omega):.2e}, freq Lipschitz "
-        f"{lipschitz:.2e}, {elapsed:.1f}s",
-    )
-    assert wave.converged and wave.iterations <= 50
-    assert wave.contraction_ratio <= 0.9
-    assert wave.residual <= 1e-10
-    assert abs(wave0.omega - resonance.omega) <= 1e-12
-    assert lipschitz <= 1.0
-    assert elapsed < 30.0
-
-
-# -- 09: the wave family shrinks beyond all orders --------------------------------
+    _check("08 periodic family", gates.periodic_family(QUAD, 0.1, 1e-3), t0, 30.0)
 
 
 def test_c09_ripple_amplitude_beyond_all_orders():
     t0 = time.perf_counter()
-    runs = {}
-    for eps, config in (
-        (0.2, None),
-        (0.1, None),
-        (0.05, NanopteronConfig(dtype=np.longdouble)),
-    ):
-        state, _, diag = solve_nanopteron(QUAD, eps, config)
-        runs[eps] = (
-            abs(float(state.a)),
-            float(diag.residual_rel),
-            max(float(s) for s in diag.eta_sup) / eps,
-        )
-    elapsed = time.perf_counter() - t0
-    a02, a01, a005 = (runs[eps][0] for eps in (0.2, 0.1, 0.05))
-    slope_coarse = (np.log(a01) - np.log(a02)) / np.log(0.5)
-    slope_fine = (np.log(a005) - np.log(a01)) / np.log(0.5)
-    _gate(
-        "09 amplitude decay",
-        f"rel residuals {runs[0.2][1]:.2e}, {runs[0.1][1]:.2e} (tol 1e-6); "
-        f"sup(eta)/eps <= {max(r[2] for r in runs.values()):.3f}; |a| = "
-        f"{a02:.3e} > {a01:.3e} > {a005:.3e}; log-log slopes "
-        f"{slope_coarse:.1f} -> {slope_fine:.1f}, {elapsed:.1f}s",
+    rows = gates.amplitude_decay(
+        QUAD, ((0.2, np.float64), (0.1, np.float64), (0.05, np.longdouble))
     )
-    assert runs[0.2][1] <= 1e-6
-    assert runs[0.1][1] <= 1e-6
-    assert all(r[2] <= 2.0 for r in runs.values())
-    assert a02 > a01 > a005
-    assert abs(slope_fine) > abs(slope_coarse)
-    assert elapsed < 600.0
-
-
-# -- 10: the lattice follows the constructed wave ---------------------------------
+    _check("09 amplitude decay", rows, t0, 600.0)
 
 
 def test_c10_lattice_validation(solved02):
     t0 = time.perf_counter()
     state, wave, _ = solved02
-    prof = TravelingProfile.from_nanopteron(QUAD, 0.2, state, wave, 512)
-    r0, v0 = prof.initial()
-    cfg = LatticeConfig(sites=512, dt=0.02, T=20.0 / prof.c, snap_every=50)
-    traj = simulate(QUAD, cfg, r0, v0)
-    shape = shape_error(traj, prof)
-    drift = traj.energy_drift()
-    report = stegoton_diagnostics(
-        traj, prof.core_width_sites(), ripple_wavenumber=0.2 * prof.omega
-    )
-    ratio_dev = np.max(np.abs(report.ratios - QUAD.kappa) / QUAD.kappa)
-
-    lead = TravelingProfile.leading_order(QUAD, 0.2, 512)
-    r0l, v0l = lead.initial()
-    traj_lead = simulate(
-        QUAD, LatticeConfig(sites=512, dt=0.02, T=20.0 / lead.c, snap_every=50),
-        r0l, v0l,
-    )
-    shape_lead = shape_error(traj_lead, lead)
-    elapsed = time.perf_counter() - t0
-    _gate(
-        "10 lattice validation",
-        f"shape {shape:.2e} (tol 1e-3), leading-order shape {shape_lead:.2e} "
-        f"(tol 5e-2), peak-ratio dev {ratio_dev:.4f} (tol 0.02), drift "
-        f"{drift:.2e} (tol 1e-8), {elapsed:.1f}s",
-    )
-    assert shape <= 1e-3
-    assert shape_lead <= 5e-2
-    assert ratio_dev <= 0.02
-    assert drift <= 1e-8
-    assert elapsed < 300.0
-
-
-# -- 11: both fixed-point forms give the same wave --------------------------------
+    _check("10 lattice validation", gates.lattice_runs(QUAD, 0.2, state, wave, 512),
+           t0, 300.0)
 
 
 def test_c11_fixed_point_forms_agree(solved02):
     t0 = time.perf_counter()
-    state_new, _, _ = solved02
-    state_orig, _, _ = solve_nanopteron(
-        QUAD, 0.2, NanopteronConfig(fixed_point="original")
-    )
-    d_eta = max(
-        sup_norm(state_new.eta1 - state_orig.eta1),
-        sup_norm(state_new.eta2 - state_orig.eta2),
-    )
-    d_a = abs(state_new.a - state_orig.a)
-    elapsed = time.perf_counter() - t0
-    _gate(
-        "11 fixed-point forms",
-        f"sup|eta diff| = {d_eta:.2e}, |a diff| = {d_a:.2e} (tol 1e-8), "
-        f"{elapsed:.1f}s",
-    )
-    assert d_eta <= 1e-8
-    assert d_a <= 1e-8
-    assert elapsed < 600.0
+    state, _, _ = solved02
+    _check("11 fixed-point forms", gates.fixed_point_forms(QUAD, 0.2, state), t0, 600.0)
 
 
 if __name__ == "__main__":

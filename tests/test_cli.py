@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+from dimerwave import gates
 from dimerwave.cli import (
     DEFAULTS,
     SCHEMA_CSV,
@@ -274,6 +275,22 @@ class TestSweep:
         record = (tmp_path / "nanopteron_eps0.25_record.txt").read_text()
         assert "converged = FAIL" in record
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_refused_eps_keeps_the_other_outputs(self, tmp_path, capsys, threads):
+        # float64 cannot resolve |a| at eps 0.05; eps 0.1 converges and is kept
+        code = dispatch(["nanopteron", "--sweep", "0.1,0.05", "--threads", threads,
+                         "--out", str(tmp_path)])
+        assert code == 2
+        assert "noise floor" in capsys.readouterr().err
+        for name in ("nanopteron_eps0.1_record.txt", "nanopteron_eps0.1.npz",
+                     "nanopteron_eps0.1.csv"):
+            assert (tmp_path / name).exists()
+        assert "amplitude_resolved = PASS" in (
+            tmp_path / "nanopteron_eps0.1_record.txt").read_text()
+        assert "amplitude_resolved = FAIL" in (
+            tmp_path / "nanopteron_eps0.05_record.txt").read_text()
+        assert not (tmp_path / "nanopteron_eps0.05.npz").exists()
+
     def test_noise_level_amplitude_exits_2(self, tmp_path, capsys):
         # the CLI solves in float64, whose noise floor is above |a| at eps 0.04
         code = dispatch(["nanopteron", "--eps", "0.04", "--out", str(tmp_path)])
@@ -283,11 +300,29 @@ class TestSweep:
 
 
 class TestValidateCommand:
-    def test_full_gate_table_passes(self, tmp_path, capsys):
+    def test_full_gate_table_passes(self, tmp_path, capsys, monkeypatch):
+        table, names = gates.table, []
+
+        def recording_table(*args):
+            for group, rows in table(*args):
+                names.extend(name for name, _, _ in rows)
+                yield group, rows
+
+        monkeypatch.setattr(gates, "table", recording_table)
         code = dispatch(["validate", "--kappa", "2", "--beta", "1",
                          "--out", str(tmp_path)])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "18/18 gates passed" in out
+        assert code == 0 and names
+        assert f"{len(names)}/{len(names)} gates passed" in capsys.readouterr().out
         record = (tmp_path / "validate_record.txt").read_text()
-        assert record.count("PASS") == 18 and "FAIL" not in record
+        listed = record.split("[gates]\n")[1].split("\n\n")[0].splitlines()
+        assert [line.split(" = ")[0] for line in listed] == names
+        assert all(" = PASS (" in line for line in listed)
+
+    def test_refused_solve_is_a_failed_row(self, tmp_path, capsys):
+        # float64 cannot resolve |a| at eps 0.05: the record says so, and the
+        # groups that need the solution are left out
+        code = dispatch(["validate", "--eps", "0.05", "--out", str(tmp_path)])
+        assert code == 1
+        record = (tmp_path / "validate_record.txt").read_text()
+        assert "nanopteron_amplitude_resolved = FAIL (ripple amplitude" in record
+        assert "lattice_" not in record and "amplitude_beyond_all_orders = PASS" in record

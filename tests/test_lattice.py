@@ -19,7 +19,6 @@ from dimerwave.lattice import (
     TravelingProfile,
     acceleration,
     lattice_energy,
-    reconstruct_initial,
     shape_error,
     simulate,
     stegoton_diagnostics,
@@ -419,7 +418,7 @@ class TestTravelingWave:
 
     def test_undecayed_line_field_rejected(self):
         grid = LineGrid(1024, 60.0)
-        wide = LineField.from_function(grid, lambda X: np.exp(-(X / 30.0) ** 2))
+        wide = LineField(grid, np.exp(-(grid.X / 30.0) ** 2))
         assert wide.boundary_decay() > 1e-5
         with pytest.raises(InvalidParams, match="boundary value 1.83e-02 of peak exceeds 1e-05"):
             TravelingProfile(QUAD, 0.2, 1.2, 0.0, wide, wide, np.zeros(1), np.zeros(1), 4096)
@@ -433,13 +432,6 @@ class TestTravelingWave:
         assert prof._r0 is not None
         assert np.array_equal(prof.sample(0.0), want)
         assert np.array_equal(prof.initial()[0], want)
-
-    def test_reconstruct_initial_wrapper(self, solved02):
-        state, wave, _ = solved02
-        r0, v0 = reconstruct_initial(QUAD, 0.2, state, wave, sites=512)
-        prof = TravelingProfile.from_nanopteron(QUAD, 0.2, state, wave, 512)
-        want_r, want_v = prof.initial()
-        assert np.array_equal(r0, want_r) and np.array_equal(v0, want_v)
 
 
 @pytest.fixture(scope="module")

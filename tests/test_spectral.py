@@ -20,7 +20,6 @@ from dimerwave.spectral import (
     l2_norm,
     line_product,
     periodic_product,
-    superpose_apply,
     weighted_norm,
 )
 
@@ -227,22 +226,6 @@ def test_apply_periodic_single_mode():
     assert np.max(np.abs(np.delete(out.coeffs, 1))) == 0.0
 
 
-def test_superpose_apply_reductions(grid):
-    f = even_noise(grid, seed=11)
-    zero_p = PeriodicField.zero()
-    mu = Multiplier(lambda k: 1.0 / (1 + k**2))
-    out_l, out_p = superpose_apply(mu, f, zero_p, omega=1.7)
-    assert np.max(np.abs(out_l.values - apply_line(mu, f).values)) == 0.0
-    assert np.max(np.abs(out_p.coeffs)) == 0.0
-    zero_l = LineField.zero(grid)
-    c = np.zeros(9)
-    c[0], c[1], c[2] = 0.3, 1.0, 0.1
-    g = PeriodicField(c)
-    out_l2, out_p2 = superpose_apply(mu, zero_l, g, omega=1.7)
-    assert np.max(np.abs(out_p2.coeffs - apply_periodic(mu, g, 1.7).coeffs)) == 0.0
-    assert np.max(np.abs(out_l2.values)) == 0.0
-
-
 def test_superpose_apply_matches_resampling_oracle(grid):
     # With omega on a grid mode, the superposition is itself band-limited, so
     # applying the multiplier to the resampled total must agree with applying
@@ -253,7 +236,7 @@ def test_superpose_apply_matches_resampling_oracle(grid):
     c[1], c[3] = 0.7, 0.2
     g = PeriodicField(c)
     mu = Multiplier(lambda k: k**2 / (1 + k**2))
-    out_l, out_p = superpose_apply(mu, f, g, omega)
+    out_l, out_p = apply_line(mu, f), apply_periodic(mu, g, omega)
     total = LineField(grid, f.values + g.eval_at(omega * grid.X))
     direct = apply_line(mu, total)
     recombined = out_l.values + out_p.eval_at(omega * grid.X)
@@ -295,17 +278,3 @@ def test_conjugated_multiplier_q0_and_decay():
         out = conjugated_multiplier(mu, q, f)
         devs.append(l2_norm(LineField(g, out.values - base.values)) / l2_norm(f))
     assert devs == sorted(devs, reverse=True)  # strictly shrinking with q
-
-
-def test_field_dumps(tmp_path):
-    g = LineGrid(64, 10.0)
-    f = LineField(g, np.exp(-g.X**2))
-    path = tmp_path / "field.csv"
-    f.dump_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "X,value" and len(lines) == g.n + 1
-    c = np.zeros(9)
-    c[2] = 1.5
-    p = tmp_path / "modes.csv"
-    PeriodicField(c).dump_csv(p)
-    assert p.read_text().splitlines()[0] == "mode,coefficient"
