@@ -1,14 +1,17 @@
-"""Time the ring integrator's pure-numpy path, and the compiled one if numba imports.
+"""Time the ring integrator's pure-numpy path, and the compiled one if numba
+imports, then the line sampler ``LineField.eval_at`` that sets up the ring.
 
 Run from the repository root (the package is imported from this checkout's
 ``src/``; nothing needs to be installed):
 
     python3 benchmarks/bench_kernels.py [--steps 2000] [--repeats 5]
 
-Times are the best of ``--repeats`` runs, in ns per site-step (wall time over
-sites x steps), the unit of the traced benchmark's ``kernels.ns_per_site_step``.
-The numba column is printed only when numba imports; the compiled path is
-warmed once so JIT compilation is not billed to the timings.
+Integrator times are the best of ``--repeats`` runs, in ns per site-step (wall
+time over sites x steps), the unit of the traced benchmark's
+``kernels.ns_per_site_step``.  The numba column is printed only when numba
+imports; the compiled path is warmed once so JIT compilation is not billed to
+the timings.  Sampler times are the best of ``--repeats`` calls, in ms per
+call, on the solver's default n = 4096, L = 60 grid.
 """
 
 import argparse
@@ -23,10 +26,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from dimerwave._kernels import HAS_NUMBA, rk4_steps  # noqa: E402
 from dimerwave.lattice import TravelingProfile  # noqa: E402
 from dimerwave.model import DimerParams  # noqa: E402
+from dimerwave.spectral import LineField, LineGrid  # noqa: E402
 
 PARAMS = DimerParams(kappa=2.0, beta=1.0, n1=(0.5,), n2=(-0.3, 0.1))
 SITES = (256, 1024, 4096, 16384)
 BASE = 1024
+POINTS = (512, 2048)
 
 
 def ns_per_site_step(sites, steps, compiled):
@@ -40,6 +45,19 @@ def ns_per_site_step(sites, steps, compiled):
     rk4_steps(r, v, 0.02, steps, odd, PARAMS.kappa, PARAMS.beta,
               PARAMS.n1, PARAMS.n2, compiled=compiled)
     return 1e9 * (time.perf_counter() - t0) / (sites * steps)
+
+
+def eval_at_ms(points, repeats):
+    grid = LineGrid(4096, 60.0)
+    field = LineField(grid, 1 / np.cosh(grid.X / 2) ** 2)
+    X = np.linspace(-grid.L, grid.L, points, endpoint=False) + 0.3 * grid.dx
+
+    def once():
+        t0 = time.perf_counter()
+        field.eval_at(X)
+        return 1e3 * (time.perf_counter() - t0)
+
+    return min(once() for _ in range(repeats))
 
 
 def main():
@@ -63,6 +81,9 @@ def main():
             print(f"{sites:>8} {t_np:>12.1f} {t_nb:>12.1f} {t_np / t_nb:>8.1f}x")
         else:
             print(f"{sites:>8} {t_np:>12.1f}")
+    print(f"\n{'points':>8} {'eval_at (ms)':>13}")
+    for points in POINTS:
+        print(f"{points:>8} {eval_at_ms(points, args.repeats):>13.2f}")
 
 
 if __name__ == "__main__":

@@ -4,15 +4,27 @@ Both code paths advance the relative-displacement system
 
     r_ddot_j = s_{j+1} + s_{j-1} - 2 s_j,   s_j = F_parity(j)(r_j)
 
-with the classical 4th-order one-step method on a periodic ring.  The numpy
-path builds the per-site spring law of ``model.spring_law`` once per call
-(per-site ``lin``/``quad`` arrays and zero-padded cubic-remainder rows, so
-every site runs one formula) and writes the forces into the middle of a
-``J + 2`` buffer whose two ends are copied from the opposite edges; the
-periodic Laplacian is then a sum of three slices of that buffer.  The
-compiled kernels mirror the force laws and are used whenever numba imports,
-producing the same trajectories to rounding.  ``benchmarks/bench_kernels.py``
-times the paths in ns per site-step.
+with the classical 4th-order one-step method on a periodic ring.  Because the
+right-hand side depends on ``r`` alone, classical RK4 on ``(r, v)`` is, exactly,
+its Runge-Kutta-Nystrom form (Hairer, Norsett & Wanner, Solving ODEs I,
+II.14): with ``f`` the acceleration and ``h`` the step,
+
+    k1 = f(r)
+    y  = r + h/2 v,           k2 = f(y)
+    k3 = f(y + h**2/4 k1)
+    k4 = f(r + h v + h**2/2 k2)
+    r <- r + h v + h**2/6 (k1 + k2 + k3)
+    v <- v + h/6 (k1 + 2 k2 + 2 k3 + k4)
+
+so no velocity stage is ever formed.  The numpy path builds the per-site
+spring law of ``model.spring_law`` once per call (per-site ``lin``/``quad``
+arrays and zero-padded cubic-remainder rows, so every site runs one formula),
+allocates its stage arrays once per call and writes every stage into them in
+place.  Forces go into the middle of a ``J + 2`` buffer whose two ends are
+copied from the opposite edges; the periodic Laplacian is then a sum of three
+slices of that buffer.  The compiled kernels mirror the force laws and are
+used whenever numba imports, producing the same trajectories to rounding.
+``benchmarks/bench_kernels.py`` times the paths in ns per site-step.
 """
 
 import numpy as np
@@ -30,36 +42,63 @@ except ImportError:  # pragma: no cover - exercised only without numba
 # -- pure-numpy path --------------------------------------------------------------
 
 
-def _accel(r, law, s):
-    """r_ddot of ``law`` at ``r``, with ``s`` the ``len(r) + 2`` force buffer."""
-    s[1:-1] = law.force(r)
-    s[0], s[-1] = s[-2], s[1]
-    return s[2:] + s[:-2] - 2 * s[1:-1]
+class _Laplacian:
+    """The periodic ring Laplacian of a spring law's forces, in fixed buffers.
+
+    The forces go into the middle of a ``J + 2`` buffer whose ends copy the
+    opposite edges, so ``s[2:] + s[:-2] - 2*s[1:-1]`` is the Laplacian.
+    """
+
+    def __init__(self, law, r):
+        self.law = law
+        self.s = np.empty(len(r) + 2, r.dtype)
+        self.right, self.mid, self.left = self.s[2:], self.s[1:-1], self.s[:-2]
+        self.twice = np.empty_like(r)
+
+    def accel(self, r, out):
+        """r_ddot at ``r``, written into ``out``."""
+        s, mid = self.s, self.mid
+        self.law.force(r, out=mid)
+        s[0] = s[-2]
+        s[-1] = s[1]
+        np.add(self.right, self.left, out=out)
+        np.add(mid, mid, out=self.twice)
+        return np.subtract(out, self.twice, out=out)
 
 
 def accel_numpy(r, odd, params: DimerParams):
     """Right-hand side r_ddot: stiff law on odd sites, soft law on even ones."""
-    return _accel(r, spring_law(params, odd), np.empty(len(r) + 2))
+    return _Laplacian(spring_law(params, odd), r).accel(r, np.empty_like(r))
 
 
 def rk4_steps_numpy(r, v, dt, steps, odd, params: DimerParams):
     r, v = r.copy(), v.copy()
-    law = spring_law(params, odd)
-    s = np.empty(len(r) + 2)
-
-    def a_of(x):
-        return _accel(x, law, s)
-
+    f = _Laplacian(spring_law(params, odd), r).accel
+    k1, k2, k3, k4, y, z = (np.empty_like(r) for _ in range(6))
+    h, h2 = dt, dt * dt
     for _ in range(steps):
-        a1 = a_of(r)
-        v2 = v + (0.5 * dt) * a1
-        a2 = a_of(r + (0.5 * dt) * v)
-        v3 = v + (0.5 * dt) * a2
-        a3 = a_of(r + (0.5 * dt) * v2)
-        v4 = v + dt * a3
-        a4 = a_of(r + dt * v3)
-        r = r + (dt / 6) * (v + 2 * v2 + 2 * v3 + v4)
-        v = v + (dt / 6) * (a1 + 2 * a2 + 2 * a3 + a4)
+        f(r, k1)
+        np.multiply(v, 0.5 * h, out=y)
+        y += r                              # y = r + h/2 v
+        f(y, k2)
+        np.multiply(k1, 0.25 * h2, out=z)
+        z += y                              # y + h^2/4 k1
+        f(z, k3)
+        np.multiply(v, h, out=y)
+        y += r                              # y = r + h v
+        np.multiply(k2, 0.5 * h2, out=z)
+        z += y                              # r + h v + h^2/2 k2
+        f(z, k4)
+        np.add(k1, k2, out=z)
+        z += k3
+        z *= h2 / 6
+        np.add(y, z, out=r)                 # r + h v + h^2/6 (k1 + k2 + k3)
+        np.add(k2, k3, out=z)
+        z *= 2
+        z += k1
+        z += k4
+        z *= h / 6
+        v += z                              # v + h/6 (k1 + 2 k2 + 2 k3 + k4)
     return r, v
 
 

@@ -276,12 +276,20 @@ def fixed_point_forms(params, eps, state):
     return [_at_most("eta_agree", d_eta, "1e-8"), _at_most("a_agree", abs(state.a - other.a), "1e-8")]
 
 
-def amplitude_decay(params, ladder=DECAY_LADDER):
-    """``|a|`` shrinks beyond all orders down an eps ladder of converged solves."""
+def amplitude_decay(params, ladder=DECAY_LADDER, solved=None):
+    """``|a|`` shrinks beyond all orders down an eps ladder of converged solves.
+
+    ``solved`` maps ``(eps, dtype)`` to the ``(state, diag)`` of a solve
+    already made with the default config; a rung it holds is not solved again.
+    """
+    solved = solved or {}
     eps = np.array([e for e, _ in ladder])
     amps, residual, corrector = [], 0.0, 0.0
     for e, dtype in ladder:
-        state, _, diag = solve_nanopteron(params, e, NanopteronConfig(dtype=dtype))
+        if (e, dtype) in solved:
+            state, diag = solved[(e, dtype)]
+        else:
+            state, _, diag = solve_nanopteron(params, e, NanopteronConfig(dtype=dtype))
         amps.append(abs(float(state.a)))
         residual = max(residual, diag.residual_rel)
         corrector = max(corrector, max(float(s) for s in diag.eta_sup) / e)
@@ -317,7 +325,8 @@ def table(params: DimerParams, eps):
     Yields ``(group, rows)`` in order, each row name prefixed with its group,
     as soon as the group is computed.  A solve that fails gives its group one
     failed row carrying the message (``failure``); the lattice and
-    fixed-point groups need the nanopteron and are left out without it.
+    fixed-point groups need the nanopteron and are left out without it.  The
+    amplitude ladder reuses the nanopteron solve for a rung at ``eps``.
     """
     yield _run("dispersion", dispersion, params)
     yield _run("resonance", resonance, params)
@@ -326,12 +335,14 @@ def table(params: DimerParams, eps):
     yield _run("conjugation", conjugation, params)
     yield _run("norm", norms)
     yield _run("periodic", periodic_family, params)
+    solved = {}
     try:
         state, wave, diag = solve_nanopteron(params, eps)
     except SOLVE_FAILURES as exc:
         yield _named("nanopteron", [failure(exc)])
     else:
+        solved[(eps, NanopteronConfig().dtype)] = (state, diag)
         yield _named("nanopteron", nanopteron(eps, state, diag))
         yield _run("lattice", lattice_runs, params, eps, state, wave)
         yield _run("fixed_point", fixed_point_forms, params, eps, state)
-    yield _run("amplitude", amplitude_decay, params)
+    yield _run("amplitude", amplitude_decay, params, DECAY_LADDER, solved)

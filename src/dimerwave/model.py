@@ -189,11 +189,20 @@ class SpringLaw(NamedTuple):
     quad: object
     rem: tuple
 
-    def force(self, r):
-        """Spring force at relative displacement(s) ``r``; dtype is preserved."""
-        f = self.lin * r + self.quad * r * r
+    def force(self, r, out=None):
+        """Spring force at relative displacement(s) ``r``; dtype is preserved.
+
+        ``out``, an array shaped like ``r``, receives the force in place.
+        """
+        f = np.multiply(self.lin, r, out=out)
+        q = self.quad * r
+        q *= r
+        f += q
         if len(self.rem):
-            f = f + r * r * r * polyval_ascending(self.rem, r)
+            q = r * r
+            q *= r
+            q *= polyval_ascending(self.rem, r)
+            f += q
         return f
 
     def potential(self, r):

@@ -83,7 +83,7 @@ def iota_eps(g: LineField, omega) -> float:
     which is exactly why the ripple amplitude ends up beyond all orders.
     """
     grid = g.grid
-    return grid.dx * (g.values @ np.cos(omega * grid.X))
+    return grid.dx * (g.values @ grid.cos_phase(omega))
 
 
 def gmres(apply_op, b, tol=1e-12, max_iter=400):
@@ -518,7 +518,7 @@ def system_residual(ops: SolverOperators, state: NanopteronState, wave: Periodic
         eps * eps
     ) * lam_m * W.per2.pad_to(M).coeffs
 
-    cos_phase = np.cos(omega * grid.X)
+    cos_phase = grid.cos_phase(omega)
     total1 = th1_line.values + PeriodicField(th1_per).chebyshev_at(cos_phase)
     total2 = th2_line.values + PeriodicField(th2_per).chebyshev_at(cos_phase)
     return max(np.max(np.abs(total1)), np.max(np.abs(total2)))

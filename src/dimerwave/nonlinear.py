@@ -172,8 +172,9 @@ class _Mixed:
     """One component as fine-grid decaying samples plus an exact ripple.
 
     The ripple is sampled on the fine grid (``per_fine``: Clenshaw at the
-    Chebyshev argument ``cx``) when a product first reads it, and the sample
-    is kept.  A ripple that only goes back to coefficient space through
+    Chebyshev argument ``cx = cos(omega*X)``, the fine grid's cached
+    ``LineGrid.cos_phase(omega, 2)``, shared by every ripple of an operator
+    call) when a product first reads it, and the sample is kept.  A ripple that only goes back to coefficient space through
     ``_from_mixed`` is never sampled.
     """
 
@@ -193,13 +194,6 @@ class _Mixed:
 
     def scaled(self, s) -> "_Mixed":
         return _Mixed(self.fine * s, self.per * s, self.cx)
-
-
-def _fine_cos(grid: LineGrid, omega):
-    """``cos(omega*X)`` on the 2x fine grid: the one Chebyshev argument at
-    which an operator samples every ripple (all share the frequency omega)."""
-    m = np.arange(2 * grid.n, dtype=grid.dtype)
-    return np.cos(omega * (-grid.L + 2 * grid.L * m / (2 * grid.n)))
 
 
 def _to_mixed(v: VectorField, cx):
@@ -246,7 +240,7 @@ def _from_mixed(grid: LineGrid, comps, omega, even=True) -> VectorField:
 
 def calN(params: DimerParams, v: VectorField) -> VectorField:
     """Componentwise cubic remainder ``calN(h)_j = h_j * N_j(h_j)`` (pointwise)."""
-    cx = _fine_cos(v.grid, v.omega)
+    cx = v.grid.cos_phase(v.omega, 2)
     comps = _to_mixed(v, cx)
     out = [_mixed_calN_factor(comps[0], params.n1), _mixed_calN_factor(comps[1], params.n2)]
     even = v.line1.even and v.line2.even
@@ -262,7 +256,7 @@ def B_eps(symbols: SymbolSet, theta: VectorField, theta2: VectorField, eps) -> V
         raise InvalidParams("arguments live on different grids")
     omega = theta._common_omega(theta2)
     p = symbols.params
-    cx = _fine_cos(theta.grid, omega)
+    cx = theta.grid.cos_phase(omega, 2)
     a = _to_mixed(_apply_matrix(symbols, eps, theta), cx)
     b = a if theta2 is theta else _to_mixed(_apply_matrix(symbols, eps, theta2), cx)
     prod = [_mixed_mul(a[i], b[i]) for i in range(2)]
@@ -307,7 +301,7 @@ def Q_eps(symbols: SymbolSet, theta: VectorField, theta2: VectorField,
         W3 = W2
     else:
         W3 = _apply_matrix(symbols, eps, theta3)
-    cx = _fine_cos(theta.grid, omega)
+    cx = theta.grid.cos_phase(omega, 2)
     a = _to_mixed(W, cx)
     b = a if W2 is W else _to_mixed(W2, cx)
     h = _to_mixed(W3 * (eps * eps), cx)

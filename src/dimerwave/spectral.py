@@ -25,6 +25,7 @@ Conventions fixed repo-wide:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -62,6 +63,7 @@ class LineGrid:
         self.k = np.pi * np.arange(n // 2 + 1, dtype=dtype) / self.L
         self.dx = 2 * self.L / n
         self.dk = np.pi / self.L
+        self._cos_cache = {}
 
     def __eq__(self, other):
         return (
@@ -87,6 +89,23 @@ class LineGrid:
         """Spectral derivative of the given sample array."""
         F = self.rfft(values) * (1j * self.k) ** order
         return self.irfft(F)
+
+    def cos_phase(self, omega, factor: int = 1):
+        """Read-only ``cos(omega*X)`` on this grid, or on its ``factor``-times
+        finer grid ``X = -L + 2*L*m/(factor*n)``.
+
+        A solve samples every ripple at one frequency until it re-solves the
+        ripple, so the last ``(type(omega), omega)`` is cached per factor.
+        """
+        key = (type(omega), omega)
+        cached = self._cos_cache.get(factor)
+        if cached is not None and cached[0] == key:
+            return cached[1]
+        m = np.arange(factor * self.n, dtype=self.dtype)
+        c = np.cos(omega * (-self.L + 2 * self.L * m / (factor * self.n)))
+        c.flags.writeable = False
+        self._cos_cache[factor] = (key, c)
+        return c
 
     def resolves_ripple(self, omega) -> bool:
         """True when the spacing resolves a ripple of frequency omega
@@ -163,15 +182,28 @@ class LineField:
         """Trigonometric interpolation of the samples at arbitrary points.
 
         Exact (to rounding) for any function band-limited to the grid; this is
-        how profiles are transferred to lattice sites.
+        how profiles are transferred to lattice sites.  With the rFFT weighted
+        to ``G_0 = F_0``, ``G_j = 2*F_j`` and ``G_{n/2} = F_{n/2}``, the value is
+        ``Re sum_j G_j exp(i*j*dk*y) / n`` at ``y = X + L``.  Splitting
+        ``j = a*B + b`` with ``B = ceil(sqrt(n/2 + 1))`` factors the phase
+        (baby step/giant step): the inner sums over ``b`` are one
+        ``(points x B) @ (B x A)`` product, so only ``points*(A + B)``
+        complex exponentials are taken instead of a dense ``points x (n/2+1)``
+        table.
         """
         n = self.grid.n
-        F = self.grid.rfft(self.values)
-        phase = np.multiply.outer(np.asarray(X) + self.grid.L, self.grid.k)
-        cos, sin = np.cos(phase), np.sin(phase)
-        interior = 2 * (cos[..., 1:-1] @ F[1:-1].real - sin[..., 1:-1] @ F[1:-1].imag)
-        edge = F[0].real + cos[..., -1] * F[-1].real - sin[..., -1] * F[-1].imag
-        return (interior + edge) / n
+        G = self.grid.rfft(self.values)
+        G[1:-1] *= 2
+        modes = n // 2 + 1
+        B = math.isqrt(modes - 1) + 1  # ceil(sqrt(modes))
+        A = -(-modes // B)
+        Gab = np.zeros(A * B, dtype=G.dtype)
+        Gab[:modes] = G
+        y = np.asarray(X) + self.grid.L
+        baby = np.exp(1j * np.multiply.outer(y, self.grid.k[:B]))
+        giant = np.exp(1j * np.multiply.outer(y, self.grid.k[::B]))
+        inner = baby @ Gab.reshape(A, B).T
+        return np.sum(giant * inner, axis=-1).real / n
 
 
 class PeriodicField:

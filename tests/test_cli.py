@@ -21,6 +21,7 @@ from dimerwave.cli import (
 )
 from dimerwave.lattice import LatticeConfig, TravelingProfile, simulate
 from dimerwave.model import DimerParams
+from dimerwave.nanopteron import NanopteronConfig
 
 QUAD = DimerParams(kappa=2.0, beta=1.0, n1=(), n2=())
 
@@ -308,10 +309,20 @@ class TestValidateCommand:
                 names.extend(name for name, _, _ in rows)
                 yield group, rows
 
+        solve, solves = gates.solve_nanopteron, []
+
+        def recording_solve(params, eps, config=None):
+            cfg = config or NanopteronConfig()
+            solves.append((eps, cfg.dtype, cfg.fixed_point))
+            return solve(params, eps, config)
+
         monkeypatch.setattr(gates, "table", recording_table)
+        monkeypatch.setattr(gates, "solve_nanopteron", recording_solve)
         code = dispatch(["validate", "--kappa", "2", "--beta", "1",
                          "--out", str(tmp_path)])
         assert code == 0 and names
+        # the amplitude ladder's eps 0.2 rung is the nanopteron group's solve
+        assert len(set(solves)) == len(solves) and (0.2, np.float64, "new") in solves
         assert f"{len(names)}/{len(names)} gates passed" in capsys.readouterr().out
         record = (tmp_path / "validate_record.txt").read_text()
         listed = record.split("[gates]\n")[1].split("\n\n")[0].splitlines()

@@ -216,8 +216,30 @@ REMAINDERS = [((0.5,), (-0.3, 0.1)), ((), (-0.3, 0.1)), ((0.5, 0.2, -0.1), ()), 
 
 
 def _two_law_rk4(r, v, dt, steps, odd, params):
-    """The numpy RK4 with both laws on every site, picked by ``np.where``,
-    and an ``np.roll`` Laplacian: the reference the per-site law must match."""
+    """The numpy RK4 in Nystrom form with both laws on every site, picked by
+    ``np.where``, and an ``np.roll`` Laplacian: the reference the per-site law
+    must match.  Stages and sums are associated as in the kernel."""
+
+    def f(x):
+        s = np.where(odd, force(params, "odd", x), force(params, "even", x))
+        return np.roll(s, -1) + np.roll(s, 1) - 2 * s
+
+    h, h2 = dt, dt * dt
+    for _ in range(steps):
+        k1 = f(r)
+        y = r + (0.5 * h) * v
+        k2 = f(y)
+        k3 = f(y + (0.25 * h2) * k1)
+        y = r + h * v
+        k4 = f(y + (0.5 * h2) * k2)
+        r = y + (h2 / 6) * (k1 + k2 + k3)
+        v = v + (h / 6) * (2 * (k2 + k3) + k1 + k4)
+    return r, v
+
+
+def _textbook_rk4(r, v, dt, steps, odd, params):
+    """Classical RK4 on the first-order system ``(r, v)``, velocity stages and
+    all: the method the Nystrom-form kernel rewrites."""
 
     def a_of(x):
         s = np.where(odd, force(params, "odd", x), force(params, "even", x))
@@ -237,18 +259,35 @@ def _two_law_rk4(r, v, dt, steps, odd, params):
 
 
 class TestPerSiteLaw:
-    """The per-site spring law reproduces the two-law formulas bit for bit."""
+    """The per-site spring law reproduces the two-law formulas bit for bit,
+    and the Nystrom-form kernel is classical RK4 to rounding."""
+
+    @staticmethod
+    def _start(n1, n2, sites):
+        params = DimerParams(kappa=2.0, beta=1.0, n1=n1, n2=n2)
+        prof = TravelingProfile.leading_order(params, 0.3, sites)
+        return params, prof.odd, *prof.initial()
 
     @pytest.mark.parametrize("sites", [64, 1024])
     @pytest.mark.parametrize("n1, n2", REMAINDERS)
     def test_rk4_matches_two_law_reference(self, n1, n2, sites):
-        params = DimerParams(kappa=2.0, beta=1.0, n1=n1, n2=n2)
-        prof = TravelingProfile.leading_order(params, 0.3, sites)
-        r0, v0 = prof.initial()
-        r, v = rk4_steps(r0, v0, 0.02, 200, prof.odd, params.kappa, params.beta,
+        params, odd, r0, v0 = self._start(n1, n2, sites)
+        r, v = rk4_steps(r0, v0, 0.02, 200, odd, params.kappa, params.beta,
                          params.n1, params.n2, compiled=False)
-        r_ref, v_ref = _two_law_rk4(r0, v0, 0.02, 200, prof.odd, params)
+        r_ref, v_ref = _two_law_rk4(r0, v0, 0.02, 200, odd, params)
         assert np.array_equal(r, r_ref) and np.array_equal(v, v_ref)
+
+    @pytest.mark.parametrize("sites", [64, 1024])
+    @pytest.mark.parametrize("n1, n2", REMAINDERS)
+    def test_nystrom_matches_textbook_rk4(self, n1, n2, sites):
+        # the same method, summed in another order: 200 steps leave only
+        # rounding (measured: at most 7.6e-15 of max|v|)
+        params, odd, r0, v0 = self._start(n1, n2, sites)
+        r, v = rk4_steps(r0, v0, 0.02, 200, odd, params.kappa, params.beta,
+                         params.n1, params.n2, compiled=False)
+        r_ref, v_ref = _textbook_rk4(r0, v0, 0.02, 200, odd, params)
+        assert np.max(np.abs(r - r_ref)) <= 1e-13 * np.max(np.abs(r_ref))
+        assert np.max(np.abs(v - v_ref)) <= 1e-13 * np.max(np.abs(v_ref))
 
     @pytest.mark.parametrize("n1, n2", REMAINDERS)
     def test_energy_matches_two_law_formula(self, n1, n2):
