@@ -1,4 +1,5 @@
-"""Time one bilinear product ``B_eps(v, v)`` on the solver's grids.
+"""Time one bilinear product ``B_eps(v, v)`` on the solver's grids, and one
+ripple solve.
 
 Run from the repository root (the package is imported from this checkout's
 ``src/``; nothing needs to be installed):
@@ -12,6 +13,11 @@ benchmark's float64 sweep (eps = 0.1, n = 4096) and of its longdouble solve
 after one call that fills the ``SymbolSet``'s diagonalizer tables as the
 first product of a solve does.  The Clenshaw column counts the ripple
 sweeps (``spectral._clenshaw`` calls) of one product.
+
+The ripple solve is ``solve_periodic`` at eps = 0.1 and a = 1e-3 in float64,
+timed as the best of ``--repeats`` solves in ms.  Its Picard iterations are
+summed over every mode cutoff the solve tries, and its ``B_eps`` count covers
+the Picard steps and the final residual.
 """
 
 import argparse
@@ -23,12 +29,12 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from dimerwave import spectral  # noqa: E402
+from dimerwave import nonlinear, periodic, spectral  # noqa: E402
 from dimerwave.dispersion import SymbolSet  # noqa: E402
 from dimerwave.kdv import core_profile  # noqa: E402
 from dimerwave.model import DimerParams  # noqa: E402
 from dimerwave.nonlinear import B_eps, VectorField  # noqa: E402
-from dimerwave.periodic import solve_periodic  # noqa: E402
+from dimerwave.periodic import PeriodicSolver, solve_periodic  # noqa: E402
 
 PARAMS = DimerParams(kappa=2.0, beta=1.0)
 CASES = (("sweep-f64", 0.1, 4096, np.float64), ("solve-ld", 0.05, 8192, np.longdouble))
@@ -58,6 +64,34 @@ def clenshaw_calls(symbols, v, eps):
     return len(calls)
 
 
+def ripple_counts(eps, a):
+    """Picard iterations and ``B_eps`` calls of one ``solve_periodic``."""
+    product, iterate = nonlinear.B_eps, PeriodicSolver.iterate
+    # patch every module namespace the solver may read B_eps from
+    owners = [m for m in (nonlinear, periodic) if getattr(m, "B_eps", None) is product]
+    calls, iterations = [], []
+
+    def counting(*args):
+        calls.append(None)
+        return product(*args)
+
+    def recording(solver, amplitude):
+        out = iterate(solver, amplitude)
+        iterations.append(out[1])
+        return out
+
+    for m in owners:
+        m.B_eps = counting
+    PeriodicSolver.iterate = recording
+    try:
+        solve_periodic(PARAMS, eps, a)
+    finally:
+        for m in owners:
+            m.B_eps = product
+        PeriodicSolver.iterate = iterate
+    return sum(iterations), len(calls)
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeats", type=int, default=7)
@@ -76,6 +110,16 @@ def main():
             best = min(best, time.perf_counter() - t0)
         calls = clenshaw_calls(symbols, v, eps)
         print(f"{name:>10} {n:>6} {dtype.__name__:>11} {1e3 * best:>11.2f} {calls:>9}")
+
+    eps, a = 0.1, 1e-3
+    best = float("inf")
+    for _ in range(args.repeats):
+        t0 = time.perf_counter()
+        solve_periodic(PARAMS, eps, a)
+        best = min(best, time.perf_counter() - t0)
+    picard, products = ripple_counts(eps, a)
+    print(f"\nsolve_periodic eps={eps} a={a:g}: {1e3 * best:.2f} ms, "
+          f"{picard} Picard iterations, {products} B_eps calls")
 
 
 if __name__ == "__main__":

@@ -299,6 +299,9 @@ def _resolve(args) -> dict:
         flag = getattr(args, key, None)
         if flag is not None:
             cfg[key] = flag
+    for key in ("samples", "threads"):
+        if not cfg[key] >= 1:
+            raise InvalidParams(f"--{key} must be at least 1, got {cfg[key]}")
     cfg["command"] = args.command
     return cfg
 
@@ -391,8 +394,12 @@ def cmd_nanopteron(cfg) -> int:
     failed ``amplitude_resolved`` gate, and the command then exits 2.
     """
     params = _params(cfg)
-    eps_list = ([float(s) for s in str(cfg["sweep"]).split(",")]
-                if cfg["sweep"] else [cfg["eps"]])
+    try:
+        eps_list = ([float(s) for s in str(cfg["sweep"]).split(",")]
+                    if cfg["sweep"] else [cfg["eps"]])
+    except ValueError as exc:
+        raise InvalidParams(
+            f"--sweep must be a comma list of numbers, got {cfg['sweep']!r}") from exc
     out = _outdir(cfg)
     if cfg["threads"] > 1 and len(eps_list) > 1:
         with ThreadPoolExecutor(max_workers=cfg["threads"]) as pool:

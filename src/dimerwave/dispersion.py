@@ -224,6 +224,20 @@ class SymbolSet:
         varpi_0 = -c0 * c0 / (1 + alpha * k * k)
         return varpi_c, varpi_eps, varpi_0
 
+    def mode_symbols(self, c, eps, omega, M):
+        """``(varpi, lambda_plus, xi)`` of a ripple's cosine modes ``j = 0..M``.
+
+        Evaluated at ``k = eps*omega*j``: ``varpi = -eps**2 * g/(c**2 - g)``
+        with ``g = lambda_minus(k)/k**2`` (``varpi_eps`` at speed ``c``, so
+        ``-sound_speed**2`` at j = 0), the optical branch, and the
+        traveling-wave symbol ``-c**2*k**2 + lambda_plus(k)``, which vanishes
+        at the resonant mode.
+        """
+        k = eps * omega * np.arange(M + 1)
+        g = self.acoustic_over_k2(k)
+        c2 = c**2  # not c*c as in xi_symbol: the two can round apart
+        return -(eps * eps) * g / (c2 - g), self.lambda_pm(k)[1], self.xi_symbol(c, k)
+
     # -- resonance ------------------------------------------------------------
 
     def find_resonance(self, eps, tol=1e-13) -> Resonance:

@@ -63,6 +63,8 @@ class LatticeConfig:
             raise InvalidParams(f"unknown integrator {self.integrator!r}")
         if not self.T >= self.dt:
             raise InvalidParams("final time T must cover at least one step")
+        if not self.snap_every >= 1:
+            raise InvalidParams(f"snap_every must be at least 1, got {self.snap_every}")
 
 
 class TravelingProfile:
@@ -281,7 +283,7 @@ def simulate(params: DimerParams, config: LatticeConfig, r0, v0) -> LatticeTraje
     if r.shape != sites.shape or v.shape != sites.shape:
         raise InvalidParams("initial data must match the configured site count")
     n_steps = int(round(config.T / config.dt))
-    stride = max(1, min(config.snap_every, n_steps))
+    stride = min(config.snap_every, n_steps)
     times, Rs, Vs = [0.0], [r.copy()], [v.copy()]
     done = 0
     while done < n_steps:

@@ -45,7 +45,7 @@ from .errors import (
 )
 from .kdv import core_profile
 from .model import DimerParams, derived_constants
-from .nonlinear import B_eps, Q_eps, VectorField
+from .nonlinear import B_eps, BQ_eps, Q_eps, VectorField
 from .periodic import PeriodicConfig, PeriodicWave, solve_periodic
 from .spectral import (
     LineField,
@@ -407,14 +407,6 @@ def _full_ansatz(ops: SolverOperators, state: NanopteronState, wave: PeriodicWav
     return core_vec + eta_vec + ripple_vec, core_vec, eta_vec, ripple_vec
 
 
-def _combined_nonlinearity(ops: SolverOperators, v: VectorField, third: VectorField = None):
-    """``B(v, v) + Q(v, v, third)`` with ``third`` defaulting to ``v``."""
-    out = B_eps(ops.symbols, v, v, ops.eps)
-    if ops.has_cubic:
-        out = out + Q_eps(ops.symbols, v, v, third if third is not None else v, ops.eps)
-    return out
-
-
 def assemble_terms(ops: SolverOperators, state: NanopteronState,
                    wave: PeriodicWave, detail: bool = False) -> TermCollection:
     """Evaluate the fixed point's right-hand sides at ``state``.
@@ -424,7 +416,7 @@ def assemble_terms(ops: SolverOperators, state: NanopteronState,
     one (their sum reproduces the aggregate, a property the tests pin down).
     """
     ansatz, core_vec, eta_vec, ripple_vec = _full_ansatz(ops, state, wave)
-    W = _combined_nonlinearity(ops, ansatz)
+    W = BQ_eps(ops.symbols, ansatz, ansatz, ops.eps)
     r1 = -ops.sigma - ops.apply_varpi_eps(W.line1)
     r2 = (-1.0) * ops.apply_lambda_plus(W.line2)
     correction = LineField(
@@ -498,16 +490,11 @@ def system_residual(ops: SolverOperators, state: NanopteronState, wave: Periodic
     frequency, and the two are superposed on the grid before taking the sup.
     """
     ansatz, *_ = _full_ansatz(ops, state, wave)
-    W = _combined_nonlinearity(ops, ansatz)
+    W = BQ_eps(ops.symbols, ansatz, ansatz, ops.eps)
     grid, eps = ops.grid, ops.eps
     omega = wave.omega
     M = max(W.per1.M, W.per2.M, ansatz.per1.M, ansatz.per2.M)
-    modes = eps * omega * np.arange(M + 1)
-    xi_m = ops.symbols.xi_symbol(ops.resonance.c, modes)
-    lam_m = ops.symbols.lambda_pm(modes)[1]
-    g = ops.symbols.acoustic_over_k2(modes)
-    c2 = ops.resonance.c**2
-    varpi_m = -(eps * eps) * g / (c2 - g)
+    varpi_m, lam_m, xi_m = ops.symbols.mode_symbols(ops.resonance.c, eps, omega, M)
 
     th1_line = ansatz.line1 + ops.apply_varpi_eps(W.line1)
     th1_per = ansatz.per1.pad_to(M).coeffs + varpi_m * W.per1.pad_to(M).coeffs

@@ -320,6 +320,18 @@ def Q_eps(symbols: SymbolSet, theta: VectorField, theta2: VectorField,
     return _apply_matrix(symbols, eps, inner, inverse=True)
 
 
+def BQ_eps(symbols: SymbolSet, v: VectorField, third: VectorField, eps) -> VectorField:
+    """The system's nonlinearity ``B_eps(v, v) + Q_eps(v, v, third)``.
+
+    The cubic term is left out when the params have no cubic remainders.
+    """
+    out = B_eps(symbols, v, v, eps)
+    p = symbols.params
+    if len(p.n1) or len(p.n2):
+        out = out + Q_eps(symbols, v, v, third, eps)
+    return out
+
+
 def B0_closed_form(params: DimerParams, pair, pair2):
     """The eps -> 0 limit of the bilinear operator on line fields.
 

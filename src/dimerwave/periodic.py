@@ -6,7 +6,10 @@ the optical component only.  Substituting ``theta = a*phi`` into the
 traveling-wave system and projecting onto (i) the acoustic component, (ii)
 the optical modes other than the fundamental, and (iii) the fundamental
 optical mode produces three fixed-point maps ``(Psi1, Psi2, Psi3)`` for
-``(psi1, psi2, t)``.  The maps contract for small ``a``; plain Picard
+``(psi1, psi2, t)``.  All three are projections of the same ``(B + Q)``
+evaluation, so each Picard step (``PeriodicSolver.maps``) evaluates the
+nonlinearity and the mode symbols once, and the residual of the full system
+reuses that evaluation.  The maps contract for small ``a``; plain Picard
 iteration from (0, 0, 0) converges and the converged state is reported with
 the residual of the full system.
 
@@ -25,7 +28,7 @@ import numpy as np
 from .dispersion import Resonance, SymbolSet
 from .errors import InvalidParams, NearSingularMode, NoConvergence
 from .model import DimerParams
-from .nonlinear import B_eps, Q_eps, VectorField
+from .nonlinear import BQ_eps, VectorField
 from .spectral import LineGrid, PeriodicField
 
 
@@ -106,11 +109,14 @@ class PeriodicWave:
     def as_vector(self, grid: LineGrid, amplitude=None) -> VectorField:
         """``amplitude * phi`` as a pure-ripple two-component field."""
         amp = self.a if amplitude is None else amplitude
-        nu2 = self.psi2.coeffs.copy()
-        nu2[1] += 1.0
-        return VectorField.from_periodic(
-            grid, amp * self.psi1, PeriodicField(amp * nu2), self.omega
-        )
+        return _ripple_vector(grid, (self.psi1, self.psi2), self.omega, amp)
+
+
+def _ripple_vector(grid: LineGrid, psi, omega, scale) -> VectorField:
+    """``scale * phi`` at frequency ``omega``, where ``phi = (psi1, cos + psi2)``."""
+    nu2 = psi[1].coeffs.copy()
+    nu2[1] += 1.0
+    return VectorField.from_periodic(grid, scale * psi[0], PeriodicField(scale * nu2), omega)
 
 
 class PeriodicSolver:
@@ -119,7 +125,6 @@ class PeriodicSolver:
     def __init__(self, params: DimerParams, eps: float, config: PeriodicConfig = PeriodicConfig()):
         if not 0 < eps <= config.eps_max:
             raise InvalidParams(f"eps must lie in (0, {config.eps_max}], got {eps}")
-        self.params = params
         self.eps = eps
         self.config = config
         self.symbols = SymbolSet(params)
@@ -133,82 +138,25 @@ class PeriodicSolver:
 
     # -- assembly ------------------------------------------------------------
 
-    def _phi_vector(self, psi1: PeriodicField, psi2: PeriodicField, t, scale=1.0):
-        nu2 = psi2.coeffs.copy()
-        nu2[1] += 1.0
-        return VectorField.from_periodic(
-            self._grid,
-            scale * psi1,
-            PeriodicField(scale * nu2),
-            self.resonance.omega + t,
-        )
-
-    def _quadratic_cubic(self, psi1, psi2, t, a):
-        """The pair ``(B + E)`` of the system at state (psi, t, a)."""
-        phi = self._phi_vector(psi1, psi2, t)
-        total = B_eps(self.symbols, phi, phi, self.eps)
-        if len(self.params.n1) or len(self.params.n2):
-            a_phi = self._phi_vector(psi1, psi2, t, scale=a)
-            total = total + Q_eps(self.symbols, phi, phi, a_phi, self.eps)
-        return total.per1, total.per2
-
-    def _truncate(self, f: PeriodicField) -> PeriodicField:
+    def _truncate(self, f: PeriodicField):
         out = np.zeros(self.M + 1, dtype=f.coeffs.dtype)
         upto = min(self.M, f.M) + 1
         out[:upto] = f.coeffs[:upto]
-        return PeriodicField(out)
+        return out
 
-    def _xi_values(self, t, M):
-        k = self.eps * (self.resonance.omega + t) * np.arange(M + 1)
-        return self.symbols.xi_symbol(self.resonance.c, k)
+    def _evaluate(self, psi, t, a):
+        """The system's nonlinearity and mode symbols at state (psi, t, a).
 
-    def _varpi_at_modes(self, t, M):
-        e = self.eps
-        k = e * (self.resonance.omega + t) * np.arange(M + 1)
-        g = self.symbols.acoustic_over_k2(k)
-        c2 = self.resonance.c**2
-        return -(e * e) * g / (c2 - g)
-
-    def _lambda_plus_at_modes(self, t, M):
-        k = self.eps * (self.resonance.omega + t) * np.arange(M + 1)
-        return self.symbols.lambda_pm(k)[1]
-
-    # -- the three fixed-point maps -------------------------------------------
-
-    def Psi1(self, psi, t, a) -> PeriodicField:
-        """Acoustic update: ``-a * varpi^{eps,omega+t} (B1 + E1)`` (all modes)."""
-        b1, _ = self._quadratic_cubic(psi[0], psi[1], t, a)
-        b1 = self._truncate(b1)
-        return PeriodicField(-a * self._varpi_at_modes(t, b1.M) * b1.coeffs)
-
-    def Psi2(self, psi, t, a) -> PeriodicField:
-        """Optical update off the fundamental mode.
-
-        ``-a*eps**2 * xi^{-1} Pi2 lambda_plus (B2 + E2)``: coefficient-wise
-        division by the traveling-wave symbol with the fundamental mode
-        zeroed first.
-
-        Raises
-        ------
-        NearSingularMode
-            If the symbol nearly vanishes at some non-fundamental mode
-            (a spurious secondary resonance of the truncation).
+        Returns the cosine coefficients of ``(B + Q)_1`` and ``(B + Q)_2``
+        truncated to the cutoff, and ``(varpi, lambda_plus, xi)`` at the
+        modes of frequency ``omega_eps + t``.
         """
-        _, b2 = self._quadratic_cubic(psi[0], psi[1], t, a)
-        b2 = self._truncate(b2)
-        num = self._lambda_plus_at_modes(t, b2.M) * b2.coeffs
-        num[1] = 0.0
-        xi = self._xi_values(t, b2.M)
-        bad = np.abs(xi) < 1e-8
-        bad[1] = False
-        if np.any(bad):
-            j = int(np.argmax(bad))
-            raise NearSingularMode(
-                f"traveling-wave symbol ~ 0 at mode {j}: xi={xi[j]:.3e}"
-            )
-        xi = xi.copy()
-        xi[1] = 1.0  # mode 1 already zeroed
-        return PeriodicField(-a * self.eps**2 * num / xi)
+        r = self.resonance
+        omega = r.omega + t
+        phi = _ripple_vector(self._grid, psi, omega, 1.0)
+        total = BQ_eps(self.symbols, phi, _ripple_vector(self._grid, psi, omega, a), self.eps)
+        modes = self.symbols.mode_symbols(r.c, self.eps, omega, self.M)
+        return (self._truncate(total.per1), self._truncate(total.per2)) + modes
 
     def R_curvature(self, s):
         """Remainder ``R(s) = (xi(eps*omega + s) - Upsilon*s)/s**2`` of the
@@ -219,34 +167,53 @@ class PeriodicSolver:
             return 0.5 * self.symbols.xi_second(r.c, r.eps * r.omega)
         return (self.symbols.xi_symbol(r.c, r.eps * r.omega + s) - r.Upsilon * s) / s**2
 
-    def Psi3(self, psi, t, a) -> float:
-        """Fundamental-mode (frequency) update.
+    # -- the three fixed-point maps -------------------------------------------
 
-        ``-(eps/Upsilon)*R(eps*t)*t**2 - (eps*a/Upsilon) * c1`` where c1 is
-        the fundamental cosine coefficient of ``lambda_plus (B2 + E2)``.
+    def maps(self, psi, t, a):
+        """The updates ``(Psi1, Psi2, Psi3)`` of ``(psi1, psi2, t)``.
+
+        * ``Psi1 = -a * varpi (B1 + Q1)`` on every mode (acoustic);
+        * ``Psi2 = -a*eps**2 * xi^{-1} Pi2 lambda_plus (B2 + Q2)``: division
+          by the traveling-wave symbol with the fundamental mode zeroed first;
+        * ``Psi3 = -(eps/Upsilon)*R(eps*t)*t**2 - (eps*a/Upsilon) * c1``, with
+          c1 the fundamental coefficient of ``lambda_plus (B2 + Q2)``.
+
+        Raises
+        ------
+        NearSingularMode
+            If the symbol nearly vanishes at some non-fundamental mode
+            (a spurious secondary resonance of the truncation).
         """
-        _, b2 = self._quadratic_cubic(psi[0], psi[1], t, a)
-        b2 = self._truncate(b2)
-        c1 = (self._lambda_plus_at_modes(t, b2.M) * b2.coeffs)[1]
+        b1, b2, varpi, lam_plus, xi = self._evaluate(psi, t, a)
+        psi1 = PeriodicField(-a * varpi * b1)
+        num = lam_plus * b2
+        c1 = num[1]
+        num[1] = 0.0
+        bad = np.abs(xi) < 1e-8
+        bad[1] = False
+        if np.any(bad):
+            j = int(np.argmax(bad))
+            raise NearSingularMode(
+                f"traveling-wave symbol ~ 0 at mode {j}: xi={xi[j]:.3e}"
+            )
+        xi[1] = 1.0  # mode 1 already zeroed
+        psi2 = PeriodicField(-a * self.eps**2 * num / xi)
         r = self.resonance
         eps = self.eps
-        return -(eps / r.Upsilon) * self.R_curvature(eps * t) * t * t - (
+        t_new = -(eps / r.Upsilon) * self.R_curvature(eps * t) * t * t - (
             eps * a / r.Upsilon
         ) * c1
+        return psi1, psi2, t_new
 
     # -- residual of the full system -------------------------------------------
 
     def system_residual(self, psi, t, a) -> float:
         """Max-abs coefficient residual of the projected traveling-wave system."""
-        b1, b2 = self._quadratic_cubic(psi[0], psi[1], t, a)
-        b1, b2 = self._truncate(b1), self._truncate(b2)
-        res1 = psi[0].coeffs + a * self._varpi_at_modes(t, b1.M) * b1.coeffs
+        b1, b2, varpi, lam_plus, xi = self._evaluate(psi, t, a)
+        res1 = psi[0].coeffs + a * varpi * b1
         nu_plus_psi2 = psi[1].coeffs.copy()
         nu_plus_psi2[1] += 1.0
-        res2 = (
-            self._xi_values(t, b2.M) * nu_plus_psi2
-            + a * self.eps**2 * self._lambda_plus_at_modes(t, b2.M) * b2.coeffs
-        )
+        res2 = xi * nu_plus_psi2 + a * self.eps**2 * lam_plus * b2
         return max(np.max(np.abs(res1)), np.max(np.abs(res2)))
 
     # -- driver -----------------------------------------------------------------
@@ -255,15 +222,6 @@ class PeriodicSolver:
         z = PeriodicField.zero(self.M, dtype=self._dtype)
         return PeriodicState(z, z.copy(), self._dtype(0.0), a)
 
-    def _apply_map(self, st: PeriodicState) -> PeriodicState:
-        psi = (st.psi1, st.psi2)
-        return PeriodicState(
-            self.Psi1(psi, st.t, st.a),
-            self.Psi2(psi, st.t, st.a),
-            self.Psi3(psi, st.t, st.a),
-            st.a,
-        )
-
     def iterate(self, a):
         """Picard iteration from the zero state."""
         cfg = self.config
@@ -271,7 +229,7 @@ class PeriodicSolver:
         prev_step = None
         worst_ratio = 0.0
         for it in range(1, cfg.max_iter + 1):
-            new = self._apply_map(st)
+            new = PeriodicState(*self.maps((st.psi1, st.psi2), st.t, st.a), st.a)
             step = max(
                 float(np.max(np.abs(new.psi1.coeffs - st.psi1.coeffs))),
                 float(np.max(np.abs(new.psi2.coeffs - st.psi2.coeffs))),

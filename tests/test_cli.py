@@ -74,6 +74,18 @@ class TestDispatch:
                          "--out", str(tmp_path)])
         assert code == 2
 
+    @pytest.mark.parametrize("argv, limit", [
+        (["nanopteron", "--sweep", "0.2,abc"], "comma list of numbers"),
+        (["dispersion", "--samples", "-3"], "--samples must be at least 1"),
+        (["dispersion", "--samples", "0"], "--samples must be at least 1"),
+        (["nanopteron", "--threads", "0"], "--threads must be at least 1"),
+        (["simulate", "--snap-every", "0"], "snap_every must be at least 1"),
+        (["simulate", "--snap-every", "-5"], "snap_every must be at least 1"),
+    ])
+    def test_malformed_input_exits_2_naming_the_limit(self, tmp_path, capsys, argv, limit):
+        assert dispatch(argv + ["--out", str(tmp_path)]) == 2
+        assert limit in capsys.readouterr().err
+
     def test_module_entry_point(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "dimerwave.cli", "dispersion",

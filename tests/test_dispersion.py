@@ -206,3 +206,15 @@ def test_varpi_symbols(symbols):
         _, ve_e, v0_e = symbols.varpi_symbols(e, k)
         gaps.append(np.max(np.abs(ve_e - v0_e)))
     assert gaps[1] < 1e-2 * gaps[0] * 1.5  # O(eps**2) shrinkage
+
+
+def test_mode_symbols_at_resonance(symbols):
+    r = symbols.find_resonance(0.1)
+    M = 16
+    varpi, lam_plus, xi = symbols.mode_symbols(r.c, r.eps, r.omega, M)
+    assert varpi[0] == pytest.approx(-symbols.params.sound_speed**2, rel=1e-12)
+    # mode 1 is the resonant mode, where the traveling-wave symbol vanishes
+    assert abs(xi[1]) <= 1e-12
+    k = r.eps * r.omega * np.arange(M + 1)
+    assert np.array_equal(lam_plus, symbols.lambda_pm(k)[1])
+    assert np.array_equal(xi, symbols.xi_symbol(r.c, k))

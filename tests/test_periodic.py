@@ -10,6 +10,7 @@ to near machine precision.
 import numpy as np
 import pytest
 
+from dimerwave import nonlinear, periodic
 from dimerwave.errors import InvalidParams, NoConvergence
 from dimerwave.model import DimerParams
 from dimerwave.periodic import (
@@ -31,24 +32,21 @@ def zero_pair(M):
 class TestFixedPointMaps:
     def test_maps_vanish_at_zero_amplitude(self):
         s = PeriodicSolver(QUAD, 0.1)
-        psi = zero_pair(s.M)
-        assert np.all(s.Psi1(psi, 0.0, 0.0).coeffs == 0)
-        assert np.all(s.Psi2(psi, 0.0, 0.0).coeffs == 0)
-        assert s.Psi3(psi, 0.0, 0.0) == 0.0
+        p1, p2, p3 = s.maps(zero_pair(s.M), 0.0, 0.0)
+        assert np.all(p1.coeffs == 0)
+        assert np.all(p2.coeffs == 0)
+        assert p3 == 0.0
 
     def test_first_iterate_mode_structure(self):
         # cos^2 forcing: only modes 0 and 2 appear, so the frequency map
         # returns exactly zero on the zero corrector.
         s = PeriodicSolver(QUAD, 0.1)
-        psi = zero_pair(s.M)
-        a = 1e-3
-        p1 = s.Psi1(psi, 0.0, a)
-        p2 = s.Psi2(psi, 0.0, a)
+        p1, p2, p3 = s.maps(zero_pair(s.M), 0.0, 1e-3)
         live1 = np.nonzero(np.abs(p1.coeffs) > 1e-30)[0]
         live2 = np.nonzero(np.abs(p2.coeffs) > 1e-30)[0]
         assert set(live1) <= {0, 2}
         assert set(live2) <= {0, 2}
-        assert s.Psi3(psi, 0.0, a) == 0.0
+        assert p3 == 0.0
 
     def test_psi2_fundamental_mode_zeroed(self):
         s = PeriodicSolver(CUBIC, 0.1)
@@ -59,11 +57,11 @@ class TestFixedPointMaps:
         c2[:5] = 1e-4 * rng.standard_normal(5)
         c2[1] = 0.0
         psi = (PeriodicField(c1), PeriodicField(c2))
-        out = s.Psi2(psi, 1e-5, 1e-3)
+        _, out, _ = s.maps(psi, 1e-5, 1e-3)
         assert out.coeffs[1] == 0.0
 
     def test_psi2_inverts_traveling_symbol(self):
-        # xi * Psi2 must reproduce -a*eps^2 * (lambda_plus (B+E))_2 off mode 1.
+        # xi * Psi2 must reproduce -a*eps^2 * (lambda_plus (B+Q))_2 off mode 1.
         s = PeriodicSolver(QUAD, 0.1)
         c1 = np.zeros(s.M + 1)
         c2 = np.zeros(s.M + 1)
@@ -71,12 +69,11 @@ class TestFixedPointMaps:
         c2[2] = 5e-5
         psi = (PeriodicField(c1), PeriodicField(c2))
         t, a = 1e-6, 1e-3
-        out = s.Psi2(psi, t, a)
-        _, b2 = s._quadratic_cubic(psi[0], psi[1], t, a)
-        b2 = s._truncate(b2)
-        target = -a * s.eps**2 * s._lambda_plus_at_modes(t, b2.M) * b2.coeffs
+        _, out, _ = s.maps(psi, t, a)
+        _, b2, _, lam_plus, xi = s._evaluate(psi, t, a)
+        target = -a * s.eps**2 * lam_plus * b2
         target[1] = 0.0
-        recovered = s._xi_values(t, out.M) * out.coeffs
+        recovered = xi * out.coeffs
         recovered[1] = 0.0
         assert np.max(np.abs(recovered - target)) < 1e-12
 
@@ -127,13 +124,31 @@ class TestSolve:
         w = solve_periodic(QUAD, 0.1, 1e-3)
         s = PeriodicSolver(QUAD, 0.1)
         s.M = w.psi1.M
-        psi = (w.psi1, w.psi2)
-        p1 = s.Psi1(psi, w.t, w.a)
-        p2 = s.Psi2(psi, w.t, w.a)
-        p3 = s.Psi3(psi, w.t, w.a)
+        p1, p2, p3 = s.maps((w.psi1, w.psi2), w.t, w.a)
         assert np.max(np.abs(p1.coeffs - w.psi1.coeffs)) < 1e-14
         assert np.max(np.abs(p2.coeffs - w.psi2.coeffs)) < 1e-14
         assert abs(p3 - w.t) < 1e-14
+
+    def test_one_nonlinearity_evaluation_per_picard_step(self, monkeypatch):
+        # every Picard step evaluates B_eps once, and the final residual once
+        B, iterate = nonlinear.B_eps, PeriodicSolver.iterate
+        calls, iterations = [], []
+
+        def counting_B(*args):
+            calls.append(args)
+            return B(*args)
+
+        def recording_iterate(solver, a):
+            out = iterate(solver, a)
+            iterations.append(out[1])
+            return out
+
+        monkeypatch.setattr(nonlinear, "B_eps", counting_B)
+        # also count calls made through a name imported into the module
+        monkeypatch.setattr(periodic, "B_eps", counting_B, raising=False)
+        monkeypatch.setattr(PeriodicSolver, "iterate", recording_iterate)
+        solve_periodic(QUAD, 0.1, 1e-3)
+        assert iterations and len(calls) == sum(iterations) + 1
 
     def test_frequency_shift_quadratic_in_amplitude(self):
         t1 = solve_periodic(QUAD, 0.1, 5e-4).t
