@@ -15,7 +15,6 @@ from .errors import (
     NearSingularMode,
     NoConvergence,
     RootNotBracketed,
-    SingularMatrix,
     UnresolvedAmplitude,
 )
 from .model import DimerParams, PhysicalSprings, force, nondimensionalize, potential

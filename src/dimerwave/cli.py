@@ -55,7 +55,7 @@ from pathlib import Path
 import numpy as np
 
 from . import gates
-from .dispersion import Resonance, SymbolSet
+from .dispersion import Resonance, SymbolSet, check_eps
 from .errors import InvalidParams, LinearSolveFailure, NoConvergence, UnresolvedAmplitude
 from .kdv import core_profile
 from .lattice import LatticeConfig, TravelingProfile, simulate
@@ -383,7 +383,7 @@ def _solve_one_nanopteron(params, eps, cfg):
         eta2_sup=diag.eta_sup[1], upsilon=diag.upsilon, omega=wave.omega,
         speed=wave.resonance.c,
     )
-    rec.add(gates.nanopteron(eps, state, diag))
+    rec.add(gates.nanopteron(eps, diag))
     return rec, (state, wave)
 
 
@@ -400,6 +400,8 @@ def cmd_nanopteron(cfg) -> int:
     except ValueError as exc:
         raise InvalidParams(
             f"--sweep must be a comma list of numbers, got {cfg['sweep']!r}") from exc
+    for eps in eps_list:  # before any solve, so a bad entry costs no work
+        check_eps(eps)
     out = _outdir(cfg)
     if cfg["threads"] > 1 and len(eps_list) > 1:
         with ThreadPoolExecutor(max_workers=cfg["threads"]) as pool:

@@ -7,7 +7,7 @@ The linearized traveling-wave problem diagonalizes through the 2x2 symbol
 
 form the acoustic (-) and optical (+) phonon branches.  This module evaluates
 those branches, their analytic derivatives, the eigenvector entries ``v_pm``,
-the diagonalizer pair ``(J, J1)``, the traveling-wave symbol
+the diagonalizer ``J`` and its inverse ``J1``, the traveling-wave symbol
 ``xi_c(k) = -c**2*k**2 + lambda_plus(k)``, the three smoothing symbols used by
 the long-wave theory, and the resonance root ``Omega_c`` where the optical
 branch intersects ``c**2*k**2``.
@@ -25,8 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParams, RootNotBracketed, SingularMatrix
+from .errors import InvalidParams, RootNotBracketed
 from .model import DimerParams, derived_constants
+
+
+def check_eps(eps):
+    """Raise ``InvalidParams`` unless the long-wave parameter is finite and positive."""
+    if not 0 < eps < np.inf:
+        raise InvalidParams(f"eps must be a finite number > 0, got {eps}")
 
 
 @dataclass(frozen=True)
@@ -149,25 +155,21 @@ class SymbolSet:
             return vm[()], vp[()]  # numpy scalars, dtype preserved
         return vm, vp
 
-    def J_and_J1(self, k):
-        """Diagonalizer ``J(k)`` (eigenvector columns) and its inverse ``J1(k)``.
+    def diagonalizer(self, k, inverse: bool = False):
+        """Entries ``[[J11, J12], [J21, J22]]`` of ``J(k)``, or of ``J1 = J(k)**-1``.
 
-        ``J = [[v_minus, 1], [1, v_plus]]`` and the closed-form 2x2 inverse is
-        ``J1 = [[v_plus, -1], [-1, v_minus]] / (v_minus*v_plus - 1)``.
-
-        Raises
-        ------
-        SingularMatrix
-            If ``|det J| < 1e-14`` (cannot occur for kappa > 1, where
-            ``det J <= -1``).
+        ``J = [[v_minus, 1], [1, v_plus]]`` has the eigenvectors as columns,
+        and ``J1 = [[v_plus, -1], [-1, v_minus]] / (v_minus*v_plus - 1)``.
+        The determinant ``v_minus*v_plus - 1`` is at most -1 for kappa > 1,
+        so the inverse is never singular.  Each entry is an array over ``k``
+        (at least one-dimensional).
         """
-        vm, vp = self.eigvec_v_pm(k)
+        vm, vp = self.eigvec_v_pm(np.atleast_1d(k))
+        one = np.ones_like(vm)
+        if not inverse:
+            return [[vm, one], [one, vp]]
         det = vm * vp - 1
-        if np.min(np.abs(det)) < 1e-14:
-            raise SingularMatrix(f"diagonalizer determinant {det} ~ 0 at k={k}")
-        J = np.array([[vm, 1.0], [1.0, vp]])
-        J1 = np.array([[vp, -1.0], [-1.0, vm]]) / det
-        return J, J1
+        return [[vp / det, -one / det], [-one / det, vm / det]]
 
     # -- traveling-wave and smoothing symbols --------------------------------
 
@@ -250,9 +252,12 @@ class SymbolSet:
 
         Raises
         ------
+        InvalidParams
+            If ``eps`` is not a finite number > 0.
         RootNotBracketed
             If the symbol does not change sign over the bracket.
         """
+        check_eps(eps)
         kap = self.params.kappa
         one = eps * 0 + 1.0  # carries the dtype of eps
         c = np.sqrt(derived_constants(kap, dtype=type(one))[0] ** 2 * one + eps * eps)

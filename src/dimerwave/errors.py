@@ -13,10 +13,6 @@ class UnresolvedAmplitude(InvalidParams):
     """The solved ripple amplitude lies below the noise floor of the solve's dtype."""
 
 
-class SingularMatrix(DimerwaveError):
-    """A diagonalizer matrix is numerically singular; signals parameter degeneracy."""
-
-
 class RootNotBracketed(DimerwaveError):
     """The resonance root is not bracketed by the analytic interval; eps out of range."""
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._kernels import accel_numpy, rk4_steps
-from .dispersion import SymbolSet
+from .dispersion import SymbolSet, check_eps
 from .errors import InvalidParams, NoConvergence
 from .kdv import core_profile
 from .model import DimerParams, derived_constants, potential
@@ -113,6 +113,7 @@ class TravelingProfile:
     @classmethod
     def leading_order(cls, params: DimerParams, eps, sites: int, grid: LineGrid = None):
         """Squared-sech core only: odd sites eps^2 sigma/kappa, even eps^2 sigma."""
+        check_eps(eps)
         if grid is None:
             grid = LineGrid(4096, 60.0)
         sigma, _ = core_profile(params, grid)
@@ -339,22 +340,14 @@ def _parabolic_max(fine):
     return float(y1 - 0.25 * (y0 - y2) * d)
 
 
-def _refined_peak(values, factor: int = 16):
-    """Comb peak height via Fourier upsampling (circular).
+def _line_corrected_peak(values, spacing: float, wavenumber: float,
+                         factor: int = 16):
+    """Comb peak height by Fourier upsampling, with the radiation line rebuilt.
 
     The parity combs sample the core at only ~2 points per width, so the
     raw maximum (or a three-point parabola) wobbles by several percent as
-    the crest slides between sites; band-limited interpolation recovers the
-    crest height to the comb's aliasing level.
-    """
-    n = len(values)
-    fine = _upsample(np.fft.rfft(values), n, factor)
-    return _parabolic_max(fine)
-
-
-def _line_corrected_peak(values, spacing: float, wavenumber: float,
-                         factor: int = 16):
-    """Comb peak with the radiation line rebuilt at its true frequency.
+    the crest slides between sites; band-limited interpolation (circular)
+    recovers the crest height to the comb's aliasing level.
 
     A ripple whose per-site wavenumber exceeds the comb Nyquist aliases
     under blind band-limited interpolation, smearing the crest estimate by
@@ -362,7 +355,7 @@ def _line_corrected_peak(values, spacing: float, wavenumber: float,
     the wavenumber is known (and commensurate, so the line occupies a
     single bin), the line is lifted out of the comb spectrum, the smooth
     remainder is upsampled, and the line is added back evaluated at its
-    physical frequency.
+    physical frequency.  At wavenumber 0 no line is lifted.
     """
     n = len(values)
     F = np.fft.rfft(values)
@@ -410,16 +403,13 @@ def stegoton_diagnostics(traj: LatticeTrajectory, core_width: float,
     relative ripple amplitude.
     """
     odd = traj.odd
+    wavenumber = ripple_wavenumber or 0.0
     even_peaks, odd_peaks, tails = [], [], []
     J = len(traj.sites)
     for i in range(len(traj.times)):
         r = traj.R[i]
-        if ripple_wavenumber is None:
-            even_peaks.append(_refined_peak(r[~odd]))
-            odd_peaks.append(_refined_peak(r[odd]))
-        else:
-            even_peaks.append(_line_corrected_peak(r[~odd], 2.0, ripple_wavenumber))
-            odd_peaks.append(_line_corrected_peak(r[odd], 2.0, ripple_wavenumber))
+        even_peaks.append(_line_corrected_peak(r[~odd], 2.0, wavenumber))
+        odd_peaks.append(_line_corrected_peak(r[odd], 2.0, wavenumber))
         crest = traj.sites[int(np.argmax(r))]
         dist = np.abs(traj.sites - crest)
         dist = np.minimum(dist, J - dist)

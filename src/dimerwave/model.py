@@ -31,7 +31,7 @@ def polyval_ascending(coeffs, r):
 
     Parameters
     ----------
-    coeffs : sequence of float
+    coeffs : sequence of float or ndarray
         Polynomial coefficients in ascending order of power; may be empty,
         in which case the polynomial is identically zero.
     r : float or ndarray
@@ -41,10 +41,11 @@ def polyval_ascending(coeffs, r):
     -------
     float or ndarray
     """
-    result = np.zeros_like(r) if isinstance(r, np.ndarray) else r * 0
+    acc = np.zeros_like(r) if isinstance(r, np.ndarray) else r * 0
     for c in reversed(tuple(coeffs)):
-        result = result * r + c
-    return result
+        acc *= r
+        acc += c
+    return acc
 
 
 def derived_constants(kappa, dtype=float):

@@ -24,6 +24,9 @@ corrector) turns the system into a fixed point for ``(eta_1, eta_2, a)``:
   zero" comes from, since ``iota`` of smooth decaying data shrinks beyond
   every power of eps.
 
+Each step evaluates ``B + Q`` once, on the full ansatz (``assemble_terms``);
+the tests check its split into bilinear families (core*core, core*eta, ...).
+
 Everything is dtype-generic: pass a longdouble ``eps`` (and dtype in the
 config) to push the amplitude floor below double rounding.
 """
@@ -45,7 +48,7 @@ from .errors import (
 )
 from .kdv import core_profile
 from .model import DimerParams, derived_constants
-from .nonlinear import B_eps, BQ_eps, Q_eps, VectorField
+from .nonlinear import B_eps, BQ_eps, VectorField
 from .periodic import PeriodicConfig, PeriodicWave, solve_periodic
 from .spectral import (
     LineField,
@@ -278,7 +281,6 @@ class SolverOperators:
             )
         self.gmres_tol = gmres_tol
         self.gmres_max_iter = gmres_max_iter
-        self.has_cubic = bool(len(params.n1) or len(params.n2))
         self.sigma, self.sigma_slope = core_profile(params, grid)
         kap, beta = dt(params.kappa), dt(params.beta)
         # couplings of the linearized bilinear about the core:
@@ -383,39 +385,32 @@ class SolverOperators:
 class TermCollection:
     """Right-hand sides of the fixed point at one iterate.
 
-    ``r1/r2`` are the aggregate fields the solver consumes; the ``_mod``
-    variants carry the contraction-restoring corrections (the linearized
-    bilinear on the acoustic side, the resonant ``2 a chi`` on the optical
-    side).  ``labels``, when requested, holds the individual bilinear
-    families for diagnostics, keyed ``j{family}{1=B,2=Q}`` /
-    ``l{family}{1,2}`` with families 1..5 = core*core, core*eta, core*ripple,
-    eta*ripple, eta*eta, plus ``j6/l6`` for the ripple-squared cubic
-    correction and the modified entries ``j21_mod``, ``l31_mod``.
+    ``r1/r2`` are the fields ``-sigma - varpi_eps[(B+Q)]_1`` and
+    ``-lambda_plus[(B+Q)]_2`` of the full ansatz; the ``_mod`` variants carry
+    the contraction-restoring corrections (the linearized bilinear on the
+    acoustic side, the resonant ``2 a chi`` on the optical side).
     """
 
     r1: LineField
     r2: LineField
     r1_mod: LineField
     r2_mod: LineField
-    labels: dict = None
 
 
 def _full_ansatz(ops: SolverOperators, state: NanopteronState, wave: PeriodicWave):
+    """The ansatz ``(sigma, 0) + eta + a * phi`` as one mixed field."""
     core_vec = VectorField.from_line(ops.sigma, LineField.zero(ops.grid))
     eta_vec = VectorField.from_line(state.eta1, state.eta2)
-    ripple_vec = wave.as_vector(ops.grid, amplitude=state.a)
-    return core_vec + eta_vec + ripple_vec, core_vec, eta_vec, ripple_vec
+    return core_vec + eta_vec + wave.as_vector(ops.grid, amplitude=state.a)
 
 
 def assemble_terms(ops: SolverOperators, state: NanopteronState,
-                   wave: PeriodicWave, detail: bool = False) -> TermCollection:
+                   wave: PeriodicWave) -> TermCollection:
     """Evaluate the fixed point's right-hand sides at ``state``.
 
-    The aggregate ``(B+Q)`` of the full ansatz is exact and cheap; with
-    ``detail=True`` the bilinear families are additionally evaluated one by
-    one (their sum reproduces the aggregate, a property the tests pin down).
+    ``(B+Q)`` is evaluated once, on the full ansatz.
     """
-    ansatz, core_vec, eta_vec, ripple_vec = _full_ansatz(ops, state, wave)
+    ansatz = _full_ansatz(ops, state, wave)
     W = BQ_eps(ops.symbols, ansatz, ansatz, ops.eps)
     r1 = -ops.sigma - ops.apply_varpi_eps(W.line1)
     r2 = (-1.0) * ops.apply_lambda_plus(W.line2)
@@ -429,41 +424,7 @@ def assemble_terms(ops: SolverOperators, state: NanopteronState,
     r1_mod = r1 + correction
     r2_mod = r2 + (2 * state.a) * ops.chi
 
-    labels = None
-    if detail:
-        labels = {}
-        fams = {
-            1: (1.0, core_vec, core_vec),
-            2: (2.0, core_vec, eta_vec),
-            3: (2.0, core_vec, ripple_vec),
-            4: (2.0, eta_vec, ripple_vec),
-            5: (1.0, eta_vec, eta_vec),
-        }
-        for fam, (cf, x, y) in fams.items():
-            bxy = B_eps(ops.symbols, x, y, ops.eps)
-            labels[f"j{fam}1"] = cf * ops.apply_varpi_eps(bxy.line1)
-            labels[f"l{fam}1"] = cf * ops.apply_lambda_plus(bxy.line2)
-            if ops.has_cubic:
-                qxy = Q_eps(ops.symbols, x, y, ansatz, ops.eps)
-                labels[f"j{fam}2"] = cf * ops.apply_varpi_eps(qxy.line1)
-                labels[f"l{fam}2"] = cf * ops.apply_lambda_plus(qxy.line2)
-            else:
-                labels[f"j{fam}2"] = LineField.zero(ops.grid)
-                labels[f"l{fam}2"] = LineField.zero(ops.grid)
-        labels["j11"] = ops.sigma + labels["j11"]
-        # ripple-squared family: the bilinear part and the ripple's own cubic
-        # cancel against the periodic solve at the mode level, so only the
-        # cubic's cross-coupling to the localized part survives on the line.
-        if ops.has_cubic and float(np.max(np.abs(ripple_vec.per2.coeffs))) > 0:
-            q6 = Q_eps(ops.symbols, ripple_vec, ripple_vec, ansatz, ops.eps)
-            labels["j6"] = ops.apply_varpi_eps(q6.line1)
-            labels["l6"] = ops.apply_lambda_plus(q6.line2)
-        else:
-            labels["j6"] = LineField.zero(ops.grid)
-            labels["l6"] = LineField.zero(ops.grid)
-        labels["j21_mod"] = labels["j21"] + correction
-        labels["l31_mod"] = labels["l31"] + (2 * state.a) * ops.chi
-    return TermCollection(r1, r2, r1_mod, r2_mod, labels)
+    return TermCollection(r1, r2, r1_mod, r2_mod)
 
 
 def N_maps(ops: SolverOperators, state: NanopteronState, wave: PeriodicWave,
@@ -489,7 +450,7 @@ def system_residual(ops: SolverOperators, state: NanopteronState, wave: Periodic
     evaluated spectrally, the periodic parts mode by mode at the wave's own
     frequency, and the two are superposed on the grid before taking the sup.
     """
-    ansatz, *_ = _full_ansatz(ops, state, wave)
+    ansatz = _full_ansatz(ops, state, wave)
     W = BQ_eps(ops.symbols, ansatz, ansatz, ops.eps)
     grid, eps = ops.grid, ops.eps
     omega = wave.omega
@@ -536,9 +497,10 @@ def solve_nanopteron(params: DimerParams, eps, config: NanopteronConfig = None):
     """Solve the nanopteron fixed point; returns ``(state, wave, diagnostics)``.
 
     Outer iteration from ``(0, 0, 0)``: re-solve the periodic family only
-    when the amplitude has moved by more than ``RIPPLE_UPDATE_THRESHOLD``
-    relative to itself (its dependence on ``a`` is Lipschitz), then apply
-    the three maps and measure the state change in sup norm.
+    when the amplitude has moved away from the ripple's own ``wave.a`` by
+    more than ``RIPPLE_UPDATE_THRESHOLD`` relative to itself (its dependence
+    on ``a`` is Lipschitz), then apply the three maps and measure the state
+    change in sup norm.
 
     Raises
     ------
@@ -566,17 +528,15 @@ def solve_nanopteron(params: DimerParams, eps, config: NanopteronConfig = None):
     )
     state = NanopteronState(LineField.zero(grid), LineField.zero(grid), dt(0.0))
     wave = solve_periodic(params, eps, dt(0.0), config.periodic)
-    wave_amplitude = dt(0.0)
     core_peak = sup_norm(ops.sigma)
     step_history, a_history = [], []
     ripple_solves = 0
 
     def iterate(resolve_ripple):
         """One outer step, re-solving the ripple at the current ``a`` first if asked."""
-        nonlocal state, wave, wave_amplitude, ripple_solves
+        nonlocal state, wave, ripple_solves
         if resolve_ripple:
             wave = solve_periodic(params, eps, state.a, config.periodic)
-            wave_amplitude = state.a
             ripple_solves += 1
         eta1_new, eta2_new, a_new = N_maps(ops, state, wave, config.fixed_point)
         step = max(
@@ -592,7 +552,7 @@ def solve_nanopteron(params: DimerParams, eps, config: NanopteronConfig = None):
     converged = False
     iterations = config.max_iter
     for it in range(1, config.max_iter + 1):
-        step = iterate(abs(state.a - wave_amplitude) > RIPPLE_UPDATE_THRESHOLD * abs(state.a))
+        step = iterate(abs(state.a - wave.a) > RIPPLE_UPDATE_THRESHOLD * abs(state.a))
         if not abs(state.a) <= config.a_max:
             raise NoConvergence(
                 f"ripple amplitude |a| = {abs(state.a):.3e} escaped the ansatz "
@@ -615,9 +575,9 @@ def solve_nanopteron(params: DimerParams, eps, config: NanopteronConfig = None):
     # pair to the fixed point of the exactly-coupled map.
     for _ in range(10):
         iterations += 1
-        if iterate(state.a != wave_amplitude and abs(state.a) > 0) <= config.tol:
+        if iterate(state.a != wave.a and abs(state.a) > 0) <= config.tol:
             break
-    if state.a != wave_amplitude and abs(state.a) > 0:
+    if state.a != wave.a and abs(state.a) > 0:
         wave = solve_periodic(params, eps, state.a, config.periodic)
         ripple_solves += 1
     residual = system_residual(ops, state, wave)

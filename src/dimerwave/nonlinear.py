@@ -122,18 +122,8 @@ class VectorField:
 # -- matrix-symbol application -------------------------------------------------
 
 
-def _diag_entries(symbols: SymbolSet, x, inverse: bool):
-    """2x2 entries of the diagonalizer (or its inverse) at wavenumbers x."""
-    vm, vp = symbols.eigvec_v_pm(np.atleast_1d(x))
-    one = np.ones_like(vm)
-    if not inverse:
-        return [[vm, one], [one, vp]]
-    det = vm * vp - 1
-    return [[vp / det, -one / det], [-one / det, vm / det]]
-
-
 def _line_entries(symbols: SymbolSet, eps, grid: LineGrid, inverse: bool):
-    """``_diag_entries`` at ``eps*grid.k``, tabulated once per grid and eps.
+    """``symbols.diagonalizer`` at ``eps*grid.k``, tabulated once per grid and eps.
 
     The table lives in ``symbols.line_tables``, so it lasts as long as the
     solve that owns the symbols.  Two threads that miss the same key both
@@ -142,12 +132,17 @@ def _line_entries(symbols: SymbolSet, eps, grid: LineGrid, inverse: bool):
     key = (grid, type(eps), eps, inverse)
     E = symbols.line_tables.get(key)
     if E is None:
-        E = symbols.line_tables[key] = _diag_entries(symbols, eps * grid.k, inverse)
+        E = symbols.line_tables[key] = symbols.diagonalizer(eps * grid.k, inverse)
     return E
 
 
-def _apply_matrix(symbols: SymbolSet, eps, v: VectorField, inverse=False) -> VectorField:
-    """Apply J (or J1) with symbol arguments eps*k to both halves of v."""
+def apply_J(symbols: SymbolSet, eps, v: VectorField, inverse: bool = False) -> VectorField:
+    """Apply the diagonalizer ``J`` (or its inverse) to a mixed field.
+
+    Line parts see the symbol at ``eps*k``, ripple coefficients at
+    ``eps*omega*j``; this is the map between diagonal coordinates and the
+    physical displacement pair.
+    """
     grid = v.grid
     E = _line_entries(symbols, eps, grid, inverse)
     F1, F2 = grid.rfft(v.line1.values), grid.rfft(v.line2.values)
@@ -156,7 +151,7 @@ def _apply_matrix(symbols: SymbolSet, eps, v: VectorField, inverse=False) -> Vec
     even = v.line1.even and v.line2.even
     M = max(v.per1.M, v.per2.M)
     c1, c2 = v.per1.pad_to(M).coeffs, v.per2.pad_to(M).coeffs
-    Ep = _diag_entries(symbols, eps * v.omega * np.arange(M + 1), inverse)
+    Ep = symbols.diagonalizer(eps * v.omega * np.arange(M + 1), inverse)
     out_p1 = PeriodicField(Ep[0][0] * c1 + Ep[0][1] * c2)
     out_p2 = PeriodicField(Ep[1][0] * c1 + Ep[1][1] * c2)
     return VectorField(
@@ -257,23 +252,13 @@ def B_eps(symbols: SymbolSet, theta: VectorField, theta2: VectorField, eps) -> V
     omega = theta._common_omega(theta2)
     p = symbols.params
     cx = theta.grid.cos_phase(omega, 2)
-    a = _to_mixed(_apply_matrix(symbols, eps, theta), cx)
-    b = a if theta2 is theta else _to_mixed(_apply_matrix(symbols, eps, theta2), cx)
+    a = _to_mixed(apply_J(symbols, eps, theta), cx)
+    b = a if theta2 is theta else _to_mixed(apply_J(symbols, eps, theta2), cx)
     prod = [_mixed_mul(a[i], b[i]) for i in range(2)]
     prod[0] = prod[0].scaled(p.beta / p.kappa)
     even = all(f.even for f in (theta.line1, theta.line2, theta2.line1, theta2.line2))
     inner = _from_mixed(theta.grid, prod, omega, even)
-    return _apply_matrix(symbols, eps, inner, inverse=True)
-
-
-def apply_J(symbols: SymbolSet, eps, v: VectorField, inverse: bool = False) -> VectorField:
-    """Apply the diagonalizer ``J`` (or its inverse) to a mixed field.
-
-    Line parts see the symbol at ``eps*k``, ripple coefficients at
-    ``eps*omega*j``; this is the map between diagonal coordinates and the
-    physical displacement pair.
-    """
-    return _apply_matrix(symbols, eps, v, inverse)
+    return apply_J(symbols, eps, inner, inverse=True)
 
 
 def Q_eps(symbols: SymbolSet, theta: VectorField, theta2: VectorField,
@@ -293,14 +278,14 @@ def Q_eps(symbols: SymbolSet, theta: VectorField, theta2: VectorField,
     if len(omegas) > 1:
         raise InvalidParams("cannot combine ripples of different frequencies")
     omega = omegas.pop() if omegas else 0.0
-    W = _apply_matrix(symbols, eps, theta)
-    W2 = W if theta2 is theta else _apply_matrix(symbols, eps, theta2)
+    W = apply_J(symbols, eps, theta)
+    W2 = W if theta2 is theta else apply_J(symbols, eps, theta2)
     if theta3 is theta:
         W3 = W
     elif theta3 is theta2:
         W3 = W2
     else:
-        W3 = _apply_matrix(symbols, eps, theta3)
+        W3 = apply_J(symbols, eps, theta3)
     cx = theta.grid.cos_phase(omega, 2)
     a = _to_mixed(W, cx)
     b = a if W2 is W else _to_mixed(W2, cx)
@@ -317,7 +302,7 @@ def Q_eps(symbols: SymbolSet, theta: VectorField, theta2: VectorField,
         for f in (v.line1, v.line2)
     )
     inner = _from_mixed(theta.grid, prod, omega, even)
-    return _apply_matrix(symbols, eps, inner, inverse=True)
+    return apply_J(symbols, eps, inner, inverse=True)
 
 
 def BQ_eps(symbols: SymbolSet, v: VectorField, third: VectorField, eps) -> VectorField:

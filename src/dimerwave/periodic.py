@@ -74,15 +74,6 @@ class PeriodicState:
             raise InvalidParams("optical corrector has fundamental-mode content")
         return self
 
-    def norm(self) -> float:
-        return float(
-            max(
-                np.max(np.abs(self.psi1.coeffs)),
-                np.max(np.abs(self.psi2.coeffs)),
-                abs(self.t),
-            )
-        )
-
 
 @dataclass
 class PeriodicWave:

@@ -84,7 +84,7 @@ def test_c06b_conjugation_halving_ratio_window():
 
 def test_c07_norm_variant_equivalence():
     t0 = time.perf_counter()
-    _check("07 norm equivalence", gates.norms(), t0, 5.0)
+    _check("07 norm equivalence", gates.weighted_norms(), t0, 5.0)
 
 
 def test_c08_periodic_family():

@@ -81,6 +81,12 @@ class TestDispatch:
         (["nanopteron", "--threads", "0"], "--threads must be at least 1"),
         (["simulate", "--snap-every", "0"], "snap_every must be at least 1"),
         (["simulate", "--snap-every", "-5"], "snap_every must be at least 1"),
+        (["nanopteron", "--eps", "nan"], "eps must be a finite number > 0, got nan"),
+        (["nanopteron", "--sweep", "0.2,nan"], "eps must be a finite number > 0, got nan"),
+        (["nanopteron", "--eps", "0"], "eps must be a finite number > 0, got 0.0"),
+        (["dispersion", "--eps", "inf"], "eps must be a finite number > 0, got inf"),
+        (["dispersion", "--eps", "-0.2"], "eps must be a finite number > 0, got -0.2"),
+        (["simulate", "--eps", "nan"], "eps must be a finite number > 0, got nan"),
     ])
     def test_malformed_input_exits_2_naming_the_limit(self, tmp_path, capsys, argv, limit):
         assert dispatch(argv + ["--out", str(tmp_path)]) == 2
@@ -298,8 +304,9 @@ class TestSweep:
         for name in ("nanopteron_eps0.1_record.txt", "nanopteron_eps0.1.npz",
                      "nanopteron_eps0.1.csv"):
             assert (tmp_path / name).exists()
-        assert "amplitude_resolved = PASS" in (
-            tmp_path / "nanopteron_eps0.1_record.txt").read_text()
+        record = (tmp_path / "nanopteron_eps0.1_record.txt").read_text()
+        listed = record.split("[gates]\n")[1].split("\n\n")[0].splitlines()
+        assert listed and all(" = PASS (" in line for line in listed)
         assert "amplitude_resolved = FAIL" in (
             tmp_path / "nanopteron_eps0.05_record.txt").read_text()
         assert not (tmp_path / "nanopteron_eps0.05.npz").exists()

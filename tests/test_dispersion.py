@@ -112,24 +112,30 @@ def test_point_values_against_reference(symbols):
     assert vp == pytest.approx(POINT_REF["v_plus_at_0.7"], abs=1e-14)
 
 
+def _matrices(symbols, k, inverse=False):
+    """``symbols.diagonalizer`` entries as a stack of 2x2 matrices, one per k."""
+    return np.moveaxis(np.array(symbols.diagonalizer(k, inverse)), -1, 0)
+
+
 def test_diagonalizer_inverse_and_values(symbols):
     kappa = symbols.params.kappa
     for k in [0.0, 0.4, 1.1, np.pi / 2, 2.8]:
-        J, J1 = symbols.J_and_J1(k)
+        (J,), (J1,) = _matrices(symbols, k), _matrices(symbols, k, inverse=True)
         assert np.max(np.abs(J @ J1 - np.eye(2))) < 1e-12
-    J0, J10 = symbols.J_and_J1(0.0)
+    (J0,), (J10,) = _matrices(symbols, 0.0), _matrices(symbols, 0.0, inverse=True)
     assert np.allclose(J0, [[1 / kappa, 1.0], [1.0, -1.0]], atol=1e-14)
     expected = kappa / (kappa + 1) * np.array([[1.0, 1.0], [1.0, -1 / kappa]])
     assert np.allclose(J10, expected, atol=1e-14)
 
 
 def test_diagonalizer_never_singular(symbols):
-    # det J = v_minus*v_plus - 1 <= -1 for kappa > 1, so the guard must not
-    # fire anywhere on a dense grid.
-    for k in np.linspace(-np.pi, np.pi, 2001):
-        J, J1 = symbols.J_and_J1(k)
-        vm, vp = symbols.eigvec_v_pm(k)
-        assert vm * vp - 1 <= -1 + 1e-12
+    # det J = v_minus*v_plus - 1 <= -1 for kappa > 1, so the inverse is
+    # finite and inverts J everywhere on a dense grid.
+    k = np.linspace(-np.pi, np.pi, 2001)
+    vm, vp = symbols.eigvec_v_pm(k)
+    assert np.all(vm * vp - 1 <= -1 + 1e-12)
+    J, J1 = _matrices(symbols, k), _matrices(symbols, k, inverse=True)
+    assert np.max(np.abs(J @ J1 - np.eye(2))) < 1e-12
 
 
 def test_derivative_matches_finite_differences(symbols):
@@ -175,6 +181,13 @@ def test_resonance_against_reference(kappa, eps):
     assert abs(r.c**2 * r.Omega**2 - S.lambda_pm(r.Omega)[1]) <= 1e-12
     assert np.sqrt(2 * kappa) / r.c <= r.Omega <= np.sqrt(2 + 2 * kappa) / r.c
     assert r.Upsilon != 0
+
+
+@pytest.mark.parametrize("eps", [np.nan, np.inf, -np.inf, 0.0, -0.2, np.longdouble("nan")])
+def test_resonance_refuses_non_finite_or_non_positive_eps(eps):
+    S = SymbolSet(DimerParams(kappa=2.0, beta=1.0))
+    with pytest.raises(InvalidParams, match="eps must be a finite number > 0"):
+        S.find_resonance(eps)
 
 
 def test_resonance_longdouble_pipeline():

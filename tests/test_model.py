@@ -3,6 +3,8 @@
 Oracle: the physical force laws ``F(x) = k x + b x**2 + x**3 Nbar(x)``
 evaluated directly; ``nondimensionalize`` must reproduce
 ``force(., which, r) = F(a1 r)/(kappa2 a1)`` with ``a1 = kappa2/beta2``.
+The in-place Horner of ``polyval_ascending`` is checked bit for bit against
+the allocating form ``result = result * r + c``.
 """
 
 import numpy as np
@@ -11,7 +13,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dimerwave.errors import InvalidParams
-from dimerwave.model import PhysicalSprings, force, nondimensionalize, potential
+from dimerwave.model import (
+    DimerParams,
+    PhysicalSprings,
+    force,
+    nondimensionalize,
+    polyval_ascending,
+    potential,
+    spring_law,
+)
 
 _nonzero = st.one_of(st.floats(0.2, 3.0), st.floats(-3.0, -0.2))
 _remainder = st.lists(st.floats(-2.0, 2.0), max_size=3).map(tuple)
@@ -87,3 +97,28 @@ def test_force_rejects_unknown_spring():
         force(params, "middle", 0.1)
     with pytest.raises(ValueError):
         potential(params, "middle", 0.1)
+
+
+def _horner_oracle(coeffs, r):
+    result = np.zeros_like(r) if isinstance(r, np.ndarray) else r * 0
+    for c in reversed(tuple(coeffs)):
+        result = result * r + c
+    return result
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_polyval_matches_allocating_horner_bitwise(dtype):
+    # per-site remainder rows of a ring, as the integrator's force reads them
+    params = DimerParams(kappa=2.0, beta=1.0, n1=(0.5,), n2=(-0.3, 0.1, 0.7))
+    odd = np.arange(1024) % 2 == 1
+    rem = spring_law(params, odd).rem
+    rng = np.random.default_rng(5)
+    r = rng.uniform(-1.5, 1.5, odd.size).astype(dtype)
+    r[:4] = (np.inf, -np.inf, np.nan, 0.0)
+    for coeffs in (rem, rem[:1], (), params.n2):
+        with np.errstate(invalid="ignore"):  # inf * 0 and inf - inf on the first sites
+            got = polyval_ascending(coeffs, r)
+            want = _horner_oracle(coeffs, r)
+        assert got.dtype == want.dtype == np.dtype(dtype)
+        assert np.array_equal(got, want, equal_nan=True)
+    assert polyval_ascending(params.n2, dtype(0.4)) == _horner_oracle(params.n2, dtype(0.4))

@@ -141,18 +141,18 @@ def test_Q_pointwise_oracle_pure_line(setup):
     # For pure line fields the whole sandwich can be checked against a direct
     # pointwise evaluation between the two (independently tested) transforms.
     S, grid, sigma, bump = setup
-    from dimerwave.nonlinear import _apply_matrix
+    from dimerwave.nonlinear import apply_J
 
     th = VectorField.from_line(sigma, bump)
     eps = 0.1
-    W = _apply_matrix(S, eps, th)
+    W = apply_J(S, eps, th)
     h1 = eps**2 * W.line1.values
     h2 = eps**2 * W.line2.values
     from dimerwave.model import polyval_ascending
 
     inner1 = W.line1.values**2 * h1 * polyval_ascending(S.params.n1, h1) / S.params.kappa
     inner2 = W.line2.values**2 * h2 * polyval_ascending(S.params.n2, h2)
-    oracle = _apply_matrix(
+    oracle = apply_J(
         S, eps,
         VectorField.from_line(LineField(grid, inner1), LineField(grid, inner2)),
         inverse=True,
