@@ -40,7 +40,7 @@ for a fixed configuration the data files — and every run-record section
 except the trailing ``[timings]`` one — are byte-identical across reruns.
 
 A plotting helper is deliberately not part of the package; a trajectory dump
-loads with ``numpy.loadtxt(path, delimiter=",", skiprows=1)`` and reshapes to
+loads with ``numpy.loadtxt(path, delimiter=",", skiprows=2)`` and reshapes to
 (snapshots, sites) for e.g. ``matplotlib.pyplot.pcolormesh``.
 """
 
@@ -144,26 +144,34 @@ def _cells(values: np.ndarray):
     """``_fmt`` of every value of one column, formatted a column at a time."""
     if values.dtype.kind == "f":  # _fmt prints repr of the float64 value
         return list(map(repr, values.astype(np.float64).tolist()))
-    if values.dtype.kind in "iu":
-        return list(map(str, values.tolist()))
     return list(map(_fmt, values.tolist()))
 
 
 def _write_csv(path: Path, header, blocks):
     """Write a CSV whose cells read as ``_fmt`` prints them.
 
-    ``blocks`` yields tuples of equal-length columns.  Each block is formatted
-    a column at a time, ``_CSV_ROWS_PER_WRITE`` rows per write call, so
-    memory holds that many formatted rows whatever the file size.
+    ``blocks`` yields tuples of equal-length arrays and 0-d values, which fill
+    every row.  An array that is the same (unmodified) object as in the last
+    block keeps its cells; others are formatted ``_CSV_ROWS_PER_WRITE`` rows at a time.
     """
+    previous, kept = (), {}  # the last block's columns; cells of repeated arrays
     with path.open("w", newline="\n") as fh:
         fh.write(f"# schema = {SCHEMA_CSV}\n")
         fh.write(",".join(header) + "\n")
         for columns in blocks:
-            columns = [np.asarray(col) for col in columns]
-            for lo in range(0, min(map(len, columns)), _CSV_ROWS_PER_WRITE):
-                cells = [_cells(col[lo:lo + _CSV_ROWS_PER_WRITE]) for col in columns]
-                fh.write("".join(",".join(row) + "\n" for row in zip(*cells)))
+            arrays = [np.asarray(col) for col in columns]
+            rows = min((len(a) for a in arrays if a.ndim), default=1)
+            kept = {i: kept[i] if i in kept else _cells(a)
+                    for i, (col, a) in enumerate(zip(columns, arrays))
+                    if a.ndim and i < len(previous) and previous[i] is col}
+            filled = {i: _cells(a.reshape(1)) * min(rows, _CSV_ROWS_PER_WRITE)
+                      for i, a in enumerate(arrays) if not a.ndim}
+            previous = columns
+            for lo in range(0, rows, _CSV_ROWS_PER_WRITE):
+                hi = lo + _CSV_ROWS_PER_WRITE
+                cells = [filled[i] if i in filled else kept[i][lo:hi] if i in kept
+                         else _cells(a[lo:hi]) for i, a in enumerate(arrays)]
+                fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 # -- solution files -----------------------------------------------------------
@@ -461,8 +469,7 @@ def cmd_simulate(cfg) -> int:
     rec.summary.update(speed=prof.c, steps=int(round(horizon / cfg["dt"])), **measured)
     rec.add(rows)
     out = _outdir(cfg)
-    blocks = ((np.full(len(traj.sites), t), traj.sites, R)
-              for t, R in zip(traj.times, traj.R))
+    blocks = ((t, traj.sites, R) for t, R in zip(traj.times, traj.R))
     _write_csv(out / "trajectory.csv", ("t", "j", "r_j"), blocks)
     rec.write(out / "simulate_record.txt")
     rec.print_gates()

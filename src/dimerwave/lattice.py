@@ -57,12 +57,12 @@ class LatticeConfig:
 
     def __post_init__(self):
         _site_array(self.sites)
-        if not self.dt > 0:
-            raise InvalidParams(f"dt must be positive, got {self.dt}")
+        if not 0 < self.dt < np.inf:
+            raise InvalidParams(f"dt must be positive and finite, got {self.dt}")
         if self.integrator != "rk4":
             raise InvalidParams(f"unknown integrator {self.integrator!r}")
-        if not self.T >= self.dt:
-            raise InvalidParams("final time T must cover at least one step")
+        if not self.dt <= self.T < np.inf:
+            raise InvalidParams(f"T must be finite and cover at least one step, got {self.T}")
         if not self.snap_every >= 1:
             raise InvalidParams(f"snap_every must be at least 1, got {self.snap_every}")
 
@@ -320,19 +320,27 @@ def shape_error(traj: LatticeTrajectory, profile: TravelingProfile, t=None) -> f
     return float(np.max(np.abs(traj.R[i] - ref)) / scale)
 
 
-def _upsample(F, n: int, factor: int):
-    """Inverse transform of a circular rfft spectrum onto a grid refined
-    ``factor``-fold (Nyquist bin split between its two images)."""
-    pad = np.zeros(n * factor // 2 + 1, dtype=complex)
-    pad[: len(F)] = F
-    pad[len(F) - 1] *= 0.5
-    return np.fft.irfft(pad, n=n * factor) * factor
+_FACTOR = 16  # fine points per comb spacing
+_OFFSETS = np.arange(-2 * _FACTOR, 2 * _FACTOR + 1)  # the crest window: 2 comb spacings
+
+
+def _crest_table(n: int):
+    """Rows that take an ``n``-point comb's rfft to its band-limited interpolant
+    at the fine offsets ``_OFFSETS/_FACTOR`` from sample 0 (Nyquist bin split
+    between its two images, as on a grid refined ``_FACTOR``-fold)."""
+    w = np.full(n // 2 + 1, 2.0 / n)
+    w[0] = w[-1] = 1.0 / n
+    N = n * _FACTOR
+    table = np.outer(_OFFSETS, np.arange(n // 2 + 1)) % N * (2j * np.pi / N)
+    return np.multiply(np.exp(table, out=table), w, out=table)  # about 1 MB at n = 2048
 
 
 def _parabolic_max(fine):
-    """Vertex of the parabola through the grid maximum and its neighbours."""
+    """Vertex of the parabola through the maximum and its neighbours; an edge maximum is kept."""
     i = int(np.argmax(fine))
-    y0, y1, y2 = fine[i - 1], fine[i], fine[(i + 1) % len(fine)]
+    if i in (0, len(fine) - 1):
+        return float(fine[i])
+    y0, y1, y2 = fine[i - 1], fine[i], fine[i + 1]
     denom = y0 - 2.0 * y1 + y2
     if denom >= 0.0:  # flat or degenerate; keep the grid value
         return float(y1)
@@ -340,21 +348,21 @@ def _parabolic_max(fine):
     return float(y1 - 0.25 * (y0 - y2) * d)
 
 
-def _line_corrected_peak(values, spacing: float, wavenumber: float,
-                         factor: int = 16):
+def _line_corrected_peak(values, spacing: float, wavenumber: float, table):
     """Comb peak height by Fourier upsampling, with the radiation line rebuilt.
 
     The parity combs sample the core at only ~2 points per width, so the
     raw maximum (or a three-point parabola) wobbles by several percent as
     the crest slides between sites; band-limited interpolation (circular)
-    recovers the crest height to the comb's aliasing level.
+    recovers the crest height to the comb's aliasing level.  It is evaluated
+    only near the comb's maximum, by ``table = _crest_table(len(values))``.
 
     A ripple whose per-site wavenumber exceeds the comb Nyquist aliases
     under blind band-limited interpolation, smearing the crest estimate by
     the full ripple amplitude as the crest slides between samples.  When
     the wavenumber is known (and commensurate, so the line occupies a
     single bin), the line is lifted out of the comb spectrum, the smooth
-    remainder is upsampled, and the line is added back evaluated at its
+    remainder is interpolated, and the line is added back evaluated at its
     physical frequency.  At wavenumber 0 no line is lifted.
     """
     n = len(values)
@@ -364,16 +372,17 @@ def _line_corrected_peak(values, spacing: float, wavenumber: float,
     if folded:
         f = 2.0 * np.pi - f
     b = int(round(f * n / (2.0 * np.pi)))
-    line = np.zeros(1, dtype=complex)
-    if 0 < b < n // 2:
+    lifted = 0 < b < n // 2
+    if lifted:
         line = 2.0 * F[b] / n
         if folded:
             line = np.conj(line)
-        F = F.copy()
         F[b] = 0.0
-    fine = _upsample(F, n, factor)
-    x = spacing * np.arange(n * factor) / factor  # offsets from sample 0
-    fine = fine + np.real(line * np.exp(1j * wavenumber * x))
+    i0 = int(np.argmax(values))  # shift the spectrum to put sample i0 at offset 0
+    fine = (table @ (F * np.exp(2j * np.pi * (np.arange(len(F)) * i0 % n) / n))).real
+    if lifted:
+        x = spacing * ((i0 * _FACTOR + _OFFSETS) % (n * _FACTOR)) / _FACTOR  # from sample 0
+        fine = fine + np.real(line * np.exp(1j * wavenumber * x))
     return _parabolic_max(fine)
 
 
@@ -406,10 +415,11 @@ def stegoton_diagnostics(traj: LatticeTrajectory, core_width: float,
     wavenumber = ripple_wavenumber or 0.0
     even_peaks, odd_peaks, tails = [], [], []
     J = len(traj.sites)
+    table = _crest_table(J // 2)  # both parity combs hold J/2 sites
     for i in range(len(traj.times)):
         r = traj.R[i]
-        even_peaks.append(_line_corrected_peak(r[~odd], 2.0, wavenumber))
-        odd_peaks.append(_line_corrected_peak(r[odd], 2.0, wavenumber))
+        even_peaks.append(_line_corrected_peak(r[~odd], 2.0, wavenumber, table))
+        odd_peaks.append(_line_corrected_peak(r[odd], 2.0, wavenumber, table))
         crest = traj.sites[int(np.argmax(r))]
         dist = np.abs(traj.sites - crest)
         dist = np.minimum(dist, J - dist)

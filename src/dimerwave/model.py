@@ -134,6 +134,11 @@ class DimerParams:
     kdv_alpha: float = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "n1", tuple(float(c) for c in self.n1))
+        object.__setattr__(self, "n2", tuple(float(c) for c in self.n2))
+        for name in ("kappa", "beta", "n1", "n2"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise InvalidParams(f"{name} must be finite, got {getattr(self, name)}")
         if not self.kappa > 1:
             raise InvalidParams(f"kappa must exceed 1, got {self.kappa}")
         if self.beta == 0:
@@ -142,8 +147,6 @@ class DimerParams:
             raise InvalidParams(
                 f"beta + kappa**3 must be nonzero, got beta={self.beta}, kappa={self.kappa}"
             )
-        object.__setattr__(self, "n1", tuple(float(c) for c in self.n1))
-        object.__setattr__(self, "n2", tuple(float(c) for c in self.n2))
         c, alpha = derived_constants(self.kappa)
         object.__setattr__(self, "sound_speed", float(c))
         object.__setattr__(self, "kdv_alpha", float(alpha))

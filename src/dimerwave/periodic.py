@@ -248,12 +248,12 @@ def solve_periodic(
     Raises
     ------
     InvalidParams
-        If ``|a|`` exceeds the configured contraction-region bound.
+        If ``|a|`` is NaN or exceeds the configured contraction-region bound.
     NoConvergence
         If Picard iteration stops contracting or the iteration budget or the
         mode budget is exhausted.
     """
-    if abs(a) > config.a_max:
+    if not abs(a) <= config.a_max:
         raise InvalidParams(f"|a|={abs(a)} exceeds a_max={config.a_max}")
     solver = PeriodicSolver(params, eps, config)
     while True:

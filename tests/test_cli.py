@@ -87,6 +87,11 @@ class TestDispatch:
         (["dispersion", "--eps", "inf"], "eps must be a finite number > 0, got inf"),
         (["dispersion", "--eps", "-0.2"], "eps must be a finite number > 0, got -0.2"),
         (["simulate", "--eps", "nan"], "eps must be a finite number > 0, got nan"),
+        (["dispersion", "--kappa", "inf"], "kappa must be finite, got inf"),
+        (["nanopteron", "--beta", "inf"], "beta must be finite, got inf"),
+        (["simulate", "--beta", "inf"], "beta must be finite, got inf"),
+        (["simulate", "--T", "inf"], "T must be finite and cover at least one step, got inf"),
+        (["periodic", "--amplitude", "nan"], "|a|=nan exceeds a_max=0.01"),
     ])
     def test_malformed_input_exits_2_naming_the_limit(self, tmp_path, capsys, argv, limit):
         assert dispatch(argv + ["--out", str(tmp_path)]) == 2
@@ -261,6 +266,31 @@ class TestCsvWriter:
         _write_csv(tmp_path / "got.csv", header, blocks)
         _per_element_csv(tmp_path / "want.csv", header,
                          (row for cols in blocks for row in zip(*cols)))
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_scalar_column_matches_per_element_writer(self, tmp_path):
+        # a 0-d column fills every row of its block
+        header = ("t", "j", "x", "flag")
+        blocks = [
+            (0.1, np.arange(4), np.array([0.5, -0.0, 1e22, np.nan]), np.True_),
+            (np.float64(2.5e-7), np.arange(3) - 1, np.linspace(0, 1, 3), False),
+            (np.longdouble(1) / 3, np.array([7]), np.array([np.inf]), np.bool_(True)),
+        ]
+        _write_csv(tmp_path / "got.csv", header, blocks)
+        rows = ((t, j, x, flag) for t, js, xs, flag in blocks for j, x in zip(js, xs))
+        _per_element_csv(tmp_path / "want.csv", header, rows)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_repeated_column_matches_per_element_writer(self, tmp_path):
+        # the same array object in consecutive blocks, then a new object
+        # of equal length, which must not be mistaken for it
+        sites = np.arange(300) - 150
+        values = np.random.default_rng(0).standard_normal((5, 300))
+        columns = [sites, sites, sites, sites[::-1].copy(), sites]
+        blocks = [(t, col, v) for t, col, v in zip(range(5), columns, values)]
+        _write_csv(tmp_path / "got.csv", ("t", "j", "r_j"), blocks)
+        rows = ((t, j, x) for t, col, v in blocks for j, x in zip(col, v))
+        _per_element_csv(tmp_path / "want.csv", ("t", "j", "r_j"), rows)
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 

@@ -17,6 +17,9 @@ from dimerwave.kdv import core_profile
 from dimerwave.lattice import (
     LatticeConfig,
     TravelingProfile,
+    _crest_table,
+    _line_corrected_peak,
+    _parabolic_max,
     acceleration,
     lattice_energy,
     shape_error,
@@ -31,6 +34,45 @@ from dimerwave.spectral import LineField, LineGrid
 QUAD = DimerParams(kappa=2.0, beta=1.0, n1=(), n2=())
 CUBIC = DimerParams(kappa=2.0, beta=1.0, n1=(0.5,), n2=(-0.3, 0.1))
 CK = 2.0 / np.sqrt(3.0)
+
+
+def _full_upsample_peak(values, spacing, wavenumber, factor=16):
+    """Crest oracle: the whole comb upsampled ``factor``-fold (circular), the
+    lifted line added back on every fine point, and the parabola through the
+    global fine maximum and its circular neighbours."""
+    n = len(values)
+    F = np.fft.rfft(values)
+    f = (wavenumber * spacing) % (2.0 * np.pi)
+    folded = f > np.pi
+    if folded:
+        f = 2.0 * np.pi - f
+    b = int(round(f * n / (2.0 * np.pi)))
+    line = np.zeros(1, dtype=complex)
+    if 0 < b < n // 2:
+        line = 2.0 * F[b] / n
+        if folded:
+            line = np.conj(line)
+        F = F.copy()
+        F[b] = 0.0
+    pad = np.zeros(n * factor // 2 + 1, dtype=complex)
+    pad[: len(F)] = F
+    pad[len(F) - 1] *= 0.5
+    fine = np.fft.irfft(pad, n=n * factor) * factor
+    x = spacing * np.arange(n * factor) / factor
+    fine = fine + np.real(line * np.exp(1j * wavenumber * x))
+    i = int(np.argmax(fine))
+    y0, y1, y2 = fine[i - 1], fine[i], fine[(i + 1) % len(fine)]
+    denom = y0 - 2.0 * y1 + y2
+    if denom >= 0.0:
+        return float(y1)
+    d = 0.5 * (y0 - y2) / denom
+    return float(y1 - 0.25 * (y0 - y2) * d)
+
+
+def _crest_pair(values, wavenumber):
+    """The crest-window estimate and the full-upsample oracle of one comb."""
+    got = _line_corrected_peak(values, 2.0, wavenumber, _crest_table(len(values)))
+    return got, _full_upsample_peak(values, 2.0, wavenumber)
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +99,10 @@ class TestConfig:
             {"dt": -0.1},
             {"integrator": "verlet"},
             {"T": 0.001, "dt": 0.01},
+            {"dt": np.inf},
+            {"dt": np.nan},
+            {"T": np.inf},
+            {"T": np.nan},
         ],
     )
     def test_bad_config_rejected(self, kwargs):
@@ -381,6 +427,49 @@ class TestTravelingWave:
         prof, traj = ring02
         rep = stegoton_diagnostics(traj, prof.core_width_sites())
         assert np.max(np.abs(rep.ratios - 2.0) / 2.0) <= 0.05
+
+    @pytest.mark.parametrize("with_line", [True, False])
+    def test_crest_window_matches_full_upsample(self, ring02, with_line):
+        prof, traj = ring02
+        k = 0.2 * prof.omega if with_line else 0.0
+        for r in traj.R:
+            for comb in (r[~traj.odd], r[traj.odd]):
+                got, want = _crest_pair(comb, k)
+                assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    @staticmethod
+    def _synthetic_comb(n, crest, wavenumber=0.0):
+        """A two-sample-wide sech^2 core centred at ``crest`` (ring-periodic)
+        plus a 1e-3 line of the given per-site wavenumber on spacing 2."""
+        i = np.arange(n)
+        dist = (i - crest + n / 2) % n - n / 2
+        return 1 / np.cosh(dist / 2.0) ** 2 + 1e-3 * np.cos(wavenumber * 2.0 * i + 0.4)
+
+    @pytest.mark.parametrize("crest", [0.3, -0.2, 255.2, 254.7])
+    def test_crest_window_across_the_seam(self, crest):
+        # comb maximum at index 0 or n - 1: the window wraps round the ring
+        n = 256
+        k = 2 * np.pi * 40 / (n * 2.0)
+        comb = self._synthetic_comb(n, crest, k)
+        assert int(np.argmax(comb)) in (0, n - 1)
+        for wavenumber in (k, 0.0):
+            got, want = _crest_pair(comb, wavenumber)
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("crest", [100.0, 100.37, 100.5])
+    def test_crest_window_folded_line(self, crest):
+        # wavenumber * spacing > pi: the line folds below the comb Nyquist
+        n = 256
+        k = 2 * np.pi * (n - 40) / (n * 2.0)
+        assert k * 2.0 > np.pi
+        got, want = _crest_pair(self._synthetic_comb(n, crest, k), k)
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    def test_crest_window_edge_maximum_reads_no_far_neighbour(self):
+        # a maximum on either edge keeps its value: no parabola through the far end
+        fine = np.linspace(0.0, 1.0, 65)
+        assert _parabolic_max(fine) == 1.0
+        assert _parabolic_max(fine[::-1]) == 1.0
 
     def test_ripple_tail_scale(self, ring02, solved02):
         state, _, _ = solved02

@@ -91,6 +91,19 @@ def test_nondimensionalize_rejects_degenerate_quadratic():
         nondimensionalize(PhysicalSprings(kappa1=2.0, kappa2=1.0, beta1=-8.0, beta2=1.0))
 
 
+@pytest.mark.parametrize("field, kwargs", [
+    ("kappa", {"kappa": np.inf}),
+    ("kappa", {"kappa": np.nan}),
+    ("beta", {"beta": np.inf}),
+    ("beta", {"beta": -np.inf}),
+    ("n1", {"n1": (0.5, np.nan)}),
+    ("n2", {"n2": (np.inf,)}),
+])
+def test_non_finite_dimer_params_rejected(field, kwargs):
+    with pytest.raises(InvalidParams, match=f"^{field} must be finite"):
+        DimerParams(**{"kappa": 2.0, "beta": 1.0, **kwargs})
+
+
 def test_force_rejects_unknown_spring():
     params = nondimensionalize(PhysicalSprings())
     with pytest.raises(ValueError):
