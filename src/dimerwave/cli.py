@@ -25,8 +25,7 @@ flag                    meaning                                     default
 --out                   output directory                            runs
 --samples (dispersion)  wavenumber samples on [-pi, pi]             2048
 --amplitude (periodic)  ripple amplitude a                          1e-3
---sweep (nanopteron)    comma list of eps values                    (none)
---threads (nanopteron)  sweep worker pool size                      1
+--sweep (nanopteron)    comma list of eps values, solved in turn    (none)
 --init (simulate)       'leading' or path to a saved solution       leading
 --sites (simulate)      ring size (even)                            512
 --dt (simulate)         integrator step                             0.02
@@ -48,7 +47,6 @@ import argparse
 import sys
 import time
 import zipfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -76,7 +74,6 @@ DEFAULTS = {
     "samples": 2048,
     "amplitude": 1e-3,
     "sweep": None,
-    "threads": 1,
     "init": "leading",
     "sites": 512,
     "dt": 0.02,
@@ -287,7 +284,7 @@ def _parse_config_file(path):
 
 _CONVERTERS = {
     "kappa": float, "beta": float, "eps": float, "out": str, "samples": int,
-    "amplitude": float, "sweep": str, "threads": int, "init": str,
+    "amplitude": float, "sweep": str, "init": str,
     "sites": int, "dt": float, "T": float, "snap_every": int,
 }
 
@@ -307,9 +304,8 @@ def _resolve(args) -> dict:
         flag = getattr(args, key, None)
         if flag is not None:
             cfg[key] = flag
-    for key in ("samples", "threads"):
-        if not cfg[key] >= 1:
-            raise InvalidParams(f"--{key} must be at least 1, got {cfg[key]}")
+    if not cfg["samples"] >= 1:
+        raise InvalidParams(f"--samples must be at least 1, got {cfg['samples']}")
     cfg["command"] = args.command
     return cfg
 
@@ -396,7 +392,7 @@ def _solve_one_nanopteron(params, eps, cfg):
 
 
 def cmd_nanopteron(cfg) -> int:
-    """Solve each eps; write every record, and the data of each solved eps.
+    """Solve each eps in turn; write every record, and the data of each solved eps.
 
     An eps whose amplitude the dtype cannot resolve keeps a record with a
     failed ``amplitude_resolved`` gate, and the command then exits 2.
@@ -408,18 +404,18 @@ def cmd_nanopteron(cfg) -> int:
     except ValueError as exc:
         raise InvalidParams(
             f"--sweep must be a comma list of numbers, got {cfg['sweep']!r}") from exc
-    for eps in eps_list:  # before any solve, so a bad entry costs no work
+    tagged = {}  # output tag -> eps, before any solve, so a bad entry costs no work
+    for eps in eps_list:
         check_eps(eps)
-    out = _outdir(cfg)
-    if cfg["threads"] > 1 and len(eps_list) > 1:
-        with ThreadPoolExecutor(max_workers=cfg["threads"]) as pool:
-            results = list(pool.map(lambda e: _solve_one_nanopteron(params, e, cfg),
-                                    eps_list))
-    else:
-        results = [_solve_one_nanopteron(params, e, cfg) for e in eps_list]
-    code, refusal = 0, None
-    for eps, (rec, solved) in zip(eps_list, results):
         tag = f"eps{eps:g}"
+        if tag in tagged:
+            raise InvalidParams(f"--sweep entries {tagged[tag]!r} and {eps!r} would both "
+                                f"write the files tagged {tag!r}")
+        tagged[tag] = eps
+    out = _outdir(cfg)
+    code, refusal = 0, None
+    for tag, eps in tagged.items():
+        rec, solved = _solve_one_nanopteron(params, eps, cfg)
         rec.write(out / f"nanopteron_{tag}_record.txt")
         if isinstance(solved, UnresolvedAmplitude):
             refusal = refusal or solved
@@ -521,7 +517,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--eps", type=float)
     p.add_argument("--sweep", help="comma-separated eps values")
-    p.add_argument("--threads", type=int)
 
     p = sub.add_parser("simulate", help="integrate a ring and dump (t, j, r_j)")
     common(p)

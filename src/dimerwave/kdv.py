@@ -21,11 +21,21 @@ from .model import DimerParams, derived_constants
 from .spectral import LineField, LineGrid
 
 
-def nonlinear_strength(params: DimerParams) -> float:
+def nonlinear_strength(params: DimerParams, dtype=float):
     """``gamma = (kappa/(kappa+1))*(beta/kappa**3 + 1)``, the quadratic
-    coefficient of the profile equation; nonzero by the model's constraints."""
-    kap = params.kappa
-    return (kap / (kap + 1)) * (params.beta / kap**3 + 1)
+    coefficient of the profile equation, computed in ``dtype``; nonzero by
+    the model's constraints."""
+    kap, beta = dtype(params.kappa), dtype(params.beta)
+    return (kap / (kap + 1)) * (beta / kap**3 + 1)
+
+
+def _soliton_constants(params: DimerParams, dtype):
+    """Amplitude ``3/(2*sound_speed**2*gamma)`` and width ``2*sqrt(kdv_alpha)``
+    of the core, computed in ``dtype``."""
+    c, alpha = derived_constants(params.kappa, dtype)
+    A = dtype(3) / (dtype(2) * c * c * nonlinear_strength(params, dtype))
+    w = dtype(2) * np.sqrt(alpha)
+    return A, w
 
 
 @dataclass(frozen=True)
@@ -35,7 +45,7 @@ class Soliton:
     Attributes
     ----------
     A : float
-        Amplitude ``(3/(2*sound_speed**2)) * ((kappa+1)/kappa) / (beta/kappa**3 + 1)``;
+        Amplitude ``3/(2*sound_speed**2*gamma)`` (see ``nonlinear_strength``);
         finite and nonzero because ``beta + kappa**3 != 0``.
     w : float
         Width ``2*sqrt(kdv_alpha)`` > 0.
@@ -46,11 +56,9 @@ class Soliton:
     w: float = field(init=False)
 
     def __post_init__(self):
-        c2 = self.params.sound_speed**2
-        kap = self.params.kappa
-        A = (3 / (2 * c2)) * ((kap + 1) / kap) / (self.params.beta / kap**3 + 1)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "w", 2 * np.sqrt(self.params.kdv_alpha))
+        A, w = _soliton_constants(self.params, np.float64)
+        object.__setattr__(self, "A", float(A))
+        object.__setattr__(self, "w", float(w))
 
     def sigma(self, X):
         """Core profile ``A*sech(X/w)**2``, evaluated analytically."""
@@ -68,17 +76,12 @@ class Soliton:
 def core_profile(params: DimerParams, grid: LineGrid):
     """Solitary core ``sigma`` and its slope as fields, in the grid's dtype.
 
-    Mirrors ``Soliton`` exactly in double precision, but recomputes the
-    amplitude/width constants in ``grid.X.dtype`` so extended-precision
-    pipelines (which chase ripple amplitudes near the double rounding floor)
-    see no double-rounded constants anywhere.
+    The amplitude/width constants are ``Soliton``'s, computed in
+    ``grid.X.dtype`` so extended-precision pipelines (which chase ripple
+    amplitudes near the double rounding floor) see no double-rounded
+    constants anywhere.
     """
-    dt = grid.X.dtype.type
-    c, alpha = derived_constants(params.kappa, dt)
-    kap, beta = dt(params.kappa), dt(params.beta)
-    gamma = (kap / (kap + 1)) * (beta / kap**3 + 1)
-    A = dt(3) / (dt(2) * c * c * gamma)
-    w = dt(2) * np.sqrt(alpha)
+    A, w = _soliton_constants(params, grid.X.dtype.type)
     y = grid.X / w
     sech2 = 1 / np.cosh(y) ** 2
     core = LineField(grid, A * sech2, even=True)

@@ -326,10 +326,13 @@ _OFFSETS = np.arange(-2 * _FACTOR, 2 * _FACTOR + 1)  # the crest window: 2 comb 
 
 def _crest_table(n: int):
     """Rows that take an ``n``-point comb's rfft to its band-limited interpolant
-    at the fine offsets ``_OFFSETS/_FACTOR`` from sample 0 (Nyquist bin split
-    between its two images, as on a grid refined ``_FACTOR``-fold)."""
+    at the fine offsets ``_OFFSETS/_FACTOR`` from sample 0 (for even ``n`` the
+    Nyquist bin is split between its two images, as on a grid refined
+    ``_FACTOR``-fold; for odd ``n`` the last bin is an ordinary one)."""
     w = np.full(n // 2 + 1, 2.0 / n)
-    w[0] = w[-1] = 1.0 / n
+    w[0] = 1.0 / n
+    if n % 2 == 0:
+        w[-1] = 1.0 / n
     N = n * _FACTOR
     table = np.outer(_OFFSETS, np.arange(n // 2 + 1)) % N * (2j * np.pi / N)
     return np.multiply(np.exp(table, out=table), w, out=table)  # about 1 MB at n = 2048
@@ -372,7 +375,7 @@ def _line_corrected_peak(values, spacing: float, wavenumber: float, table):
     if folded:
         f = 2.0 * np.pi - f
     b = int(round(f * n / (2.0 * np.pi)))
-    lifted = 0 < b < n // 2
+    lifted = 0 < b and 2 * b < n  # neither the mean nor a Nyquist bin
     if lifted:
         line = 2.0 * F[b] / n
         if folded:

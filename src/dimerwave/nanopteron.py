@@ -33,7 +33,7 @@ config) to push the amplitude floor below double rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,10 +46,10 @@ from .errors import (
     NoConvergence,
     UnresolvedAmplitude,
 )
-from .kdv import core_profile
+from .kdv import core_profile, nonlinear_strength
 from .model import DimerParams, derived_constants
 from .nonlinear import B_eps, BQ_eps, VectorField
-from .periodic import PeriodicConfig, PeriodicWave, solve_periodic
+from .periodic import PeriodicWave, solve_periodic
 from .spectral import (
     LineField,
     LineGrid,
@@ -64,8 +64,14 @@ RIPPLE_UPDATE_THRESHOLD = 0.1
 
 # Largest boundary value |f(-L)|/max|f| a decaying field may keep (see
 # ``NanopteronState.validate``); the lattice, which samples decaying fields
-# only where |X| < L, holds its profiles to the same bound.
+# only where |X| < L, holds its profiles to the same bound.  "Decayed" is
+# meant in the discrete sense: the optical corrector carries a cosine
+# leftover from the zeroed resonant band, of the same size as the residual
+# gate (1e-6 of the core), so the bound allows ten times that.
 DECAY_TOL = 1e-5
+
+# Largest even-symmetry defect, relative to its peak, a corrector may keep.
+SYMMETRY_TOL = 1e-11
 
 # A solved amplitude below this many machine epsilons of the core's peak is
 # rounding noise, not a ripple: at kappa = 2, beta = 1 the float64 solve at
@@ -192,25 +198,19 @@ class NanopteronState:
     eta2: LineField
     a: float
 
-    def validate(self, a_max: float = 1e-2, decay_tol: float = DECAY_TOL,
-                 symmetry_tol: float = 1e-11):
-        """Check evenness, boundary decay, and the amplitude bound.
-
-        The boundary tolerance is "ripple-free" in the discrete sense: the
-        optical corrector carries a cosine leftover from the zeroed resonant
-        band, of the same size as the residual gate (1e-6 of the core), so
-        the default allows ten times that.
-        """
+    def validate(self, a_max: float = 1e-2):
+        """Check evenness (``SYMMETRY_TOL``), boundary decay (``DECAY_TOL``),
+        and the amplitude bound."""
         for name, f in (("eta1", self.eta1), ("eta2", self.eta2)):
             peak = float(np.max(np.abs(f.values)))
             if peak == 0:
                 continue
-            if f.even_defect() > symmetry_tol * peak:
+            if f.even_defect() > SYMMETRY_TOL * peak:
                 raise InvalidParams(
                     f"{name} symmetry defect {f.even_defect() / peak:.2e} "
-                    f"exceeds {symmetry_tol:.1e}"
+                    f"exceeds {SYMMETRY_TOL:.1e}"
                 )
-            if f.boundary_decay() > decay_tol:
+            if f.boundary_decay() > DECAY_TOL:
                 raise InvalidParams(
                     f"{name} boundary value {f.boundary_decay():.2e} of peak; "
                     "window too short for a ripple-free corrector"
@@ -241,10 +241,7 @@ class NanopteronConfig:
     max_iter: int = 60
     a_max: float = 1e-2
     fixed_point: str = "new"
-    gmres_tol: float = 1e-12
-    gmres_max_iter: int = 400
     dtype: type = np.float64
-    periodic: PeriodicConfig = field(default_factory=PeriodicConfig)
 
     def __post_init__(self):
         if self.fixed_point not in ("new", "original"):
@@ -261,13 +258,11 @@ class SolverOperators:
     field ``chi``, and the solvability weight ``upsilon``.
 
     Instances are immutable after construction, apart from the GMRES
-    iteration counters that ``A_solve`` updates, and safe to share across
-    worker threads *at the same eps* (the counters then mix their solves).
+    iteration counters that ``A_solve`` updates.
     """
 
     def __init__(self, params: DimerParams, eps, grid: LineGrid,
-                 resonance: Resonance = None, gmres_tol: float = 1e-12,
-                 gmres_max_iter: int = 400, check: bool = True):
+                 resonance: Resonance = None, check: bool = True):
         self.params = params
         self.grid = grid
         dt = grid.X.dtype.type
@@ -279,13 +274,11 @@ class SolverOperators:
                 f"grid spacing {grid.dx:.4f} cannot resolve the ripple at "
                 f"omega = {float(self.resonance.omega):.2f}; increase n"
             )
-        self.gmres_tol = gmres_tol
-        self.gmres_max_iter = gmres_max_iter
         self.sigma, self.sigma_slope = core_profile(params, grid)
         kap, beta = dt(params.kappa), dt(params.beta)
         # couplings of the linearized bilinear about the core:
         # 2 varpi0[B0_1((sigma,0), eta)] = 2 varpi0[sigma (gamma1 eta1 + gamma2 eta2)]
-        self.gamma1 = (kap / (kap + 1)) * (beta / kap**3 + 1)
+        self.gamma1 = nonlinear_strength(params, dt)
         self.gamma2 = (kap / (kap + 1)) * (beta / kap**2 - 1)
         k = grid.k
         _, self.varpi_eps_table, self.varpi0_table = self.symbols.varpi_symbols(self.eps, k)
@@ -339,8 +332,7 @@ class SolverOperators:
 
     def A_solve(self, f: LineField) -> LineField:
         """``A^{-1} f`` by matrix-free GMRES (records the iteration counts)."""
-        x, its = gmres(self._A_values, f.values, tol=self.gmres_tol,
-                       max_iter=self.gmres_max_iter)
+        x, its = gmres(self._A_values, f.values)
         self.last_gmres_iterations = its
         self.gmres_iterations += its
         return LineField(self.grid, x, f.even)
@@ -522,12 +514,9 @@ def solve_nanopteron(params: DimerParams, eps, config: NanopteronConfig = None):
     grid = LineGrid(n, config.L, dtype=dt)
     while not grid.resolves_ripple(resonance.omega) and grid.n < 1 << 16:
         grid = LineGrid(2 * grid.n, config.L, dtype=dt)
-    ops = SolverOperators(
-        params, eps, grid, resonance=resonance,
-        gmres_tol=config.gmres_tol, gmres_max_iter=config.gmres_max_iter,
-    )
+    ops = SolverOperators(params, eps, grid, resonance=resonance)
     state = NanopteronState(LineField.zero(grid), LineField.zero(grid), dt(0.0))
-    wave = solve_periodic(params, eps, dt(0.0), config.periodic)
+    wave = solve_periodic(params, eps, dt(0.0))
     core_peak = sup_norm(ops.sigma)
     step_history, a_history = [], []
     ripple_solves = 0
@@ -536,7 +525,7 @@ def solve_nanopteron(params: DimerParams, eps, config: NanopteronConfig = None):
         """One outer step, re-solving the ripple at the current ``a`` first if asked."""
         nonlocal state, wave, ripple_solves
         if resolve_ripple:
-            wave = solve_periodic(params, eps, state.a, config.periodic)
+            wave = solve_periodic(params, eps, state.a)
             ripple_solves += 1
         eta1_new, eta2_new, a_new = N_maps(ops, state, wave, config.fixed_point)
         step = max(
@@ -578,7 +567,7 @@ def solve_nanopteron(params: DimerParams, eps, config: NanopteronConfig = None):
         if iterate(state.a != wave.a and abs(state.a) > 0) <= config.tol:
             break
     if state.a != wave.a and abs(state.a) > 0:
-        wave = solve_periodic(params, eps, state.a, config.periodic)
+        wave = solve_periodic(params, eps, state.a)
         ripple_solves += 1
     residual = system_residual(ops, state, wave)
     _, alpha = derived_constants(params.kappa, dt)

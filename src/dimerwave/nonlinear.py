@@ -16,8 +16,9 @@ Products are tracked by type: any factor pair containing a decaying part is
 decaying, while products of pure ripples stay periodic and are computed
 exactly in cosine-coefficient algebra.  This keeps each term of the solver in
 a known representation and avoids numerically splitting a sampled total into
-core and tail.  Decaying products are evaluated on the 2x fine grid (see
-``spectral``) and truncated back, so there is no quadratic or cubic aliasing.
+core and tail.  Decaying products are evaluated on the ``DEALIAS_FACTOR``-fold
+fine grid (see ``spectral``) and truncated back, so there is no quadratic or
+cubic aliasing.
 
 Each operator J-transforms an argument passed more than once (the solvers'
 ``B_eps(v, v)``) only once, samples a ripple on the fine grid only when a
@@ -35,6 +36,7 @@ from .dispersion import SymbolSet
 from .errors import InvalidParams
 from .model import DimerParams, polyval_ascending
 from .spectral import (
+    DEALIAS_FACTOR,
     LineField,
     LineGrid,
     PeriodicField,
@@ -126,8 +128,7 @@ def _line_entries(symbols: SymbolSet, eps, grid: LineGrid, inverse: bool):
     """``symbols.diagonalizer`` at ``eps*grid.k``, tabulated once per grid and eps.
 
     The table lives in ``symbols.line_tables``, so it lasts as long as the
-    solve that owns the symbols.  Two threads that miss the same key both
-    compute it, with equal results.
+    solve that owns the symbols.
     """
     key = (grid, type(eps), eps, inverse)
     E = symbols.line_tables.get(key)
@@ -168,8 +169,9 @@ class _Mixed:
 
     The ripple is sampled on the fine grid (``per_fine``: Clenshaw at the
     Chebyshev argument ``cx = cos(omega*X)``, the fine grid's cached
-    ``LineGrid.cos_phase(omega, 2)``, shared by every ripple of an operator
-    call) when a product first reads it, and the sample is kept.  A ripple that only goes back to coefficient space through
+    ``LineGrid.cos_phase(omega, DEALIAS_FACTOR)``, shared by every ripple of
+    an operator call) when a product first reads it, and the sample is kept.
+    A ripple that only goes back to coefficient space through
     ``_from_mixed`` is never sampled.
     """
 
@@ -235,7 +237,7 @@ def _from_mixed(grid: LineGrid, comps, omega, even=True) -> VectorField:
 
 def calN(params: DimerParams, v: VectorField) -> VectorField:
     """Componentwise cubic remainder ``calN(h)_j = h_j * N_j(h_j)`` (pointwise)."""
-    cx = v.grid.cos_phase(v.omega, 2)
+    cx = v.grid.cos_phase(v.omega, DEALIAS_FACTOR)
     comps = _to_mixed(v, cx)
     out = [_mixed_calN_factor(comps[0], params.n1), _mixed_calN_factor(comps[1], params.n2)]
     even = v.line1.even and v.line2.even
@@ -251,7 +253,7 @@ def B_eps(symbols: SymbolSet, theta: VectorField, theta2: VectorField, eps) -> V
         raise InvalidParams("arguments live on different grids")
     omega = theta._common_omega(theta2)
     p = symbols.params
-    cx = theta.grid.cos_phase(omega, 2)
+    cx = theta.grid.cos_phase(omega, DEALIAS_FACTOR)
     a = _to_mixed(apply_J(symbols, eps, theta), cx)
     b = a if theta2 is theta else _to_mixed(apply_J(symbols, eps, theta2), cx)
     prod = [_mixed_mul(a[i], b[i]) for i in range(2)]
@@ -286,7 +288,7 @@ def Q_eps(symbols: SymbolSet, theta: VectorField, theta2: VectorField,
         W3 = W2
     else:
         W3 = apply_J(symbols, eps, theta3)
-    cx = theta.grid.cos_phase(omega, 2)
+    cx = theta.grid.cos_phase(omega, DEALIAS_FACTOR)
     a = _to_mixed(W, cx)
     b = a if W2 is W else _to_mixed(W2, cx)
     h = _to_mixed(W3 * (eps * eps), cx)

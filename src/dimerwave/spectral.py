@@ -325,26 +325,28 @@ def periodic_product(f: PeriodicField, g: PeriodicField) -> PeriodicField:
 
 # -- de-aliased pointwise algebra on the line ---------------------------------
 
+DEALIAS_FACTOR = 2  # fine points per line-grid point (see the module docstring)
 
-def fine_samples(f: LineField, factor: int = 2):
-    """Samples of the field's trig-polynomial on a ``factor``-times finer grid.
+
+def fine_samples(f: LineField):
+    """Samples of the field's trig-polynomial on the ``DEALIAS_FACTOR``-times finer grid.
 
     Zero-pads the spectrum; the coarse Nyquist coefficient is halved because
     it becomes an interior (conjugate-paired) mode on the fine grid.
     """
     n = f.grid.n
     F = f.grid.rfft(f.values)
-    fine = np.zeros(factor * n // 2 + 1, dtype=F.dtype)
+    fine = np.zeros(DEALIAS_FACTOR * n // 2 + 1, dtype=F.dtype)
     fine[: n // 2 + 1] = F
     fine[n // 2] /= 2
-    return np.fft.irfft(fine, n=factor * n) * factor
+    return np.fft.irfft(fine, n=DEALIAS_FACTOR * n) * DEALIAS_FACTOR
 
 
-def from_fine_samples(grid: LineGrid, fine_values, factor: int = 2, even: bool = True):
+def from_fine_samples(grid: LineGrid, fine_values, even: bool = True):
     """Truncate fine-grid samples back to the coarse grid's band (de-aliasing)."""
     n = grid.n
     F_fine = np.fft.rfft(fine_values)
-    F = F_fine[: n // 2 + 1] / factor
+    F = F_fine[: n // 2 + 1] / DEALIAS_FACTOR
     F = np.concatenate([F[:-1], [F[-1].real * 2]])
     return LineField(grid, np.fft.irfft(F, n=n), even=even)
 

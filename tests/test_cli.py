@@ -4,13 +4,14 @@ Exit-code contract, configuration layering, record/CSV artifacts, the
 solution-file roundtrip, and byte-identical reruns.
 """
 
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from dimerwave import gates
+from dimerwave import cli, gates
 from dimerwave.cli import (
     DEFAULTS,
     SCHEMA_CSV,
@@ -74,11 +75,24 @@ class TestDispatch:
                          "--out", str(tmp_path)])
         assert code == 2
 
+    def test_threads_config_key_is_unknown(self, tmp_path, capsys):
+        # the sweep is serial: no worker-pool size is settable
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("threads = 2\n")
+        code = dispatch(["nanopteron", "--config", str(cfgfile), "--out", str(tmp_path)])
+        assert code == 2
+        assert "unknown config key 'threads'" in capsys.readouterr().err
+
+    def test_flag_table_lists_every_default(self):
+        # the module docstring's flag table and DEFAULTS name the same settings
+        flags = {f.replace("-", "_") for f in re.findall(r"^--(\w[\w-]*)", cli.__doc__, re.M)}
+        assert flags == set(DEFAULTS)
+
     @pytest.mark.parametrize("argv, limit", [
         (["nanopteron", "--sweep", "0.2,abc"], "comma list of numbers"),
         (["dispersion", "--samples", "-3"], "--samples must be at least 1"),
         (["dispersion", "--samples", "0"], "--samples must be at least 1"),
-        (["nanopteron", "--threads", "0"], "--threads must be at least 1"),
+        (["nanopteron", "--threads", "2"], "unrecognized arguments: --threads 2"),
         (["simulate", "--snap-every", "0"], "snap_every must be at least 1"),
         (["simulate", "--snap-every", "-5"], "snap_every must be at least 1"),
         (["nanopteron", "--eps", "nan"], "eps must be a finite number > 0, got nan"),
@@ -309,9 +323,8 @@ class TestConfigLayering:
 
 
 class TestSweep:
-    def test_threaded_sweep_emits_one_record_per_eps(self, tmp_path, capsys):
-        code = dispatch(["nanopteron", "--sweep", "0.2,0.15", "--threads", "2",
-                         "--out", str(tmp_path)])
+    def test_sweep_emits_one_record_per_eps(self, tmp_path, capsys):
+        code = dispatch(["nanopteron", "--sweep", "0.2,0.15", "--out", str(tmp_path)])
         assert code == 0
         for tag in ("eps0.2", "eps0.15"):
             assert (tmp_path / f"nanopteron_{tag}_record.txt").exists()
@@ -324,11 +337,9 @@ class TestSweep:
         record = (tmp_path / "nanopteron_eps0.25_record.txt").read_text()
         assert "converged = FAIL" in record
 
-    @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_refused_eps_keeps_the_other_outputs(self, tmp_path, capsys, threads):
+    def test_refused_eps_keeps_the_other_outputs(self, tmp_path, capsys):
         # float64 cannot resolve |a| at eps 0.05; eps 0.1 converges and is kept
-        code = dispatch(["nanopteron", "--sweep", "0.1,0.05", "--threads", threads,
-                         "--out", str(tmp_path)])
+        code = dispatch(["nanopteron", "--sweep", "0.1,0.05", "--out", str(tmp_path)])
         assert code == 2
         assert "noise floor" in capsys.readouterr().err
         for name in ("nanopteron_eps0.1_record.txt", "nanopteron_eps0.1.npz",
@@ -340,6 +351,14 @@ class TestSweep:
         assert "amplitude_resolved = FAIL" in (
             tmp_path / "nanopteron_eps0.05_record.txt").read_text()
         assert not (tmp_path / "nanopteron_eps0.05.npz").exists()
+
+    def test_colliding_tags_exit_2_before_any_solve(self, tmp_path, capsys):
+        # both print as eps0.1, so the second would overwrite the first's files
+        out = tmp_path / "out"
+        code = dispatch(["nanopteron", "--sweep", "0.2,0.1,0.1000001", "--out", str(out)])
+        assert code == 2
+        assert "entries 0.1 and 0.1000001" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_noise_level_amplitude_exits_2(self, tmp_path, capsys):
         # the CLI solves in float64, whose noise floor is above |a| at eps 0.04

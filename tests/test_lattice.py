@@ -15,6 +15,8 @@ from dimerwave.dispersion import SymbolSet
 from dimerwave.errors import InvalidParams, NoConvergence
 from dimerwave.kdv import core_profile
 from dimerwave.lattice import (
+    _FACTOR,
+    _OFFSETS,
     LatticeConfig,
     TravelingProfile,
     _crest_table,
@@ -48,7 +50,7 @@ def _full_upsample_peak(values, spacing, wavenumber, factor=16):
         f = 2.0 * np.pi - f
     b = int(round(f * n / (2.0 * np.pi)))
     line = np.zeros(1, dtype=complex)
-    if 0 < b < n // 2:
+    if 0 < b and 2 * b < n:
         line = 2.0 * F[b] / n
         if folded:
             line = np.conj(line)
@@ -56,7 +58,8 @@ def _full_upsample_peak(values, spacing, wavenumber, factor=16):
         F[b] = 0.0
     pad = np.zeros(n * factor // 2 + 1, dtype=complex)
     pad[: len(F)] = F
-    pad[len(F) - 1] *= 0.5
+    if n % 2 == 0:
+        pad[len(F) - 1] *= 0.5
     fine = np.fft.irfft(pad, n=n * factor) * factor
     x = spacing * np.arange(n * factor) / factor
     fine = fine + np.real(line * np.exp(1j * wavenumber * x))
@@ -464,6 +467,16 @@ class TestTravelingWave:
         assert k * 2.0 > np.pi
         got, want = _crest_pair(self._synthetic_comb(n, crest, k), k)
         assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("n", [255, 256])
+    def test_crest_table_reproduces_whole_samples(self, n):
+        # at whole comb spacings the interpolant is the comb itself; for odd n
+        # the last rfft bin is an ordinary frequency, not a split Nyquist bin
+        comb = self._synthetic_comb(n, 0.3)
+        fine = (_crest_table(n) @ np.fft.rfft(comb)).real
+        whole = _OFFSETS % _FACTOR == 0
+        err = np.max(np.abs(fine[whole] - comb[_OFFSETS[whole] // _FACTOR]))
+        assert err <= 1e-13 * np.max(comb)
 
     def test_crest_window_edge_maximum_reads_no_far_neighbour(self):
         # a maximum on either edge keeps its value: no parabola through the far end
