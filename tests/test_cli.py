@@ -337,9 +337,13 @@ class TestSweep:
         record = (tmp_path / "nanopteron_eps0.25_record.txt").read_text()
         assert "converged = FAIL" in record
 
-    def test_refused_eps_keeps_the_other_outputs(self, tmp_path, capsys):
-        # float64 cannot resolve |a| at eps 0.05; eps 0.1 converges and is kept
-        code = dispatch(["nanopteron", "--sweep", "0.1,0.05", "--out", str(tmp_path)])
+    @pytest.mark.parametrize("refused_at", [1, 2])
+    def test_refused_eps_keeps_the_other_outputs(self, tmp_path, capsys, refused_at):
+        # float64 cannot resolve |a| at eps 0.05; eps 0.1 converges and is kept,
+        # whether the refused entry comes first or last in the sweep
+        sweep = ["0.1"]
+        sweep.insert(refused_at - 1, "0.05")
+        code = dispatch(["nanopteron", "--sweep", ",".join(sweep), "--out", str(tmp_path)])
         assert code == 2
         assert "noise floor" in capsys.readouterr().err
         for name in ("nanopteron_eps0.1_record.txt", "nanopteron_eps0.1.npz",
