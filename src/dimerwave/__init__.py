@@ -23,17 +23,14 @@ from .spectral import (
     NORM_VARIANTS,
     LineField,
     LineGrid,
-    Multiplier,
     PeriodicField,
-    apply_line,
-    apply_periodic,
     conjugated_multiplier,
     l2_norm,
     sup_norm,
     weighted_norm,
 )
-from .kdv import Soliton, core_profile, kdv_residual, leading_profiles
-from .periodic import PeriodicConfig, PeriodicWave, solve_periodic
+from .kdv import Soliton, core_profile, kdv_residual
+from .periodic import PeriodicWave, solve_periodic
 from .nanopteron import (
     NanopteronConfig,
     NanopteronState,

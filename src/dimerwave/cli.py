@@ -25,7 +25,7 @@ flag                    meaning                                     default
 --out                   output directory                            runs
 --samples (dispersion)  wavenumber samples on [-pi, pi]             2048
 --amplitude (periodic)  ripple amplitude a                          1e-3
---sweep (nanopteron)    comma list of eps values, solved in turn    (none)
+--sweep (nanopteron)    comma list of eps values (not with --eps)   (none)
 --init (simulate)       'leading' or path to a saved solution       leading
 --sites (simulate)      ring size (even)                            512
 --dt (simulate)         integrator step                             0.02
@@ -292,6 +292,7 @@ _CONVERTERS = {
 def _resolve(args) -> dict:
     """Defaults, then config-file entries, then explicit flags."""
     cfg = dict(DEFAULTS)
+    given = set()  # keys set by the config file or a flag
     if getattr(args, "config", None):
         for key, raw in _parse_config_file(args.config).items():
             if key not in _CONVERTERS:
@@ -300,12 +301,17 @@ def _resolve(args) -> dict:
                 cfg[key] = _CONVERTERS[key](raw)
             except ValueError as exc:
                 raise InvalidParams(f"config key {key!r}: {exc}") from exc
+            given.add(key)
     for key in _CONVERTERS:
         flag = getattr(args, key, None)
         if flag is not None:
             cfg[key] = flag
+            given.add(key)
     if not cfg["samples"] >= 1:
         raise InvalidParams(f"--samples must be at least 1, got {cfg['samples']}")
+    if args.command == "nanopteron" and cfg["sweep"] and "eps" in given:
+        raise InvalidParams(f"eps = {cfg['eps']!r} and sweep = {cfg['sweep']!r} are both set; "
+                            "a sweep solves only its own eps values, so give one of them")
     cfg["command"] = args.command
     return cfg
 

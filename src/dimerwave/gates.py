@@ -20,15 +20,13 @@ from . import lattice
 from .dispersion import SymbolSet
 from .errors import LinearSolveFailure, NoConvergence, UnresolvedAmplitude
 from .kdv import core_profile, kdv_residual
-from .model import DimerParams, derived_constants
+from .model import DimerParams
 from .nanopteron import NanopteronConfig, SolverOperators, solve_nanopteron
 from .periodic import solve_periodic
 from .spectral import (
     NORM_VARIANTS,
     LineField,
     LineGrid,
-    Multiplier,
-    apply_line,
     conjugated_multiplier,
     l2_norm,
     sup_norm,
@@ -140,9 +138,8 @@ def conjugation(params, q_values=(0.2, 0.1, 0.05, 0.025)):
     term.  So every field's deviation shrinks, by a ratio in [2, 4] that rises
     as q halves.
     """
-    c0, alpha = derived_constants(params.kappa)
-    mu = Multiplier(lambda k: -c0 * c0 / (1 + alpha * k * k), name="varpi0")
     grid = LineGrid(1024, 30.0)
+    _, _, varpi0 = SymbolSet(params).varpi_symbols(1.0, grid.k)  # varpi_0 has no eps
     rng = np.random.default_rng(0)
     devs = np.empty((20, len(q_values)))
     for i in range(len(devs)):
@@ -151,7 +148,7 @@ def conjugation(params, q_values=(0.2, 0.1, 0.05, 0.025)):
         vals = grid.irfft(spec)
         f = LineField(grid, vals / np.max(np.abs(vals)), even=True)
         for j, q in enumerate(q_values):
-            delta = conjugated_multiplier(mu, q, f) - apply_line(mu, f)
+            delta = conjugated_multiplier(varpi0, q, f) - f.apply(varpi0)
             devs[i, j] = l2_norm(delta) / l2_norm(f)
     ratios = devs[:, :-1] / devs[:, 1:]
     rise = np.min(np.diff(ratios, axis=1))

@@ -8,7 +8,7 @@ stationary profile equation
 
 whose localized even solution is the sech-squared soliton.  The lattice
 inherits it as a two-component "stegoton" profile alternating by a factor
-kappa between the two spring families.
+kappa between the two spring families (``lattice.TravelingProfile.leading_order``).
 """
 
 from __future__ import annotations
@@ -94,17 +94,6 @@ def kdv_residual(params: DimerParams, f: LineField) -> LineField:
     fpp = f.grid.derivative(f.values, order=2)
     quad = params.sound_speed**2 * nonlinear_strength(params) * f.values**2
     return LineField(f.grid, params.kdv_alpha * fpp - f.values + quad, even=f.even)
-
-
-def leading_profiles(params: DimerParams, grid: LineGrid):
-    """Leading-order relative-displacement profiles ``(odd_sites, even_sites)``.
-
-    The diagonalizer at wavenumber zero sends the core to the pair
-    ``(sigma/kappa, sigma)``: even-numbered (stiff-to-soft) bonds carry kappa
-    times the amplitude of odd ones.
-    """
-    s = Soliton(params).as_field(grid)
-    return s * (1 / params.kappa), s
 
 
 def gmwz_coefficients(params: DimerParams):

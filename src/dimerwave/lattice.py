@@ -125,10 +125,10 @@ class TravelingProfile:
 
     @classmethod
     def from_nanopteron(cls, params: DimerParams, eps, state: NanopteronState,
-                        wave: PeriodicWave, sites: int, ring_commensurate: bool = True):
+                        wave: PeriodicWave, sites: int):
         """Displacement profiles of a solved core + ripple + corrector triple.
 
-        By default the ripple frequency is snapped to the nearest ring mode
+        The ripple frequency is snapped to the nearest ring mode
         (relative detuning below pi/(sites * eps * omega)): the decaying parts
         vanish at the wrap, but an incommensurate ripple leaves a velocity
         jump at the seam that radiates at the full ripple amplitude and
@@ -140,11 +140,9 @@ class TravelingProfile:
             grid, amplitude=state.a
         )
         p = apply_J(SymbolSet(params), eps, ansatz) * (float(eps) ** 2)
-        omega = float(wave.omega)
-        if ring_commensurate:
-            K = float(eps) * omega
-            K = 2 * np.pi * round(K * sites / (2 * np.pi)) / sites
-            omega = K / float(eps)
+        K = float(eps) * float(wave.omega)
+        K = 2 * np.pi * round(K * sites / (2 * np.pi)) / sites
+        omega = K / float(eps)
         return cls(params, eps, wave.resonance.c, omega,
                    p.line1, p.line2, p.per1.coeffs, p.per2.coeffs, sites)
 

@@ -47,16 +47,10 @@ from .errors import (
     UnresolvedAmplitude,
 )
 from .kdv import core_profile, nonlinear_strength
-from .model import DimerParams, derived_constants
+from .model import DimerParams
 from .nonlinear import B_eps, BQ_eps, VectorField
 from .periodic import PeriodicWave, solve_periodic
-from .spectral import (
-    LineField,
-    LineGrid,
-    PeriodicField,
-    sup_norm,
-    weighted_norm,
-)
+from .spectral import LineField, LineGrid, PeriodicField, sup_norm
 
 # Relative amplitude change after which the outer loop re-solves the ripple
 # (the periodic family depends Lipschitz-continuously on ``a``).
@@ -181,7 +175,7 @@ def build_chi_upsilon(symbols: SymbolSet, grid: LineGrid, sigma: LineField,
     core_vec = VectorField.from_line(sigma, LineField.zero(grid))
     b = B_eps(symbols, core_vec, nu, eps)
     table = symbols.lambda_pm(eps * grid.k)[1]
-    chi = LineField(grid, grid.irfft(table * grid.rfft(b.line2.values)), even=True)
+    chi = LineField(grid, grid.apply(table, b.line2.values), even=True)
     ups = iota_eps(chi, resonance.omega)
     if not abs(ups) > 1e-6:
         raise DegenerateSolvability(
@@ -302,18 +296,9 @@ class SolverOperators:
 
     # -- elementary applications ------------------------------------------------
 
-    def _apply_table(self, table, f: LineField) -> LineField:
-        return LineField(self.grid, self.grid.irfft(table * self.grid.rfft(f.values)), f.even)
-
-    def apply_varpi_eps(self, f: LineField) -> LineField:
-        return self._apply_table(self.varpi_eps_table, f)
-
-    def apply_lambda_plus(self, f: LineField) -> LineField:
-        return self._apply_table(self.lambda_plus_table, f)
-
     def _smooth_core_multiply(self, values):
         """varpi0 (sigma * v) at the values level (the K building block)."""
-        return self.grid.irfft(self.varpi0_table * self.grid.rfft(self.sigma.values * values))
+        return self.grid.apply(self.varpi0_table, self.sigma.values * values)
 
     def K1(self, f: LineField) -> LineField:
         """Acoustic self-coupling ``K1 f = -2 gamma1 varpi0(sigma f)``."""
@@ -404,8 +389,8 @@ def assemble_terms(ops: SolverOperators, state: NanopteronState,
     """
     ansatz = _full_ansatz(ops, state, wave)
     W = BQ_eps(ops.symbols, ansatz, ansatz, ops.eps)
-    r1 = -ops.sigma - ops.apply_varpi_eps(W.line1)
-    r2 = (-1.0) * ops.apply_lambda_plus(W.line2)
+    r1 = -ops.sigma - W.line1.apply(ops.varpi_eps_table)
+    r2 = (-1.0) * W.line2.apply(ops.lambda_plus_table)
     correction = LineField(
         ops.grid,
         2 * ops._smooth_core_multiply(
@@ -449,11 +434,11 @@ def system_residual(ops: SolverOperators, state: NanopteronState, wave: Periodic
     M = max(W.per1.M, W.per2.M, ansatz.per1.M, ansatz.per2.M)
     varpi_m, lam_m, xi_m = ops.symbols.mode_symbols(ops.resonance.c, eps, omega, M)
 
-    th1_line = ansatz.line1 + ops.apply_varpi_eps(W.line1)
+    th1_line = ansatz.line1 + W.line1.apply(ops.varpi_eps_table)
     th1_per = ansatz.per1.pad_to(M).coeffs + varpi_m * W.per1.pad_to(M).coeffs
-    th2_line = ops._apply_table(ops.xi_table, ansatz.line2) + (
+    th2_line = ansatz.line2.apply(ops.xi_table) + (
         eps * eps
-    ) * ops.apply_lambda_plus(W.line2)
+    ) * W.line2.apply(ops.lambda_plus_table)
     th2_per = xi_m * ansatz.per2.pad_to(M).coeffs + (
         eps * eps
     ) * lam_m * W.per2.pad_to(M).coeffs
@@ -480,7 +465,6 @@ class SolveDiagnostics:
     ripple_solves: int
     gmres_iterations: int
     eta_sup: tuple
-    eta_weighted: float
     core_sup: float
     upsilon: float
 
@@ -570,12 +554,6 @@ def solve_nanopteron(params: DimerParams, eps, config: NanopteronConfig = None):
         wave = solve_periodic(params, eps, state.a)
         ripple_solves += 1
     residual = system_residual(ops, state, wave)
-    _, alpha = derived_constants(params.kappa, dt)
-    q_star = 0.25 / np.sqrt(alpha)
-    eta_weighted = max(
-        weighted_norm(state.eta1, float(q_star), 2, "cosh_q_full", kdv_alpha=float(alpha)),
-        weighted_norm(state.eta2, float(q_star), 2, "cosh_q_full", kdv_alpha=float(alpha)),
-    )
     diagnostics = SolveDiagnostics(
         converged=True,
         iterations=iterations,
@@ -586,7 +564,6 @@ def solve_nanopteron(params: DimerParams, eps, config: NanopteronConfig = None):
         ripple_solves=ripple_solves,
         gmres_iterations=ops.gmres_iterations,
         eta_sup=(sup_norm(state.eta1), sup_norm(state.eta2)),
-        eta_weighted=float(eta_weighted),
         core_sup=float(core_peak),
         upsilon=float(ops.upsilon),
     )

@@ -32,26 +32,23 @@ from .nonlinear import BQ_eps, VectorField
 from .spectral import LineGrid, PeriodicField
 
 
-@dataclass(frozen=True)
-class PeriodicConfig:
-    """Knobs for the ripple solver.
+# Picard step size at which the ripple counts as converged, and the step budget.
+TOL = 1e-12
+MAX_ITER = 200
 
-    ``a_max`` and ``eps_max`` bound the empirically observed contraction
-    region (the theory guarantees existence for small enough values without
-    giving numbers).  ``modes`` is the starting cosine cutoff; it doubles
-    until the top-quarter coefficients fall below ``tail_rel`` times the peak
-    (with ``tail_abs`` as an absolute floor), since the profile is smooth and
-    its coefficients decay exponentially.
-    """
+# Starting cosine cutoff and its ceiling.  The cutoff doubles until the
+# top-quarter coefficients fall below TAIL_REL times the peak (with TAIL_ABS
+# as an absolute floor), since the profile is smooth and its coefficients
+# decay exponentially.
+MODES = 32
+MAX_MODES = 512
+TAIL_REL = 1e-13
+TAIL_ABS = 1e-16
 
-    tol: float = 1e-12
-    max_iter: int = 200
-    modes: int = 32
-    max_modes: int = 512
-    a_max: float = 1e-2
-    eps_max: float = 0.5
-    tail_rel: float = 1e-13
-    tail_abs: float = 1e-16
+# Bounds of the empirically observed contraction region (the theory
+# guarantees existence for small enough values without giving numbers).
+A_MAX = 1e-2
+EPS_MAX = 0.5
 
 
 @dataclass
@@ -92,11 +89,6 @@ class PeriodicWave:
     contraction_ratio: float
     converged: bool
 
-    def phi_at(self, X):
-        """Profile pair ``phi(X) = nu(omega X) + psi(omega X)``."""
-        y = self.omega * np.asarray(X)
-        return self.psi1.eval_at(y), np.cos(y) + self.psi2.eval_at(y)
-
     def as_vector(self, grid: LineGrid, amplitude=None) -> VectorField:
         """``amplitude * phi`` as a pure-ripple two-component field."""
         amp = self.a if amplitude is None else amplitude
@@ -113,14 +105,13 @@ def _ripple_vector(grid: LineGrid, psi, omega, scale) -> VectorField:
 class PeriodicSolver:
     """Fixed-point maps and Picard driver for one (params, eps) slice."""
 
-    def __init__(self, params: DimerParams, eps: float, config: PeriodicConfig = PeriodicConfig()):
-        if not 0 < eps <= config.eps_max:
-            raise InvalidParams(f"eps must lie in (0, {config.eps_max}], got {eps}")
+    def __init__(self, params: DimerParams, eps: float):
+        if not 0 < eps <= EPS_MAX:
+            raise InvalidParams(f"eps must lie in (0, {EPS_MAX}], got {eps}")
         self.eps = eps
-        self.config = config
         self.symbols = SymbolSet(params)
         self.resonance = self.symbols.find_resonance(eps)
-        self.M = config.modes
+        self.M = MODES
         # carry the precision of eps (e.g. longdouble) through the whole solve
         dt = np.asarray(eps).dtype
         self._dtype = dt.type if dt.kind == "f" else np.float64
@@ -215,11 +206,10 @@ class PeriodicSolver:
 
     def iterate(self, a):
         """Picard iteration from the zero state."""
-        cfg = self.config
         st = self._zero_state(a)
         prev_step = None
         worst_ratio = 0.0
-        for it in range(1, cfg.max_iter + 1):
+        for it in range(1, MAX_ITER + 1):
             new = PeriodicState(*self.maps((st.psi1, st.psi2), st.t, st.a), st.a)
             step = max(
                 float(np.max(np.abs(new.psi1.coeffs - st.psi1.coeffs))),
@@ -229,47 +219,45 @@ class PeriodicSolver:
             ratio = step / prev_step if (prev_step not in (None, 0.0)) else 0.0
             worst_ratio = max(worst_ratio, ratio)
             st = new
-            if step <= cfg.tol:
+            if step <= TOL:
                 return st, it, worst_ratio, True
-            if ratio >= 1.0 and it > 5 and step > 100 * cfg.tol:
+            if ratio >= 1.0 and it > 5 and step > 100 * TOL:
                 raise NoConvergence(
                     f"picard ratio {ratio:.3f} >= 1 at iteration {it}; "
                     "amplitude outside the contraction regime"
                 )
             prev_step = step
-        return st, cfg.max_iter, worst_ratio, False
+        return st, MAX_ITER, worst_ratio, False
 
 
-def solve_periodic(
-    params: DimerParams, eps: float, a: float, config: PeriodicConfig = PeriodicConfig()
-) -> PeriodicWave:
+def solve_periodic(params: DimerParams, eps: float, a: float) -> PeriodicWave:
     """Solve the ripple family at one amplitude, refining the mode cutoff.
 
     Raises
     ------
     InvalidParams
-        If ``|a|`` is NaN or exceeds the configured contraction-region bound.
+        If ``|a|`` is NaN or exceeds the contraction-region bound ``A_MAX``.
     NoConvergence
         If Picard iteration stops contracting or the iteration budget or the
         mode budget is exhausted.
     """
-    if not abs(a) <= config.a_max:
-        raise InvalidParams(f"|a|={abs(a)} exceeds a_max={config.a_max}")
-    solver = PeriodicSolver(params, eps, config)
+    if not abs(a) <= A_MAX:
+        raise InvalidParams(f"|a|={abs(a)} exceeds a_max={A_MAX}")
+    solver = PeriodicSolver(params, eps)
     while True:
         st, iters, ratio, ok = solver.iterate(a)
         if not ok:
             raise NoConvergence(
-                f"ripple solve did not reach tol={config.tol} in {config.max_iter} iterations"
+                f"ripple solve did not reach tol={TOL} in {MAX_ITER} iterations"
             )
         peak = max(st.psi1.coeffs @ st.psi1.coeffs, st.psi2.coeffs @ st.psi2.coeffs) ** 0.5
         tail = max(
             float(np.max(np.abs(st.psi1.coeffs[3 * (solver.M + 1) // 4 :]))),
             float(np.max(np.abs(st.psi2.coeffs[3 * (solver.M + 1) // 4 :]))),
         )
-        if tail <= max(config.tail_abs, config.tail_rel * max(peak, 1e-30)):
+        if tail <= max(TAIL_ABS, TAIL_REL * max(peak, 1e-30)):
             break
-        if 2 * solver.M > config.max_modes:
+        if 2 * solver.M > MAX_MODES:
             raise NoConvergence(
                 f"coefficient tail {tail:.2e} persists at mode cutoff {solver.M}"
             )

@@ -4,8 +4,11 @@ Conventions fixed repo-wide:
 
 * Line fields live on the even grid ``X_m = -L + 2*L*m/n`` (m = 0..n-1) and
   are transformed with the real FFT, so the physical wavenumbers are
-  ``k_j = pi*j/L`` for j = 0..n/2.  Symbols are always evaluated at these
-  physical wavenumbers, never at raw DFT indices.
+  ``k_j = pi*j/L`` for j = 0..n/2.  A Fourier multiplier is given by its
+  table: the symbol evaluated at these physical wavenumbers (never at raw
+  DFT indices), as ``dispersion.SymbolSet`` returns it.  ``LineGrid.apply``
+  is the one place a table is applied; a table over ``k >= 0`` is an even
+  symbol by construction.
 * A field is even (about X = 0) exactly when its samples satisfy
   ``v[m] = v[(n-m) % n]``, equivalently when its rFFT coefficients are real.
 * Periodic fields are even 2*pi-periodic profiles stored as cosine
@@ -26,8 +29,6 @@ Conventions fixed repo-wide:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -85,10 +86,14 @@ class LineGrid:
     def irfft(self, coeffs):
         return np.fft.irfft(coeffs, n=self.n)
 
+    def apply(self, table, values):
+        """The Fourier multiplier with symbol ``table`` (sampled at ``self.k``)
+        applied to a sample array."""
+        return self.irfft(table * self.rfft(values))
+
     def derivative(self, values, order: int = 1):
         """Spectral derivative of the given sample array."""
-        F = self.rfft(values) * (1j * self.k) ** order
-        return self.irfft(F)
+        return self.apply((1j * self.k) ** order, values)
 
     def cos_phase(self, omega, factor: int = 1):
         """Read-only ``cos(omega*X)`` on this grid, or on its ``factor``-times
@@ -159,6 +164,10 @@ class LineField:
     def _check(self, other):
         if self.grid != other.grid:
             raise InvalidParams("fields live on different grids")
+
+    def apply(self, table):
+        """The Fourier multiplier with symbol ``table`` (see ``LineGrid.apply``)."""
+        return LineField(self.grid, self.grid.apply(table, self.values), self.even)
 
     def even_defect(self) -> float:
         """max_m |f(X_m) - f(-X_m)| over the grid."""
@@ -358,56 +367,6 @@ def line_product(f: LineField, g: LineField) -> LineField:
     return from_fine_samples(f.grid, vals, even=f.even and g.even)
 
 
-# -- multipliers ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Multiplier:
-    """A Fourier multiplier given by a real even symbol ``k -> symbol(k)``.
-
-    ``scale`` realizes the dilation law: the operator with symbol
-    ``symbol(scale*k)`` is what a multiplier becomes after the substitution
-    X -> X/scale, so long-wave operators are carried by the same object at
-    every epsilon.
-    """
-
-    symbol: Callable
-    scale: float = 1.0
-    name: str = ""
-
-    def __post_init__(self):
-        probe = np.array([0.37, 1.91, 3.7])
-        plus = np.asarray(self.symbol(self.scale * probe), dtype=float)
-        minus = np.asarray(self.symbol(-self.scale * probe), dtype=float)
-        if not np.allclose(plus, minus, rtol=1e-9, atol=1e-12):
-            raise InvalidParams(f"multiplier symbol {self.name!r} is not even")
-
-    def at(self, k):
-        """Symbol evaluated at physical wavenumbers (scale folded in)."""
-        return self.symbol(self.scale * np.asarray(k))
-
-
-def apply_line(mu: Multiplier, f: LineField) -> LineField:
-    """Apply the multiplier on the line: forward FFT, symbol multiply, inverse."""
-    sym = mu.at(f.grid.k)
-    if not np.all(np.isfinite(sym)):
-        raise InvalidParams(f"symbol {mu.name!r} not finite at some grid wavenumber")
-    return LineField(f.grid, f.grid.irfft(f.grid.rfft(f.values) * sym), even=f.even)
-
-
-def apply_periodic(mu: Multiplier, f: PeriodicField, omega) -> PeriodicField:
-    """Apply the multiplier to an even profile of frequency omega.
-
-    Mode j of ``f(omega*X)`` oscillates at wavenumber omega*j, so the
-    coefficients are multiplied by the symbol there.
-    """
-    j = np.arange(f.M + 1)
-    sym = mu.at(omega * j)
-    if not np.all(np.isfinite(sym)):
-        raise InvalidParams(f"symbol {mu.name!r} not finite at some periodic mode")
-    return PeriodicField(f.coeffs * sym)
-
-
 # -- norms and conjugation -----------------------------------------------------
 
 
@@ -459,14 +418,13 @@ def weighted_norm(f: LineField, q: float, r: int, variant: str, kdv_alpha=None) 
     return float(np.sqrt(total))
 
 
-def conjugated_multiplier(mu: Multiplier, q: float, f: LineField) -> LineField:
+def conjugated_multiplier(table, q: float, f: LineField) -> LineField:
     """The weight-conjugated operator ``cosh(q*X) * mu(sech(q*X) * f)``.
 
-    At q = 0 this is ``apply_line``; the deviation from the unconjugated
-    action measures how the multiplier interacts with exponential weights
-    (the transfer of decay through smoothing operators).
+    ``mu`` is the multiplier with symbol ``table`` at the grid wavenumbers;
+    at q = 0 this is ``f.apply(table)``.  The deviation from the
+    unconjugated action measures how the multiplier interacts with
+    exponential weights (the transfer of decay through smoothing operators).
     """
     w = np.cosh(q * f.grid.X)
-    inner = LineField(f.grid, f.values / w, even=f.even)
-    out = apply_line(mu, inner)
-    return LineField(f.grid, w * out.values, even=f.even)
+    return LineField(f.grid, w * f.grid.apply(table, f.values / w), even=f.even)

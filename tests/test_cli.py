@@ -356,6 +356,23 @@ class TestSweep:
             tmp_path / "nanopteron_eps0.05_record.txt").read_text()
         assert not (tmp_path / "nanopteron_eps0.05.npz").exists()
 
+    @pytest.mark.parametrize("flags, config", [
+        (["--eps", "0.9", "--sweep", "0.2"], ""),
+        ([], "eps = 0.9\nsweep = 0.2\n"),
+        (["--sweep", "0.2"], "eps = 0.9\n"),
+        (["--eps", "0.9"], "sweep = 0.2\n"),
+    ], ids=["flags", "config", "config_eps", "config_sweep"])
+    def test_eps_with_sweep_exits_2_before_any_solve(self, tmp_path, capsys, flags, config):
+        # a sweep solves its own eps values, so an eps beside it would be ignored
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(config)
+        out = tmp_path / "out"
+        code = dispatch(["nanopteron", "--config", str(cfgfile), *flags, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "eps = 0.9 and sweep = '0.2' are both set" in err
+        assert not out.exists()
+
     def test_colliding_tags_exit_2_before_any_solve(self, tmp_path, capsys):
         # both print as eps0.1, so the second would overwrite the first's files
         out = tmp_path / "out"

@@ -10,9 +10,9 @@ from dimerwave.kdv import (
     Soliton,
     gmwz_coefficients,
     kdv_residual,
-    leading_profiles,
     nonlinear_strength,
 )
+from dimerwave.lattice import TravelingProfile
 from dimerwave.spectral import LineField, LineGrid
 
 
@@ -72,11 +72,13 @@ def test_residual_decays_spectrally(params):
 
 
 def test_leading_profiles_alternate_by_kappa(params):
-    grid = LineGrid(256, 20.0)
-    odd, even = leading_profiles(params, grid)
+    # the line fields, not sample(0): odd sites never sit at X = 0
+    eps = 0.2
+    prof = TravelingProfile.leading_order(params, eps, 64, grid=LineGrid(256, 20.0))
+    odd, even = prof.line1, prof.line2
     assert np.max(np.abs(even.values / odd.values - params.kappa)) < 1e-12
-    assert np.max(odd.values) == pytest.approx(0.75, rel=1e-14)
-    assert np.max(even.values) == pytest.approx(1.5, rel=1e-14)
+    assert np.max(odd.values) == pytest.approx(eps**2 * 0.75, rel=1e-14)
+    assert np.max(even.values) == pytest.approx(eps**2 * 1.5, rel=1e-14)
     assert odd.even_defect() < 1e-14 and even.even_defect() < 1e-14
 
 

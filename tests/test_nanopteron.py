@@ -72,20 +72,20 @@ def bilinear_families(ops, state, wave):
     }
     for fam, (cf, x, y) in fams.items():
         bxy = B_eps(ops.symbols, x, y, ops.eps)
-        labels[f"j{fam}1"] = cf * ops.apply_varpi_eps(bxy.line1)
-        labels[f"l{fam}1"] = cf * ops.apply_lambda_plus(bxy.line2)
+        labels[f"j{fam}1"] = cf * bxy.line1.apply(ops.varpi_eps_table)
+        labels[f"l{fam}1"] = cf * bxy.line2.apply(ops.lambda_plus_table)
         if has_cubic:
             qxy = Q_eps(ops.symbols, x, y, ansatz, ops.eps)
-            labels[f"j{fam}2"] = cf * ops.apply_varpi_eps(qxy.line1)
-            labels[f"l{fam}2"] = cf * ops.apply_lambda_plus(qxy.line2)
+            labels[f"j{fam}2"] = cf * qxy.line1.apply(ops.varpi_eps_table)
+            labels[f"l{fam}2"] = cf * qxy.line2.apply(ops.lambda_plus_table)
         else:
             labels[f"j{fam}2"] = LineField.zero(grid)
             labels[f"l{fam}2"] = LineField.zero(grid)
     labels["j11"] = ops.sigma + labels["j11"]
     if has_cubic and float(np.max(np.abs(ripple_vec.per2.coeffs))) > 0:
         q6 = Q_eps(ops.symbols, ripple_vec, ripple_vec, ansatz, ops.eps)
-        labels["j6"] = ops.apply_varpi_eps(q6.line1)
-        labels["l6"] = ops.apply_lambda_plus(q6.line2)
+        labels["j6"] = q6.line1.apply(ops.varpi_eps_table)
+        labels["l6"] = q6.line2.apply(ops.lambda_plus_table)
     else:
         labels["j6"] = LineField.zero(grid)
         labels["l6"] = LineField.zero(grid)
@@ -166,7 +166,7 @@ class TestPeps:
         # resonant band (Gaussian: |F|(omega_eps) ~ exp(-76)).
         grid = ops01.grid
         g = LineField(grid, np.exp(-(grid.X**2)))
-        tg = ops01._apply_table(ops01.xi_table, g)
+        tg = g.apply(ops01.xi_table)
         back = ops01.P_eps(tg)
         assert np.max(np.abs(back.values - g.values)) < 1e-9
 
@@ -313,7 +313,7 @@ class TestSolve:
         state, wave, diag = solved02
         ops = SolverOperators(QUAD, 0.2, LineGrid(4096, 60.0))
         terms = assemble_terms(ops, state, wave)
-        lhs = ops._apply_table(ops.xi_table, state.eta2)
+        lhs = state.eta2.apply(ops.xi_table)
         rhs = (ops.eps**2) * (terms.r2_mod - (2 * state.a) * ops.chi)
         assert abs(ops.iota(lhs - rhs)) < 1e-8
 

@@ -1,4 +1,4 @@
-"""Tests for grids, transforms, multipliers, products, norms, conjugation."""
+"""Tests for grids, transforms, multiplier tables, products, norms, conjugation."""
 
 import numpy as np
 import pytest
@@ -10,10 +10,7 @@ from dimerwave.spectral import (
     NORM_VARIANTS,
     LineField,
     LineGrid,
-    Multiplier,
     PeriodicField,
-    apply_line,
-    apply_periodic,
     conjugated_multiplier,
     fine_samples,
     from_fine_samples,
@@ -96,38 +93,30 @@ def test_even_fields_have_real_spectrum_and_zero_defect(grid):
 
 def test_identity_multiplier_is_identity(grid):
     f = even_noise(grid, seed=5)
-    mu = Multiplier(lambda k: np.ones_like(np.asarray(k, dtype=float)), name="one")
-    assert np.max(np.abs(apply_line(mu, f).values - f.values)) < 1e-13
+    assert np.max(np.abs(f.apply(np.ones_like(grid.k)).values - f.values)) < 1e-13
 
 
 def test_second_derivative_symbol(grid):
     k5 = grid.k[5]
     f = LineField(grid, np.cos(k5 * grid.X))
-    out = apply_line(Multiplier(lambda k: -(k**2)), f)
+    out = f.apply(-(grid.k**2))
     assert np.max(np.abs(out.values + k5**2 * f.values)) < 1e-12
     assert out.even
 
 
 def test_evenness_preserved_by_even_symbols(grid):
     f = even_noise(grid, seed=8)
-    out = apply_line(Multiplier(lambda k: np.exp(-(k**2))), f)
+    out = f.apply(np.exp(-(grid.k**2)))
     assert out.even_defect() < 1e-11 * np.max(np.abs(out.values))
 
 
-def test_multiplier_evenness_guard():
-    with pytest.raises(InvalidParams):
-        Multiplier(lambda k: k)
-
-
-def test_multiplier_scale_folds_into_symbol():
-    mu = Multiplier(lambda k: k**2, scale=0.5)
-    assert mu.at(2.0) == pytest.approx(1.0, rel=1e-15)
-
-
-def test_nonfinite_symbol_rejected(grid):
-    f = even_noise(grid, seed=9)
-    with pytest.raises(InvalidParams):
-        apply_line(Multiplier(lambda k: 1.0 / np.asarray(k)), f)
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize("order", [1, 2])
+def test_derivative_is_the_apply_of_its_symbol(dtype, order):
+    grid = LineGrid(256, 20.0, dtype)
+    v = even_noise(grid, seed=order).values.astype(dtype)
+    expected = grid.apply((1j * grid.k) ** order, v)
+    assert np.array_equal(grid.derivative(v, order), expected)
 
 
 def test_spectral_derivative_of_localized_core():
@@ -277,29 +266,23 @@ def test_periodic_field_validation():
         PeriodicField(np.zeros(12, dtype=complex))
 
 
-def test_apply_periodic_single_mode():
-    c = np.zeros(9)
-    c[1] = 1.0
-    f = PeriodicField(c)
-    mu = Multiplier(lambda k: k**2)
-    out = apply_periodic(mu, f, omega=2.5)
-    assert out.coeffs[1] == pytest.approx(2.5**2, rel=1e-15)
-    assert np.max(np.abs(np.delete(out.coeffs, 1))) == 0.0
-
-
 def test_superpose_apply_matches_resampling_oracle(grid):
     # With omega on a grid mode, the superposition is itself band-limited, so
     # applying the multiplier to the resampled total must agree with applying
-    # it half-by-half.
+    # it half-by-half: the line table at the grid wavenumbers, the ripple's
+    # mode table at omega*j (mode j of g(omega*X) oscillates there).
+    def symbol(k):
+        return k**2 / (1 + k**2)
+
     omega = float(grid.k[8])
-    f = apply_line(Multiplier(lambda k: np.exp(-(k**2))), even_noise(grid, seed=13))
+    f = even_noise(grid, seed=13).apply(np.exp(-(grid.k**2)))
     c = np.zeros(9)
     c[1], c[3] = 0.7, 0.2
     g = PeriodicField(c)
-    mu = Multiplier(lambda k: k**2 / (1 + k**2))
-    out_l, out_p = apply_line(mu, f), apply_periodic(mu, g, omega)
+    out_l = f.apply(symbol(grid.k))
+    out_p = PeriodicField(g.coeffs * symbol(omega * np.arange(g.M + 1)))
     total = LineField(grid, f.values + g.eval_at(omega * grid.X))
-    direct = apply_line(mu, total)
+    direct = total.apply(symbol(grid.k))
     recombined = out_l.values + out_p.eval_at(omega * grid.X)
     assert np.max(np.abs(direct.values - recombined)) < 1e-10
 
@@ -330,12 +313,12 @@ def test_weighted_norm_variants():
 def test_conjugated_multiplier_q0_and_decay():
     g = LineGrid(1024, 40.0)
     f = LineField(g, np.exp(-g.X**2))
-    mu = Multiplier(lambda k: -4 / 3 / (1 + 4 / 27 * k**2), name="smoothing")
-    base = apply_line(mu, f)
-    at0 = conjugated_multiplier(mu, 0.0, f)
+    smoothing = -4 / 3 / (1 + 4 / 27 * g.k**2)
+    base = f.apply(smoothing)
+    at0 = conjugated_multiplier(smoothing, 0.0, f)
     assert np.max(np.abs(at0.values - base.values)) == 0.0
     devs = []
     for q in (0.2, 0.1, 0.05, 0.025):
-        out = conjugated_multiplier(mu, q, f)
+        out = conjugated_multiplier(smoothing, q, f)
         devs.append(l2_norm(LineField(g, out.values - base.values)) / l2_norm(f))
     assert devs == sorted(devs, reverse=True)  # strictly shrinking with q
