@@ -8,15 +8,15 @@ The linearized traveling-wave problem diagonalizes through the 2x2 symbol
 form the acoustic (-) and optical (+) phonon branches.  This module evaluates
 those branches, their analytic derivatives, the eigenvector entries ``v_pm``,
 the diagonalizer ``J`` and its inverse ``J1``, the traveling-wave symbol
-``xi_c(k) = -c**2*k**2 + lambda_plus(k)``, the three smoothing symbols used by
-the long-wave theory, and the resonance root ``Omega_c`` where the optical
-branch intersects ``c**2*k**2``.
+``xi_c(k) = -c**2*k**2 + lambda_plus(k)``, the long-wave smoothing symbol
+``varpi_eps`` and its eps -> 0 limit ``varpi_0``, and the resonance root
+``Omega_c`` where the optical branch intersects ``c**2*k**2``.
 
-Removable singularities are handled two ways: quotients that cancel at k=0
-(the smoothing symbols) are rewritten in cancellation-free form using
-``sin(k)/k``, while the eigenvector quotients switch to an explicit local
-series for ``|cos(k)| < delta_sing`` with the two branches tested to agree at
-the seam.
+Every symbol has one closed form with no branch.  The quotients that cancel
+at k = 0 (the smoothing symbols) are written through ``lambda_minus(k)/k**2``
+with ``sin(k)/k``, and the eigenvector entries come from the first row of the
+eigen-equation, ``v_minus = 2*cos(k)/(rho(k) + kappa - 1)``, whose
+denominator is at least ``2*(kappa - 1)``, so ``cos(k) = 0`` needs no care.
 """
 
 from __future__ import annotations
@@ -30,9 +30,12 @@ from .model import DimerParams, derived_constants
 
 
 def check_eps(eps):
-    """Raise ``InvalidParams`` unless the long-wave parameter is finite and positive."""
+    """Raise ``InvalidParams`` unless the long-wave parameter is finite and
+    positive, with a finite square."""
     if not 0 < eps < np.inf:
         raise InvalidParams(f"eps must be a finite number > 0, got {eps}")
+    if not float(eps) * float(eps) < np.inf:
+        raise InvalidParams(f"eps**2 must be finite, got eps={eps}")
 
 
 @dataclass(frozen=True)
@@ -71,22 +74,16 @@ class SymbolSet:
     Parameters
     ----------
     params : DimerParams
-    delta_sing : float, optional
-        Switch threshold for the eigenvector removable singularity at
-        ``cos(k) = 0``; must lie in ``(0, 1e-3)``.
 
     Notes
     -----
-    All methods accept scalar or ndarray ``k`` of any floating dtype and
-    preserve that dtype, so the evaluators can be used in extended-precision
-    pipelines.
+    Each symbol is one closed form with no branch or threshold.  All methods
+    accept scalar or ndarray ``k`` of any floating dtype and preserve that
+    dtype, so the evaluators can be used in extended-precision pipelines.
     """
 
-    def __init__(self, params: DimerParams, delta_sing: float = 1e-6):
-        if not 0 < delta_sing < 1e-3:
-            raise InvalidParams(f"delta_sing must lie in (0, 1e-3), got {delta_sing}")
+    def __init__(self, params: DimerParams):
         self.params = params
-        self.delta_sing = float(delta_sing)
         # symbol tables on line grids, keyed by grid and eps; filled by the
         # nonlinear operators, which read the same diagonalizer many times
         self.line_tables = {}
@@ -127,33 +124,16 @@ class SymbolSet:
     def eigvec_v_pm(self, k):
         """Eigenvector entries ``(v_minus, v_plus)``.
 
-        For ``|cos(k)| >= delta_sing`` these are the quotients
-        ``v_minus = (2 - lambda_minus)/(2*kappa*cos(k))`` and
-        ``v_plus = (2*kappa - lambda_plus)/(2*cos(k))``.  Inside the threshold
-        the removable singularity is evaluated by the local series in
-        ``u = cos(k)``:
-
-            v_minus =  u/(kappa-1) - kappa   * u**3/(kappa-1)**3
-            v_plus  = -kappa*u/(kappa-1) + kappa**2 * u**3/(kappa-1)**3
-
-        The truncation error is O(u**5), far below the seam tolerance.
+        The first row of ``L v = lambda_minus v`` with ``v = (v_minus, 1)``
+        gives ``v_minus = 2*cos(k)/(2*kappa - lambda_minus)``, and
+        ``2*kappa - lambda_minus = rho + kappa - 1 >= 2*(kappa - 1)`` is a sum
+        of positive terms, so the quotient is exact to rounding everywhere,
+        ``cos(k) = 0`` included.  The second row of ``L v = lambda_plus v``
+        with ``v = (1, v_plus)`` gives ``v_plus = -kappa*v_minus``.
         """
         kap = self.params.kappa
-        k = np.asarray(k)
-        u = np.cos(k)
-        lam_minus, lam_plus = self.lambda_pm(k)
-        safe = np.abs(u) >= self.delta_sing
-        u_safe = np.where(safe, u, 1.0)
-        vm_quot = (2 - lam_minus) / (2 * kap * u_safe)
-        vp_quot = (2 * kap - lam_plus) / (2 * u_safe)
-        g = kap / (kap - 1) ** 3
-        vm_ser = u / (kap - 1) - g * u**3
-        vp_ser = -kap * u / (kap - 1) + kap * g * u**3
-        vm = np.where(safe, vm_quot, vm_ser)
-        vp = np.where(safe, vp_quot, vp_ser)
-        if k.ndim == 0:
-            return vm[()], vp[()]  # numpy scalars, dtype preserved
-        return vm, vp
+        v_minus = 2 * np.cos(k) / (self.rho(k) + (kap - 1))
+        return v_minus, -kap * v_minus
 
     def diagonalizer(self, k, inverse: bool = False):
         """Entries ``[[J11, J12], [J21, J22]]`` of ``J(k)``, or of ``J1 = J(k)**-1``.
@@ -201,53 +181,40 @@ class SymbolSet:
         sinc = np.sinc(k / np.pi)  # sin(k)/k, exact limit 1 at k=0
         return 4 * kap * sinc * sinc / (1 + kap + self.rho(k))
 
-    def varpi_symbols(self, eps, k):
-        """The three smoothing symbols ``(varpi_c(k), varpi_eps(k), varpi_0(k))``.
+    def varpi_eps(self, eps, ek):
+        """Smoothing symbol ``-eps**2*lambda_minus(K)/(c**2*K**2 - lambda_minus(K))``
+        at ``K = ek = eps*k``, with ``c**2 = sound_speed**2 + eps**2``.
 
-        * ``varpi_c(k) = -lambda_minus(k)/(c**2*k**2 - lambda_minus(k))`` at
-          speed ``c**2 = sound_speed**2 + eps**2``; the k = 0 singularity is
-          removable with limit ``-sound_speed**2/eps**2``.
-        * ``varpi_eps(k) = eps**2 * varpi_c(eps*k)``, the long-wave rescaling,
-          with ``varpi_eps(0) = -sound_speed**2``.
-        * ``varpi_0(k) = -sound_speed**2/(1 + kdv_alpha*k**2)``, its formal
-          eps -> 0 limit.
-
-        All three are evaluated through ``lambda_minus(k)/k**2`` so no branch
-        switching is needed.
+        Evaluated through ``g = lambda_minus(K)/K**2``, so the removable
+        singularity needs no branch: the value at ``ek = 0`` is
+        ``-sound_speed**2``.
         """
-        k = np.asarray(k)
-        dtype = np.result_type(k.dtype, type(eps)) if k.dtype.kind == "f" else float
-        c0, alpha = derived_constants(self.params.kappa, dtype=np.dtype(dtype).type)
-        c2 = c0 * c0 + eps * eps
-        g = self.acoustic_over_k2(k)
-        varpi_c = -g / (c2 - g)
-        g_scaled = self.acoustic_over_k2(eps * k)
-        varpi_eps = -(eps * eps) * g_scaled / (c2 - g_scaled)
-        varpi_0 = -c0 * c0 / (1 + alpha * k * k)
-        return varpi_c, varpi_eps, varpi_0
+        c0, _ = derived_constants(self.params.kappa, np.result_type(ek, eps, 1.0).type)
+        g = self.acoustic_over_k2(ek)
+        return -(eps * eps) * g / (c0 * c0 + eps * eps - g)
+
+    def varpi_0(self, k):
+        """``-sound_speed**2/(1 + kdv_alpha*k**2)``, the eps -> 0 limit of ``varpi_eps``."""
+        c0, alpha = derived_constants(self.params.kappa, np.result_type(k, 1.0).type)
+        return -c0 * c0 / (1 + alpha * k * k)
 
     def mode_symbols(self, c, eps, omega, M):
-        """``(varpi, lambda_plus, xi)`` of a ripple's cosine modes ``j = 0..M``.
+        """``(varpi_eps, lambda_plus, xi)`` of a ripple's cosine modes ``j = 0..M``.
 
-        Evaluated at ``k = eps*omega*j``: ``varpi = -eps**2 * g/(c**2 - g)``
-        with ``g = lambda_minus(k)/k**2`` (``varpi_eps`` at speed ``c``, so
-        ``-sound_speed**2`` at j = 0), the optical branch, and the
-        traveling-wave symbol ``-c**2*k**2 + lambda_plus(k)``, which vanishes
-        at the resonant mode.
+        Evaluated at ``k = eps*omega*j``; the traveling-wave symbol
+        ``-c**2*k**2 + lambda_plus(k)`` vanishes at the resonant mode.
         """
         k = eps * omega * np.arange(M + 1)
-        g = self.acoustic_over_k2(k)
-        c2 = c**2  # not c*c as in xi_symbol: the two can round apart
-        return -(eps * eps) * g / (c2 - g), self.lambda_pm(k)[1], self.xi_symbol(c, k)
+        return self.varpi_eps(eps, k), self.lambda_pm(k)[1], self.xi_symbol(c, k)
 
     # -- resonance ------------------------------------------------------------
 
-    def find_resonance(self, eps, tol=1e-13) -> Resonance:
+    def find_resonance(self, eps) -> Resonance:
         """Locate the resonant frequency ``Omega`` with ``c**2*Omega**2 = lambda_plus(Omega)``.
 
         Bisection on the analytic bracket
         ``[sqrt(2*kappa)/c - margin, sqrt(2+2*kappa)/c + margin]`` down to
-        interval width ``tol``, followed by guarded Newton polish steps using
+        interval width 1e-13, followed by guarded Newton polish steps using
         the analytic derivative (accepted only while they shrink the residual).
 
         Raises
@@ -255,7 +222,8 @@ class SymbolSet:
         InvalidParams
             If ``eps`` is not a finite number > 0.
         RootNotBracketed
-            If the symbol does not change sign over the bracket.
+            (an ``InvalidParams``) If the symbol does not change sign over
+            the bracket, as when ``sqrt(2*kappa)/c < margin`` at large eps.
         """
         check_eps(eps)
         kap = self.params.kappa
@@ -268,9 +236,10 @@ class SymbolSet:
         f_hi = self.xi_symbol(c, hi)
         if not (f_lo > 0 > f_hi or f_lo < 0 < f_hi):
             raise RootNotBracketed(
-                f"xi has no sign change on [{lo}, {hi}]: f(lo)={f_lo}, f(hi)={f_hi}"
+                f"at kappa = {kap}, eps = {eps}, xi has no sign change on the resonance bracket "
+                f"[{lo}, {hi}]: f(lo)={f_lo}, f(hi)={f_hi}"
             )
-        while (hi - lo) > tol:
+        while (hi - lo) > 1e-13:
             mid = (lo + hi) / 2
             if mid in (lo, hi):  # interval at rounding resolution
                 break
@@ -291,7 +260,7 @@ class SymbolSet:
                 break
         upsilon = self.xi_prime(c, root)
         if upsilon == 0:
-            raise RootNotBracketed("transversality failed: Upsilon = 0 at the root")
+            raise RootNotBracketed(f"transversality failed: Upsilon = 0 at the root, eps = {eps}")
         return Resonance(
             c=c, eps=eps, Omega=root, omega=root / eps, Upsilon=upsilon, residual=res
         )

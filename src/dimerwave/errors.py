@@ -13,7 +13,7 @@ class UnresolvedAmplitude(InvalidParams):
     """The solved ripple amplitude lies below the noise floor of the solve's dtype."""
 
 
-class RootNotBracketed(DimerwaveError):
+class RootNotBracketed(InvalidParams):
     """The resonance root is not bracketed by the analytic interval; eps out of range."""
 
 

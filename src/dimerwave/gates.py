@@ -139,7 +139,7 @@ def conjugation(params, q_values=(0.2, 0.1, 0.05, 0.025)):
     as q halves.
     """
     grid = LineGrid(1024, 30.0)
-    _, _, varpi0 = SymbolSet(params).varpi_symbols(1.0, grid.k)  # varpi_0 has no eps
+    varpi0 = SymbolSet(params).varpi_0(grid.k)
     rng = np.random.default_rng(0)
     devs = np.empty((20, len(q_values)))
     for i in range(len(devs)):

@@ -143,6 +143,9 @@ class DimerParams:
             raise InvalidParams(f"kappa must exceed 1, got {self.kappa}")
         if self.beta == 0:
             raise InvalidParams("beta must be nonzero")
+        kappa = float(self.kappa)
+        if kappa * kappa * kappa == np.inf:  # a float product overflows to inf; ** raises
+            raise InvalidParams(f"kappa**3 must be finite, got kappa={self.kappa}")
         if self.beta + self.kappa**3 == 0:
             raise InvalidParams(
                 f"beta + kappa**3 must be nonzero, got beta={self.beta}, kappa={self.kappa}"

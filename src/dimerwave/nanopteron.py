@@ -56,6 +56,9 @@ from .spectral import LineField, LineGrid, PeriodicField, sup_norm
 # (the periodic family depends Lipschitz-continuously on ``a``).
 RIPPLE_UPDATE_THRESHOLD = 0.1
 
+# Most grid points the solve refines to while the spacing misses the ripple.
+MAX_GRID_N = 1 << 16
+
 # Largest boundary value |f(-L)|/max|f| a decaying field may keep (see
 # ``NanopteronState.validate``); the lattice, which samples decaying fields
 # only where |X| < L, holds its profiles to the same bound.  "Decayed" is
@@ -151,13 +154,14 @@ def gmres(apply_op, b, tol=1e-12, max_iter=400):
 
 
 def build_chi_upsilon(symbols: SymbolSet, grid: LineGrid, sigma: LineField,
-                      eps, resonance: Resonance):
+                      eps, resonance: Resonance, lambda_plus):
     """Resonant correction field ``chi`` and its solvability weight ``upsilon``.
 
     ``chi = lambda_plus^eps [B^eps(core, cos(omega_eps .) j)]_2``: the optical
     component of the core's bilinear pairing with the resonant cosine, an even
     decaying field oscillating at ``omega_eps``.  ``upsilon = iota[chi]`` is
-    order one (the cosine rectifies against itself).  Any even decaying chi
+    order one (the cosine rectifies against itself).  ``lambda_plus`` is the
+    optical branch tabulated at ``eps*grid.k``.  Any even decaying chi
     with ``upsilon != 0`` keeps the solvability split exact -- this pairing is
     the mode-matched choice, so it also keeps the iteration well contracted.
 
@@ -174,8 +178,7 @@ def build_chi_upsilon(symbols: SymbolSet, grid: LineGrid, sigma: LineField,
     )
     core_vec = VectorField.from_line(sigma, LineField.zero(grid))
     b = B_eps(symbols, core_vec, nu, eps)
-    table = symbols.lambda_pm(eps * grid.k)[1]
-    chi = LineField(grid, grid.apply(table, b.line2.values), even=True)
+    chi = LineField(grid, grid.apply(lambda_plus, b.line2.values), even=True)
     ups = iota_eps(chi, resonance.omega)
     if not abs(ups) > 1e-6:
         raise DegenerateSolvability(
@@ -225,8 +228,8 @@ class NanopteronConfig:
     cross term: ``"new"`` couples to the freshly computed optical corrector,
     ``"original"`` to the previous iterate's.  Both have the same fixed
     points; "new" contracts slightly faster.  ``n`` is the starting grid
-    size; the solve doubles it (up to 2**16) until the spacing resolves the
-    ripple.
+    size; the solve doubles it (up to ``MAX_GRID_N``) until the spacing
+    resolves the ripple.
     """
 
     n: int = 4096
@@ -265,8 +268,9 @@ class SolverOperators:
         self.resonance = resonance if resonance is not None else self.symbols.find_resonance(self.eps)
         if not grid.resolves_ripple(self.resonance.omega):
             raise InvalidParams(
-                f"grid spacing {grid.dx:.4f} cannot resolve the ripple at "
-                f"omega = {float(self.resonance.omega):.2f}; increase n"
+                f"grid spacing {grid.dx:.4f} on {grid.n} points cannot resolve the ripple "
+                f"at omega = {float(self.resonance.omega):.2f}; solve_nanopteron refines "
+                f"its grid up to {MAX_GRID_N} points, so use a larger eps"
             )
         self.sigma, self.sigma_slope = core_profile(params, grid)
         kap, beta = dt(params.kappa), dt(params.beta)
@@ -274,10 +278,11 @@ class SolverOperators:
         # 2 varpi0[B0_1((sigma,0), eta)] = 2 varpi0[sigma (gamma1 eta1 + gamma2 eta2)]
         self.gamma1 = nonlinear_strength(params, dt)
         self.gamma2 = (kap / (kap + 1)) * (beta / kap**2 - 1)
-        k = grid.k
-        _, self.varpi_eps_table, self.varpi0_table = self.symbols.varpi_symbols(self.eps, k)
-        self.lambda_plus_table = self.symbols.lambda_pm(self.eps * k)[1]
-        self.xi_table = self.symbols.xi_symbol(self.resonance.c, self.eps * k)
+        k, ek = grid.k, self.eps * grid.k
+        self.varpi_eps_table = self.symbols.varpi_eps(self.eps, ek)
+        self.varpi0_table = self.symbols.varpi_0(k)
+        self.lambda_plus_table = self.symbols.lambda_pm(ek)[1]
+        self.xi_table = self.symbols.xi_symbol(self.resonance.c, ek)
         # the resonant band where the traveling symbol's zero is removable
         self.band = np.abs(k - self.resonance.omega) < 2 * grid.dk
         off_band = np.abs(self.xi_table[~self.band])
@@ -287,7 +292,7 @@ class SolverOperators:
                 "a secondary resonance sits on the grid"
             )
         self.chi, self.upsilon = build_chi_upsilon(
-            self.symbols, grid, self.sigma, self.eps, self.resonance
+            self.symbols, grid, self.sigma, self.eps, self.resonance, self.lambda_plus_table
         )
         self.last_gmres_iterations = 0
         self.gmres_iterations = 0  # over every A-solve of these operators
@@ -496,7 +501,7 @@ def solve_nanopteron(params: DimerParams, eps, config: NanopteronConfig = None):
     resonance = symbols.find_resonance(eps)
     n = config.n
     grid = LineGrid(n, config.L, dtype=dt)
-    while not grid.resolves_ripple(resonance.omega) and grid.n < 1 << 16:
+    while not grid.resolves_ripple(resonance.omega) and grid.n < MAX_GRID_N:
         grid = LineGrid(2 * grid.n, config.L, dtype=dt)
     ops = SolverOperators(params, eps, grid, resonance=resonance)
     state = NanopteronState(LineField.zero(grid), LineField.zero(grid), dt(0.0))

@@ -106,10 +106,18 @@ class TestDispatch:
         (["simulate", "--beta", "inf"], "beta must be finite, got inf"),
         (["simulate", "--T", "inf"], "T must be finite and cover at least one step, got inf"),
         (["periodic", "--amplitude", "nan"], "|a|=nan exceeds a_max=0.01"),
+        (["dispersion", "--eps", "1e4"], "at kappa = 2.0, eps = 10000.0, xi has no sign change"),
+        (["dispersion", "--kappa", "1e200"], "kappa**3 must be finite, got kappa=1e+200"),
+        (["simulate", "--eps", "1e300"], "eps**2 must be finite, got eps=1e+300"),
     ])
     def test_malformed_input_exits_2_naming_the_limit(self, tmp_path, capsys, argv, limit):
         assert dispatch(argv + ["--out", str(tmp_path)]) == 2
         assert limit in capsys.readouterr().err
+
+    def test_unresolvable_ripple_names_the_grid_ceiling(self, tmp_path, capsys):
+        # the solve has already refined to its largest grid, so no flag can help
+        assert dispatch(["nanopteron", "--eps", "1e-5", "--out", str(tmp_path)]) == 2
+        assert "refines its grid up to 65536 points" in capsys.readouterr().err
 
     def test_module_entry_point(self, tmp_path):
         proc = subprocess.run(

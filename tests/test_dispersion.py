@@ -31,14 +31,6 @@ def symbols():
     return SymbolSet(DimerParams(kappa=2.0, beta=1.0))
 
 
-def test_delta_sing_validated():
-    p = DimerParams(kappa=2.0, beta=1.0)
-    with pytest.raises(InvalidParams):
-        SymbolSet(p, delta_sing=0.5)
-    with pytest.raises(InvalidParams):
-        SymbolSet(p, delta_sing=0.0)
-
-
 @settings(max_examples=200, deadline=None)
 @given(
     k=st.floats(-10.0, 10.0),
@@ -56,8 +48,8 @@ def test_trace_and_determinant_identities(k, kappa):
 
 @pytest.mark.parametrize("kappa", [1.5, 2.0, 5.0])
 def test_eigenvector_identity_both_branches(kappa):
-    # L(k) v = lambda v for both eigenpairs, including points inside the
-    # series window around cos(k) = 0.
+    # L(k) v = lambda v for both eigenpairs, including points next to
+    # cos(k) = 0, where the entries vanish.
     S = SymbolSet(DimerParams(kappa=kappa, beta=1.0))
     ks = np.concatenate(
         [
@@ -73,16 +65,23 @@ def test_eigenvector_identity_both_branches(kappa):
         assert np.max(np.abs(L @ [1.0, vp] - lp * np.array([1.0, vp]))) < 5e-10
 
 
-def test_eigenvector_branches_agree_at_seam():
-    # Evaluating exactly at |cos k| = delta with the quotient on one side and
-    # the series on the other must agree to well below 1e-8.
-    p = DimerParams(kappa=2.0, beta=1.0)
-    delta = 1e-6
-    k_seam = np.arccos(delta)
-    quot = SymbolSet(p, delta_sing=delta / 2)
-    ser = SymbolSet(p, delta_sing=delta * 2)
-    for a, b in zip(quot.eigvec_v_pm(k_seam), ser.eigvec_v_pm(k_seam)):
-        assert abs(a - b) < 1e-8
+@pytest.mark.parametrize("kappa", [1.01, 2.0, 5.0, 50.0])
+def test_eigenvectors_exact_to_rounding_near_cos_zero(kappa):
+    # Near cos(k) = 0 the entries vanish like cos(k); float64 must match a
+    # longdouble evaluation at the same k within 4 ulp, relative, for the
+    # entries of v_pm, J and J**-1 alike.
+    S = SymbolSet(DimerParams(kappa=kappa, beta=1.0))
+
+    def entries(k):
+        J, J1 = S.diagonalizer(k), S.diagonalizer(k, inverse=True)
+        return list(S.eigvec_v_pm(k)) + [e for row in J + J1 for e in row]
+
+    u = np.geomspace(1e-7, 1e-2, 301)
+    k = np.concatenate([np.arccos(u), np.arccos(-u)])
+    for got, ref in zip(entries(k), entries(k.astype(np.longdouble))):
+        assert got.dtype == np.float64 and ref.dtype == np.longdouble
+        ulps = np.max(np.abs(got / ref - 1)) / np.finfo(np.float64).eps
+        assert ulps <= 4, f"{ulps:.1f} ulp"
 
 
 def test_branch_symmetries(symbols):
@@ -203,7 +202,9 @@ def test_varpi_symbols(symbols):
     eps = 0.1
     c0 = symbols.params.sound_speed
     k = np.array([0.0, 0.3, 1.0, 4.0])
-    vc, ve, v0 = symbols.varpi_symbols(eps, k)
+    # varpi_eps(eps, K) = eps**2 * varpi_c(K), read here at K = k and K = eps*k
+    vc = symbols.varpi_eps(eps, k) / eps**2
+    ve, v0 = symbols.varpi_eps(eps, eps * k), symbols.varpi_0(k)
     # removable singularity at k = 0
     assert vc[0] == pytest.approx(-c0**2 / eps**2, rel=1e-12)
     assert ve[0] == pytest.approx(-(c0**2), rel=1e-12)
@@ -216,8 +217,7 @@ def test_varpi_symbols(symbols):
     # the scaled symbol converges to its formal limit as eps -> 0
     gaps = []
     for e in (0.1, 0.01):
-        _, ve_e, v0_e = symbols.varpi_symbols(e, k)
-        gaps.append(np.max(np.abs(ve_e - v0_e)))
+        gaps.append(np.max(np.abs(symbols.varpi_eps(e, e * k) - symbols.varpi_0(k))))
     assert gaps[1] < 1e-2 * gaps[0] * 1.5  # O(eps**2) shrinkage
 
 
@@ -229,5 +229,6 @@ def test_mode_symbols_at_resonance(symbols):
     # mode 1 is the resonant mode, where the traveling-wave symbol vanishes
     assert abs(xi[1]) <= 1e-12
     k = r.eps * r.omega * np.arange(M + 1)
+    assert np.array_equal(varpi, symbols.varpi_eps(r.eps, k))
     assert np.array_equal(lam_plus, symbols.lambda_pm(k)[1])
     assert np.array_equal(xi, symbols.xi_symbol(r.c, k))

@@ -134,7 +134,7 @@ class TestChiUpsilon:
         S = SymbolSet(QUAD)
         fake = Resonance(c=S.params.sound_speed, eps=1e-8, Omega=omega * 1e-8,
                          omega=omega, Upsilon=-1.0, residual=0.0)
-        chi, ups = build_chi_upsilon(S, grid, sigma, 1e-8, fake)
+        chi, ups = build_chi_upsilon(S, grid, sigma, 1e-8, fake, S.lambda_pm(1e-8 * grid.k)[1])
         cosf = LineField(grid, np.cos(omega * grid.X))
         _, b2 = B0_closed_form(QUAD, (sigma, LineField.zero(grid)),
                                (LineField.zero(grid), cosf))
