@@ -14,7 +14,9 @@ beta, and each other command records the groups it shares with that table.
 
 Configuration resolves in three layers: command-line flags override entries
 from ``--config FILE`` (``key = value`` lines, ``#`` comments), which override
-the defaults below.
+the defaults below.  ``SETTINGS`` declares each setting once, with its type,
+its default, and the subcommands that take it as a flag; a config file may
+set any of them.
 
 ======================  ==========================================  ==========
 flag                    meaning                                     default
@@ -49,6 +51,7 @@ import time
 import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,27 +62,12 @@ from .kdv import core_profile
 from .lattice import LatticeConfig, TravelingProfile, simulate
 from .model import DimerParams
 from .nanopteron import NanopteronState, solve_nanopteron
-from .periodic import PeriodicField, solve_periodic
+from .periodic import PeriodicField, PeriodicWave, solve_periodic
 from .spectral import LineField, LineGrid
 
 SCHEMA_RECORD = "dimerwave-runrecord/1"
 SCHEMA_SOLUTION = "dimerwave-nanopteron/1"
 SCHEMA_CSV = "dimerwave-csv/1"
-
-DEFAULTS = {
-    "kappa": 2.0,
-    "beta": 1.0,
-    "eps": 0.2,
-    "out": "runs",
-    "samples": 2048,
-    "amplitude": 1e-3,
-    "sweep": None,
-    "init": "leading",
-    "sites": 512,
-    "dt": 0.02,
-    "T": None,
-    "snap_every": 25,
-}
 
 
 def _fmt(x):
@@ -215,8 +203,6 @@ def load_solution(path):
         non-finite number, or describes an invalid solution; the message
         names the file and, where one is at fault, the key.
     """
-    from .periodic import PeriodicWave  # local import keeps module load light
-
     try:
         archive = np.load(path)
     except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
@@ -282,27 +268,20 @@ def _parse_config_file(path):
     return values
 
 
-_CONVERTERS = {
-    "kappa": float, "beta": float, "eps": float, "out": str, "samples": int,
-    "amplitude": float, "sweep": str, "init": str,
-    "sites": int, "dt": float, "T": float, "snap_every": int,
-}
-
-
 def _resolve(args) -> dict:
     """Defaults, then config-file entries, then explicit flags."""
     cfg = dict(DEFAULTS)
     given = set()  # keys set by the config file or a flag
     if getattr(args, "config", None):
         for key, raw in _parse_config_file(args.config).items():
-            if key not in _CONVERTERS:
+            if key not in SETTINGS:
                 raise InvalidParams(f"unknown config key {key!r}")
             try:
-                cfg[key] = _CONVERTERS[key](raw)
+                cfg[key] = SETTINGS[key].type(raw)
             except ValueError as exc:
                 raise InvalidParams(f"config key {key!r}: {exc}") from exc
             given.add(key)
-    for key in _CONVERTERS:
+    for key in SETTINGS:
         flag = getattr(args, key, None)
         if flag is not None:
             cfg[key] = flag
@@ -458,6 +437,10 @@ def cmd_simulate(cfg) -> int:
         prof = TravelingProfile.from_nanopteron(params, eps, state, wave, cfg["sites"])
         ripple_k = eps * prof.omega
     horizon = cfg["T"] if cfg["T"] is not None else 20.0 / prof.c
+    if cfg["T"] is None and horizon < cfg["dt"] < np.inf:  # LatticeConfig names a bad dt
+        raise InvalidParams(
+            f"eps = {eps!r} makes the default horizon T = 20/c = {horizon:g} shorter than "
+            f"one step dt = {cfg['dt']!r}; set --T or use a smaller eps")
     lat = LatticeConfig(sites=cfg["sites"], dt=cfg["dt"], T=horizon,
                         snap_every=cfg["snap_every"])
     rec = RunRecord("simulate", dict(
@@ -493,7 +476,47 @@ def cmd_validate(cfg) -> int:
     return 0 if rec.all_passed else 1
 
 
-# -- argument parsing ----------------------------------------------------------
+# -- settings and argument parsing ---------------------------------------------
+
+
+_COMMANDS = {
+    "dispersion": (cmd_dispersion, "sample branches and locate the resonance"),
+    "periodic": (cmd_periodic, "solve the ripple family at one amplitude"),
+    "nanopteron": (cmd_nanopteron, "solve the full traveling-wave system"),
+    "simulate": (cmd_simulate, "integrate a ring and dump (t, j, r_j)"),
+    "validate": (cmd_validate, "run the whole gate table"),
+}
+_EVERY = tuple(_COMMANDS)
+
+
+class Setting(NamedTuple):
+    """A setting's type, its default, and the subcommands that take it as a flag.
+
+    A ``--config`` file may set any key, whatever the subcommand.
+    """
+
+    type: type
+    default: object
+    commands: tuple
+    help: str = None
+
+
+SETTINGS = {
+    "kappa": Setting(float, 2.0, _EVERY),
+    "beta": Setting(float, 1.0, _EVERY),
+    "eps": Setting(float, 0.2, _EVERY),
+    "out": Setting(str, "runs", _EVERY, "output directory"),
+    "samples": Setting(int, 2048, ("dispersion",)),
+    "amplitude": Setting(float, 1e-3, ("periodic",)),
+    "sweep": Setting(str, None, ("nanopteron",), "comma-separated eps values"),
+    "init": Setting(str, "leading", ("simulate",),
+                    "'leading' or path to a nanopteron solution file"),
+    "sites": Setting(int, 512, ("simulate",)),
+    "dt": Setting(float, 0.02, ("simulate",)),
+    "T": Setting(float, None, ("simulate",)),
+    "snap_every": Setting(int, 25, ("simulate",)),
+}
+DEFAULTS = {key: setting.default for key, setting in SETTINGS.items()}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -502,51 +525,14 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Nanopteron traveling waves of the spring-dimer lattice.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--kappa", type=float)
-        p.add_argument("--beta", type=float)
+    for command, (_, help_text) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="key = value configuration file")
-        p.add_argument("--out", help="output directory")
-
-    p = sub.add_parser("dispersion", help="sample branches and locate the resonance")
-    common(p)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--samples", type=int)
-
-    p = sub.add_parser("periodic", help="solve the ripple family at one amplitude")
-    common(p)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--amplitude", type=float)
-
-    p = sub.add_parser("nanopteron", help="solve the full traveling-wave system")
-    common(p)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--sweep", help="comma-separated eps values")
-
-    p = sub.add_parser("simulate", help="integrate a ring and dump (t, j, r_j)")
-    common(p)
-    p.add_argument("--init", help="'leading' or path to a nanopteron solution file")
-    p.add_argument("--eps", type=float)
-    p.add_argument("--sites", type=int)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--T", type=float)
-    p.add_argument("--snap-every", dest="snap_every", type=int)
-
-    p = sub.add_parser("validate", help="run the whole gate table")
-    common(p)
-    p.add_argument("--eps", type=float)
-
+        for key, setting in SETTINGS.items():
+            if command in setting.commands:
+                p.add_argument("--" + key.replace("_", "-"), dest=key,
+                               type=setting.type, help=setting.help)
     return parser
-
-
-_COMMANDS = {
-    "dispersion": cmd_dispersion,
-    "periodic": cmd_periodic,
-    "nanopteron": cmd_nanopteron,
-    "simulate": cmd_simulate,
-    "validate": cmd_validate,
-}
 
 
 def dispatch(argv=None) -> int:
@@ -558,7 +544,7 @@ def dispatch(argv=None) -> int:
         return int(exc.code or 0)
     try:
         cfg = _resolve(args)
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command][0](cfg)
     except InvalidParams as exc:
         print(f"error: invalid configuration: {exc}", file=sys.stderr)
         return 2

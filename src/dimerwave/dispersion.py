@@ -214,8 +214,11 @@ class SymbolSet:
 
         Bisection on the analytic bracket
         ``[sqrt(2*kappa)/c - margin, sqrt(2+2*kappa)/c + margin]`` down to
-        interval width 1e-13, followed by guarded Newton polish steps using
-        the analytic derivative (accepted only while they shrink the residual).
+        interval width ``1e-13*scale``, followed by guarded Newton polish
+        steps using the analytic derivative (accepted only while they shrink
+        the residual).  The margin is ``1e-3*scale``, where
+        ``scale = min(1, sqrt(2*kappa)/c)`` keeps the bracket positive and the
+        width relative to the root at large eps; for eps < 1 it is 1.
 
         Raises
         ------
@@ -223,14 +226,16 @@ class SymbolSet:
             If ``eps`` is not a finite number > 0.
         RootNotBracketed
             (an ``InvalidParams``) If the symbol does not change sign over
-            the bracket, as when ``sqrt(2*kappa)/c < margin`` at large eps.
+            the bracket.
         """
         check_eps(eps)
         kap = self.params.kappa
         one = eps * 0 + 1.0  # carries the dtype of eps
         c = np.sqrt(derived_constants(kap, dtype=type(one))[0] ** 2 * one + eps * eps)
-        margin = 1e-3
-        lo = np.sqrt(2 * kap) / c - margin
+        lowest = np.sqrt(2 * kap) / c
+        scale = min(1.0, lowest)
+        margin = 1e-3 * scale
+        lo = lowest - margin
         hi = np.sqrt(2 + 2 * kap) / c + margin
         f_lo = self.xi_symbol(c, lo)
         f_hi = self.xi_symbol(c, hi)
@@ -239,7 +244,7 @@ class SymbolSet:
                 f"at kappa = {kap}, eps = {eps}, xi has no sign change on the resonance bracket "
                 f"[{lo}, {hi}]: f(lo)={f_lo}, f(hi)={f_hi}"
             )
-        while (hi - lo) > 1e-13:
+        while (hi - lo) > 1e-13 * scale:
             mid = (lo + hi) / 2
             if mid in (lo, hi):  # interval at rounding resolution
                 break

@@ -53,14 +53,11 @@ class LatticeConfig:
     dt: float = 0.02
     T: float = 20.0
     snap_every: int = 25
-    integrator: str = "rk4"
 
     def __post_init__(self):
         _site_array(self.sites)
         if not 0 < self.dt < np.inf:
             raise InvalidParams(f"dt must be positive and finite, got {self.dt}")
-        if self.integrator != "rk4":
-            raise InvalidParams(f"unknown integrator {self.integrator!r}")
         if not self.dt <= self.T < np.inf:
             raise InvalidParams(f"T must be finite and cover at least one step, got {self.T}")
         if not self.snap_every >= 1:

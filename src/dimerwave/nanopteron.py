@@ -49,15 +49,21 @@ from .errors import (
 from .kdv import core_profile, nonlinear_strength
 from .model import DimerParams
 from .nonlinear import B_eps, BQ_eps, VectorField
-from .periodic import PeriodicWave, solve_periodic
+from .periodic import A_MAX, PeriodicWave, solve_periodic
 from .spectral import LineField, LineGrid, PeriodicField, sup_norm
 
 # Relative amplitude change after which the outer loop re-solves the ripple
 # (the periodic family depends Lipschitz-continuously on ``a``).
 RIPPLE_UPDATE_THRESHOLD = 0.1
 
-# Most grid points the solve refines to while the spacing misses the ripple.
+# Starting grid size, and the most grid points the solve doubles it to while
+# the spacing misses the ripple.
+GRID_N = 4096
 MAX_GRID_N = 1 << 16
+
+# Outer step size at which the solve counts as converged, and the step budget.
+TOL = 1e-10
+MAX_ITER = 60
 
 # Largest boundary value |f(-L)|/max|f| a decaying field may keep (see
 # ``NanopteronState.validate``); the lattice, which samples decaying fields
@@ -195,9 +201,9 @@ class NanopteronState:
     eta2: LineField
     a: float
 
-    def validate(self, a_max: float = 1e-2):
+    def validate(self):
         """Check evenness (``SYMMETRY_TOL``), boundary decay (``DECAY_TOL``),
-        and the amplitude bound."""
+        and the ansatz bound ``|a| <= periodic.A_MAX``."""
         for name, f in (("eta1", self.eta1), ("eta2", self.eta2)):
             peak = float(np.max(np.abs(f.values)))
             if peak == 0:
@@ -212,8 +218,8 @@ class NanopteronState:
                     f"{name} boundary value {f.boundary_decay():.2e} of peak; "
                     "window too short for a ripple-free corrector"
                 )
-        if not abs(self.a) <= a_max:
-            raise InvalidParams(f"|a| = {abs(self.a):.3e} exceeds a_max = {a_max}")
+        if not abs(self.a) <= A_MAX:
+            raise InvalidParams(f"|a| = {abs(self.a):.3e} exceeds a_max = {A_MAX}")
         return self
 
     def sup(self) -> float:
@@ -222,21 +228,16 @@ class NanopteronState:
 
 @dataclass(frozen=True)
 class NanopteronConfig:
-    """Grid, tolerance, and coupling knobs for the nanopteron solve.
+    """Window, coupling, and precision of the nanopteron solve.
 
-    ``fixed_point`` selects which update the acoustic solve uses for the
-    cross term: ``"new"`` couples to the freshly computed optical corrector,
-    ``"original"`` to the previous iterate's.  Both have the same fixed
-    points; "new" contracts slightly faster.  ``n`` is the starting grid
-    size; the solve doubles it (up to ``MAX_GRID_N``) until the spacing
-    resolves the ripple.
+    ``L`` is the half-length of the line window.  ``fixed_point`` selects
+    which update the acoustic solve uses for the cross term: ``"new"``
+    couples to the freshly computed optical corrector, ``"original"`` to the
+    previous iterate's.  Both have the same fixed points; "new" contracts
+    slightly faster.  ``dtype`` is the working precision.
     """
 
-    n: int = 4096
     L: float = 60.0
-    tol: float = 1e-10
-    max_iter: int = 60
-    a_max: float = 1e-2
     fixed_point: str = "new"
     dtype: type = np.float64
 
@@ -487,7 +488,7 @@ def solve_nanopteron(params: DimerParams, eps, config: NanopteronConfig = None):
     ------
     NoConvergence
         If the iteration budget is exhausted, the state diverges, or the
-        amplitude escapes ``|a| <= a_max``.
+        amplitude escapes ``|a| <= periodic.A_MAX``.
     InvalidParams
         If the converged state fails ``NanopteronState.validate``.
     UnresolvedAmplitude
@@ -499,8 +500,7 @@ def solve_nanopteron(params: DimerParams, eps, config: NanopteronConfig = None):
     eps = dt(eps)
     symbols = SymbolSet(params)
     resonance = symbols.find_resonance(eps)
-    n = config.n
-    grid = LineGrid(n, config.L, dtype=dt)
+    grid = LineGrid(GRID_N, config.L, dtype=dt)
     while not grid.resolves_ripple(resonance.omega) and grid.n < MAX_GRID_N:
         grid = LineGrid(2 * grid.n, config.L, dtype=dt)
     ops = SolverOperators(params, eps, grid, resonance=resonance)
@@ -528,24 +528,24 @@ def solve_nanopteron(params: DimerParams, eps, config: NanopteronConfig = None):
         return step
 
     converged = False
-    iterations = config.max_iter
-    for it in range(1, config.max_iter + 1):
+    iterations = MAX_ITER
+    for it in range(1, MAX_ITER + 1):
         step = iterate(abs(state.a - wave.a) > RIPPLE_UPDATE_THRESHOLD * abs(state.a))
-        if not abs(state.a) <= config.a_max:
+        if not abs(state.a) <= A_MAX:
             raise NoConvergence(
                 f"ripple amplitude |a| = {abs(state.a):.3e} escaped the ansatz "
-                f"region a_max = {config.a_max}"
+                f"region a_max = {A_MAX}"
             )
         if state.sup() > 1e3 * core_peak:
             raise NoConvergence("corrector diverged past 1e3 * core amplitude")
-        if step <= config.tol:
+        if step <= TOL:
             converged = True
             iterations = it
             break
     if not converged:
         raise NoConvergence(
-            f"nanopteron solve did not reach tol={config.tol} in "
-            f"{config.max_iter} outer iterations (last step {step_history[-1]:.2e})"
+            f"nanopteron solve did not reach tol={TOL} in "
+            f"{MAX_ITER} outer iterations (last step {step_history[-1]:.2e})"
         )
     # polish with exact amplitude coupling: the lazy rule above accelerates
     # the transient but leaves the state converged against a ripple solved at
@@ -553,7 +553,7 @@ def solve_nanopteron(params: DimerParams, eps, config: NanopteronConfig = None):
     # pair to the fixed point of the exactly-coupled map.
     for _ in range(10):
         iterations += 1
-        if iterate(state.a != wave.a and abs(state.a) > 0) <= config.tol:
+        if iterate(state.a != wave.a and abs(state.a) > 0) <= TOL:
             break
     if state.a != wave.a and abs(state.a) > 0:
         wave = solve_periodic(params, eps, state.a)
@@ -572,7 +572,7 @@ def solve_nanopteron(params: DimerParams, eps, config: NanopteronConfig = None):
         core_sup=float(core_peak),
         upsilon=float(ops.upsilon),
     )
-    state.validate(a_max=config.a_max)
+    state.validate()
     floor = amplitude_floor(dt, core_peak)
     if not abs(state.a) >= floor:
         longdouble = np.dtype(dt) == np.dtype(np.longdouble)

@@ -46,7 +46,8 @@ TAIL_REL = 1e-13
 TAIL_ABS = 1e-16
 
 # Bounds of the empirically observed contraction region (the theory
-# guarantees existence for small enough values without giving numbers).
+# guarantees existence for small enough values without giving numbers).  The
+# nanopteron solve holds its ripple amplitude to the same A_MAX.
 A_MAX = 1e-2
 EPS_MAX = 0.5
 

@@ -84,9 +84,30 @@ class TestDispatch:
         assert "unknown config key 'threads'" in capsys.readouterr().err
 
     def test_flag_table_lists_every_default(self):
-        # the module docstring's flag table and DEFAULTS name the same settings
-        flags = {f.replace("-", "_") for f in re.findall(r"^--(\w[\w-]*)", cli.__doc__, re.M)}
-        assert flags == set(DEFAULTS)
+        # the module docstring's flag table and DEFAULTS name the same settings,
+        # each with the subcommand the settings table gives it (none: every one)
+        rows = re.findall(r"^--(\w[\w-]*) (?:\((\w+)\))?", cli.__doc__, re.M)
+        documented = {flag.replace("-", "_"): command for flag, command in rows}
+        assert set(documented) == set(DEFAULTS)
+        for key, command in documented.items():
+            assert cli.SETTINGS[key].commands == ((command,) if command else tuple(cli._COMMANDS))
+
+    @pytest.mark.parametrize("key", list(cli.SETTINGS))
+    def test_setting_flag_only_on_its_subcommands(self, tmp_path, capsys, key):
+        setting, flag = cli.SETTINGS[key], "--" + key.replace("_", "-")
+        parser = cli._build_parser()
+        for command in cli._COMMANDS:
+            if command in setting.commands:
+                assert getattr(parser.parse_args([command, flag, "1"]), key) == setting.type("1")
+            else:
+                with pytest.raises(SystemExit) as exc:
+                    parser.parse_args([command, flag, "1"])
+                assert exc.value.code == 2
+                assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"{key} = 1\n")
+        args = parser.parse_args([setting.commands[0], "--config", str(cfgfile)])
+        assert cli._resolve(args)[key] == setting.type("1")
 
     @pytest.mark.parametrize("argv, limit", [
         (["nanopteron", "--sweep", "0.2,abc"], "comma list of numbers"),
@@ -106,7 +127,8 @@ class TestDispatch:
         (["simulate", "--beta", "inf"], "beta must be finite, got inf"),
         (["simulate", "--T", "inf"], "T must be finite and cover at least one step, got inf"),
         (["periodic", "--amplitude", "nan"], "|a|=nan exceeds a_max=0.01"),
-        (["dispersion", "--eps", "1e4"], "at kappa = 2.0, eps = 10000.0, xi has no sign change"),
+        (["simulate", "--eps", "1e100"], "eps = 1e+100 makes the default horizon T = 20/c = "
+                                         "2e-99 shorter than one step dt = 0.02; set --T"),
         (["dispersion", "--kappa", "1e200"], "kappa**3 must be finite, got kappa=1e+200"),
         (["simulate", "--eps", "1e300"], "eps**2 must be finite, got eps=1e+300"),
     ])
@@ -142,6 +164,14 @@ class TestDispersionCommand:
         assert lines[1] == "k,lambda_minus,lambda_plus,dlambda_minus,dlambda_plus"
         assert len(lines) == 2 + 128
         assert "PASS" in capsys.readouterr().out
+
+    def test_large_eps_locates_the_resonance(self, tmp_path, capsys):
+        # the root is about sqrt(2 kappa)/c = 2e-4, so the bracket margin scales with it
+        code = dispatch(["dispersion", "--eps", "1e4", "--samples", "64",
+                         "--out", str(tmp_path)])
+        assert code == 0
+        record = (tmp_path / "dispersion_record.txt").read_text()
+        assert "residual = PASS" in record and "bracket = PASS" in record
 
 
 class TestPeriodicCommand:

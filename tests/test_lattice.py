@@ -91,7 +91,7 @@ def ring02(solved02):
 class TestConfig:
     def test_defaults_are_valid(self):
         cfg = LatticeConfig()
-        assert cfg.sites == 512 and cfg.integrator == "rk4"
+        assert cfg.sites == 512 and cfg.dt == 0.02
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -100,7 +100,7 @@ class TestConfig:
             {"sites": 4},
             {"dt": 0.0},
             {"dt": -0.1},
-            {"integrator": "verlet"},
+            {"snap_every": 0},
             {"T": 0.001, "dt": 0.01},
             {"dt": np.inf},
             {"dt": np.nan},

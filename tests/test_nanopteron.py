@@ -378,9 +378,10 @@ class TestSolve:
         floor = nanopteron.AMPLITUDE_FLOOR_ULPS * np.finfo(np.longdouble).eps * diag.core_sup
         assert 1.5 * floor < abs(state.a) < 3e-17
 
-    def test_iteration_budget_raises(self):
+    def test_iteration_budget_raises(self, monkeypatch):
+        monkeypatch.setattr(nanopteron, "MAX_ITER", 2)
         with pytest.raises(NoConvergence):
-            solve_nanopteron(QUAD, 0.2, NanopteronConfig(max_iter=2))
+            solve_nanopteron(QUAD, 0.2)
 
     def test_grid_resolution_gate(self):
         with pytest.raises(InvalidParams, match="cannot resolve the ripple"):
