@@ -286,8 +286,6 @@ def _resolve(args) -> dict:
         if flag is not None:
             cfg[key] = flag
             given.add(key)
-    if not cfg["samples"] >= 1:
-        raise InvalidParams(f"--samples must be at least 1, got {cfg['samples']}")
     if args.command == "nanopteron" and cfg["sweep"] and "eps" in given:
         raise InvalidParams(f"eps = {cfg['eps']!r} and sweep = {cfg['sweep']!r} are both set; "
                             "a sweep solves only its own eps values, so give one of them")
@@ -313,6 +311,8 @@ def _record_config(cfg, keys):
 
 
 def cmd_dispersion(cfg) -> int:
+    if not cfg["samples"] >= 1:
+        raise InvalidParams(f"--samples must be at least 1, got {cfg['samples']}")
     params = _params(cfg)
     S = SymbolSet(params)
     rec = RunRecord("dispersion", _record_config(cfg, ("eps", "samples")))

@@ -26,7 +26,7 @@ from .kdv import core_profile
 from .model import DimerParams, derived_constants, potential
 from .nanopteron import DECAY_TOL, NanopteronState
 from .nonlinear import VectorField, apply_J
-from .periodic import PeriodicWave
+from .periodic import EPS_MAX, PeriodicWave
 from .spectral import LineField, LineGrid, PeriodicField
 
 
@@ -109,8 +109,16 @@ class TravelingProfile:
 
     @classmethod
     def leading_order(cls, params: DimerParams, eps, sites: int, grid: LineGrid = None):
-        """Squared-sech core only: odd sites eps^2 sigma/kappa, even eps^2 sigma."""
+        """Squared-sech core only: odd sites eps^2 sigma/kappa, even eps^2 sigma.
+
+        Refuses ``eps > periodic.EPS_MAX``, past which the long-wave profile
+        is no traveling wave (at eps 10 the ring blows up within t = 0.5).
+        """
         check_eps(eps)
+        if not eps <= EPS_MAX:
+            raise InvalidParams(
+                f"eps = {eps!r} exceeds the long-wave bound EPS_MAX = {EPS_MAX} "
+                "of the leading-order profile")
         if grid is None:
             grid = LineGrid(4096, 60.0)
         sigma, _ = core_profile(params, grid)

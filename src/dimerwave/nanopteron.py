@@ -52,17 +52,17 @@ from .nonlinear import B_eps, BQ_eps, VectorField
 from .periodic import A_MAX, PeriodicWave, solve_periodic
 from .spectral import LineField, LineGrid, PeriodicField, sup_norm
 
-# Relative amplitude change after which the outer loop re-solves the ripple
-# (the periodic family depends Lipschitz-continuously on ``a``).
-RIPPLE_UPDATE_THRESHOLD = 0.1
-
 # Starting grid size, and the most grid points the solve doubles it to while
 # the spacing misses the ripple.
 GRID_N = 4096
 MAX_GRID_N = 1 << 16
 
 # Outer step size at which the solve counts as converged, and the step budget.
-TOL = 1e-10
+# The step contracts by about 0.2 per pass, so the state then sits within a
+# quarter of the last step of the fixed point.  1e-12 is tight enough that
+# the longdouble solve at eps 0.05 reaches its fixed point's relative
+# residual, 1.8e-16; 1e-10 stops it one pass early, at 2.1e-14.
+TOL = 1e-12
 MAX_ITER = 60
 
 # Largest boundary value |f(-L)|/max|f| a decaying field may keep (see
@@ -478,11 +478,12 @@ class SolveDiagnostics:
 def solve_nanopteron(params: DimerParams, eps, config: NanopteronConfig = None):
     """Solve the nanopteron fixed point; returns ``(state, wave, diagnostics)``.
 
-    Outer iteration from ``(0, 0, 0)``: re-solve the periodic family only
-    when the amplitude has moved away from the ripple's own ``wave.a`` by
-    more than ``RIPPLE_UPDATE_THRESHOLD`` relative to itself (its dependence
-    on ``a`` is Lipschitz), then apply the three maps and measure the state
-    change in sup norm.
+    One fixed-point iteration from ``(0, 0, 0)`` and the ripple at ``a = 0``.
+    Each pass applies the three maps, measures the state change in sup norm,
+    checks the amplitude bound and divergence, and re-solves the ripple at
+    the new ``a``; it stops once the change is at most ``TOL``.  So the
+    returned ``wave.a`` equals ``state.a`` and ``ripple_solves`` equals
+    ``iterations``.
 
     Raises
     ------
@@ -508,14 +509,7 @@ def solve_nanopteron(params: DimerParams, eps, config: NanopteronConfig = None):
     wave = solve_periodic(params, eps, dt(0.0))
     core_peak = sup_norm(ops.sigma)
     step_history, a_history = [], []
-    ripple_solves = 0
-
-    def iterate(resolve_ripple):
-        """One outer step, re-solving the ripple at the current ``a`` first if asked."""
-        nonlocal state, wave, ripple_solves
-        if resolve_ripple:
-            wave = solve_periodic(params, eps, state.a)
-            ripple_solves += 1
+    for iterations in range(1, MAX_ITER + 1):
         eta1_new, eta2_new, a_new = N_maps(ops, state, wave, config.fixed_point)
         step = max(
             sup_norm(eta1_new - state.eta1),
@@ -525,12 +519,7 @@ def solve_nanopteron(params: DimerParams, eps, config: NanopteronConfig = None):
         state = NanopteronState(eta1_new, eta2_new, a_new)
         step_history.append(float(step))
         a_history.append(float(a_new))
-        return step
-
-    converged = False
-    iterations = MAX_ITER
-    for it in range(1, MAX_ITER + 1):
-        step = iterate(abs(state.a - wave.a) > RIPPLE_UPDATE_THRESHOLD * abs(state.a))
+        # checked before the ripple solve, which refuses |a| > A_MAX itself
         if not abs(state.a) <= A_MAX:
             raise NoConvergence(
                 f"ripple amplitude |a| = {abs(state.a):.3e} escaped the ansatz "
@@ -538,26 +527,14 @@ def solve_nanopteron(params: DimerParams, eps, config: NanopteronConfig = None):
             )
         if state.sup() > 1e3 * core_peak:
             raise NoConvergence("corrector diverged past 1e3 * core amplitude")
+        wave = solve_periodic(params, eps, state.a)
         if step <= TOL:
-            converged = True
-            iterations = it
             break
-    if not converged:
+    else:
         raise NoConvergence(
             f"nanopteron solve did not reach tol={TOL} in "
             f"{MAX_ITER} outer iterations (last step {step_history[-1]:.2e})"
         )
-    # polish with exact amplitude coupling: the lazy rule above accelerates
-    # the transient but leaves the state converged against a ripple solved at
-    # a slightly stale amplitude; a few tightly-coupled steps pin the reported
-    # pair to the fixed point of the exactly-coupled map.
-    for _ in range(10):
-        iterations += 1
-        if iterate(state.a != wave.a and abs(state.a) > 0) <= TOL:
-            break
-    if state.a != wave.a and abs(state.a) > 0:
-        wave = solve_periodic(params, eps, state.a)
-        ripple_solves += 1
     residual = system_residual(ops, state, wave)
     diagnostics = SolveDiagnostics(
         converged=True,
@@ -566,7 +543,7 @@ def solve_nanopteron(params: DimerParams, eps, config: NanopteronConfig = None):
         residual_rel=float(residual / core_peak),
         step_history=step_history,
         a_history=a_history,
-        ripple_solves=ripple_solves,
+        ripple_solves=iterations,
         gmres_iterations=ops.gmres_iterations,
         eta_sup=(sup_norm(state.eta1), sup_norm(state.eta2)),
         core_sup=float(core_peak),

@@ -83,6 +83,13 @@ class TestDispatch:
         assert code == 2
         assert "unknown config key 'threads'" in capsys.readouterr().err
 
+    def test_samples_checked_only_where_read(self, tmp_path, capsys):
+        # a config file shared across subcommands may set dispersion's samples
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("samples = 0\n")
+        code = dispatch(["periodic", "--config", str(cfgfile), "--out", str(tmp_path)])
+        assert code == 0
+
     def test_flag_table_lists_every_default(self):
         # the module docstring's flag table and DEFAULTS name the same settings,
         # each with the subcommand the settings table gives it (none: every one)
@@ -127,10 +134,11 @@ class TestDispatch:
         (["simulate", "--beta", "inf"], "beta must be finite, got inf"),
         (["simulate", "--T", "inf"], "T must be finite and cover at least one step, got inf"),
         (["periodic", "--amplitude", "nan"], "|a|=nan exceeds a_max=0.01"),
-        (["simulate", "--eps", "1e100"], "eps = 1e+100 makes the default horizon T = 20/c = "
-                                         "2e-99 shorter than one step dt = 0.02; set --T"),
+        (["simulate", "--dt", "100"], "eps = 0.2 makes the default horizon T = 20/c = "
+                                      "17.0664 shorter than one step dt = 100.0; set --T"),
         (["dispersion", "--kappa", "1e200"], "kappa**3 must be finite, got kappa=1e+200"),
         (["simulate", "--eps", "1e300"], "eps**2 must be finite, got eps=1e+300"),
+        (["simulate", "--eps", "10"], "eps = 10.0 exceeds the long-wave bound EPS_MAX = 0.5"),
     ])
     def test_malformed_input_exits_2_naming_the_limit(self, tmp_path, capsys, argv, limit):
         assert dispatch(argv + ["--out", str(tmp_path)]) == 2
@@ -374,6 +382,15 @@ class TestSweep:
         assert code == 1
         record = (tmp_path / "nanopteron_eps0.25_record.txt").read_text()
         assert "converged = FAIL" in record
+
+    def test_escaped_amplitude_fails_before_the_ripple_solve(self, tmp_path, capsys):
+        # the outer loop checks |a| <= a_max before re-solving the ripple at a,
+        # which would refuse it as invalid input (exit 2, no record)
+        code = dispatch(["nanopteron", "--eps", "0.3", "--out", str(tmp_path)])
+        assert code == 1
+        record = (tmp_path / "nanopteron_eps0.3_record.txt").read_text()
+        assert re.search(r"^converged = FAIL \(ripple amplitude \|a\| = \S+ escaped the "
+                         r"ansatz region a_max = 0\.01\)$", record, re.M)
 
     @pytest.mark.parametrize("refused_at", [1, 2])
     def test_refused_eps_keeps_the_other_outputs(self, tmp_path, capsys, refused_at):

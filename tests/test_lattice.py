@@ -146,6 +146,11 @@ class TestLeadingProfile:
         assert prof.c == pytest.approx(np.sqrt(CK**2 + 0.04), rel=1e-14)
         assert prof.c > CK
 
+    def test_eps_up_to_the_long_wave_bound(self):
+        assert TravelingProfile.leading_order(QUAD, 0.5, 64).eps == 0.5
+        with pytest.raises(InvalidParams, match="long-wave bound EPS_MAX = 0.5"):
+            TravelingProfile.leading_order(QUAD, 0.5000001, 64)
+
     def test_velocity_matches_time_difference(self):
         prof = TravelingProfile.leading_order(QUAD, 0.2, 128)
         h = 1e-4
