@@ -440,7 +440,7 @@ def cmd_simulate(cfg) -> int:
     if cfg["T"] is None and horizon < cfg["dt"] < np.inf:  # LatticeConfig names a bad dt
         raise InvalidParams(
             f"eps = {eps!r} makes the default horizon T = 20/c = {horizon:g} shorter than "
-            f"one step dt = {cfg['dt']!r}; set --T or use a smaller eps")
+            f"one step dt = {cfg['dt']!r}; set --T or use a smaller --dt")
     lat = LatticeConfig(sites=cfg["sites"], dt=cfg["dt"], T=horizon,
                         snap_every=cfg["snap_every"])
     rec = RunRecord("simulate", dict(

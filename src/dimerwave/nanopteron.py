@@ -478,12 +478,13 @@ class SolveDiagnostics:
 def solve_nanopteron(params: DimerParams, eps, config: NanopteronConfig = None):
     """Solve the nanopteron fixed point; returns ``(state, wave, diagnostics)``.
 
-    One fixed-point iteration from ``(0, 0, 0)`` and the ripple at ``a = 0``.
-    Each pass applies the three maps, measures the state change in sup norm,
-    checks the amplitude bound and divergence, and re-solves the ripple at
-    the new ``a``; it stops once the change is at most ``TOL``.  So the
-    returned ``wave.a`` equals ``state.a`` and ``ripple_solves`` equals
-    ``iterations``.
+    One fixed-point iteration from ``(0, 0, 0)`` and the ripple at ``a = 0``,
+    whose resonance the whole solve reuses.  Each pass applies the three
+    maps, measures the state change in sup norm, checks the amplitude bound
+    and divergence, and re-solves the ripple at the new ``a``, warm-started
+    from the previous pass's ripple; it stops once the change is at most
+    ``TOL``.  So the returned ``wave.a`` equals ``state.a`` and
+    ``ripple_solves`` equals ``iterations``.
 
     Raises
     ------
@@ -499,14 +500,12 @@ def solve_nanopteron(params: DimerParams, eps, config: NanopteronConfig = None):
     config = config or NanopteronConfig()
     dt = config.dtype
     eps = dt(eps)
-    symbols = SymbolSet(params)
-    resonance = symbols.find_resonance(eps)
-    grid = LineGrid(GRID_N, config.L, dtype=dt)
-    while not grid.resolves_ripple(resonance.omega) and grid.n < MAX_GRID_N:
-        grid = LineGrid(2 * grid.n, config.L, dtype=dt)
-    ops = SolverOperators(params, eps, grid, resonance=resonance)
-    state = NanopteronState(LineField.zero(grid), LineField.zero(grid), dt(0.0))
     wave = solve_periodic(params, eps, dt(0.0))
+    grid = LineGrid(GRID_N, config.L, dtype=dt)
+    while not grid.resolves_ripple(wave.resonance.omega) and grid.n < MAX_GRID_N:
+        grid = LineGrid(2 * grid.n, config.L, dtype=dt)
+    ops = SolverOperators(params, eps, grid, resonance=wave.resonance)
+    state = NanopteronState(LineField.zero(grid), LineField.zero(grid), dt(0.0))
     core_peak = sup_norm(ops.sigma)
     step_history, a_history = [], []
     for iterations in range(1, MAX_ITER + 1):
@@ -527,7 +526,7 @@ def solve_nanopteron(params: DimerParams, eps, config: NanopteronConfig = None):
             )
         if state.sup() > 1e3 * core_peak:
             raise NoConvergence("corrector diverged past 1e3 * core amplitude")
-        wave = solve_periodic(params, eps, state.a)
+        wave = solve_periodic(params, eps, state.a, start=wave)
         if step <= TOL:
             break
     else:

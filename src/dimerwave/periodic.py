@@ -10,8 +10,9 @@ optical mode produces three fixed-point maps ``(Psi1, Psi2, Psi3)`` for
 evaluation, so each Picard step (``PeriodicSolver.maps``) evaluates the
 nonlinearity and the mode symbols once, and the residual of the full system
 reuses that evaluation.  The maps contract for small ``a``; plain Picard
-iteration from (0, 0, 0) converges and the converged state is reported with
-the residual of the full system.
+iteration converges, from (0, 0, 0) or from a solved ripple at a nearby
+amplitude (whose resonance and mode cutoff are then reused), and the
+converged state is reported with the residual of the full system.
 
 The corrector's optical component has no fundamental-mode content (the
 kernel direction is carried entirely by ``nu``); that normalization is what
@@ -104,15 +105,23 @@ def _ripple_vector(grid: LineGrid, psi, omega, scale) -> VectorField:
 
 
 class PeriodicSolver:
-    """Fixed-point maps and Picard driver for one (params, eps) slice."""
+    """Fixed-point maps and Picard driver for one (params, eps) slice.
 
-    def __init__(self, params: DimerParams, eps: float):
+    ``start`` is a solved wave of the same slice: Picard then starts from
+    its ``(psi1, psi2, t)`` at its mode cutoff, and its resonance is reused.
+    """
+
+    def __init__(self, params: DimerParams, eps: float, start: PeriodicWave = None):
         if not 0 < eps <= EPS_MAX:
             raise InvalidParams(f"eps must lie in (0, {EPS_MAX}], got {eps}")
+        if start is not None and (start.params != params or start.eps != eps):
+            raise InvalidParams("a warm start must come from the same params and eps")
         self.eps = eps
         self.symbols = SymbolSet(params)
-        self.resonance = self.symbols.find_resonance(eps)
-        self.M = MODES
+        self.start = start
+        cold = start is None
+        self.resonance = self.symbols.find_resonance(eps) if cold else start.resonance
+        self.M = MODES if cold else start.psi1.M
         # carry the precision of eps (e.g. longdouble) through the whole solve
         dt = np.asarray(eps).dtype
         self._dtype = dt.type if dt.kind == "f" else np.float64
@@ -201,13 +210,16 @@ class PeriodicSolver:
 
     # -- driver -----------------------------------------------------------------
 
-    def _zero_state(self, a) -> PeriodicState:
-        z = PeriodicField.zero(self.M, dtype=self._dtype)
-        return PeriodicState(z, z.copy(), self._dtype(0.0), a)
+    def _start_state(self, a) -> PeriodicState:
+        if self.start is None:
+            z = PeriodicField.zero(self.M, dtype=self._dtype)
+            return PeriodicState(z, z.copy(), self._dtype(0.0), a)
+        s = self.start
+        return PeriodicState(s.psi1.pad_to(self.M), s.psi2.pad_to(self.M), s.t, a)
 
     def iterate(self, a):
-        """Picard iteration from the zero state."""
-        st = self._zero_state(a)
+        """Picard iteration from the zero state, or from the warm start."""
+        st = self._start_state(a)
         prev_step = None
         worst_ratio = 0.0
         for it in range(1, MAX_ITER + 1):
@@ -231,8 +243,12 @@ class PeriodicSolver:
         return st, MAX_ITER, worst_ratio, False
 
 
-def solve_periodic(params: DimerParams, eps: float, a: float) -> PeriodicWave:
+def solve_periodic(params: DimerParams, eps: float, a: float,
+                   start: PeriodicWave = None) -> PeriodicWave:
     """Solve the ripple family at one amplitude, refining the mode cutoff.
+
+    ``start``, a solved wave of the same ``(params, eps)``, warm-starts the
+    solve (see ``PeriodicSolver``).
 
     Raises
     ------
@@ -244,7 +260,7 @@ def solve_periodic(params: DimerParams, eps: float, a: float) -> PeriodicWave:
     """
     if not abs(a) <= A_MAX:
         raise InvalidParams(f"|a|={abs(a)} exceeds a_max={A_MAX}")
-    solver = PeriodicSolver(params, eps)
+    solver = PeriodicSolver(params, eps, start)
     while True:
         st, iters, ratio, ok = solver.iterate(a)
         if not ok:

@@ -15,8 +15,10 @@ Conventions fixed repo-wide:
   coefficients: ``f(th) = sum_j coeffs[j]*cos(j*th)``.  Since
   ``cos(j*th) = T_j(cos th)``, such a series (and its derivative, through
   ``d/dth cos(j*th) = -j*sin(th)*U_{j-1}(cos th)``) is evaluated with the
-  Clenshaw recurrence: one ``cos`` call and M multiply-add sweeps, in the
-  dtype of the angles and coefficients.  The error is about
+  Clenshaw recurrence (``_clenshaw``, the one sampler of cosine series): one
+  ``cos`` call and a multiply-add sweep per significant mode, in the dtype of
+  the angles and coefficients.  The tail that dtype cannot see (absolute sum
+  at most ``eps*max|coeffs|``) is not swept.  The error is about
   ``eps*sum_j j**2*|coeffs[j]|`` at worst (near ``th = 0, pi``, where
   ``|T_j'(+-1)| = j**2`` amplifies the rounding of ``cos th``) and does not
   grow with ``|th|``, since no product ``j*th`` is formed.
@@ -280,7 +282,9 @@ class PeriodicField:
         """``sum_j coeffs[j]*T_j(x)``, i.e. :meth:`eval_at` where ``x = cos(theta)``.
 
         Lets callers that sample several series at one set of angles take
-        the cosine once.
+        the cosine once.  The trailing modes whose absolute sum is at most
+        ``finfo(dtype).eps * max|coeffs|`` are not swept, so a sample moves by
+        at most that much (see ``_clenshaw``).
         """
         b1, b2 = _clenshaw(x, self.coeffs)
         return self.coeffs[0] + x * b1 - b2
@@ -295,12 +299,20 @@ class PeriodicField:
 
 
 def _clenshaw(x, a):
-    """``(b_1, b_2)`` of ``b_k = a_k + 2*x*b_{k+1} - b_{k+2}`` swept down from k = len(a)-1.
+    """``(b_1, b_2)`` of ``b_k = a_k + 2*x*b_{k+1} - b_{k+2}`` swept down from
+    the last significant k.
 
     ``sum_k a_k*T_k(x) = a_0 + x*b_1 - b_2`` and ``sum_k a_k*U_k(x) = a_0 +
-    2*x*b_1 - b_2``.
+    2*x*b_1 - b_2``.  The sweep starts below the longest trailing run of
+    coefficients whose absolute sum is at most ``finfo(dtype).eps * max|a|``
+    (Aurentz & Trefethen, "Chopping a Chebyshev series", 2017).  Since
+    ``|T_k(cos th)| <= 1`` and ``|sin th * U_{k-1}(cos th)| = |sin(k*th)| <= 1``,
+    the dropped part of a cosine or sine sample is at most that bound, the
+    size of the sweep's own rounding.  A series with a non-finite coefficient
+    is swept whole, so NaN and inf reach every sample.
     """
     dtype = np.result_type(x, a)
+    a = a[: _significant(a, np.finfo(dtype).eps)]
     two_x = 2 * x
     b1 = np.zeros(x.shape, dtype)
     b2 = np.zeros(x.shape, dtype)
@@ -311,6 +323,17 @@ def _clenshaw(x, a):
         b2 += ak
         b1, b2 = b2, b1
     return b1, b2
+
+
+def _significant(a, eps) -> int:
+    """Length of the shortest prefix of ``a`` (at least 1) whose dropped tail
+    has absolute sum at most ``eps * max|a|``; ``len(a)`` if any entry is
+    not finite."""
+    mag = np.abs(a)
+    if not np.isfinite(mag.max()):
+        return mag.size
+    tail = np.cumsum(mag[:0:-1])[::-1]  # tail[k-1] = sum_{j>=k} |a_j|
+    return 1 + int(np.count_nonzero(tail > eps * mag.max()))
 
 
 def periodic_product(f: PeriodicField, g: PeriodicField) -> PeriodicField:

@@ -135,7 +135,8 @@ class TestDispatch:
         (["simulate", "--T", "inf"], "T must be finite and cover at least one step, got inf"),
         (["periodic", "--amplitude", "nan"], "|a|=nan exceeds a_max=0.01"),
         (["simulate", "--dt", "100"], "eps = 0.2 makes the default horizon T = 20/c = "
-                                      "17.0664 shorter than one step dt = 100.0; set --T"),
+                                      "17.0664 shorter than one step dt = 100.0; "
+                                      "set --T or use a smaller --dt"),
         (["dispersion", "--kappa", "1e200"], "kappa**3 must be finite, got kappa=1e+200"),
         (["simulate", "--eps", "1e300"], "eps**2 must be finite, got eps=1e+300"),
         (["simulate", "--eps", "10"], "eps = 10.0 exceeds the long-wave bound EPS_MAX = 0.5"),

@@ -347,6 +347,25 @@ class TestSolve:
         assert sup_norm(state_new.eta2 - state_orig.eta2) < 1e-11
         assert abs(state_new.a - state_orig.a) < 1e-11
 
+    def test_ripple_resolves_warm_from_one_resonance(self, monkeypatch):
+        # the a = 0 ripple's resonance serves the whole solve, and each warm
+        # re-solve lands on the cold solve's ripple at the final amplitude
+        find = SymbolSet.find_resonance
+        calls = []
+
+        def counting(symbols, eps):
+            calls.append(eps)
+            return find(symbols, eps)
+
+        monkeypatch.setattr(SymbolSet, "find_resonance", counting)
+        state, wave, diag = solve_nanopteron(QUAD, 0.15)
+        assert len(calls) == 1 and diag.ripple_solves > 1
+        cold = solve_periodic(QUAD, 0.15, state.a)
+        M = max(wave.psi1.M, cold.psi1.M)
+        for warm_psi, cold_psi in ((wave.psi1, cold.psi1), (wave.psi2, cold.psi2)):
+            assert np.max(np.abs(warm_psi.pad_to(M).coeffs - cold_psi.pad_to(M).coeffs)) < 1e-13
+        assert abs(wave.t - cold.t) < 1e-13
+
     def test_gmres_iterations_total_every_A_solve(self, monkeypatch):
         counts = []
 

@@ -259,6 +259,87 @@ def test_periodic_eval_keeps_shape_and_dtype():
     assert f.eval_at(np.longdouble(0.7)).dtype == np.longdouble
 
 
+def _unchopped(c, theta):
+    """Value and derivative of the cosine series by a Clenshaw sweep over every
+    mode (the oracle for the sampler's tail chop), rounding as the sampler
+    does step by step."""
+    x = np.cos(theta)
+
+    def sweep(a):
+        b1 = b2 = np.zeros_like(x)
+        for ak in a[:0:-1]:
+            b1, b2 = (2 * x * b1 - b2) + ak, b1
+        return b1, b2
+
+    b1, b2 = sweep(c)
+    d = np.arange(1, len(c)) * c[1:]
+    d1, d2 = sweep(d)
+    return c[0] + x * b1 - b2, -np.sin(theta) * (d[0] + 2 * x * d1 - d2)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_chopped_sampling_matches_full_sweep(dtype):
+    # the dropped tail moves a cosine or sine sample by at most eps*max|coeffs|,
+    # and the sweep's rounding from its shorter start by a few eps more
+    rng = np.random.default_rng(11)
+    eps = np.finfo(dtype).eps
+    theta = np.concatenate([[0.0, np.pi / 2, np.pi], rng.uniform(0, 2 * np.pi, 200)])
+    theta = theta.astype(dtype)
+    worst = 0.0
+    for _ in range(40):
+        M = int(rng.integers(8, 301))
+        rate = rng.uniform(0.3, 0.97)
+        c = (rng.standard_normal(M + 1) * rate ** np.arange(M + 1)).astype(dtype)
+        f = PeriodicField(c)
+        value, slope = _unchopped(c, theta)
+        d = np.arange(1, M + 1) * c[1:]
+        worst = max(worst, np.max(np.abs(f.eval_at(theta) - value)) / (eps * np.max(np.abs(c))),
+                    np.max(np.abs(f.derivative_at(theta) - slope)) / (eps * np.max(np.abs(d))))
+    assert worst <= 32
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_non_finite_tail_reaches_every_sample(dtype):
+    c = 0.5 ** np.arange(201, dtype=dtype)  # significant up to mode ~64 at most
+    c[150] = np.nan
+    f = PeriodicField(c)
+    theta = np.linspace(0, 2 * np.pi, 33, dtype=dtype)
+    assert np.all(np.isnan(f.eval_at(theta)))
+    assert np.all(np.isnan(f.derivative_at(theta)))
+    c[150] = np.inf
+    with np.errstate(invalid="ignore"):  # inf - inf on the way down
+        assert not np.any(np.isfinite(PeriodicField(c).eval_at(theta)))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_zero_series_samples_as_zeros(dtype):
+    f = PeriodicField.zero(40, dtype=dtype)
+    theta = np.linspace(-3, 3, 12, dtype=dtype).reshape(3, 4)
+    for method in (f.eval_at, f.derivative_at):
+        out = method(theta)
+        assert out.shape == (3, 4) and out.dtype == dtype and not np.any(out)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize("peak", [1, 2])
+def test_negligible_tail_is_not_swept(dtype, peak):
+    # one mode, 29 past the peak mode, at 1e-3*eps of it: sampling sweeps
+    # only the prefix, bit for bit, where a full sweep moves the sample at
+    # theta = pi/2 (the value for peak mode 1, the slope for peak mode 2)
+    eps = np.finfo(dtype).eps
+    c = np.zeros(40, dtype=dtype)
+    c[peak] = 1
+    prefix = PeriodicField(c.copy())
+    c[peak + 29] = 1e-3 * eps
+    f = PeriodicField(c)
+    theta = np.linspace(0, np.pi, 9, dtype=dtype)
+    value, slope = _unchopped(c, theta)
+    full, sampler = (value, prefix.eval_at) if peak == 1 else (slope, prefix.derivative_at)
+    assert full[4] != sampler(theta)[4]
+    assert np.array_equal(f.eval_at(theta), prefix.eval_at(theta))
+    assert np.array_equal(f.derivative_at(theta), prefix.derivative_at(theta))
+
+
 def test_periodic_field_validation():
     with pytest.raises(InvalidParams):
         PeriodicField(np.zeros(5))  # M < 8
