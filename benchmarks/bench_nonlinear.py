@@ -19,8 +19,9 @@ the negligible tail is chopped.
 
 The ripple solve is ``solve_periodic`` at eps = 0.1 and a = 1e-3 in float64,
 timed as the best of ``--repeats`` solves in ms.  Its Picard iterations are
-summed over every mode cutoff the solve tries, and its ``B_eps`` count covers
-the Picard steps and the final residual.
+summed over every mode cutoff the solve tries, and its count of
+``BQ_ripple`` calls (the cosine-coefficient nonlinearity, the only one a
+ripple solve evaluates) covers the Picard steps and the final residual.
 
 The nanopteron solve is ``solve_nanopteron`` at eps = 0.05 in longdouble
 (the benchmark's solve-ld point), timed as the best of ``--repeats`` solves
@@ -42,7 +43,7 @@ import numpy as np
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent / "src"))
 
-from dimerwave import nonlinear, periodic, spectral  # noqa: E402
+from dimerwave import periodic, spectral  # noqa: E402
 from dimerwave._kernels import HAS_NUMBA  # noqa: E402
 from dimerwave.dispersion import SymbolSet  # noqa: E402
 from dimerwave.kdv import core_profile  # noqa: E402
@@ -92,10 +93,8 @@ def clenshaw_log():
 
 
 def ripple_counts(eps, a):
-    """Picard iterations and ``B_eps`` calls of one ``solve_periodic``."""
-    product, iterate = nonlinear.B_eps, PeriodicSolver.iterate
-    # patch every module namespace the solver may read B_eps from
-    owners = [m for m in (nonlinear, periodic) if getattr(m, "B_eps", None) is product]
+    """Picard iterations and ``BQ_ripple`` calls of one ``solve_periodic``."""
+    product, iterate = periodic.BQ_ripple, PeriodicSolver.iterate
     calls, iterations = [], []
 
     def counting(*args):
@@ -107,14 +106,12 @@ def ripple_counts(eps, a):
         iterations.append(out[1])
         return out
 
-    for m in owners:
-        m.B_eps = counting
+    periodic.BQ_ripple = counting
     PeriodicSolver.iterate = recording
     try:
         solve_periodic(PARAMS, eps, a)
     finally:
-        for m in owners:
-            m.B_eps = product
+        periodic.BQ_ripple = product
         PeriodicSolver.iterate = iterate
     return sum(iterations), len(calls)
 
@@ -158,9 +155,9 @@ def main():
     best = best_of(args.repeats, lambda: solve_periodic(PARAMS, eps, a))
     picard, products = ripple_counts(eps, a)
     print(f"\nsolve_periodic eps={eps} a={a:g}: {1e3 * best:.2f} ms, "
-          f"{picard} Picard iterations, {products} B_eps calls")
+          f"{picard} Picard iterations, {products} BQ_ripple calls")
     record["solve_periodic"] = {"eps": eps, "a": a, "best_ms": 1e3 * best,
-                                "picard_iterations": picard, "B_eps_calls": products}
+                                "picard_iterations": picard, "BQ_ripple_calls": products}
 
     eps, config = np.longdouble("0.05"), NanopteronConfig(dtype=np.longdouble)
     best = best_of(args.repeats, lambda: solve_nanopteron(PARAMS, eps, config))

@@ -229,8 +229,8 @@ def load_solution(path):
         eps = float(z["eps"])
         grid = LineGrid(n, float(z["grid_L"]))
         state = NanopteronState(
-            LineField(grid, z["eta1"], even=True),
-            LineField(grid, z["eta2"], even=True),
+            LineField(grid, z["eta1"]),
+            LineField(grid, z["eta2"]),
             float(z["a"]),
         )
         resonance = Resonance(

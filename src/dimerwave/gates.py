@@ -124,7 +124,7 @@ def core(params, L_values=(40.0, 60.0)):
 def kernel(params, eps=0.1):
     """The linearization ``A`` about the core annihilates the core's slope."""
     ops = SolverOperators(params, eps, LineGrid(4096, 40.0), check=False)
-    slope = LineField(ops.grid, ops.grid.derivative(ops.sigma.values), even=False)
+    slope = LineField(ops.grid, ops.grid.derivative(ops.sigma.values))
     return [_at_most("annihilates_slope", sup_norm(ops.A_apply(slope)) / sup_norm(slope), "1e-6")]
 
 
@@ -146,7 +146,7 @@ def conjugation(params, q_values=(0.2, 0.1, 0.05, 0.025)):
         spec = np.zeros(grid.n // 2 + 1)
         spec[:24] = rng.standard_normal(24)
         vals = grid.irfft(spec)
-        f = LineField(grid, vals / np.max(np.abs(vals)), even=True)
+        f = LineField(grid, vals / np.max(np.abs(vals)))
         for j, q in enumerate(q_values):
             delta = conjugated_multiplier(varpi0, q, f) - f.apply(varpi0)
             devs[i, j] = l2_norm(delta) / l2_norm(f)
@@ -171,7 +171,7 @@ def weighted_norms():
     for _ in range(100):
         spec = np.zeros(grid.n // 2 + 1)
         spec[:16] = rng.standard_normal(16)
-        f = LineField(grid, np.exp(-grid.X**2 / 8) * grid.irfft(spec), even=False)
+        f = LineField(grid, np.exp(-grid.X**2 / 8) * grid.irfft(spec))
         for q in (0.1, 0.3):
             for r in (1, 2):
                 values = [weighted_norm(f, q, r, v) for v in NORM_VARIANTS]

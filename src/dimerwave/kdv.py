@@ -84,8 +84,8 @@ def core_profile(params: DimerParams, grid: LineGrid):
     A, w = _soliton_constants(params, grid.X.dtype.type)
     y = grid.X / w
     sech2 = 1 / np.cosh(y) ** 2
-    core = LineField(grid, A * sech2, even=True)
-    slope = LineField(grid, -(2 * A / w) * np.tanh(y) * sech2, even=False)
+    core = LineField(grid, A * sech2)
+    slope = LineField(grid, -(2 * A / w) * np.tanh(y) * sech2)
     return core, slope
 
 
@@ -93,7 +93,7 @@ def kdv_residual(params: DimerParams, f: LineField) -> LineField:
     """Residual of the profile equation at ``f``; zero (to rounding) at the soliton."""
     fpp = f.grid.derivative(f.values, order=2)
     quad = params.sound_speed**2 * nonlinear_strength(params) * f.values**2
-    return LineField(f.grid, params.kdv_alpha * fpp - f.values + quad, even=f.even)
+    return LineField(f.grid, params.kdv_alpha * fpp - f.values + quad)
 
 
 def gmwz_coefficients(params: DimerParams):

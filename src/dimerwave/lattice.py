@@ -101,8 +101,8 @@ class TravelingProfile:
                     "|X| < L only, so this field would be cut off"
                 )
         grid = line1.grid
-        self.dline1 = LineField(grid, grid.derivative(line1.values), even=False)
-        self.dline2 = LineField(grid, grid.derivative(line2.values), even=False)
+        self.dline1 = LineField(grid, grid.derivative(line1.values))
+        self.dline2 = LineField(grid, grid.derivative(line2.values))
         rippled = self.omega and (np.any(self.per1) or np.any(self.per2))
         self._ripples = (PeriodicField(self.per1), PeriodicField(self.per2)) if rippled else None
         self._r0 = None  # the t = 0 sample, computed once

@@ -184,7 +184,7 @@ def build_chi_upsilon(symbols: SymbolSet, grid: LineGrid, sigma: LineField,
     )
     core_vec = VectorField.from_line(sigma, LineField.zero(grid))
     b = B_eps(symbols, core_vec, nu, eps)
-    chi = LineField(grid, grid.apply(lambda_plus, b.line2.values), even=True)
+    chi = LineField(grid, grid.apply(lambda_plus, b.line2.values))
     ups = iota_eps(chi, resonance.omega)
     if not abs(ups) > 1e-6:
         raise DegenerateSolvability(
@@ -308,15 +308,15 @@ class SolverOperators:
 
     def K1(self, f: LineField) -> LineField:
         """Acoustic self-coupling ``K1 f = -2 gamma1 varpi0(sigma f)``."""
-        return LineField(self.grid, -2 * self.gamma1 * self._smooth_core_multiply(f.values), f.even)
+        return LineField(self.grid, -2 * self.gamma1 * self._smooth_core_multiply(f.values))
 
     def K2(self, f: LineField) -> LineField:
         """Acoustic-optical coupling ``K2 f = +2 gamma2 varpi0(sigma f)``."""
-        return LineField(self.grid, 2 * self.gamma2 * self._smooth_core_multiply(f.values), f.even)
+        return LineField(self.grid, 2 * self.gamma2 * self._smooth_core_multiply(f.values))
 
     def A_apply(self, f: LineField) -> LineField:
         """The localized linearization ``A f = f - K1 f``."""
-        return LineField(self.grid, self._A_values(f.values), f.even)
+        return LineField(self.grid, self._A_values(f.values))
 
     def _A_values(self, values):
         return values + 2 * self.gamma1 * self._smooth_core_multiply(values)
@@ -326,7 +326,7 @@ class SolverOperators:
         x, its = gmres(self._A_values, f.values)
         self.last_gmres_iterations = its
         self.gmres_iterations += its
-        return LineField(self.grid, x, f.even)
+        return LineField(self.grid, x)
 
     def iota(self, g: LineField):
         return iota_eps(g, self.resonance.omega)
@@ -343,7 +343,7 @@ class SolverOperators:
         corrected = g.values - (self.iota(g) / self.upsilon) * self.chi.values
         F = self.grid.rfft(corrected) / self.xi_table
         F[self.band] = 0.0
-        return LineField(self.grid, self.grid.irfft(F), even=g.even)
+        return LineField(self.grid, self.grid.irfft(F))
 
     def self_check(self):
         """Construction-time invariants.
@@ -394,7 +394,7 @@ def assemble_terms(ops: SolverOperators, state: NanopteronState,
     ``(B+Q)`` is evaluated once, on the full ansatz.
     """
     ansatz = _full_ansatz(ops, state, wave)
-    W = BQ_eps(ops.symbols, ansatz, ansatz, ops.eps)
+    W = BQ_eps(ops.symbols, ansatz, ops.eps)
     r1 = -ops.sigma - W.line1.apply(ops.varpi_eps_table)
     r2 = (-1.0) * W.line2.apply(ops.lambda_plus_table)
     correction = LineField(
@@ -402,7 +402,6 @@ def assemble_terms(ops: SolverOperators, state: NanopteronState,
         2 * ops._smooth_core_multiply(
             ops.gamma1 * state.eta1.values + ops.gamma2 * state.eta2.values
         ),
-        even=True,
     )
     r1_mod = r1 + correction
     r2_mod = r2 + (2 * state.a) * ops.chi
@@ -434,7 +433,7 @@ def system_residual(ops: SolverOperators, state: NanopteronState, wave: Periodic
     frequency, and the two are superposed on the grid before taking the sup.
     """
     ansatz = _full_ansatz(ops, state, wave)
-    W = BQ_eps(ops.symbols, ansatz, ansatz, ops.eps)
+    W = BQ_eps(ops.symbols, ansatz, ops.eps)
     grid, eps = ops.grid, ops.eps
     omega = wave.omega
     M = max(W.per1.M, W.per2.M, ansatz.per1.M, ansatz.per2.M)

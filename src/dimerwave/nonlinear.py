@@ -1,4 +1,4 @@
-"""Bilinear and trilinear long-wave operators on line + ripple superpositions.
+"""Bilinear and trilinear long-wave operators: one formula, two algebras.
 
 The traveling-wave system is written in diagonalizing variables, so its
 nonlinearities all share the sandwich shape
@@ -6,24 +6,24 @@ nonlinearities all share the sandwich shape
     J1 . M_c . [pointwise products of J-transformed arguments],
 
 where J and J1 are the (wavenumber-rescaled) diagonalizer matrices and M_c
-scales the first component by a constant.  Arguments are two-component
-profiles whose components each split into a decaying part on the line grid
-plus an even periodic ripple of frequency omega:
+scales the first component by a constant.  Each operator's bracket is
+written once, ``B: M_{beta/kappa}[a.b]`` and ``Q: M_{1/kappa}[a.b.calN(h)]``
+with ``h = eps**2 * J theta3``, and evaluated in two algebras.  Arguments
+split componentwise into a decaying part on the line grid plus an even
+periodic ripple of frequency omega, ``theta_i(X) = f_i(X) + g_i(omega*X)``:
 
-    theta_i(X) = f_i(X) + g_i(omega * X).
+* products of ripples are ripples, so the ripple half is exact
+  cosine-coefficient algebra (``periodic_product``, Horner's scheme for
+  calN); ``BQ_ripple`` evaluates a pure ripple in this algebra alone;
+* the decaying half is computed from (decaying, ripple) pairs of samples on
+  the ``DEALIAS_FACTOR``-fold fine grid (see ``spectral``), where a product
+  with a decaying factor is decaying, ``(f, g).(f', g') = (f f' + f g' +
+  g f', g g')``, and truncated back, so there is no quadratic or cubic
+  aliasing.  Only calN's decaying half is a total minus its ripple value.
 
-Products are tracked by type: any factor pair containing a decaying part is
-decaying, while products of pure ripples stay periodic and are computed
-exactly in cosine-coefficient algebra.  This keeps each term of the solver in
-a known representation and avoids numerically splitting a sampled total into
-core and tail.  Decaying products are evaluated on the ``DEALIAS_FACTOR``-fold
-fine grid (see ``spectral``) and truncated back, so there is no quadratic or
-cubic aliasing.
-
-Each operator J-transforms an argument passed more than once (the solvers'
-``B_eps(v, v)``) only once, samples a ripple on the fine grid only when a
-product reads it, and reads the diagonalizer's line-grid entries from a
-table kept on the ``SymbolSet`` for each grid and eps.
+An argument passed more than once (the solvers' ``B_eps(v, v)``) is
+J-transformed and sampled once, and the diagonalizer's line-grid entries are
+read from a table kept on the ``SymbolSet`` for each grid and eps.
 """
 
 from __future__ import annotations
@@ -87,20 +87,13 @@ class VectorField:
     def zero(cls, grid: LineGrid):
         return cls.from_line(LineField.zero(grid), LineField.zero(grid))
 
-    def _common_omega(self, other) -> float:
-        a = float(np.max(np.abs(self.per1.coeffs))) + float(np.max(np.abs(self.per2.coeffs)))
-        b = float(np.max(np.abs(other.per1.coeffs))) + float(np.max(np.abs(other.per2.coeffs)))
-        if a > 0 and b > 0 and self.omega != other.omega:
-            raise InvalidParams("cannot combine ripples of different frequencies")
-        return self.omega if a > 0 else other.omega
-
     def __add__(self, other):
         return VectorField(
             self.line1 + other.line1,
             self.line2 + other.line2,
             self.per1 + other.per1,
             self.per2 + other.per2,
-            self._common_omega(other),
+            _ripple_frequency(self, other),
         )
 
     def __sub__(self, other):
@@ -121,6 +114,15 @@ class VectorField:
         return out[0], out[1]
 
 
+def _ripple_frequency(*fields) -> float:
+    """The frequency shared by the fields' nonzero ripples (if none has one,
+    the last field's frequency)."""
+    omegas = [v.omega for v in fields if np.any(v.per1.coeffs) or np.any(v.per2.coeffs)]
+    if any(w != omegas[0] for w in omegas[1:]):
+        raise InvalidParams("cannot combine ripples of different frequencies")
+    return omegas[0] if omegas else fields[-1].omega
+
+
 # -- matrix-symbol application -------------------------------------------------
 
 
@@ -137,6 +139,18 @@ def _line_entries(symbols: SymbolSet, eps, grid: LineGrid, inverse: bool):
     return E
 
 
+def _J_cosine(symbols: SymbolSet, eps, omega, pair, inverse: bool = False):
+    """The diagonalizer (or its inverse) on a pair of cosine series of
+    frequency ``omega``: mode j sees the symbol at ``eps*omega*j``."""
+    M = max(pair[0].M, pair[1].M)
+    c1, c2 = pair[0].pad_to(M).coeffs, pair[1].pad_to(M).coeffs
+    E = symbols.diagonalizer(eps * omega * np.arange(M + 1), inverse)
+    return (
+        PeriodicField(E[0][0] * c1 + E[0][1] * c2),
+        PeriodicField(E[1][0] * c1 + E[1][1] * c2),
+    )
+
+
 def apply_J(symbols: SymbolSet, eps, v: VectorField, inverse: bool = False) -> VectorField:
     """Apply the diagonalizer ``J`` (or its inverse) to a mixed field.
 
@@ -149,87 +163,105 @@ def apply_J(symbols: SymbolSet, eps, v: VectorField, inverse: bool = False) -> V
     F1, F2 = grid.rfft(v.line1.values), grid.rfft(v.line2.values)
     out_l1 = grid.irfft(E[0][0] * F1 + E[0][1] * F2)
     out_l2 = grid.irfft(E[1][0] * F1 + E[1][1] * F2)
-    even = v.line1.even and v.line2.even
-    M = max(v.per1.M, v.per2.M)
-    c1, c2 = v.per1.pad_to(M).coeffs, v.per2.pad_to(M).coeffs
-    Ep = symbols.diagonalizer(eps * v.omega * np.arange(M + 1), inverse)
-    out_p1 = PeriodicField(Ep[0][0] * c1 + Ep[0][1] * c2)
-    out_p2 = PeriodicField(Ep[1][0] * c1 + Ep[1][1] * c2)
-    return VectorField(
-        LineField(grid, out_l1, even), LineField(grid, out_l2, even),
-        out_p1, out_p2, v.omega,
-    )
+    out_p1, out_p2 = _J_cosine(symbols, eps, v.omega, (v.per1, v.per2), inverse)
+    return VectorField(LineField(grid, out_l1), LineField(grid, out_l2), out_p1, out_p2, v.omega)
 
 
-# -- typed pointwise algebra ----------------------------------------------------
+# -- the two algebras -----------------------------------------------------------
 
 
-class _Mixed:
-    """One component as fine-grid decaying samples plus an exact ripple.
+class _Cosine:
+    """Exact algebra of ripples: elements are ``PeriodicField`` cosine series."""
 
-    The ripple is sampled on the fine grid (``per_fine``: Clenshaw at the
-    Chebyshev argument ``cx = cos(omega*X)``, the fine grid's cached
-    ``LineGrid.cos_phase(omega, DEALIAS_FACTOR)``, shared by every ripple of
-    an operator call) when a product first reads it, and the sample is kept.
-    A ripple that only goes back to coefficient space through
-    ``_from_mixed`` is never sampled.
+    @staticmethod
+    def mul(a, b):
+        return periodic_product(a, b)
+
+    @staticmethod
+    def scale(a, s):
+        return a * s
+
+    @staticmethod
+    def calN(h, coeffs):
+        """``h * N(h)`` by Horner's scheme ``acc -> acc*h + c_j``, then one more ``h``."""
+        acc = PeriodicField.zero(dtype=h.coeffs.dtype)
+        if len(coeffs) == 0:
+            return acc
+        for c in reversed(coeffs):
+            acc = periodic_product(acc, h)
+            acc.coeffs[0] += c
+        return periodic_product(acc, h)
+
+
+class _Split:
+    """Fine-grid samples as ``(decaying, ripple)`` pairs; see the module docstring."""
+
+    @staticmethod
+    def mul(a, b):
+        (f, g), (f2, g2) = a, b
+        return f * f2 + f * g2 + g * f2, g * g2
+
+    @staticmethod
+    def scale(a, s):
+        return a[0] * s, a[1] * s
+
+    @staticmethod
+    def calN(h, coeffs):
+        """``h * N(h)``; the decaying half is the total minus the pure-ripple value."""
+        f, g = h
+        if len(coeffs) == 0:
+            return np.zeros_like(f), np.zeros_like(g)
+        total = f + g
+        ripple = g * polyval_ascending(coeffs, g)
+        return total * polyval_ascending(coeffs, total) - ripple, ripple
+
+
+# -- the operators' brackets, each written once -----------------------------------
+
+
+def _B_bracket(alg, p: DimerParams, a, b, h=None):
+    """``M_{beta/kappa} [a.b]`` of component pairs, in the algebra ``alg``."""
+    return alg.scale(alg.mul(a[0], b[0]), p.beta / p.kappa), alg.mul(a[1], b[1])
+
+
+def _Q_bracket(alg, p: DimerParams, a, b, h):
+    """``M_{1/kappa} [a.b.calN(h)]`` of component pairs, in the algebra ``alg``."""
+    terms = []
+    for i, n in enumerate((p.n1, p.n2)):
+        terms.append(alg.mul(alg.mul(a[i], b[i]), alg.calN(h[i], n)))
+    return alg.scale(terms[0], 1 / p.kappa), terms[1]
+
+
+def _transform_and_sample(symbols: SymbolSet, eps, v: VectorField, cx):
+    """The ripple pair of ``J v`` and its fine-grid ``(decaying, ripple)`` samples."""
+    W = apply_J(symbols, eps, v)
+    pairs = ((W.line1, W.per1), (W.line2, W.per2))
+    return (W.per1, W.per2), [(fine_samples(ln), pr.chebyshev_at(cx)) for ln, pr in pairs]
+
+
+def _sandwich(symbols: SymbolSet, bracket, args, eps) -> VectorField:
+    """``J1 . [bracket]`` of ``J`` applied to ``args``, on line + ripple fields.
+
+    Each distinct argument is J-transformed and sampled once; a third
+    argument (calN's) is then scaled by ``eps**2``.
     """
-
-    __slots__ = ("fine", "per", "cx", "_per_fine")
-
-    def __init__(self, fine, per: PeriodicField, cx):
-        self.fine = fine
-        self.per = per
-        self.cx = cx
-        self._per_fine = None
-
-    @property
-    def per_fine(self):
-        if self._per_fine is None:
-            self._per_fine = self.per.chebyshev_at(self.cx)
-        return self._per_fine
-
-    def scaled(self, s) -> "_Mixed":
-        return _Mixed(self.fine * s, self.per * s, self.cx)
-
-
-def _to_mixed(v: VectorField, cx):
-    return [_Mixed(fine_samples(ln), pr, cx) for ln, pr in ((v.line1, v.per1), (v.line2, v.per2))]
-
-
-def _mixed_mul(a: _Mixed, b: _Mixed) -> _Mixed:
-    fine = a.fine * b.fine + a.fine * b.per_fine + a.per_fine * b.fine
-    return _Mixed(fine, periodic_product(a.per, b.per), a.cx)
-
-
-def _mixed_calN_factor(h: _Mixed, coeffs) -> _Mixed:
-    """The cubic-remainder factor ``calN(h) = h*N(h)`` of a mixed component.
-
-    The ripple part is exact cosine algebra (Horner in periodic products);
-    the decaying part is the pointwise total minus the pure-ripple value.
-    """
-    if len(coeffs) == 0:
-        return _Mixed(np.zeros_like(h.fine), PeriodicField.zero(dtype=h.per.coeffs.dtype), h.cx)
-    # periodic half: Horner scheme acc -> acc*h_per + c_j, then one more h_per
-    acc = PeriodicField.zero(dtype=h.per.coeffs.dtype)
-    for c in reversed(coeffs):
-        acc = periodic_product(acc, h.per)
-        cc = acc.coeffs.copy()
-        cc[0] += c
-        acc = PeriodicField(cc)
-    per = periodic_product(acc, h.per)
-    # decaying half: full pointwise value minus the pure-ripple value
-    total = h.fine + h.per_fine
-    fine = total * polyval_ascending(coeffs, total) - h.per_fine * polyval_ascending(
-        coeffs, h.per_fine
-    )
-    return _Mixed(fine, per, h.cx)
-
-
-def _from_mixed(grid: LineGrid, comps, omega, even=True) -> VectorField:
-    l1 = from_fine_samples(grid, comps[0].fine, even=even)
-    l2 = from_fine_samples(grid, comps[1].fine, even=even)
-    return VectorField(l1, l2, comps[0].per, comps[1].per, omega)
+    grid = args[0].grid
+    if any(v.grid != grid for v in args):
+        raise InvalidParams("arguments live on different grids")
+    omega = _ripple_frequency(*args)
+    cx = grid.cos_phase(omega, DEALIAS_FACTOR)
+    done = {}
+    for v in args:
+        if id(v) not in done:
+            done[id(v)] = _transform_and_sample(symbols, eps, v, cx)
+    ripples, samples = [list(x) for x in zip(*(done[id(v)] for v in args))]
+    if len(args) == 3:
+        ripples[2] = tuple(pr * (eps * eps) for pr in ripples[2])
+        samples[2] = [_Split.scale(s, eps * eps) for s in samples[2]]
+    per1, per2 = bracket(_Cosine, symbols.params, *ripples)
+    decay = bracket(_Split, symbols.params, *samples)
+    line1, line2 = (from_fine_samples(grid, d) for d, _ in decay)
+    return apply_J(symbols, eps, VectorField(line1, line2, per1, per2, omega), inverse=True)
 
 
 # -- public operators ------------------------------------------------------------
@@ -238,29 +270,17 @@ def _from_mixed(grid: LineGrid, comps, omega, even=True) -> VectorField:
 def calN(params: DimerParams, v: VectorField) -> VectorField:
     """Componentwise cubic remainder ``calN(h)_j = h_j * N_j(h_j)`` (pointwise)."""
     cx = v.grid.cos_phase(v.omega, DEALIAS_FACTOR)
-    comps = _to_mixed(v, cx)
-    out = [_mixed_calN_factor(comps[0], params.n1), _mixed_calN_factor(comps[1], params.n2)]
-    even = v.line1.even and v.line2.even
-    return _from_mixed(v.grid, out, v.omega, even)
+    lines, pers = [], []
+    for ln, pr, n in ((v.line1, v.per1, params.n1), (v.line2, v.per2, params.n2)):
+        decay, _ = _Split.calN((fine_samples(ln), pr.chebyshev_at(cx)), n)
+        lines.append(from_fine_samples(v.grid, decay))
+        pers.append(_Cosine.calN(pr, n))
+    return VectorField(*lines, *pers, v.omega)
 
 
 def B_eps(symbols: SymbolSet, theta: VectorField, theta2: VectorField, eps) -> VectorField:
-    """Symmetric bilinear operator: J1 . M_{beta/kappa} [(J theta).(J theta2)].
-
-    ``B_eps(v, v)`` transforms and samples ``v`` once.
-    """
-    if theta.grid != theta2.grid:
-        raise InvalidParams("arguments live on different grids")
-    omega = theta._common_omega(theta2)
-    p = symbols.params
-    cx = theta.grid.cos_phase(omega, DEALIAS_FACTOR)
-    a = _to_mixed(apply_J(symbols, eps, theta), cx)
-    b = a if theta2 is theta else _to_mixed(apply_J(symbols, eps, theta2), cx)
-    prod = [_mixed_mul(a[i], b[i]) for i in range(2)]
-    prod[0] = prod[0].scaled(p.beta / p.kappa)
-    even = all(f.even for f in (theta.line1, theta.line2, theta2.line1, theta2.line2))
-    inner = _from_mixed(theta.grid, prod, omega, even)
-    return apply_J(symbols, eps, inner, inverse=True)
+    """Symmetric bilinear operator: J1 . M_{beta/kappa} [(J theta).(J theta2)]."""
+    return _sandwich(symbols, _B_bracket, (theta, theta2), eps)
 
 
 def Q_eps(symbols: SymbolSet, theta: VectorField, theta2: VectorField,
@@ -268,54 +288,35 @@ def Q_eps(symbols: SymbolSet, theta: VectorField, theta2: VectorField,
     """Trilinear cubic-remainder operator.
 
     ``J1 . M_{1/kappa} [(J theta).(J theta2).calN(eps**2 * J theta3)]``.
-    An argument passed more than once is J-transformed once.
     """
-    p = symbols.params
-    scale = 1 / p.kappa
-    omegas = {
-        v.omega
-        for v in (theta, theta2, theta3)
-        if float(np.max(np.abs(v.per1.coeffs))) + float(np.max(np.abs(v.per2.coeffs))) > 0
-    }
-    if len(omegas) > 1:
-        raise InvalidParams("cannot combine ripples of different frequencies")
-    omega = omegas.pop() if omegas else 0.0
-    W = apply_J(symbols, eps, theta)
-    W2 = W if theta2 is theta else apply_J(symbols, eps, theta2)
-    if theta3 is theta:
-        W3 = W
-    elif theta3 is theta2:
-        W3 = W2
-    else:
-        W3 = apply_J(symbols, eps, theta3)
-    cx = theta.grid.cos_phase(omega, DEALIAS_FACTOR)
-    a = _to_mixed(W, cx)
-    b = a if W2 is W else _to_mixed(W2, cx)
-    h = _to_mixed(W3 * (eps * eps), cx)
-    ncoeffs = (p.n1, p.n2)
-    prod = []
-    for i in range(2):
-        nfac = _mixed_calN_factor(h[i], ncoeffs[i])
-        prod.append(_mixed_mul(_mixed_mul(a[i], b[i]), nfac))
-    prod[0] = prod[0].scaled(scale)
-    even = all(
-        f.even
-        for v in (theta, theta2, theta3)
-        for f in (v.line1, v.line2)
-    )
-    inner = _from_mixed(theta.grid, prod, omega, even)
-    return apply_J(symbols, eps, inner, inverse=True)
+    return _sandwich(symbols, _Q_bracket, (theta, theta2, theta3), eps)
 
 
-def BQ_eps(symbols: SymbolSet, v: VectorField, third: VectorField, eps) -> VectorField:
-    """The system's nonlinearity ``B_eps(v, v) + Q_eps(v, v, third)``.
+def BQ_eps(symbols: SymbolSet, v: VectorField, eps) -> VectorField:
+    """The system's nonlinearity ``B_eps(v, v) + Q_eps(v, v, v)``.
 
     The cubic term is left out when the params have no cubic remainders.
     """
     out = B_eps(symbols, v, v, eps)
     p = symbols.params
     if len(p.n1) or len(p.n2):
-        out = out + Q_eps(symbols, v, v, third, eps)
+        out = out + Q_eps(symbols, v, v, v, eps)
+    return out
+
+
+def BQ_ripple(symbols: SymbolSet, v, third, omega, eps):
+    """``B(v, v) + Q(v, v, third)`` of pure ripples of frequency ``omega``.
+
+    ``v``, ``third`` and the result are pairs of ``PeriodicField`` cosine
+    series: this is the ripple half of ``BQ_eps``, in cosine coefficients alone.
+    """
+    p = symbols.params
+    a = _J_cosine(symbols, eps, omega, v)
+    out = _J_cosine(symbols, eps, omega, _B_bracket(_Cosine, p, a, a), inverse=True)
+    if len(p.n1) or len(p.n2):
+        h = tuple(pr * (eps * eps) for pr in _J_cosine(symbols, eps, omega, third))
+        q = _J_cosine(symbols, eps, omega, _Q_bracket(_Cosine, p, a, a, h), inverse=True)
+        out = (out[0] + q[0], out[1] + q[1])
     return out
 
 

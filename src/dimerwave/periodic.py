@@ -6,10 +6,12 @@ the optical component only.  Substituting ``theta = a*phi`` into the
 traveling-wave system and projecting onto (i) the acoustic component, (ii)
 the optical modes other than the fundamental, and (iii) the fundamental
 optical mode produces three fixed-point maps ``(Psi1, Psi2, Psi3)`` for
-``(psi1, psi2, t)``.  All three are projections of the same ``(B + Q)``
-evaluation, so each Picard step (``PeriodicSolver.maps``) evaluates the
-nonlinearity and the mode symbols once, and the residual of the full system
-reuses that evaluation.  The maps contract for small ``a``; plain Picard
+``(psi1, psi2, t)``.  Products of ripples are ripples, so the nonlinearity
+``(B + Q)`` is evaluated in cosine coefficients alone (``BQ_ripple``), with
+no line grid.  All three maps are projections of the same evaluation, so
+each Picard step (``PeriodicSolver.maps``) evaluates the nonlinearity and
+the mode symbols once, and the residual of the full system reuses that
+evaluation.  The maps contract for small ``a``; plain Picard
 iteration converges, from (0, 0, 0) or from a solved ripple at a nearby
 amplitude (whose resonance and mode cutoff are then reused), and the
 converged state is reported with the residual of the full system.
@@ -29,7 +31,7 @@ import numpy as np
 from .dispersion import Resonance, SymbolSet
 from .errors import InvalidParams, NearSingularMode, NoConvergence
 from .model import DimerParams
-from .nonlinear import BQ_eps, VectorField
+from .nonlinear import BQ_ripple, VectorField
 from .spectral import LineGrid, PeriodicField
 
 
@@ -94,14 +96,14 @@ class PeriodicWave:
     def as_vector(self, grid: LineGrid, amplitude=None) -> VectorField:
         """``amplitude * phi`` as a pure-ripple two-component field."""
         amp = self.a if amplitude is None else amplitude
-        return _ripple_vector(grid, (self.psi1, self.psi2), self.omega, amp)
+        return VectorField.from_periodic(grid, *_phi((self.psi1, self.psi2), amp), self.omega)
 
 
-def _ripple_vector(grid: LineGrid, psi, omega, scale) -> VectorField:
-    """``scale * phi`` at frequency ``omega``, where ``phi = (psi1, cos + psi2)``."""
+def _phi(psi, scale):
+    """``scale * phi`` as a pair of cosine series, where ``phi = (psi1, cos + psi2)``."""
     nu2 = psi[1].coeffs.copy()
     nu2[1] += 1.0
-    return VectorField.from_periodic(grid, scale * psi[0], PeriodicField(scale * nu2), omega)
+    return scale * psi[0], PeriodicField(scale * nu2)
 
 
 class PeriodicSolver:
@@ -125,8 +127,6 @@ class PeriodicSolver:
         # carry the precision of eps (e.g. longdouble) through the whole solve
         dt = np.asarray(eps).dtype
         self._dtype = dt.type if dt.kind == "f" else np.float64
-        # dummy line grid: the ripple problem has no decaying half
-        self._grid = LineGrid(64, 10.0, dtype=self._dtype)
 
     # -- assembly ------------------------------------------------------------
 
@@ -145,10 +145,9 @@ class PeriodicSolver:
         """
         r = self.resonance
         omega = r.omega + t
-        phi = _ripple_vector(self._grid, psi, omega, 1.0)
-        total = BQ_eps(self.symbols, phi, _ripple_vector(self._grid, psi, omega, a), self.eps)
+        b1, b2 = BQ_ripple(self.symbols, _phi(psi, 1.0), _phi(psi, a), omega, self.eps)
         modes = self.symbols.mode_symbols(r.c, self.eps, omega, self.M)
-        return (self._truncate(total.per1), self._truncate(total.per2)) + modes
+        return (self._truncate(b1), self._truncate(b2)) + modes
 
     def R_curvature(self, s):
         """Remainder ``R(s) = (xi(eps*omega + s) - Upsilon*s)/s**2`` of the

@@ -124,44 +124,43 @@ class LineField:
     """Real samples of an (expected even) function on a LineGrid.
 
     Arithmetic combines fields on the same grid; scalar multiplication and
-    negation are supported.  Evenness is a declared parity flag; ``validate``
-    checks the symmetry defect against the type tolerance.
+    negation are supported.  ``validate`` checks the even-symmetry defect
+    against the type tolerance.
     """
 
-    __slots__ = ("grid", "values", "even")
+    __slots__ = ("grid", "values")
 
-    def __init__(self, grid: LineGrid, values, even: bool = True):
+    def __init__(self, grid: LineGrid, values):
         values = np.asarray(values)
         if values.shape != (grid.n,):
             raise InvalidParams(f"expected {grid.n} samples, got shape {values.shape}")
         self.grid = grid
         self.values = values
-        self.even = even
 
     @classmethod
     def zero(cls, grid: LineGrid):
         return cls(grid, np.zeros(grid.n, dtype=grid.dtype))
 
     def copy(self):
-        return LineField(self.grid, self.values.copy(), self.even)
+        return LineField(self.grid, self.values.copy())
 
     def __add__(self, other):
         self._check(other)
-        return LineField(self.grid, self.values + other.values, self.even and other.even)
+        return LineField(self.grid, self.values + other.values)
 
     def __sub__(self, other):
         self._check(other)
-        return LineField(self.grid, self.values - other.values, self.even and other.even)
+        return LineField(self.grid, self.values - other.values)
 
     def __mul__(self, a):
         if isinstance(a, LineField):
             raise TypeError("pointwise field products go through line_product()")
-        return LineField(self.grid, self.values * a, self.even)
+        return LineField(self.grid, self.values * a)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return LineField(self.grid, -self.values, self.even)
+        return LineField(self.grid, -self.values)
 
     def _check(self, other):
         if self.grid != other.grid:
@@ -169,7 +168,7 @@ class LineField:
 
     def apply(self, table):
         """The Fourier multiplier with symbol ``table`` (see ``LineGrid.apply``)."""
-        return LineField(self.grid, self.grid.apply(table, self.values), self.even)
+        return LineField(self.grid, self.grid.apply(table, self.values))
 
     def even_defect(self) -> float:
         """max_m |f(X_m) - f(-X_m)| over the grid."""
@@ -183,7 +182,7 @@ class LineField:
 
     def validate(self, tol: float = 1e-12):
         peak = float(np.max(np.abs(self.values)))
-        if self.even and peak > 0 and self.even_defect() > tol * peak:
+        if peak > 0 and self.even_defect() > tol * peak:
             raise InvalidParams(
                 f"even-symmetry defect {self.even_defect():.3e} exceeds {tol:.1e}*max|f|"
             )
@@ -339,20 +338,21 @@ def _significant(a, eps) -> int:
 def periodic_product(f: PeriodicField, g: PeriodicField) -> PeriodicField:
     """Exact product of two cosine series.
 
-    ``cos(a th)*cos(b th) = (cos((a+b)th) + cos((a-b)th))/2`` turns the
-    product into a sum-convolution plus a difference-correlation; the result
-    carries M_f + M_g modes, so no aliasing occurs.
+    As two-sided sequences (``c_0`` at mode 0, ``c_j/2`` at modes ``+-j``)
+    the product is one convolution; folding modes ``+-j`` together gives its
+    cosine coefficients.  The result carries M_f + M_g modes, so no aliasing
+    occurs.
     """
-    a, b = f.coeffs, g.coeffs
-    Mout = f.M + g.M
-    out = np.convolve(a, b) / 2  # sum part, length Mout+1
-    # difference part: mode |i-j| accumulates a_i*b_j/2
-    diff = np.zeros(Mout + 1, dtype=out.dtype)
-    for i, ai in enumerate(a):
-        if ai != 0:
-            m = np.abs(i - np.arange(b.shape[0]))
-            np.add.at(diff, m, ai * b / 2)
-    return PeriodicField(out + diff)
+    full = np.convolve(_two_sided(f.coeffs), _two_sided(g.coeffs))
+    mid = f.M + g.M
+    out = full[mid:].copy()
+    out[1:] += full[mid - 1 :: -1]
+    return PeriodicField(out)
+
+
+def _two_sided(c):
+    half = c[1:] / 2
+    return np.concatenate([half[::-1], c[:1], half])
 
 
 # -- de-aliased pointwise algebra on the line ---------------------------------
@@ -374,20 +374,20 @@ def fine_samples(f: LineField):
     return np.fft.irfft(fine, n=DEALIAS_FACTOR * n) * DEALIAS_FACTOR
 
 
-def from_fine_samples(grid: LineGrid, fine_values, even: bool = True):
+def from_fine_samples(grid: LineGrid, fine_values):
     """Truncate fine-grid samples back to the coarse grid's band (de-aliasing)."""
     n = grid.n
     F_fine = np.fft.rfft(fine_values)
     F = F_fine[: n // 2 + 1] / DEALIAS_FACTOR
     F = np.concatenate([F[:-1], [F[-1].real * 2]])
-    return LineField(grid, np.fft.irfft(F, n=n), even=even)
+    return LineField(grid, np.fft.irfft(F, n=n))
 
 
 def line_product(f: LineField, g: LineField) -> LineField:
     """De-aliased pointwise product of two line fields."""
     f._check(g)
     vals = fine_samples(f) * fine_samples(g)
-    return from_fine_samples(f.grid, vals, even=f.even and g.even)
+    return from_fine_samples(f.grid, vals)
 
 
 # -- norms and conjugation -----------------------------------------------------
@@ -450,4 +450,4 @@ def conjugated_multiplier(table, q: float, f: LineField) -> LineField:
     exponential weights (the transfer of decay through smoothing operators).
     """
     w = np.cosh(q * f.grid.X)
-    return LineField(f.grid, w * f.grid.apply(table, f.values / w), even=f.even)
+    return LineField(f.grid, w * f.grid.apply(table, f.values / w))

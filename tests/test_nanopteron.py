@@ -95,7 +95,7 @@ def bilinear_families(ops, state, wave):
 class TestIota:
     def test_odd_integrand_vanishes(self, ops01):
         grid = ops01.grid
-        g = LineField(grid, grid.X * np.exp(-(grid.X**2)), even=False)
+        g = LineField(grid, grid.X * np.exp(-(grid.X**2)))
         assert abs(iota_eps(g, ops01.resonance.omega)) < 1e-14
 
     def test_gaussian_closed_form(self, ops01):
@@ -121,7 +121,6 @@ class TestIota:
 
 class TestChiUpsilon:
     def test_chi_even_and_upsilon_order_one(self, ops01):
-        assert ops01.chi.even
         ops01.chi.validate(tol=1e-11)
         assert 1.3 < ops01.upsilon < 1.45
 

@@ -5,7 +5,9 @@ import pytest
 
 from dimerwave import DimerParams, InvalidParams, SymbolSet
 from dimerwave.kdv import Soliton
-from dimerwave.nonlinear import B0_closed_form, B_eps, Q_eps, VectorField, calN
+from dimerwave.nonlinear import (
+    B0_closed_form, B_eps, BQ_eps, BQ_ripple, Q_eps, VectorField, calN,
+)
 from dimerwave.spectral import LineField, LineGrid, PeriodicField, l2_norm
 
 
@@ -80,7 +82,6 @@ def test_calN_even_and_periodic_half(setup):
     p1, p2 = _ripple(grid, 0.0, [0.5], [0.3])
     v = VectorField(sigma, bump, p1, p2, omega=2.0)
     out = calN(p, v)
-    assert out.line1.even and out.line2.even
     # ripple half of h**2 for h_per = 0.5 cos: 0.125 + 0.125 cos(2.)
     assert out.per1.coeffs[0] == pytest.approx(0.125, abs=1e-14)
     assert out.per1.coeffs[2] == pytest.approx(0.125, abs=1e-14)
@@ -205,7 +206,6 @@ def test_outputs_even_for_even_inputs(setup):
     p1, p2 = _ripple(grid, 0.0, [0.05], [0.02])
     v = VectorField(sigma, bump, p1, p2, omega=2.3)
     out = B_eps(S, v, v, 0.15)
-    assert out.line1.even and out.line2.even
     assert out.line1.even_defect() < 1e-11 * max(1.0, np.max(np.abs(out.line1.values)))
     out_q = Q_eps(S, v, v, v, 0.15)
     assert out_q.line2.even_defect() < 1e-11
@@ -278,3 +278,20 @@ def test_line_tables_kept_per_grid_and_eps(setup):
         for g, w in zip(_parts(got), _parts(want)):
             assert g.dtype == w.dtype and np.array_equal(g, w)
     assert len(S.line_tables) == 6
+
+
+@pytest.mark.parametrize("params", [DimerParams(kappa=2.0, beta=1.0), CUBIC],
+                         ids=["quadratic", "cubic"])
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_BQ_ripple_is_the_ripple_half_of_BQ_eps(setup, params, dtype):
+    # the ripple half never reads the line part: same coefficients, bit for bit
+    _, grid64, sigma, bump = setup
+    grid = LineGrid(grid64.n, 20.0, dtype=dtype)
+    S = SymbolSet(params)
+    eps = dtype(0.15)
+    v = _line_and_ripple(grid, sigma, bump, dtype)
+    pair = (v.per1, v.per2)
+    full = BQ_eps(S, v, eps)
+    got = BQ_ripple(S, pair, pair, v.omega, eps)
+    for g, w in zip(got, (full.per1, full.per2)):
+        assert g.coeffs.dtype == dtype and np.array_equal(g.coeffs, w.coeffs)

@@ -129,12 +129,17 @@ class TestSolve:
         assert abs(p3 - w.t) < 1e-14
 
     def test_one_nonlinearity_evaluation_per_picard_step(self, monkeypatch):
-        # every Picard step evaluates B_eps once, and the final residual once
-        B, iterate = nonlinear.B_eps, PeriodicSolver.iterate
-        calls, iterations = [], []
+        # every Picard step evaluates BQ_ripple once, and the final residual
+        # once; no line-grid operator runs
+        BQ, B, iterate = periodic.BQ_ripple, nonlinear.B_eps, PeriodicSolver.iterate
+        calls, line_calls, iterations = [], [], []
+
+        def counting_BQ(*args):
+            calls.append(args)
+            return BQ(*args)
 
         def counting_B(*args):
-            calls.append(args)
+            line_calls.append(args)
             return B(*args)
 
         def recording_iterate(solver, a):
@@ -142,12 +147,12 @@ class TestSolve:
             iterations.append(out[1])
             return out
 
+        monkeypatch.setattr(periodic, "BQ_ripple", counting_BQ)
         monkeypatch.setattr(nonlinear, "B_eps", counting_B)
-        # also count calls made through a name imported into the module
-        monkeypatch.setattr(periodic, "B_eps", counting_B, raising=False)
         monkeypatch.setattr(PeriodicSolver, "iterate", recording_iterate)
         solve_periodic(QUAD, 0.1, 1e-3)
         assert iterations and len(calls) == sum(iterations) + 1
+        assert line_calls == []
 
     def test_frequency_shift_quadratic_in_amplitude(self):
         t1 = solve_periodic(QUAD, 0.1, 5e-4).t

@@ -101,7 +101,6 @@ def test_second_derivative_symbol(grid):
     f = LineField(grid, np.cos(k5 * grid.X))
     out = f.apply(-(grid.k**2))
     assert np.max(np.abs(out.values + k5**2 * f.values)) < 1e-12
-    assert out.even
 
 
 def test_evenness_preserved_by_even_symbols(grid):
@@ -151,7 +150,7 @@ def test_line_eval_matches_dense_formula(data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     noise, nyquist = data.draw(st.sampled_from([(1, 0), (0, 1), (1, 0.5)]))
     f = LineField(grid, noise * rng.standard_normal(n).astype(dtype)
-                  + nyquist * np.cos(grid.k[-1] * grid.X), even=False)
+                  + nyquist * np.cos(grid.k[-1] * grid.X))
     unit = st.floats(-1, 1, exclude_max=True)
     X = np.array(data.draw(st.lists(unit, min_size=1, max_size=16)), dtype=dtype) * grid.L
     G = grid.rfft(f.values)
@@ -202,14 +201,16 @@ def test_line_product_is_dealiased(grid):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_periodic_product_matches_pointwise(data):
-    M = 12
-    fc = np.array(data.draw(st.lists(st.floats(-2, 2), min_size=M + 1, max_size=M + 1)))
-    gc = np.array(data.draw(st.lists(st.floats(-2, 2), min_size=M + 1, max_size=M + 1)))
-    f, g = PeriodicField(fc), PeriodicField(gc)
+    dtype = data.draw(st.sampled_from([np.float64, np.longdouble]))
+    Mf, Mg = data.draw(st.integers(8, 20)), data.draw(st.integers(8, 20))
+    fc = data.draw(st.lists(st.floats(-2, 2), min_size=Mf + 1, max_size=Mf + 1))
+    gc = data.draw(st.lists(st.floats(-2, 2), min_size=Mg + 1, max_size=Mg + 1))
+    f, g = PeriodicField(np.array(fc, dtype=dtype)), PeriodicField(np.array(gc, dtype=dtype))
     prod = periodic_product(f, g)
-    th = np.linspace(0, 2 * np.pi, 101)
+    th = np.linspace(0, 2 * np.pi, 101, dtype=dtype)
     assert np.max(np.abs(prod.eval_at(th) - f.eval_at(th) * g.eval_at(th))) < 1e-10
     assert prod.M == f.M + g.M
+    assert prod.coeffs.dtype == dtype
 
 
 def _exact_angles(values, dtype):
