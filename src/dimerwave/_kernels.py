@@ -24,7 +24,8 @@ place.  Forces go into the middle of a ``J + 2`` buffer whose two ends are
 copied from the opposite edges; the periodic Laplacian is then a sum of three
 slices of that buffer.  The compiled kernels mirror the force laws and are
 used whenever numba imports, producing the same trajectories to rounding.
-``benchmarks/bench_kernels.py`` times the paths in ns per site-step.
+The ``rk4`` section of ``benchmarks/bench_pipeline.py`` times the paths in ns
+per site-step.
 """
 
 import numpy as np

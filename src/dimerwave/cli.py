@@ -57,7 +57,7 @@ import numpy as np
 
 from . import gates
 from .dispersion import Resonance, SymbolSet, check_eps
-from .errors import InvalidParams, LinearSolveFailure, NoConvergence, UnresolvedAmplitude
+from .errors import InvalidParams, LinearSolveFailure, NoConvergence
 from .kdv import core_profile
 from .lattice import LatticeConfig, TravelingProfile, simulate
 from .model import DimerParams
@@ -379,8 +379,9 @@ def _solve_one_nanopteron(params, eps, cfg):
 def cmd_nanopteron(cfg) -> int:
     """Solve each eps in turn; write every record, and the data of each solved eps.
 
-    An eps whose amplitude the dtype cannot resolve keeps a record with a
-    failed ``amplitude_resolved`` gate, and the command then exits 2.
+    An eps the solver refuses as invalid (an amplitude the dtype cannot
+    resolve, a degenerate solvability weight) keeps a record with a failed
+    gate, and the command then exits 2.
     """
     params = _params(cfg)
     try:
@@ -402,7 +403,7 @@ def cmd_nanopteron(cfg) -> int:
     for tag, eps in tagged.items():
         rec, solved = _solve_one_nanopteron(params, eps, cfg)
         rec.write(out / f"nanopteron_{tag}_record.txt")
-        if isinstance(solved, UnresolvedAmplitude):
+        if isinstance(solved, InvalidParams):
             refusal = refusal or solved
             continue
         if isinstance(solved, Exception):

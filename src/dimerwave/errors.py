@@ -26,7 +26,7 @@ class NoConvergence(DimerwaveError):
     """A fixed-point iteration failed to contract within the allowed iterations."""
 
 
-class DegenerateSolvability(DimerwaveError):
+class DegenerateSolvability(InvalidParams):
     """The solvability functional of the ripple correction is numerically zero, so
     the resonant amplitude equation cannot be solved."""
 

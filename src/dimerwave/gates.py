@@ -18,7 +18,7 @@ import numpy as np
 
 from . import lattice
 from .dispersion import SymbolSet
-from .errors import LinearSolveFailure, NoConvergence, UnresolvedAmplitude
+from .errors import DegenerateSolvability, LinearSolveFailure, NoConvergence, UnresolvedAmplitude
 from .kdv import core_profile, kdv_residual
 from .model import DimerParams
 from .nanopteron import NanopteronConfig, SolverOperators, solve_nanopteron
@@ -34,7 +34,7 @@ from .spectral import (
 )
 
 # Solves that end in one of these give a failed row instead of an exit.
-SOLVE_FAILURES = (NoConvergence, LinearSolveFailure, UnresolvedAmplitude)
+SOLVE_FAILURES = (NoConvergence, LinearSolveFailure, UnresolvedAmplitude, DegenerateSolvability)
 
 # eps and dtype of the amplitude-decay ladder: each halving of eps shrinks |a|
 # by a larger factor, which no power of eps does.

@@ -187,8 +187,10 @@ def build_chi_upsilon(symbols: SymbolSet, grid: LineGrid, sigma: LineField,
     chi = LineField(grid, grid.apply(lambda_plus, b.line2.values))
     ups = iota_eps(chi, resonance.omega)
     if not abs(ups) > 1e-6:
+        p = symbols.params
         raise DegenerateSolvability(
-            f"solvability weight upsilon = {ups:.3e} too close to zero"
+            f"solvability weight |upsilon| = {abs(ups):.3e} is not above 1e-6 at "
+            f"kappa = {p.kappa:g}, beta = {p.beta:g}, eps = {eps:g}"
         )
     return chi, ups
 

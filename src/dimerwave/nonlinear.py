@@ -83,10 +83,6 @@ class VectorField:
     def from_periodic(cls, grid: LineGrid, p1: PeriodicField, p2: PeriodicField, omega):
         return cls(LineField.zero(grid), LineField.zero(grid), p1, p2, omega)
 
-    @classmethod
-    def zero(cls, grid: LineGrid):
-        return cls.from_line(LineField.zero(grid), LineField.zero(grid))
-
     def __add__(self, other):
         return VectorField(
             self.line1 + other.line1,
@@ -105,13 +101,6 @@ class VectorField:
         )
 
     __rmul__ = __mul__
-
-    def sampled(self, X):
-        """Physical samples of both components at points X (core + ripple)."""
-        out = []
-        for ln, pr in ((self.line1, self.per1), (self.line2, self.per2)):
-            out.append(ln.eval_at(X) + pr.eval_at(self.omega * np.asarray(X)))
-        return out[0], out[1]
 
 
 def _ripple_frequency(*fields) -> float:

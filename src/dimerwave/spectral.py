@@ -124,8 +124,7 @@ class LineField:
     """Real samples of an (expected even) function on a LineGrid.
 
     Arithmetic combines fields on the same grid; scalar multiplication and
-    negation are supported.  ``validate`` checks the even-symmetry defect
-    against the type tolerance.
+    negation are supported.
     """
 
     __slots__ = ("grid", "values")
@@ -179,14 +178,6 @@ class LineField:
         """|f(-L)| relative to max|f| (small for converged localized cores)."""
         peak = np.max(np.abs(self.values))
         return float(np.abs(self.values[0]) / peak) if peak > 0 else 0.0
-
-    def validate(self, tol: float = 1e-12):
-        peak = float(np.max(np.abs(self.values)))
-        if peak > 0 and self.even_defect() > tol * peak:
-            raise InvalidParams(
-                f"even-symmetry defect {self.even_defect():.3e} exceeds {tol:.1e}*max|f|"
-            )
-        return self
 
     def eval_at(self, X):
         """Trigonometric interpolation of the samples at arbitrary points.

@@ -140,6 +140,7 @@ class TestDispatch:
         (["dispersion", "--kappa", "1e200"], "kappa**3 must be finite, got kappa=1e+200"),
         (["simulate", "--eps", "1e300"], "eps**2 must be finite, got eps=1e+300"),
         (["simulate", "--eps", "10"], "eps = 10.0 exceeds the long-wave bound EPS_MAX = 0.5"),
+        (["nanopteron", "--kappa", "5", "--beta", "-4.035496711730957"], "upsilon"),
     ])
     def test_malformed_input_exits_2_naming_the_limit(self, tmp_path, capsys, argv, limit):
         assert dispatch(argv + ["--out", str(tmp_path)]) == 2

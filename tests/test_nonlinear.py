@@ -28,6 +28,12 @@ def _ripple(grid, omega, amps1, amps2):
     return PeriodicField(c1), PeriodicField(c2)
 
 
+def _samples(v, X):
+    """Physical samples of both components of ``v`` at points X (core + ripple)."""
+    return (v.line1.eval_at(X) + v.per1.eval_at(v.omega * X),
+            v.line2.eval_at(X) + v.per2.eval_at(v.omega * X))
+
+
 def test_vectorfield_algebra(setup):
     S, grid, sigma, bump = setup
     v = VectorField.from_line(sigma, bump)
@@ -40,16 +46,6 @@ def test_vectorfield_algebra(setup):
         a + b  # incompatible ripple frequencies
     # adding a pure-line field keeps the ripple frequency
     assert (a + v).omega == 1.5
-
-
-def test_sampled_combines_halves(setup):
-    S, grid, sigma, bump = setup
-    p1, p2 = _ripple(grid, 0.0, [0.25], [0.0, 0.125])
-    v = VectorField(sigma, bump, p1, p2, omega=3.0)
-    X = np.array([-4.1, 0.0, 2.37])
-    s1, s2 = v.sampled(X)
-    assert s1 == pytest.approx(sigma.eval_at(X) + 0.25 * np.cos(3.0 * X), abs=1e-12)
-    assert s2 == pytest.approx(bump.eval_at(X) + 0.125 * np.cos(6.0 * X), abs=1e-12)
 
 
 def test_calN_constant_and_zero_remainder(setup):
@@ -100,7 +96,7 @@ def test_B_symmetry_and_bilinearity(setup):
     assert np.max(np.abs(B12.line2.values - B21.line2.values)) < 1e-12
     Bs = B_eps(S, 2.5 * th, th2, 0.1)
     assert np.max(np.abs(Bs.line1.values - 2.5 * B12.line1.values)) < 1e-12
-    zero = VectorField.zero(grid)
+    zero = VectorField.from_line(LineField.zero(grid), LineField.zero(grid))
     B0 = B_eps(S, th, zero, 0.1)
     assert np.max(np.abs(B0.line1.values)) == 0.0
 
@@ -197,7 +193,7 @@ def test_mixed_representation_consistency(setup, op):
         out_m = Q_eps(S, mix, mix, mix, 0.1)
         out_p = Q_eps(S, pure, pure, pure, 0.1)
         tol = 1e-8
-    for got, want in zip(out_m.sampled(grid.X), out_p.sampled(grid.X)):
+    for got, want in zip(_samples(out_m, grid.X), _samples(out_p, grid.X)):
         assert np.max(np.abs(got - want)) < tol
 
 

@@ -85,10 +85,8 @@ def test_even_fields_have_real_spectrum_and_zero_defect(grid):
     f = even_noise(grid, seed=3)
     assert np.max(np.abs(grid.rfft(f.values).imag)) < 1e-12
     assert f.even_defect() < 1e-13
-    f.validate()
     bad = LineField(grid, np.sin(grid.k[1] * grid.X))
-    with pytest.raises(InvalidParams):
-        bad.validate()
+    assert bad.even_defect() > 1
 
 
 def test_identity_multiplier_is_identity(grid):
