@@ -1,10 +1,17 @@
-"""Time each layer of the nanopteron pipeline in process, and write the numbers
-to ``BENCH_pipeline.json`` next to this script.
+"""Time each layer of the nanopteron pipeline in process, and print the numbers
+as one JSON document.
 
 Run from the repository root (the package is imported from this checkout's
 ``src/``; nothing needs to be installed):
 
     python3 benchmarks/bench_pipeline.py [--repeats 5] [--steps 2000]
+
+and regenerate the committed numbers with
+
+    python3 benchmarks/bench_pipeline.py > benchmarks/BENCH_pipeline.json
+
+The document goes to standard output and one progress line per section to
+standard error, so a run writes no file unless its output is redirected.
 
 Every time is the best of ``--repeats`` calls.  The sections follow the
 pipeline:
@@ -68,7 +75,6 @@ GRIDS = (("sweep-f64", 0.1, 4096, np.float64), ("solve-ld", 0.05, 8192, np.longd
 POINTS = (512, 2048)
 SITES = (256, 1024, 4096, 16384)
 BASE = 1024
-OUT = HERE / "BENCH_pipeline.json"
 
 
 def best_of(repeats, fn):
@@ -225,9 +231,8 @@ def main():
     )
     for name, bench, *extra in sections:
         record[name] = bench(args.repeats, *extra)
-        print(f"{name}: {json.dumps(record[name])}")
-    OUT.write_text(json.dumps(record, indent=1) + "\n")
-    print(f"wrote {OUT}")
+        print(f"{name}: {json.dumps(record[name])}", file=sys.stderr)
+    print(json.dumps(record, indent=1))
 
 
 if __name__ == "__main__":

@@ -56,13 +56,13 @@ from typing import NamedTuple
 import numpy as np
 
 from . import gates
-from .dispersion import Resonance, SymbolSet, check_eps
+from .dispersion import Resonance, SymbolSet
 from .errors import InvalidParams, LinearSolveFailure, NoConvergence
 from .kdv import core_profile
 from .lattice import LatticeConfig, TravelingProfile, simulate
 from .model import DimerParams
 from .nanopteron import NanopteronState, solve_nanopteron
-from .periodic import PeriodicField, PeriodicWave, solve_periodic
+from .periodic import PeriodicField, PeriodicWave, check_long_wave, solve_periodic
 from .spectral import LineField, LineGrid
 
 SCHEMA_RECORD = "dimerwave-runrecord/1"
@@ -392,7 +392,7 @@ def cmd_nanopteron(cfg) -> int:
             f"--sweep must be a comma list of numbers, got {cfg['sweep']!r}") from exc
     tagged = {}  # output tag -> eps, before any solve, so a bad entry costs no work
     for eps in eps_list:
-        check_eps(eps)
+        check_long_wave(eps)
         tag = f"eps{eps:g}"
         if tag in tagged:
             raise InvalidParams(f"--sweep entries {tagged[tag]!r} and {eps!r} would both "

@@ -20,13 +20,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._kernels import accel_numpy, rk4_steps
-from .dispersion import SymbolSet, check_eps
+from .dispersion import SymbolSet
 from .errors import InvalidParams, NoConvergence
 from .kdv import core_profile
 from .model import DimerParams, derived_constants, potential
 from .nanopteron import DECAY_TOL, NanopteronState
 from .nonlinear import VectorField, apply_J
-from .periodic import EPS_MAX, PeriodicWave
+from .periodic import PeriodicWave, check_long_wave
 from .spectral import LineField, LineGrid, PeriodicField
 
 
@@ -111,14 +111,10 @@ class TravelingProfile:
     def leading_order(cls, params: DimerParams, eps, sites: int, grid: LineGrid = None):
         """Squared-sech core only: odd sites eps^2 sigma/kappa, even eps^2 sigma.
 
-        Refuses ``eps > periodic.EPS_MAX``, past which the long-wave profile
-        is no traveling wave (at eps 10 the ring blows up within t = 0.5).
+        Refuses eps outside the long-wave range ``(0, periodic.EPS_MAX]``
+        (``periodic.check_long_wave``).
         """
-        check_eps(eps)
-        if not eps <= EPS_MAX:
-            raise InvalidParams(
-                f"eps = {eps!r} exceeds the long-wave bound EPS_MAX = {EPS_MAX} "
-                "of the leading-order profile")
+        check_long_wave(eps)
         if grid is None:
             grid = LineGrid(4096, 60.0)
         sigma, _ = core_profile(params, grid)

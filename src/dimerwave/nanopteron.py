@@ -15,8 +15,8 @@ resonant frequency ``+-omega_eps``.  The ansatz
 corrector) turns the system into a fixed point for ``(eta_1, eta_2, a)``:
 
 * the acoustic equation is preconditioned by the localized linearization
-  ``A = I - K1`` about the core (whose kernel is the core's translation
-  direction, odd and therefore invisible on even fields);
+  ``A f = f + 2 gamma1 varpi0(sigma f)`` about the core (whose kernel is the
+  core's translation direction, odd and therefore invisible on even fields);
 * the optical equation is solved by ``P_eps``, which subtracts the resonant
   content via the solvability functional ``iota`` before inverting ``T_eps``;
 * the amplitude ``a`` is exactly the solvability multiplier
@@ -24,8 +24,9 @@ corrector) turns the system into a fixed point for ``(eta_1, eta_2, a)``:
   zero" comes from, since ``iota`` of smooth decaying data shrinks beyond
   every power of eps.
 
-Each step evaluates ``B + Q`` once, on the full ansatz (``assemble_terms``);
-the tests check its split into bilinear families (core*core, core*eta, ...).
+``N_maps`` writes the three maps; each application evaluates ``B + Q``
+once, on the full ansatz, and the tests check its split into bilinear
+families (core*core, core*eta, ...).
 
 Everything is dtype-generic: pass a longdouble ``eps`` (and dtype in the
 config) to push the amplitude floor below double rounding.
@@ -253,16 +254,21 @@ class SolverOperators:
 
     Holds the symbol tables (smoothing ``varpi``, optical ``lambda_plus``,
     traveling ``xi``; the nonlinear operators keep the diagonalizer's on
-    ``symbols``), the core profile and its slope, the localized
-    linearization ``A = I - K1`` with its companion ``K2``, the resonant
-    field ``chi``, and the solvability weight ``upsilon``.
+    ``symbols``), the core profile and its slope, the couplings ``gamma1``
+    and ``gamma2`` of the linearization about the core, the resonant field
+    ``chi``, and the solvability weight ``upsilon``.
+
+    Construction measures ``kernel_defect = |A sigma'|/|sigma'|`` and
+    refuses (``InvalidParams``) a value above 1e-6: ``A`` annihilates the
+    core's translation direction only when sigma, the smoothing symbol and
+    ``gamma1`` belong to the same continuum limit.
 
     Instances are immutable after construction, apart from the GMRES
     iteration counters that ``A_solve`` updates.
     """
 
     def __init__(self, params: DimerParams, eps, grid: LineGrid,
-                 resonance: Resonance = None, check: bool = True):
+                 resonance: Resonance = None):
         self.params = params
         self.grid = grid
         dt = grid.X.dtype.type
@@ -297,27 +303,24 @@ class SolverOperators:
         self.chi, self.upsilon = build_chi_upsilon(
             self.symbols, grid, self.sigma, self.eps, self.resonance, self.lambda_plus_table
         )
+        slope = self.sigma_slope
+        self.kernel_defect = sup_norm(self.A_apply(slope)) / sup_norm(slope)
+        if not self.kernel_defect <= 1e-6:
+            raise InvalidParams(
+                f"kernel residual |A sigma'|/|sigma'| = {self.kernel_defect:.2e} > 1e-6; "
+                "grid does not support the localized linearization"
+            )
         self.last_gmres_iterations = 0
         self.gmres_iterations = 0  # over every A-solve of these operators
-        if check:
-            self.self_check()
 
     # -- elementary applications ------------------------------------------------
 
     def _smooth_core_multiply(self, values):
-        """varpi0 (sigma * v) at the values level (the K building block)."""
+        """varpi0 (sigma * v) at the values level (the coupling to the core)."""
         return self.grid.apply(self.varpi0_table, self.sigma.values * values)
 
-    def K1(self, f: LineField) -> LineField:
-        """Acoustic self-coupling ``K1 f = -2 gamma1 varpi0(sigma f)``."""
-        return LineField(self.grid, -2 * self.gamma1 * self._smooth_core_multiply(f.values))
-
-    def K2(self, f: LineField) -> LineField:
-        """Acoustic-optical coupling ``K2 f = +2 gamma2 varpi0(sigma f)``."""
-        return LineField(self.grid, 2 * self.gamma2 * self._smooth_core_multiply(f.values))
-
     def A_apply(self, f: LineField) -> LineField:
-        """The localized linearization ``A f = f - K1 f``."""
+        """The localized linearization ``A f = f + 2 gamma1 varpi0(sigma f)``."""
         return LineField(self.grid, self._A_values(f.values))
 
     def _A_values(self, values):
@@ -347,40 +350,6 @@ class SolverOperators:
         F[self.band] = 0.0
         return LineField(self.grid, self.grid.irfft(F))
 
-    def self_check(self):
-        """Construction-time invariants.
-
-        * The core's translation direction is annihilated by ``A`` (relative
-          sup residual <= 1e-6): this certifies that sigma, the smoothing
-          symbol, and the coupling constant all belong to the same continuum
-          limit.
-        * ``|upsilon| > 1e-6`` was already enforced by ``build_chi_upsilon``.
-        """
-        slope = self.sigma_slope
-        defect = sup_norm(self.A_apply(slope)) / sup_norm(slope)
-        if not defect <= 1e-6:
-            raise InvalidParams(
-                f"kernel residual |A sigma'|/|sigma'| = {defect:.2e} > 1e-6; "
-                "grid does not support the localized linearization"
-            )
-        return self
-
-
-@dataclass
-class TermCollection:
-    """Right-hand sides of the fixed point at one iterate.
-
-    ``r1/r2`` are the fields ``-sigma - varpi_eps[(B+Q)]_1`` and
-    ``-lambda_plus[(B+Q)]_2`` of the full ansatz; the ``_mod`` variants carry
-    the contraction-restoring corrections (the linearized bilinear on the
-    acoustic side, the resonant ``2 a chi`` on the optical side).
-    """
-
-    r1: LineField
-    r2: LineField
-    r1_mod: LineField
-    r2_mod: LineField
-
 
 def _full_ansatz(ops: SolverOperators, state: NanopteronState, wave: PeriodicWave):
     """The ansatz ``(sigma, 0) + eta + a * phi`` as one mixed field."""
@@ -389,41 +358,28 @@ def _full_ansatz(ops: SolverOperators, state: NanopteronState, wave: PeriodicWav
     return core_vec + eta_vec + wave.as_vector(ops.grid, amplitude=state.a)
 
 
-def assemble_terms(ops: SolverOperators, state: NanopteronState,
-                   wave: PeriodicWave) -> TermCollection:
-    """Evaluate the fixed point's right-hand sides at ``state``.
-
-    ``(B+Q)`` is evaluated once, on the full ansatz.
-    """
-    ansatz = _full_ansatz(ops, state, wave)
-    W = BQ_eps(ops.symbols, ansatz, ops.eps)
-    r1 = -ops.sigma - W.line1.apply(ops.varpi_eps_table)
-    r2 = (-1.0) * W.line2.apply(ops.lambda_plus_table)
-    correction = LineField(
-        ops.grid,
-        2 * ops._smooth_core_multiply(
-            ops.gamma1 * state.eta1.values + ops.gamma2 * state.eta2.values
-        ),
-    )
-    r1_mod = r1 + correction
-    r2_mod = r2 + (2 * state.a) * ops.chi
-
-    return TermCollection(r1, r2, r1_mod, r2_mod)
-
-
 def N_maps(ops: SolverOperators, state: NanopteronState, wave: PeriodicWave,
            fixed_point: str = "new"):
     """One application of the fixed-point maps; returns ``(N1, N2, N3)``.
 
-    ``N3 = iota[r2_mod]/(2 upsilon)`` (new amplitude), ``N2 = eps**2
-    P_eps r2_mod`` (new optical corrector), and ``N1 = A^{-1}(r1_mod - K2 z)``
-    with ``z = N2`` ("new") or the current eta2 ("original").
+    ``W = (B + Q)`` of the full ansatz is evaluated once.  The system's
+    right-hand sides are ``r1 = -sigma - varpi_eps W1`` and ``r2 =
+    -lambda_plus W2``.  With ``s(f) = 2 varpi0(sigma f)``, so that ``s(gamma1
+    eta1 + gamma2 eta2)`` is the bilinear linearized about the core, and the
+    resonant correction ``r2' = r2 + 2 a chi``: ``N3 = iota[r2']/(2 upsilon)``
+    (new amplitude), ``N2 = eps**2 P_eps r2'`` (new optical corrector), and
+    ``N1 = A^{-1}(r1 + s(gamma1 eta1 + gamma2 eta2) - gamma2 s(z))`` with
+    ``z = N2`` ("new") or the current eta2 ("original").
     """
-    terms = assemble_terms(ops, state, wave)
-    a_new = ops.iota(terms.r2_mod) / (2 * ops.upsilon)
-    eta2_new = ops.eps**2 * ops.P_eps(terms.r2_mod)
+    W = BQ_eps(ops.symbols, _full_ansatz(ops, state, wave), ops.eps)
+    smooth = ops._smooth_core_multiply
+    r1 = -ops.sigma - W.line1.apply(ops.varpi_eps_table)
+    r1_mod = r1.values + 2 * smooth(ops.gamma1 * state.eta1.values + ops.gamma2 * state.eta2.values)
+    r2_mod = (-1.0) * W.line2.apply(ops.lambda_plus_table) + (2 * state.a) * ops.chi
+    a_new = ops.iota(r2_mod) / (2 * ops.upsilon)
+    eta2_new = ops.eps**2 * ops.P_eps(r2_mod)
     z = eta2_new if fixed_point == "new" else state.eta2
-    eta1_new = ops.A_solve(terms.r1_mod - ops.K2(z))
+    eta1_new = ops.A_solve(LineField(ops.grid, r1_mod - 2 * ops.gamma2 * smooth(z.values)))
     return eta1_new, eta2_new, a_new
 
 

@@ -208,16 +208,16 @@ class _Split:
 # -- the operators' brackets, each written once -----------------------------------
 
 
-def _B_bracket(alg, p: DimerParams, a, b, h=None):
+def _B_bracket(alg, p: DimerParams, eps, a, b):
     """``M_{beta/kappa} [a.b]`` of component pairs, in the algebra ``alg``."""
     return alg.scale(alg.mul(a[0], b[0]), p.beta / p.kappa), alg.mul(a[1], b[1])
 
 
-def _Q_bracket(alg, p: DimerParams, a, b, h):
-    """``M_{1/kappa} [a.b.calN(h)]`` of component pairs, in the algebra ``alg``."""
+def _Q_bracket(alg, p: DimerParams, eps, a, b, h):
+    """``M_{1/kappa} [a.b.calN(eps**2 h)]`` of component pairs, in the algebra ``alg``."""
     terms = []
     for i, n in enumerate((p.n1, p.n2)):
-        terms.append(alg.mul(alg.mul(a[i], b[i]), alg.calN(h[i], n)))
+        terms.append(alg.mul(alg.mul(a[i], b[i]), alg.calN(alg.scale(h[i], eps * eps), n)))
     return alg.scale(terms[0], 1 / p.kappa), terms[1]
 
 
@@ -231,8 +231,9 @@ def _transform_and_sample(symbols: SymbolSet, eps, v: VectorField, cx):
 def _sandwich(symbols: SymbolSet, bracket, args, eps) -> VectorField:
     """``J1 . [bracket]`` of ``J`` applied to ``args``, on line + ripple fields.
 
-    Each distinct argument is J-transformed and sampled once; a third
-    argument (calN's) is then scaled by ``eps**2``.
+    Each distinct argument is J-transformed and sampled once, and the
+    bracket is evaluated on the ripple pairs in ``_Cosine`` and on the
+    samples in ``_Split``.
     """
     grid = args[0].grid
     if any(v.grid != grid for v in args):
@@ -243,12 +244,9 @@ def _sandwich(symbols: SymbolSet, bracket, args, eps) -> VectorField:
     for v in args:
         if id(v) not in done:
             done[id(v)] = _transform_and_sample(symbols, eps, v, cx)
-    ripples, samples = [list(x) for x in zip(*(done[id(v)] for v in args))]
-    if len(args) == 3:
-        ripples[2] = tuple(pr * (eps * eps) for pr in ripples[2])
-        samples[2] = [_Split.scale(s, eps * eps) for s in samples[2]]
-    per1, per2 = bracket(_Cosine, symbols.params, *ripples)
-    decay = bracket(_Split, symbols.params, *samples)
+    ripples, samples = zip(*(done[id(v)] for v in args))
+    per1, per2 = bracket(_Cosine, symbols.params, eps, *ripples)
+    decay = bracket(_Split, symbols.params, eps, *samples)
     line1, line2 = (from_fine_samples(grid, d) for d, _ in decay)
     return apply_J(symbols, eps, VectorField(line1, line2, per1, per2, omega), inverse=True)
 
@@ -301,10 +299,10 @@ def BQ_ripple(symbols: SymbolSet, v, third, omega, eps):
     """
     p = symbols.params
     a = _J_cosine(symbols, eps, omega, v)
-    out = _J_cosine(symbols, eps, omega, _B_bracket(_Cosine, p, a, a), inverse=True)
+    out = _J_cosine(symbols, eps, omega, _B_bracket(_Cosine, p, eps, a, a), inverse=True)
     if len(p.n1) or len(p.n2):
-        h = tuple(pr * (eps * eps) for pr in _J_cosine(symbols, eps, omega, third))
-        q = _J_cosine(symbols, eps, omega, _Q_bracket(_Cosine, p, a, a, h), inverse=True)
+        h = _J_cosine(symbols, eps, omega, third)
+        q = _J_cosine(symbols, eps, omega, _Q_bracket(_Cosine, p, eps, a, a, h), inverse=True)
         out = (out[0] + q[0], out[1] + q[1])
     return out
 

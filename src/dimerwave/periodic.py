@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import Resonance, SymbolSet
+from .dispersion import Resonance, SymbolSet, check_eps
 from .errors import InvalidParams, NearSingularMode, NoConvergence
 from .model import DimerParams
 from .nonlinear import BQ_ripple, VectorField
@@ -53,6 +53,15 @@ TAIL_ABS = 1e-16
 # nanopteron solve holds its ripple amplitude to the same A_MAX.
 A_MAX = 1e-2
 EPS_MAX = 0.5
+
+
+def check_long_wave(eps):
+    """Raise ``InvalidParams`` unless ``0 < eps <= EPS_MAX``: past the bound
+    neither the ripple family nor the leading-order profile is a traveling
+    wave (at eps 10 the leading-order ring blows up within t = 0.5)."""
+    check_eps(eps)
+    if not eps <= EPS_MAX:
+        raise InvalidParams(f"eps = {eps} exceeds the long-wave bound EPS_MAX = {EPS_MAX}")
 
 
 @dataclass
@@ -114,8 +123,7 @@ class PeriodicSolver:
     """
 
     def __init__(self, params: DimerParams, eps: float, start: PeriodicWave = None):
-        if not 0 < eps <= EPS_MAX:
-            raise InvalidParams(f"eps must lie in (0, {EPS_MAX}], got {eps}")
+        check_long_wave(eps)
         if start is not None and (start.params != params or start.eps != eps):
             raise InvalidParams("a warm start must come from the same params and eps")
         self.eps = eps
@@ -202,9 +210,7 @@ class PeriodicSolver:
         """Max-abs coefficient residual of the projected traveling-wave system."""
         b1, b2, varpi, lam_plus, xi = self._evaluate(psi, t, a)
         res1 = psi[0].coeffs + a * varpi * b1
-        nu_plus_psi2 = psi[1].coeffs.copy()
-        nu_plus_psi2[1] += 1.0
-        res2 = xi * nu_plus_psi2 + a * self.eps**2 * lam_plus * b2
+        res2 = xi * _phi(psi, 1.0)[1].coeffs + a * self.eps**2 * lam_plus * b2
         return max(np.max(np.abs(res1)), np.max(np.abs(res2)))
 
     # -- driver -----------------------------------------------------------------

@@ -146,6 +146,19 @@ class TestDispatch:
         assert dispatch(argv + ["--out", str(tmp_path)]) == 2
         assert limit in capsys.readouterr().err
 
+    def test_degenerate_solvability_row_is_named_solvability(self, tmp_path):
+        argv = ["nanopteron", "--kappa", "5", "--beta", "-4.035496711730957"]
+        assert dispatch(argv + ["--out", str(tmp_path)]) == 2
+        record = (tmp_path / "nanopteron_eps0.2_record.txt").read_text()
+        assert "\nsolvability = FAIL (solvability weight |upsilon|" in record
+        assert "converged = " not in record
+
+    def test_sweep_checks_every_eps_before_any_solve(self, tmp_path, capsys):
+        argv = ["nanopteron", "--sweep", "0.2,0.6", "--out", str(tmp_path)]
+        assert dispatch(argv) == 2
+        assert not list(tmp_path.glob("nanopteron_eps0.2*"))
+        assert "eps = 0.6 exceeds the long-wave bound EPS_MAX = 0.5" in capsys.readouterr().err
+
     def test_unresolvable_ripple_names_the_grid_ceiling(self, tmp_path, capsys):
         # the solve has already refined to its largest grid, so no flag can help
         assert dispatch(["nanopteron", "--eps", "1e-5", "--out", str(tmp_path)]) == 2
