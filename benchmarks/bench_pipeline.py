@@ -33,8 +33,7 @@ pipeline:
 - ``line_eval``: ``LineField.eval_at``, in ms per call, at 512 and 2048
   points on the solver's default n = 4096, L = 60 grid.
 - ``rk4``: the ring integrator with cubic spring remainders, in ns per
-  site-step (wall time over sites x ``--steps``).  The numba column is null
-  unless numba imports; it is warmed first, so JIT compilation is not billed.
+  site-step (wall time over sites x ``--steps``).
 - ``output``: ``stegoton_diagnostics`` (with the ripple wavenumber, as the
   ``simulate`` record computes it) and ``_write_csv`` of the (t, j, r_j)
   blocks ``simulate`` writes, in ms, on the ring-4096 trajectory: the float64
@@ -58,12 +57,11 @@ HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent / "src"))
 
 from dimerwave import periodic, spectral  # noqa: E402
-from dimerwave._kernels import HAS_NUMBA, rk4_steps  # noqa: E402
 from dimerwave.cli import _write_csv  # noqa: E402
 from dimerwave.dispersion import SymbolSet  # noqa: E402
 from dimerwave.kdv import core_profile  # noqa: E402
 from dimerwave.lattice import LatticeConfig, TravelingProfile  # noqa: E402
-from dimerwave.lattice import simulate, stegoton_diagnostics  # noqa: E402
+from dimerwave.lattice import rk4_steps, simulate, stegoton_diagnostics  # noqa: E402
 from dimerwave.model import DimerParams  # noqa: E402
 from dimerwave.nanopteron import NanopteronConfig, solve_nanopteron  # noqa: E402
 from dimerwave.nonlinear import B_eps, VectorField  # noqa: E402
@@ -172,23 +170,17 @@ def bench_line_eval(repeats):
 
 
 def bench_rk4(repeats, steps):
-    def ns_per_site_step(sites, compiled, steps=steps):
+    def ns_per_site_step(sites):
         # copies of one wave on at most BASE sites: sampling the profile costs
         # memory in proportion to the sites, which the kernel does not
         base = min(sites, BASE)
         prof = TravelingProfile.leading_order(CUBIC, 0.2, base)
         r, v = (np.tile(x, sites // base) for x in prof.initial())
         odd = np.tile(prof.odd, sites // base)
-        best = best_of(repeats, lambda: rk4_steps(
-            r, v, 0.02, steps, odd, CUBIC.kappa, CUBIC.beta, CUBIC.n1, CUBIC.n2,
-            compiled=compiled))
+        best = best_of(repeats, lambda: rk4_steps(r, v, 0.02, steps, odd, CUBIC))
         return 1e9 * best / (sites * steps)
 
-    if HAS_NUMBA:
-        ns_per_site_step(64, True, steps=2)  # compile outside the timings
-    rows = [{"sites": sites, "numpy_ns": ns_per_site_step(sites, False),
-             "numba_ns": ns_per_site_step(sites, True) if HAS_NUMBA else None}
-            for sites in SITES]
+    rows = [{"sites": sites, "numpy_ns": ns_per_site_step(sites)} for sites in SITES]
     return {"steps": steps, "n1": CUBIC.n1, "n2": CUBIC.n2, "rows": rows}
 
 
@@ -216,7 +208,7 @@ def main():
     args = ap.parse_args()
     record = {
         "host": {"python": platform.python_version(), "numpy": np.__version__,
-                 "cpus": os.cpu_count(), "numba": HAS_NUMBA},
+                 "cpus": os.cpu_count()},
         "repeats": args.repeats,
         "src_lines": sum(len(p.read_text().splitlines())
                          for p in (HERE.parent / "src").rglob("*.py")),

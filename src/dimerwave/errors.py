@@ -32,4 +32,9 @@ class DegenerateSolvability(InvalidParams):
 
 
 class LinearSolveFailure(DimerwaveError):
-    """The matrix-free Krylov solve for the core linear operator did not converge."""
+    """The matrix-free Krylov solve for the core linear operator did not converge;
+    ``iterations`` is the number of Krylov steps it took."""
+
+    def __init__(self, message, iterations=0):
+        super().__init__(message)
+        self.iterations = iterations

@@ -13,17 +13,35 @@ theta)(eps x)``: odd sites sample the first component, even sites the second,
 and velocities come from the traveling ansatz ``r_j(t) = p(j - c t)``.  The
 leading-order profile alone (squared-sech core, amplitude ratio ``kappa``
 between the parity classes) gives the classic spiky dimer wave shape.
+
+The ring is advanced by classical RK4.  Because the right-hand side depends
+on ``r`` alone, classical RK4 on ``(r, v)`` is, exactly, its
+Runge-Kutta-Nystrom form (Hairer, Norsett & Wanner, Solving ODEs I, II.14):
+with ``f`` the acceleration and ``h`` the step,
+
+    k1 = f(r)
+    y  = r + h/2 v,           k2 = f(y)
+    k3 = f(y + h**2/4 k1)
+    k4 = f(r + h v + h**2/2 k2)
+    r <- r + h v + h**2/6 (k1 + k2 + k3)
+    v <- v + h/6 (k1 + 2 k2 + 2 k3 + k4)
+
+so no velocity stage is ever formed.  ``rk4_steps`` builds the per-site
+spring law of ``model.spring_law`` once per call (per-site ``lin``/``quad``
+arrays and zero-padded cubic-remainder rows, so every site runs one formula),
+allocates its stage arrays once per call and writes every stage into them in
+place.  The ``rk4`` section of ``benchmarks/bench_pipeline.py`` times it in
+ns per site-step.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import accel_numpy, rk4_steps
 from .dispersion import SymbolSet
 from .errors import InvalidParams, NoConvergence
 from .kdv import core_profile
-from .model import DimerParams, derived_constants, potential
+from .model import DimerParams, derived_constants, potential, spring_law
 from .nanopteron import DECAY_TOL, NanopteronState
 from .nonlinear import VectorField, apply_J
 from .periodic import PeriodicWave, check_long_wave
@@ -245,19 +263,74 @@ def lattice_energy(params: DimerParams, r, rdot) -> float:
     return float(np.sum(u_dot**2) / 2 + np.sum(V))
 
 
+class _Laplacian:
+    """The periodic ring Laplacian of a spring law's forces, in fixed buffers.
+
+    The forces go into the middle of a ``J + 2`` buffer whose ends copy the
+    opposite edges, so ``s[2:] + s[:-2] - 2*s[1:-1]`` is the Laplacian.
+    """
+
+    def __init__(self, law, r):
+        self.law = law
+        self.s = np.empty(len(r) + 2, r.dtype)
+        self.right, self.mid, self.left = self.s[2:], self.s[1:-1], self.s[:-2]
+        self.twice = np.empty_like(r)
+
+    def accel(self, r, out):
+        """r_ddot at ``r``, written into ``out``."""
+        s, mid = self.s, self.mid
+        self.law.force(r, out=mid)
+        s[0] = s[-2]
+        s[-1] = s[1]
+        np.add(self.right, self.left, out=out)
+        np.add(mid, mid, out=self.twice)
+        return np.subtract(out, self.twice, out=out)
+
+
+def rk4_steps(r, v, dt, steps, odd, params: DimerParams):
+    """Advance ``(r, v)`` by ``steps`` RK4 steps in Nystrom form (module docstring);
+    stiff law on the ``odd`` sites, soft law on the others.  Returns new arrays."""
+    r, v = r.copy(), v.copy()
+    f = _Laplacian(spring_law(params, odd), r).accel
+    k1, k2, k3, k4, y, z = (np.empty_like(r) for _ in range(6))
+    h, h2 = dt, dt * dt
+    for _ in range(steps):
+        f(r, k1)
+        np.multiply(v, 0.5 * h, out=y)
+        y += r                              # y = r + h/2 v
+        f(y, k2)
+        np.multiply(k1, 0.25 * h2, out=z)
+        z += y                              # y + h^2/4 k1
+        f(z, k3)
+        np.multiply(v, h, out=y)
+        y += r                              # y = r + h v
+        np.multiply(k2, 0.5 * h2, out=z)
+        z += y                              # r + h v + h^2/2 k2
+        f(z, k4)
+        np.add(k1, k2, out=z)
+        z += k3
+        z *= h2 / 6
+        np.add(y, z, out=r)                 # r + h v + h^2/6 (k1 + k2 + k3)
+        np.add(k2, k3, out=z)
+        z *= 2
+        z += k1
+        z += k4
+        z *= h / 6
+        v += z                              # v + h/6 (k1 + 2 k2 + 2 k3 + k4)
+    return r, v
+
+
 def step(params: DimerParams, r, rdot, dt):
     """One classical 4th-order step of the ring system."""
     r = np.asarray(r, dtype=np.float64)
     rdot = np.asarray(rdot, dtype=np.float64)
-    odd = _odd_mask(len(r))
-    return rk4_steps(r, rdot, dt, 1, odd, params.kappa, params.beta,
-                     params.n1, params.n2)
+    return rk4_steps(r, rdot, dt, 1, _odd_mask(len(r)), params)
 
 
 def acceleration(params: DimerParams, r):
-    """Right-hand side r_ddot (pure-numpy reference path)."""
-    odd = _odd_mask(len(r))
-    return accel_numpy(np.asarray(r, dtype=np.float64), odd, params)
+    """Right-hand side r_ddot: stiff law on odd sites, soft law on even ones."""
+    r = np.asarray(r, dtype=np.float64)
+    return _Laplacian(spring_law(params, _odd_mask(len(r))), r).accel(r, np.empty_like(r))
 
 
 def simulate(params: DimerParams, config: LatticeConfig, r0, v0) -> LatticeTrajectory:
@@ -290,8 +363,7 @@ def simulate(params: DimerParams, config: LatticeConfig, r0, v0) -> LatticeTraje
         chunk = min(stride, n_steps - done)
         # a blow-up overflows inside the step; the finiteness check reports it
         with np.errstate(over="ignore", invalid="ignore"):
-            r, v = rk4_steps(r, v, config.dt, chunk, odd, params.kappa, params.beta,
-                             params.n1, params.n2)
+            r, v = rk4_steps(r, v, config.dt, chunk, odd, params)
         done += chunk
         if not (np.all(np.isfinite(r)) and np.all(np.isfinite(v))):
             raise NoConvergence(f"lattice state blew up by t = {done * config.dt:.3f}")

@@ -188,8 +188,8 @@ class SpringLaw(NamedTuple):
 
     The fields are scalars for one spring, or per-site arrays for a ring (see
     :func:`spring_law`); :meth:`force` and :meth:`potential` hold the one
-    definition of the force laws either way.  The lattice integrator's numpy
-    path evaluates them directly (the numba kernel mirrors the force).
+    definition of the force laws either way.  The lattice integrator
+    evaluates them directly.
     """
 
     lin: object

@@ -407,6 +407,13 @@ class TestSweep:
         assert re.search(r"^converged = FAIL \(ripple amplitude \|a\| = \S+ escaped the "
                          r"ansatz region a_max = 0\.01\)$", record, re.M)
 
+    def test_small_eps_refused_at_the_noise_floor(self, tmp_path, capsys):
+        # the A-solve sees only even right-hand sides, so an odd rounding
+        # residue cannot stall GMRES before the amplitude check refuses |a|
+        code = dispatch(["nanopteron", "--eps", "0.01", "--out", str(tmp_path)])
+        assert code == 2
+        assert "below the float64 noise floor" in capsys.readouterr().err
+
     @pytest.mark.parametrize("refused_at", [1, 2])
     def test_refused_eps_keeps_the_other_outputs(self, tmp_path, capsys, refused_at):
         # float64 cannot resolve |a| at eps 0.05; eps 0.1 converges and is kept,

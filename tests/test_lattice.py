@@ -10,7 +10,6 @@ fourth-order step scaling for the integrator itself.
 import numpy as np
 import pytest
 
-from dimerwave._kernels import HAS_NUMBA, rk4_steps
 from dimerwave.dispersion import SymbolSet
 from dimerwave.errors import InvalidParams, NoConvergence
 from dimerwave.kdv import core_profile
@@ -24,6 +23,7 @@ from dimerwave.lattice import (
     _parabolic_max,
     acceleration,
     lattice_energy,
+    rk4_steps,
     shape_error,
     simulate,
     stegoton_diagnostics,
@@ -196,8 +196,8 @@ class TestConservationAndOrder:
         prof = TravelingProfile.leading_order(QUAD, 0.2, 128)
         r0, v0 = prof.initial()
         odd = prof.odd
-        r, v = rk4_steps(r0.copy(), v0.copy(), 0.02, 100, odd, 2.0, 1.0, (), ())
-        r, v = rk4_steps(r, -v, 0.02, 100, odd, 2.0, 1.0, (), ())
+        r, v = rk4_steps(r0.copy(), v0.copy(), 0.02, 100, odd, QUAD)
+        r, v = rk4_steps(r, -v, 0.02, 100, odd, QUAD)
         assert np.max(np.abs(r - r0)) < 1e-8
         assert np.max(np.abs(-v - v0)) < 1e-8
 
@@ -208,7 +208,7 @@ class TestConservationAndOrder:
 
         def endpoint(dt, T=0.4):
             steps = int(round(T / dt))
-            return rk4_steps(r0.copy(), v0.copy(), dt, steps, odd, 2.0, 1.0, (), ())[0]
+            return rk4_steps(r0.copy(), v0.copy(), dt, steps, odd, QUAD)[0]
 
         ref = endpoint(0.00125)
         e1 = np.max(np.abs(endpoint(0.02) - ref))
@@ -227,10 +227,8 @@ class TestConservationAndOrder:
         r = [0.0, 0.01, 0.0, -0.01, 0.0, 0.0, 0.0, 0.0]
         v = [0.0] * 8
         r1, v1 = step(CUBIC, r, v, 0.01)
-        r2, v2 = rk4_steps(
-            np.array(r), np.array(v), 0.01, 1,
-            ((np.arange(8) - 4) % 2) != 0, 2.0, 1.0, (0.5,), (-0.3, 0.1),
-        )
+        r2, v2 = rk4_steps(np.array(r), np.array(v), 0.01, 1,
+                           ((np.arange(8) - 4) % 2) != 0, CUBIC)
         assert np.array_equal(r1, r2) and np.array_equal(v1, v2)
 
     def test_acceleration_formula(self):
@@ -251,19 +249,6 @@ class TestConservationAndOrder:
         assert lattice_energy(CUBIC, r, w - np.roll(w, 1)) == pytest.approx(
             np.sum(w**2) / 2 + np.sum(V), rel=1e-13
         )
-
-    @pytest.mark.skipif(not HAS_NUMBA, reason="numba unavailable")
-    def test_compiled_matches_numpy(self):
-        rng = np.random.default_rng(7)
-        J = 128
-        odd = ((np.arange(J) - J // 2) % 2) != 0
-        r0 = 0.05 * rng.standard_normal(J)
-        v0 = 0.05 * rng.standard_normal(J)
-        args = (0.01, 50, odd, 2.0, 1.0, (0.5,), (-0.3, 0.1))
-        ra, va = rk4_steps(r0.copy(), v0.copy(), *args, compiled=True)
-        rb, vb = rk4_steps(r0.copy(), v0.copy(), *args, compiled=False)
-        assert np.max(np.abs(ra - rb)) < 1e-13
-        assert np.max(np.abs(va - vb)) < 1e-13
 
 
 REMAINDERS = [((0.5,), (-0.3, 0.1)), ((), (-0.3, 0.1)), ((0.5, 0.2, -0.1), ()), ((), ())]
@@ -326,8 +311,7 @@ class TestPerSiteLaw:
     @pytest.mark.parametrize("n1, n2", REMAINDERS)
     def test_rk4_matches_two_law_reference(self, n1, n2, sites):
         params, odd, r0, v0 = self._start(n1, n2, sites)
-        r, v = rk4_steps(r0, v0, 0.02, 200, odd, params.kappa, params.beta,
-                         params.n1, params.n2, compiled=False)
+        r, v = rk4_steps(r0, v0, 0.02, 200, odd, params)
         r_ref, v_ref = _two_law_rk4(r0, v0, 0.02, 200, odd, params)
         assert np.array_equal(r, r_ref) and np.array_equal(v, v_ref)
 
@@ -337,8 +321,7 @@ class TestPerSiteLaw:
         # the same method, summed in another order: 200 steps leave only
         # rounding (measured: at most 7.6e-15 of max|v|)
         params, odd, r0, v0 = self._start(n1, n2, sites)
-        r, v = rk4_steps(r0, v0, 0.02, 200, odd, params.kappa, params.beta,
-                         params.n1, params.n2, compiled=False)
+        r, v = rk4_steps(r0, v0, 0.02, 200, odd, params)
         r_ref, v_ref = _textbook_rk4(r0, v0, 0.02, 200, odd, params)
         assert np.max(np.abs(r - r_ref)) <= 1e-13 * np.max(np.abs(r_ref))
         assert np.max(np.abs(v - v_ref)) <= 1e-13 * np.max(np.abs(v_ref))

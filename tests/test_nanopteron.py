@@ -209,6 +209,31 @@ class TestLocalizedLinearization:
             back = ops01.A_apply(x)
             assert np.max(np.abs(back.values - f.values)) < 1e-10 * max(1.0, sup_norm(f))
 
+    def test_solve_returns_for_random_right_hand_side(self):
+        # A annihilates the odd slope sigma', so only the even part is solvable;
+        # with the odd part in, GMRES stalls at 3.7e-3 after 400 iterations
+        grid = LineGrid(4096, 40.0)
+        ops = SolverOperators(QUAD, 0.1, grid)
+        v = np.random.default_rng(5).standard_normal(grid.n)
+        even = 0.5 * (v + v[-np.arange(grid.n) % grid.n])
+        x = ops.A_solve(LineField(grid, v))
+        assert ops.last_gmres_iterations <= 20
+        assert np.max(np.abs(ops.A_apply(x).values - even)) < 1e-10 * np.max(np.abs(even))
+
+    def test_stalled_solve_is_counted(self, monkeypatch):
+        grid = LineGrid(4096, 40.0)
+        ops = SolverOperators(QUAD, 0.1, grid)
+        f = LineField(grid, np.random.default_rng(6).standard_normal(grid.n))
+        ops.A_solve(f)
+        solved = ops.last_gmres_iterations
+        monkeypatch.setattr(nanopteron, "gmres", lambda op, b: gmres(op, b, max_iter=3))
+        with pytest.raises(LinearSolveFailure) as info:
+            ops.A_solve(f)
+        assert info.value.iterations == 3
+        assert str(info.value).endswith("after 3 iterations")
+        assert ops.last_gmres_iterations == 3
+        assert ops.gmres_iterations == solved + 3
+
 
 class TestGmres:
     def test_matches_dense_solve(self):
@@ -223,8 +248,9 @@ class TestGmres:
         rng = np.random.default_rng(12)
         A = np.eye(40) + 0.3 * rng.standard_normal((40, 40))
         b = rng.standard_normal(40)
-        with pytest.raises(LinearSolveFailure):
+        with pytest.raises(LinearSolveFailure) as info:
             gmres(lambda v: A @ v, b, tol=1e-13, max_iter=3)
+        assert info.value.iterations == 3
 
     def test_zero_rhs_short_circuits(self):
         x, its = gmres(lambda v: v, np.zeros(8), tol=1e-13)
