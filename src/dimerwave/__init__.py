@@ -16,8 +16,9 @@ from .errors import (
     NoConvergence,
     RootNotBracketed,
     UnresolvedAmplitude,
+    UnresolvedCorrector,
 )
-from .model import DimerParams, PhysicalSprings, force, nondimensionalize, potential
+from .model import DimerParams, PhysicalSprings, nondimensionalize
 from .dispersion import Resonance, SymbolSet
 from .spectral import (
     NORM_VARIANTS,
@@ -29,7 +30,7 @@ from .spectral import (
     sup_norm,
     weighted_norm,
 )
-from .kdv import Soliton, core_profile, kdv_residual
+from .kdv import core_profile, kdv_residual
 from .periodic import PeriodicWave, solve_periodic
 from .nanopteron import (
     NanopteronConfig,
@@ -47,7 +48,6 @@ from .lattice import (
     shape_error,
     simulate,
     stegoton_diagnostics,
-    step,
 )
 
 __version__ = "0.1.0"

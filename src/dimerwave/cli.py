@@ -380,8 +380,8 @@ def cmd_nanopteron(cfg) -> int:
     """Solve each eps in turn; write every record, and the data of each solved eps.
 
     An eps the solver refuses as invalid (an amplitude the dtype cannot
-    resolve, a degenerate solvability weight) keeps a record with a failed
-    gate, and the command then exits 2.
+    resolve, a corrector the window cannot hold, a degenerate solvability
+    weight) keeps a record with a failed gate, and the command then exits 2.
     """
     params = _params(cfg)
     try:

@@ -13,6 +13,11 @@ class UnresolvedAmplitude(InvalidParams):
     """The solved ripple amplitude lies below the noise floor of the solve's dtype."""
 
 
+class UnresolvedCorrector(InvalidParams):
+    """The converged corrector is not even, or has not decayed inside the line
+    window: the window cannot hold it."""
+
+
 class RootNotBracketed(InvalidParams):
     """The resonance root is not bracketed by the analytic interval; eps out of range."""
 

@@ -18,7 +18,8 @@ import numpy as np
 
 from . import lattice
 from .dispersion import SymbolSet
-from .errors import DegenerateSolvability, LinearSolveFailure, NoConvergence, UnresolvedAmplitude
+from .errors import (DegenerateSolvability, LinearSolveFailure, NoConvergence,
+                     UnresolvedAmplitude, UnresolvedCorrector)
 from .kdv import core_profile, kdv_residual
 from .model import DimerParams
 from .nanopteron import NanopteronConfig, SolverOperators, solve_nanopteron
@@ -34,7 +35,8 @@ from .spectral import (
 )
 
 # Solves that end in one of these give a failed row instead of an exit.
-SOLVE_FAILURES = (NoConvergence, LinearSolveFailure, UnresolvedAmplitude, DegenerateSolvability)
+SOLVE_FAILURES = (NoConvergence, LinearSolveFailure, UnresolvedAmplitude, UnresolvedCorrector,
+                  DegenerateSolvability)
 
 # eps and dtype of the amplitude-decay ladder: each halving of eps shrinks |a|
 # by a larger factor, which no power of eps does.
@@ -51,6 +53,7 @@ def _at_most(name, value, bound):
 def failure(exc):
     """The failed row that stands for a solve that raised ``exc``."""
     name = {UnresolvedAmplitude: "amplitude_resolved",
+            UnresolvedCorrector: "corrector_resolved",
             DegenerateSolvability: "solvability"}.get(type(exc), "converged")
     return name, False, str(exc)
 

@@ -40,8 +40,8 @@ import numpy as np
 
 from .dispersion import SymbolSet
 from .errors import InvalidParams, NoConvergence
-from .kdv import core_profile
-from .model import DimerParams, derived_constants, potential, spring_law
+from .kdv import _soliton_constants, core_profile
+from .model import DimerParams, derived_constants, spring_law
 from .nanopteron import DECAY_TOL, NanopteronState
 from .nonlinear import VectorField, apply_J
 from .periodic import PeriodicWave, check_long_wave
@@ -217,9 +217,10 @@ class TravelingProfile:
         return r0, v0 - np.mean(v0)
 
     def core_width_sites(self) -> float:
-        """Half-width of the squared-sech core in lattice units, 2 sqrt(alpha)/eps."""
-        _, alpha = derived_constants(self.params.kappa)
-        return float(2 * np.sqrt(alpha) / self.eps)
+        """Half-width of the squared-sech core in lattice units, ``w/eps`` with
+        ``w`` from ``kdv._soliton_constants``."""
+        _, w = _soliton_constants(self.params, np.float64)
+        return float(w / self.eps)
 
 
 @dataclass
@@ -259,7 +260,7 @@ def lattice_energy(params: DimerParams, r, rdot) -> float:
     odd = _odd_mask(len(r))
     u_dot = np.cumsum(rdot - np.mean(rdot))
     u_dot = u_dot - np.mean(u_dot)
-    V = potential(params, odd, r)
+    V = spring_law(params, odd).potential(r)
     return float(np.sum(u_dot**2) / 2 + np.sum(V))
 
 
@@ -318,19 +319,6 @@ def rk4_steps(r, v, dt, steps, odd, params: DimerParams):
         z *= h / 6
         v += z                              # v + h/6 (k1 + 2 k2 + 2 k3 + k4)
     return r, v
-
-
-def step(params: DimerParams, r, rdot, dt):
-    """One classical 4th-order step of the ring system."""
-    r = np.asarray(r, dtype=np.float64)
-    rdot = np.asarray(rdot, dtype=np.float64)
-    return rk4_steps(r, rdot, dt, 1, _odd_mask(len(r)), params)
-
-
-def acceleration(params: DimerParams, r):
-    """Right-hand side r_ddot: stiff law on odd sites, soft law on even ones."""
-    r = np.asarray(r, dtype=np.float64)
-    return _Laplacian(spring_law(params, _odd_mask(len(r))), r).accel(r, np.empty_like(r))
 
 
 def simulate(params: DimerParams, config: LatticeConfig, r0, v0) -> LatticeTrajectory:

@@ -14,6 +14,9 @@ The long-wave theory is governed by two derived constants:
 * ``kdv_alpha``    -- the dispersion coefficient
   ``alpha = (c**2/3)*(1 - kappa + kappa**2)/(1 + kappa)**2``
   of the KdV-type profile equation that organizes the leading-order wave.
+
+``SpringLaw`` holds the one definition of the force laws and their
+potentials; ``spring_law`` lays them out per site of a ring.
 """
 
 from __future__ import annotations
@@ -188,8 +191,8 @@ class SpringLaw(NamedTuple):
 
     The fields are scalars for one spring, or per-site arrays for a ring (see
     :func:`spring_law`); :meth:`force` and :meth:`potential` hold the one
-    definition of the force laws either way.  The lattice integrator
-    evaluates them directly.
+    definition of the force laws either way.  The lattice integrator and
+    energy evaluate them directly.
     """
 
     lin: object
@@ -222,25 +225,19 @@ class SpringLaw(NamedTuple):
         return r * r * (self.lin / 2 + r * (self.quad / 3 + r * polyval_ascending(integrated, r)))
 
 
-def spring_law(params: DimerParams, which) -> SpringLaw:
-    """The spring law of one parity class, or of every site of a ring.
+def spring_law(params: DimerParams, odd) -> SpringLaw:
+    """The per-site spring law of a ring.
 
     Parameters
     ----------
     params : DimerParams
-    which : {"odd", "even"} or boolean ndarray
-        Odd springs: ``kappa*r + beta*r**2 + r**3*N1(r)``.
-        Even springs: ``r + r**2 + r**3*N2(r)``.
-        A mask of the odd sites gives per-site coefficient arrays, the
-        shorter remainder padded with zeros (which leaves its value exact).
+    odd : boolean ndarray
+        Mask of the odd sites, which carry ``kappa*r + beta*r**2 + r**3*N1(r)``;
+        the others carry ``r + r**2 + r**3*N2(r)``.  The coefficients come out
+        as per-site arrays, the shorter remainder padded with zeros (which
+        leaves its value exact).
     """
-    if isinstance(which, str):
-        if which == "odd":
-            return SpringLaw(params.kappa, params.beta, params.n1)
-        if which == "even":
-            return SpringLaw(1.0, 1.0, params.n2)
-        raise ValueError(f"which must be 'odd', 'even' or a site mask, got {which!r}")
-    odd = np.asarray(which, dtype=bool)
+    odd = np.asarray(odd, dtype=bool)
     width = max(len(params.n1), len(params.n2))
     n1 = params.n1 + (0.0,) * (width - len(params.n1))
     n2 = params.n2 + (0.0,) * (width - len(params.n2))
@@ -249,16 +246,3 @@ def spring_law(params: DimerParams, which) -> SpringLaw:
         np.where(odd, params.beta, 1.0),
         tuple(np.where(odd, c1, c2) for c1, c2 in zip(n1, n2)),
     )
-
-
-def force(params: DimerParams, which, r):
-    """Nondimensional spring force ``spring_law(params, which).force(r)``."""
-    return spring_law(params, which).force(r)
-
-
-def potential(params: DimerParams, which, r):
-    """Spring potential ``spring_law(params, which).potential(r)``.
-
-    Used by the lattice energy diagnostic; ``potential(., ., 0) = 0``.
-    """
-    return spring_law(params, which).potential(r)

@@ -46,6 +46,7 @@ from .errors import (
     NearSingularMode,
     NoConvergence,
     UnresolvedAmplitude,
+    UnresolvedCorrector,
 )
 from .kdv import core_profile, nonlinear_strength
 from .model import DimerParams
@@ -205,19 +206,19 @@ class NanopteronState:
     a: float
 
     def validate(self):
-        """Check evenness (``SYMMETRY_TOL``), boundary decay (``DECAY_TOL``),
-        and the ansatz bound ``|a| <= periodic.A_MAX``."""
+        """Check evenness (``SYMMETRY_TOL``) and boundary decay (``DECAY_TOL``),
+        each an ``UnresolvedCorrector``, and the bound ``|a| <= periodic.A_MAX``."""
         for name, f in (("eta1", self.eta1), ("eta2", self.eta2)):
             peak = float(np.max(np.abs(f.values)))
             if peak == 0:
                 continue
             if f.even_defect() > SYMMETRY_TOL * peak:
-                raise InvalidParams(
+                raise UnresolvedCorrector(
                     f"{name} symmetry defect {f.even_defect() / peak:.2e} "
                     f"exceeds {SYMMETRY_TOL:.1e}"
                 )
             if f.boundary_decay() > DECAY_TOL:
-                raise InvalidParams(
+                raise UnresolvedCorrector(
                     f"{name} boundary value {f.boundary_decay():.2e} of peak; "
                     "window too short for a ripple-free corrector"
                 )
@@ -461,8 +462,9 @@ def solve_nanopteron(params: DimerParams, eps, config: NanopteronConfig = None):
     NoConvergence
         If the iteration budget is exhausted, the state diverges, or the
         amplitude escapes ``|a| <= periodic.A_MAX``.
-    InvalidParams
-        If the converged state fails ``NanopteronState.validate``.
+    UnresolvedCorrector
+        (an ``InvalidParams``) If the converged corrector fails
+        ``NanopteronState.validate``: the window cannot hold it.
     UnresolvedAmplitude
         (an ``InvalidParams``) If ``|a|`` is below ``amplitude_floor``, where
         the dtype cannot resolve the ripple.

@@ -133,7 +133,8 @@ class TestDispatch:
         (["nanopteron", "--beta", "inf"], "beta must be finite, got inf"),
         (["simulate", "--beta", "inf"], "beta must be finite, got inf"),
         (["simulate", "--T", "inf"], "T must be finite and cover at least one step, got inf"),
-        (["periodic", "--amplitude", "nan"], "|a|=nan exceeds a_max=0.01"),
+        (["periodic", "--amplitude", "nan"],
+         "amplitude must be finite with |a| <= a_max=0.01, got a=nan"),
         (["simulate", "--dt", "100"], "eps = 0.2 makes the default horizon T = 20/c = "
                                       "17.0664 shorter than one step dt = 100.0; "
                                       "set --T or use a smaller --dt"),
@@ -141,6 +142,8 @@ class TestDispatch:
         (["simulate", "--eps", "1e300"], "eps**2 must be finite, got eps=1e+300"),
         (["simulate", "--eps", "10"], "eps = 10.0 exceeds the long-wave bound EPS_MAX = 0.5"),
         (["nanopteron", "--kappa", "5", "--beta", "-4.035496711730957"], "upsilon"),
+        (["periodic", "--amplitude", "-0.5"],
+         "amplitude must be finite with |a| <= a_max=0.01, got a=-0.5"),
     ])
     def test_malformed_input_exits_2_naming_the_limit(self, tmp_path, capsys, argv, limit):
         assert dispatch(argv + ["--out", str(tmp_path)]) == 2
@@ -458,6 +461,18 @@ class TestSweep:
         assert "entries 0.1 and 0.1000001" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unheld_corrector_keeps_every_record(self, tmp_path, capsys):
+        # at kappa 1.1 the converged eta2 has not decayed at X = -L at either
+        # eps: each keeps a record with a failed row, and the sweep exits 2
+        code = dispatch(["nanopteron", "--kappa", "1.1", "--sweep", "0.2,0.15",
+                         "--out", str(tmp_path)])
+        assert code == 2
+        assert "window too short" in capsys.readouterr().err
+        for tag in ("eps0.2", "eps0.15"):
+            record = (tmp_path / f"nanopteron_{tag}_record.txt").read_text()
+            assert "\ncorrector_resolved = FAIL (eta2 boundary value" in record
+        assert not list(tmp_path.glob("nanopteron_*.npz"))
+
     def test_noise_level_amplitude_exits_2(self, tmp_path, capsys):
         # the CLI solves in float64, whose noise floor is above |a| at eps 0.04
         code = dispatch(["nanopteron", "--eps", "0.04", "--out", str(tmp_path)])
@@ -503,3 +518,11 @@ class TestValidateCommand:
         record = (tmp_path / "validate_record.txt").read_text()
         assert "nanopteron_amplitude_resolved = FAIL (ripple amplitude" in record
         assert "lattice_" not in record and "amplitude_beyond_all_orders = PASS" in record
+
+    def test_unheld_corrector_is_a_failed_row(self, tmp_path, capsys):
+        code = dispatch(["validate", "--kappa", "1.1", "--out", str(tmp_path)])
+        assert code == 1
+        record = (tmp_path / "validate_record.txt").read_text()
+        assert "\nnanopteron_corrector_resolved = FAIL (eta2 boundary value" in record
+        assert "\namplitude_corrector_resolved = FAIL (eta2 boundary value" in record
+        assert "lattice_" not in record

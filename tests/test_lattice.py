@@ -20,22 +20,36 @@ from dimerwave.lattice import (
     TravelingProfile,
     _crest_table,
     _line_corrected_peak,
+    _Laplacian,
+    _odd_mask,
     _parabolic_max,
-    acceleration,
     lattice_energy,
     rk4_steps,
     shape_error,
     simulate,
     stegoton_diagnostics,
-    step,
 )
-from dimerwave.model import DimerParams, derived_constants, force, potential
+from dimerwave.model import DimerParams, SpringLaw, derived_constants, spring_law
 from dimerwave.nanopteron import solve_nanopteron
 from dimerwave.spectral import LineField, LineGrid
 
 QUAD = DimerParams(kappa=2.0, beta=1.0, n1=(), n2=())
 CUBIC = DimerParams(kappa=2.0, beta=1.0, n1=(0.5,), n2=(-0.3, 0.1))
 CK = 2.0 / np.sqrt(3.0)
+
+
+def _laws(params):
+    """The odd and even spring laws, one parity class each."""
+    return SpringLaw(params.kappa, params.beta, params.n1), SpringLaw(1.0, 1.0, params.n2)
+
+
+def _step(params, r, v, dt):
+    """One RK4 step of the ring, stiff law on its odd sites."""
+    return rk4_steps(r, v, dt, 1, _odd_mask(len(r)), params)
+
+
+def _acceleration(params, r):
+    return _Laplacian(spring_law(params, _odd_mask(len(r))), r).accel(r, np.empty_like(r))
 
 
 def _full_upsample_peak(values, spacing, wavenumber, factor=16):
@@ -223,29 +237,22 @@ class TestConservationAndOrder:
         with pytest.raises(NoConvergence):
             simulate(QUAD, cfg, r0, np.zeros(J))
 
-    def test_step_accepts_lists(self):
-        r = [0.0, 0.01, 0.0, -0.01, 0.0, 0.0, 0.0, 0.0]
-        v = [0.0] * 8
-        r1, v1 = step(CUBIC, r, v, 0.01)
-        r2, v2 = rk4_steps(np.array(r), np.array(v), 0.01, 1,
-                           ((np.arange(8) - 4) % 2) != 0, CUBIC)
-        assert np.array_equal(r1, r2) and np.array_equal(v1, v2)
-
     def test_acceleration_formula(self):
         rng = np.random.default_rng(3)
         r = 0.1 * rng.standard_normal(32)
         odd = ((np.arange(32) - 16) % 2) != 0
         s = np.where(odd, 2.0 * r + r**2 + 0.5 * r**3, r + r**2 + (-0.3 + 0.1 * r) * r**3)
         want = np.roll(s, -1) + np.roll(s, 1) - 2 * s
-        assert np.allclose(acceleration(CUBIC, r), want, atol=1e-15)
+        assert np.allclose(_acceleration(CUBIC, r), want, atol=1e-15)
         # the integrator's force is exactly the one in model.py
-        s = np.where(odd, force(CUBIC, "odd", r), force(CUBIC, "even", r))
+        stiff, soft = _laws(CUBIC)
+        s = np.where(odd, stiff.force(r), soft.force(r))
         want = np.roll(s, -1) + np.roll(s, 1) - 2 * s
-        assert np.array_equal(acceleration(CUBIC, r), want)
+        assert np.array_equal(_acceleration(CUBIC, r), want)
         # zero-mean bead velocities w give relative rates w_j - w_{j-1}
         w = 0.1 * rng.standard_normal(32)
         w -= np.mean(w)
-        V = np.where(odd, potential(CUBIC, "odd", r), potential(CUBIC, "even", r))
+        V = np.where(odd, stiff.potential(r), soft.potential(r))
         assert lattice_energy(CUBIC, r, w - np.roll(w, 1)) == pytest.approx(
             np.sum(w**2) / 2 + np.sum(V), rel=1e-13
         )
@@ -259,8 +266,10 @@ def _two_law_rk4(r, v, dt, steps, odd, params):
     ``np.where``, and an ``np.roll`` Laplacian: the reference the per-site law
     must match.  Stages and sums are associated as in the kernel."""
 
+    stiff, soft = _laws(params)
+
     def f(x):
-        s = np.where(odd, force(params, "odd", x), force(params, "even", x))
+        s = np.where(odd, stiff.force(x), soft.force(x))
         return np.roll(s, -1) + np.roll(s, 1) - 2 * s
 
     h, h2 = dt, dt * dt
@@ -280,8 +289,10 @@ def _textbook_rk4(r, v, dt, steps, odd, params):
     """Classical RK4 on the first-order system ``(r, v)``, velocity stages and
     all: the method the Nystrom-form kernel rewrites."""
 
+    stiff, soft = _laws(params)
+
     def a_of(x):
-        s = np.where(odd, force(params, "odd", x), force(params, "even", x))
+        s = np.where(odd, stiff.force(x), soft.force(x))
         return np.roll(s, -1) + np.roll(s, 1) - 2 * s
 
     for _ in range(steps):
@@ -335,8 +346,9 @@ class TestPerSiteLaw:
         odd = ((np.arange(64) - 32) % 2) != 0
         u_dot = np.cumsum(rdot - np.mean(rdot))
         u_dot = u_dot - np.mean(u_dot)
-        V = np.where(odd, potential(params, "odd", r), potential(params, "even", r))
-        assert np.array_equal(potential(params, odd, r), V)
+        stiff, soft = _laws(params)
+        V = np.where(odd, stiff.potential(r), soft.potential(r))
+        assert np.array_equal(spring_law(params, odd).potential(r), V)
         assert lattice_energy(params, r, rdot) == float(np.sum(u_dot**2) / 2 + np.sum(V))
 
 
@@ -371,7 +383,7 @@ class TestPhonons:
         dt, proj = 0.005, []
         for _ in range(600):
             proj.append(float(pattern @ r))
-            r, v = step(QUAD, r, v, dt)
+            r, v = _step(QUAD, r, v, dt)
         p = np.asarray(proj)
         cosine = np.sum((p[2:] + p[:-2]) * p[1:-1]) / (2 * np.sum(p[1:-1] ** 2))
         measured = np.arccos(cosine) / dt

@@ -1,8 +1,9 @@
 """Spring laws and the dimensional-to-nondimensional map.
 
 Oracle: the physical force laws ``F(x) = k x + b x**2 + x**3 Nbar(x)``
-evaluated directly; ``nondimensionalize`` must reproduce
-``force(., which, r) = F(a1 r)/(kappa2 a1)`` with ``a1 = kappa2/beta2``.
+evaluated directly; ``nondimensionalize`` must reproduce the per-class laws
+``SpringLaw(kappa, beta, n1)`` and ``SpringLaw(1, 1, n2)`` as
+``force(r) = F(a1 r)/(kappa2 a1)`` with ``a1 = kappa2/beta2``.
 The in-place Horner of ``polyval_ascending`` is checked bit for bit against
 the allocating form ``result = result * r + c``.
 """
@@ -16,15 +17,19 @@ from dimerwave.errors import InvalidParams
 from dimerwave.model import (
     DimerParams,
     PhysicalSprings,
-    force,
+    SpringLaw,
     nondimensionalize,
     polyval_ascending,
-    potential,
     spring_law,
 )
 
 _nonzero = st.one_of(st.floats(0.2, 3.0), st.floats(-3.0, -0.2))
 _remainder = st.lists(st.floats(-2.0, 2.0), max_size=3).map(tuple)
+
+
+def _laws(params):
+    """The odd and even spring laws, one parity class each."""
+    return SpringLaw(params.kappa, params.beta, params.n1), SpringLaw(1.0, 1.0, params.n2)
 
 
 def _physical_force(k, b, nbar, x):
@@ -49,10 +54,10 @@ def test_nondimensional_force_is_rescaled_physical_force(kappa2, ratio, beta1, b
                            beta2=beta2, nbar1=nbar1, nbar2=nbar2)
     params = nondimensionalize(phys)
     a1 = kappa2 / beta2
-    for which, k, b, nbar in (("odd", kappa1, beta1, nbar1), ("even", kappa2, beta2, nbar2)):
+    for law, k, b, nbar in zip(_laws(params), (kappa1, kappa2), (beta1, beta2), (nbar1, nbar2)):
         want = _physical_force(k, b, nbar, a1 * r) / (kappa2 * a1)
         scale = _physical_force(abs(k), abs(b), [abs(c) for c in nbar], abs(a1 * r))
-        assert force(params, which, r) == pytest.approx(
+        assert law.force(r) == pytest.approx(
             want, abs=1e-12 * scale / abs(kappa2 * a1)
         )
 
@@ -62,10 +67,10 @@ def test_potential_is_antiderivative_of_force():
                            nbar1=(0.4, -0.2), nbar2=(1.1,))
     params = nondimensionalize(phys)
     nodes, weights = np.polynomial.legendre.leggauss(8)  # exact to degree 15
-    for which in ("odd", "even"):
+    for law in _laws(params):
         for r in (-0.4, 0.3):
-            integral = 0.5 * r * weights @ force(params, which, 0.5 * r * (nodes + 1))
-            assert potential(params, which, r) == pytest.approx(integral, rel=1e-13)
+            integral = 0.5 * r * weights @ law.force(0.5 * r * (nodes + 1))
+            assert law.potential(r) == pytest.approx(integral, rel=1e-13)
 
 
 @pytest.mark.parametrize(
@@ -102,14 +107,6 @@ def test_nondimensionalize_rejects_degenerate_quadratic():
 def test_non_finite_dimer_params_rejected(field, kwargs):
     with pytest.raises(InvalidParams, match=f"^{field} must be finite"):
         DimerParams(**{"kappa": 2.0, "beta": 1.0, **kwargs})
-
-
-def test_force_rejects_unknown_spring():
-    params = nondimensionalize(PhysicalSprings())
-    with pytest.raises(ValueError):
-        force(params, "middle", 0.1)
-    with pytest.raises(ValueError):
-        potential(params, "middle", 0.1)
 
 
 def _horner_oracle(coeffs, r):

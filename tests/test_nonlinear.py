@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dimerwave import DimerParams, InvalidParams, SymbolSet
-from dimerwave.kdv import Soliton
+from dimerwave.kdv import core_profile
 from dimerwave.nonlinear import (
     B0_closed_form, B_eps, BQ_eps, BQ_ripple, Q_eps, VectorField, calN,
 )
@@ -15,7 +15,7 @@ from dimerwave.spectral import LineField, LineGrid, PeriodicField, l2_norm
 def setup():
     params = DimerParams(kappa=2.0, beta=1.0, n1=(0.3, -0.1), n2=(0.2,))
     grid = LineGrid(512, 20.0)
-    sigma = Soliton(DimerParams(kappa=2.0, beta=1.0)).as_field(grid)
+    sigma, _ = core_profile(DimerParams(kappa=2.0, beta=1.0), grid)
     bump = LineField(grid, 0.7 * np.exp(-grid.X**2 / 3))
     return SymbolSet(params), grid, sigma, bump
 

@@ -151,7 +151,7 @@ class TestSolve:
         monkeypatch.setattr(nonlinear, "B_eps", counting_B)
         monkeypatch.setattr(PeriodicSolver, "iterate", recording_iterate)
         solve_periodic(QUAD, 0.1, 1e-3)
-        assert iterations and len(calls) == sum(iterations) + 1
+        assert len(iterations) == 1 and len(calls) == iterations[0] + 1
         assert line_calls == []
 
     def test_frequency_shift_quadratic_in_amplitude(self):
@@ -178,6 +178,15 @@ class TestSolve:
         monkeypatch.setattr(periodic, "MAX_ITER", 2)
         with pytest.raises(NoConvergence):
             solve_periodic(QUAD, 0.1, 1e-3)
+
+    def test_unresolved_tail_raises_naming_tail_and_cutoff(self, monkeypatch):
+        # no input reaches a tail above the bound at MODES, so zero the bound;
+        # the cubic remainder fills every mode up to the cutoff
+        monkeypatch.setattr(periodic, "TAIL_REL", 0.0)
+        monkeypatch.setattr(periodic, "TAIL_ABS", 0.0)
+        with pytest.raises(NoConvergence, match=r"^coefficient tail \S+ exceeds 0\.00e\+00 "
+                                                 r"at the mode cutoff 32$"):
+            solve_periodic(CUBIC, 0.1, 1e-3)
 
 
 class TestWaveRecord:
