@@ -15,7 +15,7 @@ class UnresolvedAmplitude(InvalidParams):
 
 class UnresolvedCorrector(InvalidParams):
     """The converged corrector is not even, or has not decayed inside the line
-    window: the window cannot hold it."""
+    window (``nanopteron.NanopteronState.validate``)."""
 
 
 class RootNotBracketed(InvalidParams):

@@ -275,14 +275,18 @@ def amplitude_decay(params, ladder=DECAY_LADDER, solved=None):
     """``|a|`` shrinks beyond all orders down an eps ladder of converged solves.
 
     ``solved`` maps ``(eps, dtype)`` to the ``(state, diag)`` of a solve
-    already made with the default config; a rung it holds is not solved again.
+    already made with the default config, or to the exception that solve
+    raised; a rung it holds is not solved again.
     """
     solved = solved or {}
     eps = np.array([e for e, _ in ladder])
     amps, residual, corrector = [], 0.0, 0.0
     for e, dtype in ladder:
-        if (e, dtype) in solved:
-            state, diag = solved[(e, dtype)]
+        held = solved.get((e, dtype))
+        if isinstance(held, Exception):
+            raise held
+        if held:
+            state, diag = held
         else:
             state, _, diag = solve_nanopteron(params, e, NanopteronConfig(dtype=dtype))
         amps.append(abs(float(state.a)))
@@ -321,7 +325,8 @@ def table(params: DimerParams, eps):
     as soon as the group is computed.  A solve that fails gives its group one
     failed row carrying the message (``failure``); the lattice and
     fixed-point groups need the nanopteron and are left out without it.  The
-    amplitude ladder reuses the nanopteron solve for a rung at ``eps``.
+    amplitude ladder reuses the nanopteron solve, or its failure, for a rung
+    at ``eps``.
     """
     yield _run("dispersion", dispersion, params)
     yield _run("resonance", resonance, params)
@@ -330,13 +335,15 @@ def table(params: DimerParams, eps):
     yield _run("conjugation", conjugation, params)
     yield _run("norm", weighted_norms)
     yield _run("periodic", periodic_family, params)
+    rung = (eps, NanopteronConfig().dtype)
     solved = {}
     try:
         state, wave, diag = solve_nanopteron(params, eps)
     except SOLVE_FAILURES as exc:
+        solved[rung] = exc
         yield _named("nanopteron", [failure(exc)])
     else:
-        solved[(eps, NanopteronConfig().dtype)] = (state, diag)
+        solved[rung] = (state, diag)
         yield _named("nanopteron", nanopteron(eps, diag))
         yield _run("lattice", lattice_runs, params, eps, state, wave)
         yield _run("fixed_point", fixed_point_forms, params, eps, state)

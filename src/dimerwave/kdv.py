@@ -46,7 +46,8 @@ def core_profile(params: DimerParams, grid: LineGrid):
     """
     A, w = _soliton_constants(params, grid.X.dtype.type)
     y = grid.X / w
-    sech2 = 1 / np.cosh(y) ** 2
+    with np.errstate(over="ignore"):  # cosh**2 overflows to inf once |y| > ~355; 1/inf = 0 is right
+        sech2 = 1 / np.cosh(y) ** 2
     core = LineField(grid, A * sech2)
     slope = LineField(grid, -(2 * A / w) * np.tanh(y) * sech2)
     return core, slope

@@ -26,12 +26,20 @@ with ``f`` the acceleration and ``h`` the step,
     r <- r + h v + h**2/6 (k1 + k2 + k3)
     v <- v + h/6 (k1 + 2 k2 + 2 k3 + k4)
 
-so no velocity stage is ever formed.  ``rk4_steps`` builds the per-site
-spring law of ``model.spring_law`` once per call (per-site ``lin``/``quad``
-arrays and zero-padded cubic-remainder rows, so every site runs one formula),
-allocates its stage arrays once per call and writes every stage into them in
-place.  The ``rk4`` section of ``benchmarks/bench_pipeline.py`` times it in
-ns per site-step.
+so no velocity stage is ever formed.  The kernel sums these as
+``y = (r + h/2 v) + h/2 v``, ``Q = k2 + k3``, ``S = k1 + Q``,
+``r <- y + h**2/6 S`` and ``v <- v + h/6 ((S + Q) + k4)``.
+
+``rk4_steps`` builds the per-site spring law of ``model.spring_law`` once per
+call (per-site ``lin``/``quad`` arrays and zero-padded cubic-remainder rows,
+so every site runs one formula) and allocates every buffer once per call;
+nothing is allocated inside the step loop.  ``SpringLaw.force`` writes the
+forces by Horner's rule into the middle of a ``J + 2`` buffer ``P`` whose two
+ghost cells copy the ring's opposite edges (one strided copy), and the
+Laplacian is the difference of differences ``D = P[1:] - P[:-1]``,
+``D[1:] - D[:-1]`` over a ``J + 1`` buffer.  For the quadratic law a step
+makes 35 ufunc calls and 4 ghost copies.  The ``rk4`` section of
+``benchmarks/bench_pipeline.py`` times it in ns per site-step.
 """
 
 from dataclasses import dataclass, field
@@ -264,60 +272,44 @@ def lattice_energy(params: DimerParams, r, rdot) -> float:
     return float(np.sum(u_dot**2) / 2 + np.sum(V))
 
 
-class _Laplacian:
-    """The periodic ring Laplacian of a spring law's forces, in fixed buffers.
-
-    The forces go into the middle of a ``J + 2`` buffer whose ends copy the
-    opposite edges, so ``s[2:] + s[:-2] - 2*s[1:-1]`` is the Laplacian.
-    """
-
-    def __init__(self, law, r):
-        self.law = law
-        self.s = np.empty(len(r) + 2, r.dtype)
-        self.right, self.mid, self.left = self.s[2:], self.s[1:-1], self.s[:-2]
-        self.twice = np.empty_like(r)
-
-    def accel(self, r, out):
-        """r_ddot at ``r``, written into ``out``."""
-        s, mid = self.s, self.mid
-        self.law.force(r, out=mid)
-        s[0] = s[-2]
-        s[-1] = s[1]
-        np.add(self.right, self.left, out=out)
-        np.add(mid, mid, out=self.twice)
-        return np.subtract(out, self.twice, out=out)
-
-
 def rk4_steps(r, v, dt, steps, odd, params: DimerParams):
     """Advance ``(r, v)`` by ``steps`` RK4 steps in Nystrom form (module docstring);
     stiff law on the ``odd`` sites, soft law on the others.  Returns new arrays."""
+    J = len(r)
     r, v = r.copy(), v.copy()
-    f = _Laplacian(spring_law(params, odd), r).accel
-    k1, k2, k3, k4, y, z = (np.empty_like(r) for _ in range(6))
+    force = spring_law(params, odd).force
+    P = np.empty(J + 2, r.dtype)  # forces in P[1:-1], the opposite edges at both ends
+    D = np.empty(J + 1, r.dtype)
+    mid, ghosts, edges = P[1:-1], P[0::J + 1], P[J:0:-(J - 1)]
+    P_right, P_left, D_right, D_left = P[1:], P[:-1], D[1:], D[:-1]
+
+    def accel(x, out):
+        """r_ddot at ``x`` into ``out``: the forces' difference of differences."""
+        force(x, mid)
+        np.copyto(ghosts, edges)
+        np.subtract(P_right, P_left, D)
+        np.subtract(D_right, D_left, out)
+
+    k1, k2, k3, k4, w, y, z = (np.empty_like(r) for _ in range(7))
     h, h2 = dt, dt * dt
+    half_h, h2_4, h2_2, h2_6, h_6 = map(np.float64, (0.5 * h, 0.25 * h2, 0.5 * h2, h2 / 6, h / 6))
     for _ in range(steps):
-        f(r, k1)
-        np.multiply(v, 0.5 * h, out=y)
-        y += r                              # y = r + h/2 v
-        f(y, k2)
-        np.multiply(k1, 0.25 * h2, out=z)
-        z += y                              # y + h^2/4 k1
-        f(z, k3)
-        np.multiply(v, h, out=y)
-        y += r                              # y = r + h v
-        np.multiply(k2, 0.5 * h2, out=z)
-        z += y                              # r + h v + h^2/2 k2
-        f(z, k4)
-        np.add(k1, k2, out=z)
-        z += k3
-        z *= h2 / 6
-        np.add(y, z, out=r)                 # r + h v + h^2/6 (k1 + k2 + k3)
-        np.add(k2, k3, out=z)
-        z *= 2
-        z += k1
-        z += k4
-        z *= h / 6
-        v += z                              # v + h/6 (k1 + 2 k2 + 2 k3 + k4)
+        accel(r, k1)
+        np.multiply(v, half_h, w)
+        np.add(r, w, y)                     # y = r + h/2 v
+        accel(y, k2)
+        np.multiply(k1, h2_4, z)
+        np.add(y, z, z)                     # y + h^2/4 k1
+        accel(z, k3)
+        np.add(y, w, y)                     # y = r + h v
+        np.multiply(k2, h2_2, z)
+        np.add(y, z, z)                     # r + h v + h^2/2 k2
+        accel(z, k4)
+        Q = np.add(k2, k3, k3)
+        S = np.add(k1, Q, k1)
+        np.add(y, np.multiply(S, h2_6, z), r)   # r + h v + h^2/6 (k1 + k2 + k3)
+        np.add(np.add(S, Q, S), k4, S)
+        np.add(v, np.multiply(S, h_6, S), v)    # v + h/6 (k1 + 2 k2 + 2 k3 + k4)
     return r, v
 
 

@@ -202,18 +202,17 @@ class SpringLaw(NamedTuple):
     def force(self, r, out=None):
         """Spring force at relative displacement(s) ``r``; dtype is preserved.
 
-        ``out``, an array shaped like ``r``, receives the force in place.
+        Horner's rule, ``r*(lin + r*(quad + r*(rem[0] + r*(rem[1] + ...))))``:
+        ``2*len(rem) + 3`` ufunc calls.  ``out``, an array shaped like ``r``,
+        receives the force in place, with no temporary.
         """
-        f = np.multiply(self.lin, r, out=out)
-        q = self.quad * r
-        q *= r
-        f += q
-        if len(self.rem):
-            q = r * r
-            q *= r
-            q *= polyval_ascending(self.rem, r)
-            f += q
-        return f
+        rem = self.rem
+        f = np.multiply(rem[-1] if rem else self.quad, r, out)
+        if rem:
+            for c in rem[-2::-1]:
+                f = np.multiply(np.add(f, c, out), r, out)
+            f = np.multiply(np.add(f, self.quad, out), r, out)
+        return np.multiply(np.add(f, self.lin, out), r, out)
 
     def potential(self, r):
         """Antiderivative of :meth:`force` that vanishes at ``r = 0``.

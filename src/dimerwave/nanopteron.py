@@ -219,8 +219,8 @@ class NanopteronState:
                 )
             if f.boundary_decay() > DECAY_TOL:
                 raise UnresolvedCorrector(
-                    f"{name} boundary value {f.boundary_decay():.2e} of peak; "
-                    "window too short for a ripple-free corrector"
+                    f"{name} boundary value {f.boundary_decay():.2e} of peak "
+                    f"exceeds DECAY_TOL = {DECAY_TOL:.0e}"
                 )
         if not abs(self.a) <= A_MAX:
             raise InvalidParams(f"|a| = {abs(self.a):.3e} exceeds a_max = {A_MAX}")
@@ -464,7 +464,8 @@ def solve_nanopteron(params: DimerParams, eps, config: NanopteronConfig = None):
         amplitude escapes ``|a| <= periodic.A_MAX``.
     UnresolvedCorrector
         (an ``InvalidParams``) If the converged corrector fails
-        ``NanopteronState.validate``: the window cannot hold it.
+        ``NanopteronState.validate``: it is not even, or has not decayed to
+        ``DECAY_TOL`` of its peak at the window's edge.
     UnresolvedAmplitude
         (an ``InvalidParams``) If ``|a|`` is below ``amplitude_floor``, where
         the dtype cannot resolve the ripple.

@@ -20,6 +20,7 @@ from dimerwave.cli import (
     load_solution,
     save_solution,
 )
+from dimerwave.errors import NoConvergence
 from dimerwave.lattice import LatticeConfig, TravelingProfile, simulate
 from dimerwave.model import DimerParams
 from dimerwave.nanopteron import NanopteronConfig
@@ -467,10 +468,13 @@ class TestSweep:
         code = dispatch(["nanopteron", "--kappa", "1.1", "--sweep", "0.2,0.15",
                          "--out", str(tmp_path)])
         assert code == 2
-        assert "window too short" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "eta2 boundary value" in err and "exceeds DECAY_TOL = 1e-05" in err
+        assert "window too short" not in err  # a longer window does not help here
         for tag in ("eps0.2", "eps0.15"):
             record = (tmp_path / f"nanopteron_{tag}_record.txt").read_text()
-            assert "\ncorrector_resolved = FAIL (eta2 boundary value" in record
+            assert re.search(r"\ncorrector_resolved = FAIL \(eta2 boundary value "
+                             r"\d\.\d\de-\d\d of peak exceeds DECAY_TOL = 1e-05\)\n", record)
         assert not list(tmp_path.glob("nanopteron_*.npz"))
 
     def test_noise_level_amplitude_exits_2(self, tmp_path, capsys):
@@ -509,6 +513,22 @@ class TestValidateCommand:
         listed = record.split("[gates]\n")[1].split("\n\n")[0].splitlines()
         assert [line.split(" = ")[0] for line in listed] == names
         assert all(" = PASS (" in line for line in listed)
+
+    def test_failed_solve_is_not_repeated_by_the_ladder(self, tmp_path, capsys, monkeypatch):
+        solves = []
+
+        def failing_solve(params, eps, config=None):
+            solves.append((eps, (config or NanopteronConfig()).dtype))
+            raise NoConvergence("stand-in failure")
+
+        monkeypatch.setattr(gates, "solve_nanopteron", failing_solve)
+        code = dispatch(["validate", "--out", str(tmp_path)])
+        assert code == 1
+        # the ladder's eps 0.2 rung carries the nanopteron group's failure
+        assert solves == [(0.2, np.float64)]
+        record = (tmp_path / "validate_record.txt").read_text()
+        assert "\nnanopteron_converged = FAIL (stand-in failure)" in record
+        assert "\namplitude_converged = FAIL (stand-in failure)" in record
 
     def test_refused_solve_is_a_failed_row(self, tmp_path, capsys):
         # float64 cannot resolve |a| at eps 0.05: the record says so, and the

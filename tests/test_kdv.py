@@ -1,6 +1,7 @@
 """Tests for the soliton core, its profile-equation residual, and the KdV
 dispersion coefficient."""
 
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -51,6 +52,22 @@ def test_sigma_prime_matches_finite_differences(params):
     h = 1e-6
     fd = (_at(params, X + h)[0] - _at(params, X - h)[0]) / (2 * h)
     assert np.max(np.abs(_at(params, X)[1] - fd)) < 1e-8
+
+
+def test_wide_window_core_is_quiet_and_exact():
+    # L/w = 240/0.59 > 355: cosh(X/w)**2 overflows at the window's edges,
+    # where sech**2 is 0 to double precision
+    p = DimerParams(kappa=1.1, beta=1.0)
+    grid = LineGrid(4096, 240.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sigma, slope = core_profile(p, grid)
+    A, w = _soliton_constants(p, np.float64)
+    assert grid.L / w > 355
+    assert sigma.values[0] == 0.0 and slope.values[0] == 0.0
+    inside = np.abs(grid.X / w) < 300  # no overflow there: the usual formula
+    assert np.array_equal(sigma.values[inside], A * (1 / np.cosh(grid.X[inside] / w) ** 2))
+    assert np.all(np.isfinite(sigma.values)) and np.all(np.isfinite(slope.values))
 
 
 @pytest.mark.parametrize("kappa,beta", [(2.0, 1.0), (3.0, -1.0)])

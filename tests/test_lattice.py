@@ -20,7 +20,6 @@ from dimerwave.lattice import (
     TravelingProfile,
     _crest_table,
     _line_corrected_peak,
-    _Laplacian,
     _odd_mask,
     _parabolic_max,
     lattice_energy,
@@ -48,8 +47,33 @@ def _step(params, r, v, dt):
     return rk4_steps(r, v, dt, 1, _odd_mask(len(r)), params)
 
 
-def _acceleration(params, r):
-    return _Laplacian(spring_law(params, _odd_mask(len(r))), r).accel(r, np.empty_like(r))
+def _ring_laplacian(s):
+    """``s[j+1] - 2 s[j] + s[j-1]`` on the ring, as the kernel sums it:
+    the difference of the differences ``s[j] - s[j-1]``."""
+    d = s - np.roll(s, 1)
+    return np.roll(d, -1) - d
+
+
+_REST_DT = 2.0**-40  # h**2 k / 2 is far below half an ulp of any |r| >= 1e-8 here
+
+
+def _kernel_acceleration_sum(params, r):
+    """One kernel step from rest so short that no stage moves the ring.
+
+    Every stage then sees ``r`` itself, so ``k1 = k2 = k3 = k4 = k`` and the
+    velocity is ``(h/6)((k + (k + k)) + (k + k) + k)`` in the kernel's order:
+    the kernel's acceleration, up to that exact sum and one scaling.
+    """
+    r1, v1 = rk4_steps(r, np.zeros_like(r), _REST_DT, 1, _odd_mask(len(r)), params)
+    assert np.array_equal(r1, r)
+    return v1
+
+
+def _stage_sum(k):
+    """What ``_kernel_acceleration_sum`` returns for the acceleration ``k``."""
+    Q = k + k
+    S = k + Q
+    return np.float64(_REST_DT / 6) * ((S + Q) + k)
 
 
 def _full_upsample_peak(values, spacing, wavenumber, factor=16):
@@ -243,12 +267,12 @@ class TestConservationAndOrder:
         odd = ((np.arange(32) - 16) % 2) != 0
         s = np.where(odd, 2.0 * r + r**2 + 0.5 * r**3, r + r**2 + (-0.3 + 0.1 * r) * r**3)
         want = np.roll(s, -1) + np.roll(s, 1) - 2 * s
-        assert np.allclose(_acceleration(CUBIC, r), want, atol=1e-15)
+        got = _kernel_acceleration_sum(CUBIC, r)
+        assert np.allclose(got / np.float64(_REST_DT), want, atol=1e-15)
         # the integrator's force is exactly the one in model.py
         stiff, soft = _laws(CUBIC)
         s = np.where(odd, stiff.force(r), soft.force(r))
-        want = np.roll(s, -1) + np.roll(s, 1) - 2 * s
-        assert np.array_equal(_acceleration(CUBIC, r), want)
+        assert np.array_equal(got, _stage_sum(_ring_laplacian(s)))
         # zero-mean bead velocities w give relative rates w_j - w_{j-1}
         w = 0.1 * rng.standard_normal(32)
         w -= np.mean(w)
@@ -264,24 +288,28 @@ REMAINDERS = [((0.5,), (-0.3, 0.1)), ((), (-0.3, 0.1)), ((0.5, 0.2, -0.1), ()), 
 def _two_law_rk4(r, v, dt, steps, odd, params):
     """The numpy RK4 in Nystrom form with both laws on every site, picked by
     ``np.where``, and an ``np.roll`` Laplacian: the reference the per-site law
-    must match.  Stages and sums are associated as in the kernel."""
+    and the padded buffers must match.  Forces (Horner), the Laplacian
+    (difference of differences), stages and sums are associated as in the
+    kernel."""
 
     stiff, soft = _laws(params)
 
     def f(x):
-        s = np.where(odd, stiff.force(x), soft.force(x))
-        return np.roll(s, -1) + np.roll(s, 1) - 2 * s
+        return _ring_laplacian(np.where(odd, stiff.force(x), soft.force(x)))
 
     h, h2 = dt, dt * dt
     for _ in range(steps):
         k1 = f(r)
-        y = r + (0.5 * h) * v
+        w = (0.5 * h) * v
+        y = r + w
         k2 = f(y)
         k3 = f(y + (0.25 * h2) * k1)
-        y = r + h * v
+        y = y + w                           # r + h v
         k4 = f(y + (0.5 * h2) * k2)
-        r = y + (h2 / 6) * (k1 + k2 + k3)
-        v = v + (h / 6) * (2 * (k2 + k3) + k1 + k4)
+        Q = k2 + k3
+        S = k1 + Q
+        r = y + (h2 / 6) * S
+        v = v + (h / 6) * ((S + Q) + k4)
     return r, v
 
 
@@ -318,7 +346,7 @@ class TestPerSiteLaw:
         prof = TravelingProfile.leading_order(params, 0.3, sites)
         return params, prof.odd, *prof.initial()
 
-    @pytest.mark.parametrize("sites", [64, 1024])
+    @pytest.mark.parametrize("sites", [8, 64, 1024])  # 8: the smallest ring
     @pytest.mark.parametrize("n1, n2", REMAINDERS)
     def test_rk4_matches_two_law_reference(self, n1, n2, sites):
         params, odd, r0, v0 = self._start(n1, n2, sites)
