@@ -27,19 +27,24 @@ with ``f`` the acceleration and ``h`` the step,
     v <- v + h/6 (k1 + 2 k2 + 2 k3 + k4)
 
 so no velocity stage is ever formed.  The kernel sums these as
-``y = (r + h/2 v) + h/2 v``, ``Q = k2 + k3``, ``S = k1 + Q``,
-``r <- y + h**2/6 S`` and ``v <- v + h/6 ((S + Q) + k4)``.
+``y4 = (r + h/2 v) + h/2 v``, ``Q = k2 + k3``, ``S = k1 + Q``,
+``r <- y4 + h**2/6 S`` and ``v <- v + h/6 ((S + Q) + k4)``.  ``k1`` and
+``k2`` need only ``r`` and ``v``, ``k3`` and ``k4`` only ``k1`` and ``k2``,
+so each pair takes one force evaluation over two rows.
 
 ``rk4_steps`` builds the per-site spring law of ``model.spring_law`` once per
 call (per-site ``lin``/``quad`` arrays and zero-padded cubic-remainder rows,
 so every site runs one formula) and allocates every buffer once per call;
-nothing is allocated inside the step loop.  ``SpringLaw.force`` writes the
-forces by Horner's rule into the middle of a ``J + 2`` buffer ``P`` whose two
-ghost cells copy the ring's opposite edges (one strided copy), and the
-Laplacian is the difference of differences ``D = P[1:] - P[:-1]``,
-``D[1:] - D[:-1]`` over a ``J + 1`` buffer.  For the quadratic law a step
-makes 35 ufunc calls and 4 ghost copies.  The ``rk4`` section of
-``benchmarks/bench_pipeline.py`` times it in ns per site-step.
+nothing is allocated inside the step loop.  Each buffer holds its rows
+padded, ``W = J + 2`` entries each (a ghost cell, the sites, a ghost cell),
+laid end to end, so every stage-pair operation is one ufunc call on one
+contiguous array.  ``SpringLaw.force`` writes the forces of both rows by
+Horner's rule into such a buffer ``P``; one strided copy sets both rows'
+ghost cells to their ring's opposite edges, and the Laplacian is the
+difference of differences ``D = P[1:] - P[:-1]``, ``D[1:] - D[:-1]``.  For
+the quadratic law a step makes 22 ufunc calls and 2 ghost copies.  The
+``rk4`` section of ``benchmarks/bench_pipeline.py`` times it in ns per
+site-step.
 """
 
 from dataclasses import dataclass, field
@@ -276,41 +281,53 @@ def rk4_steps(r, v, dt, steps, odd, params: DimerParams):
     """Advance ``(r, v)`` by ``steps`` RK4 steps in Nystrom form (module docstring);
     stiff law on the ``odd`` sites, soft law on the others.  Returns new arrays."""
     J = len(r)
-    r, v = r.copy(), v.copy()
-    force = spring_law(params, odd).force
-    P = np.empty(J + 2, r.dtype)  # forces in P[1:-1], the opposite edges at both ends
-    D = np.empty(J + 1, r.dtype)
-    mid, ghosts, edges = P[1:-1], P[0::J + 1], P[J:0:-(J - 1)]
+    W = J + 2  # a padded row: ghost cell, the J sites, ghost cell
+    v = v.copy()
+    force = spring_law(params, np.tile(np.pad(odd, 1), 2)).force
+    P = np.empty(2 * W, r.dtype)  # forces of two padded rows laid end to end
+    D = np.empty(2 * W - 1, r.dtype)
+    ghosts, edges = P.reshape(2, W)[:, 0::W - 1], P.reshape(2, W)[:, J:0:-(J - 1)]
     P_right, P_left, D_right, D_left = P[1:], P[:-1], D[1:], D[:-1]
 
     def accel(x, out):
-        """r_ddot at ``x`` into ``out``: the forces' difference of differences."""
-        force(x, mid)
+        """r_ddot of both rows of ``x`` into ``out``: the sites of two padded
+        rows and the two ghost cells between them.  The forces at ``x``'s
+        ghost cells are replaced by the edges, so those cells need only hold
+        finite numbers."""
+        force(x, P)
         np.copyto(ghosts, edges)
         np.subtract(P_right, P_left, D)
         np.subtract(D_right, D_left, out)
 
-    k1, k2, k3, k4, w, y, z = (np.empty_like(r) for _ in range(7))
+    # Padded rows: (r, y, y4) with y = r + h/2 v and y4 = r + h v, the stages
+    # (k1, k2, k3, k4), and the inputs of k3 and k4, which then hold the
+    # increments (S, T).  Zeroed, so every ghost cell a force is taken at
+    # holds a finite number.
+    M, K, Z = np.zeros(3 * W, r.dtype), np.zeros(4 * W, r.dtype), np.zeros(2 * W, r.dtype)
+    w = np.empty_like(r)
+    (x, y, y4), (k1, k2, k3, k4), (S, T) = (a.reshape(-1, W)[:, 1:-1] for a in (M, K, Z))
+    x[...] = r
+    RY, YY, K12, K34 = M[:2 * W], M[W:], K[:2 * W], K[2 * W:]
+    K12_inner, K34_inner = K12[1:-1], K34[1:-1]
     h, h2 = dt, dt * dt
-    half_h, h2_4, h2_2, h2_6, h_6 = map(np.float64, (0.5 * h, 0.25 * h2, 0.5 * h2, h2 / 6, h / 6))
+    half_h = np.float64(0.5 * h)
+    C1 = np.repeat(np.array([0.25 * h2, 0.5 * h2]), W)  # per row of Z
+    C2 = np.repeat(np.array([h2 / 6, h / 6]), W)        # per row of (S, T)
     for _ in range(steps):
-        accel(r, k1)
         np.multiply(v, half_h, w)
-        np.add(r, w, y)                     # y = r + h/2 v
-        accel(y, k2)
-        np.multiply(k1, h2_4, z)
-        np.add(y, z, z)                     # y + h^2/4 k1
-        accel(z, k3)
-        np.add(y, w, y)                     # y = r + h v
-        np.multiply(k2, h2_2, z)
-        np.add(y, z, z)                     # r + h v + h^2/2 k2
-        accel(z, k4)
+        np.add(x, w, y)                     # y = r + h/2 v
+        np.add(y, w, y4)                    # y4 = r + h v
+        accel(RY, K12_inner)                # k1 = f(r), k2 = f(y)
+        np.multiply(K12, C1, Z)
+        np.add(Z, YY, Z)                    # y + h^2/4 k1, y4 + h^2/2 k2
+        accel(Z, K34_inner)                 # k3, k4
         Q = np.add(k2, k3, k3)
-        S = np.add(k1, Q, k1)
-        np.add(y, np.multiply(S, h2_6, z), r)   # r + h v + h^2/6 (k1 + k2 + k3)
-        np.add(np.add(S, Q, S), k4, S)
-        np.add(v, np.multiply(S, h_6, S), v)    # v + h/6 (k1 + 2 k2 + 2 k3 + k4)
-    return r, v
+        np.add(k1, Q, S)
+        np.add(np.add(S, Q, T), k4, T)
+        np.multiply(Z, C2, Z)               # h^2/6 (k1 + k2 + k3), h/6 (k1 + 2 k2 + 2 k3 + k4)
+        np.add(y4, S, x)
+        np.add(v, T, v)
+    return x.copy(), v
 
 
 def simulate(params: DimerParams, config: LatticeConfig, r0, v0) -> LatticeTrajectory:
