@@ -18,7 +18,7 @@ from .errors import (
     UnresolvedAmplitude,
     UnresolvedCorrector,
 )
-from .model import DimerParams, PhysicalSprings, nondimensionalize
+from .model import DimerParams
 from .dispersion import Resonance, SymbolSet
 from .spectral import (
     NORM_VARIANTS,

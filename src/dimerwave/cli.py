@@ -286,9 +286,13 @@ def _resolve(args) -> dict:
         if flag is not None:
             cfg[key] = flag
             given.add(key)
-    if args.command == "nanopteron" and cfg["sweep"] and "eps" in given:
-        raise InvalidParams(f"eps = {cfg['eps']!r} and sweep = {cfg['sweep']!r} are both set; "
-                            "a sweep solves only its own eps values, so give one of them")
+    if args.command == "nanopteron" and cfg["sweep"] is not None:
+        if not cfg["sweep"].strip():
+            raise InvalidParams(f"sweep = {cfg['sweep']!r} lists no eps; give at least one "
+                                "eps value, or no sweep")
+        if "eps" in given:
+            raise InvalidParams(f"eps = {cfg['eps']!r} and sweep = {cfg['sweep']!r} are both "
+                                "set; a sweep solves only its own eps values, so give one of them")
     cfg["command"] = args.command
     return cfg
 

@@ -7,6 +7,13 @@ the odd springs exert ``kappa*r + beta*r**2 + r**3*N1(r)`` and the even springs
 constants, ``beta != 0`` the ratio of quadratic coefficients, and ``N1``, ``N2``
 are polynomial cubic remainders.
 
+Physical springs ``kappa_j*x + beta_j*x**2 + x**3*Nbar_j(x)`` (odd ``j = 1``,
+even ``j = 2``, ``kappa1 > kappa2 > 0``) scale to these with
+``kappa = kappa1/kappa2``, ``beta = beta1/beta2`` and
+``N_j(r) = (a1**2/kappa2) * Nbar_j(a1*r)``, where ``a1 = kappa2/beta2``: the
+displacement is ``x = a1*r``, the force is divided by ``kappa2*a1``, and time
+for masses ``m`` is measured in units of ``sqrt(m/kappa2)``.
+
 The long-wave theory is governed by two derived constants:
 
 * ``sound_speed``  -- the maximal acoustic group velocity
@@ -74,42 +81,6 @@ def derived_constants(kappa, dtype=float):
 
 
 @dataclass(frozen=True)
-class PhysicalSprings:
-    """Dimensional spring data for the alternating chain.
-
-    Attributes
-    ----------
-    m : float
-        Particle mass, > 0.
-    kappa1, kappa2 : float
-        Linear spring coefficients with ``kappa1 > kappa2 > 0``.
-    beta1, beta2 : float
-        Quadratic spring coefficients; ``beta2 != 0`` (and ``beta1 != 0`` so the
-        nondimensional quadratic ratio is nonzero).
-    nbar1, nbar2 : tuple of float
-        Coefficients (ascending powers) of the cubic-remainder polynomials.
-    """
-
-    m: float = 1.0
-    kappa1: float = 2.0
-    kappa2: float = 1.0
-    beta1: float = 1.0
-    beta2: float = 1.0
-    nbar1: tuple = ()
-    nbar2: tuple = ()
-
-    def __post_init__(self):
-        if not self.m > 0:
-            raise InvalidParams(f"mass must be positive, got {self.m}")
-        if not self.kappa1 > self.kappa2 > 0:
-            raise InvalidParams(
-                f"need kappa1 > kappa2 > 0, got kappa1={self.kappa1}, kappa2={self.kappa2}"
-            )
-        if self.beta2 == 0 or self.beta1 == 0:
-            raise InvalidParams("quadratic coefficients beta1, beta2 must be nonzero")
-
-
-@dataclass(frozen=True)
 class DimerParams:
     """Nondimensional dimer parameters plus derived long-wave constants.
 
@@ -156,34 +127,6 @@ class DimerParams:
         c, alpha = derived_constants(self.kappa)
         object.__setattr__(self, "sound_speed", float(c))
         object.__setattr__(self, "kdv_alpha", float(alpha))
-
-
-def nondimensionalize(p: PhysicalSprings) -> DimerParams:
-    """Convert dimensional spring data to nondimensional dimer parameters.
-
-    The rescaling sets ``kappa = kappa1/kappa2``, ``beta = beta1/beta2`` and
-    maps the cubic remainders to ``N_j(r) = (a1**2/kappa2) * Nbar_j(a1*r)``
-    with ``a1 = kappa2/beta2``.  The re-expansion is done exactly on the
-    polynomial coefficients: coefficient ``b_i`` of ``Nbar_j`` becomes
-    ``b_i * a1**(i+2) / kappa2``.
-
-    Raises
-    ------
-    InvalidParams
-        If the resulting parameters violate ``kappa > 1``, ``beta != 0``, or
-        ``beta + kappa**3 != 0``.
-    """
-    a1 = p.kappa2 / p.beta2
-
-    def rescale(coeffs):
-        return tuple(b * a1 ** (i + 2) / p.kappa2 for i, b in enumerate(coeffs))
-
-    return DimerParams(
-        kappa=p.kappa1 / p.kappa2,
-        beta=p.beta1 / p.beta2,
-        n1=rescale(p.nbar1),
-        n2=rescale(p.nbar2),
-    )
 
 
 class SpringLaw(NamedTuple):

@@ -221,7 +221,11 @@ class PeriodicSolver:
         return PeriodicState(self.start.psi1, self.start.psi2, self.start.t, a)
 
     def iterate(self, a):
-        """Picard iteration from the zero state, or from the warm start."""
+        """Picard iteration from the zero state, or from the warm start.
+
+        Returns ``(state, iterations, worst_ratio)``.  Raises ``NoConvergence``
+        if the steps stop contracting or ``MAX_ITER`` steps do not reach ``TOL``.
+        """
         st = self._start_state(a)
         prev_step = None
         worst_ratio = 0.0
@@ -236,14 +240,14 @@ class PeriodicSolver:
             worst_ratio = max(worst_ratio, ratio)
             st = new
             if step <= TOL:
-                return st, it, worst_ratio, True
+                return st, it, worst_ratio
             if ratio >= 1.0 and it > 5 and step > 100 * TOL:
                 raise NoConvergence(
                     f"picard ratio {ratio:.3f} >= 1 at iteration {it}; "
                     "amplitude outside the contraction regime"
                 )
             prev_step = step
-        return st, MAX_ITER, worst_ratio, False
+        raise NoConvergence(f"ripple solve did not reach tol={TOL} in {MAX_ITER} iterations")
 
 
 def solve_periodic(params: DimerParams, eps: float, a: float,
@@ -265,9 +269,7 @@ def solve_periodic(params: DimerParams, eps: float, a: float,
     if not abs(a) <= A_MAX:
         raise InvalidParams(f"amplitude must be finite with |a| <= a_max={A_MAX}, got a={a}")
     solver = PeriodicSolver(params, eps, start)
-    st, iters, ratio, ok = solver.iterate(a)
-    if not ok:
-        raise NoConvergence(f"ripple solve did not reach tol={TOL} in {MAX_ITER} iterations")
+    st, iters, ratio = solver.iterate(a)
     peak = max(st.psi1.coeffs @ st.psi1.coeffs, st.psi2.coeffs @ st.psi2.coeffs) ** 0.5
     top = 3 * (solver.M + 1) // 4
     tail = max(float(np.max(np.abs(f.coeffs[top:]))) for f in (st.psi1, st.psi2))

@@ -396,7 +396,7 @@ def sup_norm(f: LineField) -> float:
 NORM_VARIANTS = ("cosh_q_full", "cosh_q_ends", "cosh_pow_full", "cosh_pow_ends")
 
 
-def weighted_norm(f: LineField, q: float, r: int, variant: str, kdv_alpha=None) -> float:
+def weighted_norm(f: LineField, q: float, r: int, variant: str) -> float:
     """Weighted Sobolev norm of a localized field; four equivalent variants.
 
     The weight is ``cosh(q*X)`` (``cosh_q_*``) or ``cosh(X)**q``
@@ -407,8 +407,7 @@ def weighted_norm(f: LineField, q: float, r: int, variant: str, kdv_alpha=None) 
     Parameters
     ----------
     q : float
-        Decay rate; must satisfy ``0 <= q < 1/(2*sqrt(kdv_alpha))`` when
-        ``kdv_alpha`` is supplied (the admissible window for the core).
+        Decay rate, >= 0.
     r : int
         Sobolev order, one of {0, 1, 2, 3}.
     """
@@ -416,10 +415,6 @@ def weighted_norm(f: LineField, q: float, r: int, variant: str, kdv_alpha=None) 
         raise InvalidParams(f"r must be in {{0,1,2,3}}, got {r}")
     if q < 0:
         raise InvalidParams(f"q must be >= 0, got {q}")
-    if kdv_alpha is not None and not q < 1 / (2 * np.sqrt(kdv_alpha)):
-        raise InvalidParams(
-            f"q={q} outside [0, 1/(2*sqrt(alpha))) = [0, {1/(2*np.sqrt(kdv_alpha)):.4f})"
-        )
     if variant not in NORM_VARIANTS:
         raise InvalidParams(f"variant must be one of {NORM_VARIANTS}, got {variant!r}")
     X = f.grid.X

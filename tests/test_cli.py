@@ -7,6 +7,7 @@ solution-file roundtrip, and byte-identical reruns.
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from dimerwave.model import DimerParams
 from dimerwave.nanopteron import NanopteronConfig
 
 QUAD = DimerParams(kappa=2.0, beta=1.0, n1=(), n2=())
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _strip_timings(text: str) -> str:
@@ -145,6 +147,7 @@ class TestDispatch:
         (["nanopteron", "--kappa", "5", "--beta", "-4.035496711730957"], "upsilon"),
         (["periodic", "--amplitude", "-0.5"],
          "amplitude must be finite with |a| <= a_max=0.01, got a=-0.5"),
+        (["nanopteron", "--sweep", ""], "sweep = '' lists no eps"),
     ])
     def test_malformed_input_exits_2_naming_the_limit(self, tmp_path, capsys, argv, limit):
         assert dispatch(argv + ["--out", str(tmp_path)]) == 2
@@ -454,6 +457,20 @@ class TestSweep:
         assert "eps = 0.9 and sweep = '0.2' are both set" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, config", [
+        (["--sweep", "", "--eps", "0.1"], ""),
+        ([], "sweep =\n"),
+    ], ids=["flags_with_eps", "config"])
+    def test_empty_sweep_exits_2_before_any_solve(self, tmp_path, capsys, flags, config):
+        # an empty sweep would otherwise solve the default eps, or hide the eps beside it
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(config)
+        out = tmp_path / "out"
+        code = dispatch(["nanopteron", "--config", str(cfgfile), *flags, "--out", str(out)])
+        assert code == 2
+        assert "sweep = '' lists no eps" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_colliding_tags_exit_2_before_any_solve(self, tmp_path, capsys):
         # both print as eps0.1, so the second would overwrite the first's files
         out = tmp_path / "out"
@@ -509,6 +526,9 @@ class TestValidateCommand:
         # the amplitude ladder's eps 0.2 rung is the nanopteron group's solve
         assert len(set(solves)) == len(solves) and (0.2, np.float64, "new") in solves
         assert f"{len(names)}/{len(names)} gates passed" in capsys.readouterr().out
+        # README quotes the gate count in its CLI quick start and its testing notes
+        quoted = re.findall(r"\b(\d+)\s+(?:self-check\s+)?gates\b", README.read_text())
+        assert quoted == [str(len(names))] * 2
         record = (tmp_path / "validate_record.txt").read_text()
         listed = record.split("[gates]\n")[1].split("\n\n")[0].splitlines()
         assert [line.split(" = ")[0] for line in listed] == names

@@ -176,7 +176,8 @@ class TestSolve:
 
     def test_iteration_budget_raises(self, monkeypatch):
         monkeypatch.setattr(periodic, "MAX_ITER", 2)
-        with pytest.raises(NoConvergence):
+        with pytest.raises(NoConvergence, match=r"^ripple solve did not reach tol=\S+ in 2 "
+                                                 r"iterations$"):
             solve_periodic(QUAD, 0.1, 1e-3)
 
     def test_unresolved_tail_raises_naming_tail_and_cutoff(self, monkeypatch):
