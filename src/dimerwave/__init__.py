@@ -21,7 +21,6 @@ from .errors import (
 from .model import DimerParams
 from .dispersion import Resonance, SymbolSet
 from .spectral import (
-    NORM_VARIANTS,
     LineField,
     LineGrid,
     PeriodicField,

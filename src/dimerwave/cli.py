@@ -35,6 +35,9 @@ flag                    meaning                                     default
 --snap-every (simulate) steps between snapshots                     25
 ======================  ==========================================  ==========
 
+``simulate --init FILE`` takes kappa, beta and eps from the solution file and
+refuses a flag or config value that differs from them.
+
 Exit codes: 0 success, 1 solver non-convergence or a failed gate, 2 invalid
 configuration or usage.  Nothing in the pipeline draws fresh randomness, so
 for a fixed configuration the data files — and every run-record section
@@ -293,7 +296,7 @@ def _resolve(args) -> dict:
         if "eps" in given:
             raise InvalidParams(f"eps = {cfg['eps']!r} and sweep = {cfg['sweep']!r} are both "
                                 "set; a sweep solves only its own eps values, so give one of them")
-    cfg["command"] = args.command
+    cfg["command"], cfg["given"] = args.command, given
     return cfg
 
 
@@ -439,6 +442,13 @@ def cmd_simulate(cfg) -> int:
         if not Path(cfg["init"]).exists():
             raise InvalidParams(f"--init: no such solution file {cfg['init']!r}")
         params, eps, state, wave = load_solution(cfg["init"])
+        saved = dict(kappa=params.kappa, beta=params.beta, eps=eps)
+        for key in sorted(cfg["given"] & saved.keys()):
+            if cfg[key] != saved[key]:
+                raise InvalidParams(
+                    f"{key} = {cfg[key]!r} differs from {key} = {saved[key]!r} of the solution "
+                    f"file {cfg['init']!r}, which sets it; leave {key} unset")
+        cfg = dict(cfg, **saved)
         prof = TravelingProfile.from_nanopteron(params, eps, state, wave, cfg["sites"])
         ripple_k = eps * prof.omega
     horizon = cfg["T"] if cfg["T"] is not None else 20.0 / prof.c
@@ -449,8 +459,7 @@ def cmd_simulate(cfg) -> int:
     lat = LatticeConfig(sites=cfg["sites"], dt=cfg["dt"], T=horizon,
                         snap_every=cfg["snap_every"])
     rec = RunRecord("simulate", dict(
-        _record_config(cfg, ("init", "sites", "dt", "snap_every")),
-        eps=eps, T=horizon))
+        _record_config(cfg, ("eps", "init", "sites", "dt", "snap_every")), T=horizon))
     r0, v0 = prof.initial()
     t0 = time.perf_counter()
     traj = simulate(params, lat, r0, v0)

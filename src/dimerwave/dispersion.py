@@ -213,12 +213,11 @@ class SymbolSet:
         """Locate the resonant frequency ``Omega`` with ``c**2*Omega**2 = lambda_plus(Omega)``.
 
         Bisection on the analytic bracket
-        ``[sqrt(2*kappa)/c - margin, sqrt(2+2*kappa)/c + margin]`` down to
-        interval width ``1e-13*scale``, followed by guarded Newton polish
-        steps using the analytic derivative (accepted only while they shrink
-        the residual).  The margin is ``1e-3*scale``, where
-        ``scale = min(1, sqrt(2*kappa)/c)`` keeps the bracket positive and the
-        width relative to the root at large eps; for eps < 1 it is 1.
+        ``[sqrt(2*kappa)/c - margin, sqrt(2+2*kappa)/c + margin]`` until the
+        midpoint rounds to an endpoint, so the bracket holds two adjacent
+        numbers of the dtype of eps; that midpoint is the root.  The margin is
+        ``1e-3*scale``, where ``scale = min(1, sqrt(2*kappa)/c)`` keeps the
+        bracket positive at large eps; for eps < 1 it is 1.
 
         Raises
         ------
@@ -244,25 +243,13 @@ class SymbolSet:
                 f"at kappa = {kap}, eps = {eps}, xi has no sign change on the resonance bracket "
                 f"[{lo}, {hi}]: f(lo)={f_lo}, f(hi)={f_hi}"
             )
-        while (hi - lo) > 1e-13 * scale:
-            mid = (lo + hi) / 2
-            if mid in (lo, hi):  # interval at rounding resolution
-                break
+        while (mid := (lo + hi) / 2) not in (lo, hi):
             f_mid = self.xi_symbol(c, mid)
             if (f_lo > 0) == (f_mid > 0):
                 lo, f_lo = mid, f_mid
             else:
                 hi = mid
-        root = (lo + hi) / 2
-        res = abs(self.xi_symbol(c, root))
-        for _ in range(3):
-            step = self.xi_symbol(c, root) / self.xi_prime(c, root)
-            candidate = root - step
-            cand_res = abs(self.xi_symbol(c, candidate))
-            if cand_res < res:
-                root, res = candidate, cand_res
-            else:
-                break
+        root, res = mid, abs(self.xi_symbol(c, mid))
         upsilon = self.xi_prime(c, root)
         if upsilon == 0:
             raise RootNotBracketed(f"transversality failed: Upsilon = 0 at the root, eps = {eps}")

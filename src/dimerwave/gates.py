@@ -24,15 +24,7 @@ from .kdv import core_profile, kdv_residual
 from .model import DimerParams
 from .nanopteron import NanopteronConfig, SolverOperators, solve_nanopteron
 from .periodic import solve_periodic
-from .spectral import (
-    NORM_VARIANTS,
-    LineField,
-    LineGrid,
-    conjugated_multiplier,
-    l2_norm,
-    sup_norm,
-    weighted_norm,
-)
+from .spectral import LineField, LineGrid, conjugated_multiplier, l2_norm, sup_norm
 
 # Solves that end in one of these give a failed row instead of an exit.
 SOLVE_FAILURES = (NoConvergence, LinearSolveFailure, UnresolvedAmplitude, UnresolvedCorrector,
@@ -164,22 +156,6 @@ def conjugation(params, q_values=(0.2, 0.1, 0.05, 0.025)):
         ("halving_rising", rise > 0,
          f"smallest rise of a field's halving ratio {rise:.3e} > 0"),
     ]
-
-
-def weighted_norms():
-    """The four weighted-norm variants agree within a factor 20 on 100 random fields."""
-    rng = np.random.default_rng(1)
-    grid = LineGrid(512, 20.0)
-    worst = 1.0
-    for _ in range(100):
-        spec = np.zeros(grid.n // 2 + 1)
-        spec[:16] = rng.standard_normal(16)
-        f = LineField(grid, np.exp(-grid.X**2 / 8) * grid.irfft(spec))
-        for q in (0.1, 0.3):
-            for r in (1, 2):
-                values = [weighted_norm(f, q, r, v) for v in NORM_VARIANTS]
-                worst = max(worst, max(values) / min(values))
-    return [("equivalence", worst <= 20.0, f"worst pairwise ratio {worst:.3f} <= 20")]
 
 
 # -- ripple, nanopteron and lattice -------------------------------------------------
@@ -333,7 +309,6 @@ def table(params: DimerParams, eps):
     yield _run("core", core, params)
     yield _run("kernel", kernel, params)
     yield _run("conjugation", conjugation, params)
-    yield _run("norm", weighted_norms)
     yield _run("periodic", periodic_family, params)
     rung = (eps, NanopteronConfig().dtype)
     solved = {}

@@ -58,7 +58,7 @@ from .model import DimerParams, derived_constants, spring_law
 from .nanopteron import DECAY_TOL, NanopteronState
 from .nonlinear import VectorField, apply_J
 from .periodic import PeriodicWave, check_long_wave
-from .spectral import LineField, LineGrid, PeriodicField
+from .spectral import LineField, LineGrid, PeriodicField, trig_interpolate
 
 
 def _site_array(sites: int):
@@ -392,20 +392,6 @@ _FACTOR = 16  # fine points per comb spacing
 _OFFSETS = np.arange(-2 * _FACTOR, 2 * _FACTOR + 1)  # the crest window: 2 comb spacings
 
 
-def _crest_table(n: int):
-    """Rows that take an ``n``-point comb's rfft to its band-limited interpolant
-    at the fine offsets ``_OFFSETS/_FACTOR`` from sample 0 (for even ``n`` the
-    Nyquist bin is split between its two images, as on a grid refined
-    ``_FACTOR``-fold; for odd ``n`` the last bin is an ordinary one)."""
-    w = np.full(n // 2 + 1, 2.0 / n)
-    w[0] = 1.0 / n
-    if n % 2 == 0:
-        w[-1] = 1.0 / n
-    N = n * _FACTOR
-    table = np.outer(_OFFSETS, np.arange(n // 2 + 1)) % N * (2j * np.pi / N)
-    return np.multiply(np.exp(table, out=table), w, out=table)  # about 1 MB at n = 2048
-
-
 def _parabolic_max(fine):
     """Vertex of the parabola through the maximum and its neighbours; an edge maximum is kept."""
     i = int(np.argmax(fine))
@@ -419,14 +405,15 @@ def _parabolic_max(fine):
     return float(y1 - 0.25 * (y0 - y2) * d)
 
 
-def _line_corrected_peak(values, spacing: float, wavenumber: float, table):
+def _line_corrected_peak(values, spacing: float, wavenumber: float):
     """Comb peak height by Fourier upsampling, with the radiation line rebuilt.
 
     The parity combs sample the core at only ~2 points per width, so the
     raw maximum (or a three-point parabola) wobbles by several percent as
     the crest slides between sites; band-limited interpolation (circular)
     recovers the crest height to the comb's aliasing level.  It is evaluated
-    only near the comb's maximum, by ``table = _crest_table(len(values))``.
+    by ``spectral.trig_interpolate`` only on the window ``_OFFSETS`` (in
+    ``1/_FACTOR`` comb spacings) about the comb's maximum.
 
     A ripple whose per-site wavenumber exceeds the comb Nyquist aliases
     under blind band-limited interpolation, smearing the crest estimate by
@@ -449,10 +436,11 @@ def _line_corrected_peak(values, spacing: float, wavenumber: float, table):
         if folded:
             line = np.conj(line)
         F[b] = 0.0
-    i0 = int(np.argmax(values))  # shift the spectrum to put sample i0 at offset 0
-    fine = (table @ (F * np.exp(2j * np.pi * (np.arange(len(F)) * i0 % n) / n))).real
+    i0 = int(np.argmax(values))
+    x = spacing * ((i0 * _FACTOR + _OFFSETS) % (n * _FACTOR)) / _FACTOR  # from sample 0
+    k = (2.0 * np.pi / (n * spacing)) * np.arange(len(F))
+    fine = trig_interpolate(F, n, k, x)
     if lifted:
-        x = spacing * ((i0 * _FACTOR + _OFFSETS) % (n * _FACTOR)) / _FACTOR  # from sample 0
         fine = fine + np.real(line * np.exp(1j * wavenumber * x))
     return _parabolic_max(fine)
 
@@ -486,11 +474,10 @@ def stegoton_diagnostics(traj: LatticeTrajectory, core_width: float,
     wavenumber = ripple_wavenumber or 0.0
     even_peaks, odd_peaks, tails = [], [], []
     J = len(traj.sites)
-    table = _crest_table(J // 2)  # both parity combs hold J/2 sites
     for i in range(len(traj.times)):
         r = traj.R[i]
-        even_peaks.append(_line_corrected_peak(r[~odd], 2.0, wavenumber, table))
-        odd_peaks.append(_line_corrected_peak(r[odd], 2.0, wavenumber, table))
+        even_peaks.append(_line_corrected_peak(r[~odd], 2.0, wavenumber))
+        odd_peaks.append(_line_corrected_peak(r[odd], 2.0, wavenumber))
         crest = traj.sites[int(np.argmax(r))]
         dist = np.abs(traj.sites - crest)
         dist = np.minimum(dist, J - dist)

@@ -1,4 +1,4 @@
-"""Grids, transforms, Fourier multipliers, weighted norms, and conjugation.
+"""Grids, transforms, multipliers, interpolation, the weighted norm, conjugation.
 
 Conventions fixed repo-wide:
 
@@ -11,6 +11,10 @@ Conventions fixed repo-wide:
   symbol by construction.
 * A field is even (about X = 0) exactly when its samples satisfy
   ``v[m] = v[(n-m) % n]``, equivalently when its rFFT coefficients are real.
+* ``trig_interpolate`` is the one band-limited interpolant of equispaced
+  periodic samples: ``LineField.eval_at`` transfers line fields to lattice
+  sites through it, and the lattice's crest estimate reads its parity combs
+  through it.
 * Periodic fields are even 2*pi-periodic profiles stored as cosine
   coefficients: ``f(th) = sum_j coeffs[j]*cos(j*th)``.  Since
   ``cos(j*th) = T_j(cos th)``, such a series (and its derivative, through
@@ -183,28 +187,38 @@ class LineField:
         """Trigonometric interpolation of the samples at arbitrary points.
 
         Exact (to rounding) for any function band-limited to the grid; this is
-        how profiles are transferred to lattice sites.  With the rFFT weighted
-        to ``G_0 = F_0``, ``G_j = 2*F_j`` and ``G_{n/2} = F_{n/2}``, the value is
-        ``Re sum_j G_j exp(i*j*dk*y) / n`` at ``y = X + L``.  Splitting
-        ``j = a*B + b`` with ``B = ceil(sqrt(n/2 + 1))`` factors the phase
-        (baby step/giant step): the inner sums over ``b`` are one
-        ``(points x B) @ (B x A)`` product, so only ``points*(A + B)``
-        complex exponentials are taken instead of a dense ``points x (n/2+1)``
-        table.
+        how profiles are transferred to lattice sites.  It is
+        ``trig_interpolate`` of the samples at ``y = X + L`` from ``X_0 = -L``.
         """
-        n = self.grid.n
-        G = self.grid.rfft(self.values)
-        G[1:-1] *= 2
-        modes = n // 2 + 1
-        B = math.isqrt(modes - 1) + 1  # ceil(sqrt(modes))
-        A = -(-modes // B)
-        Gab = np.zeros(A * B, dtype=G.dtype)
-        Gab[:modes] = G
-        y = np.asarray(X) + self.grid.L
-        baby = np.exp(1j * np.multiply.outer(y, self.grid.k[:B]))
-        giant = np.exp(1j * np.multiply.outer(y, self.grid.k[::B]))
-        inner = baby @ Gab.reshape(A, B).T
-        return np.sum(giant * inner, axis=-1).real / n
+        return trig_interpolate(self.grid.rfft(self.values), self.grid.n, self.grid.k,
+                                np.asarray(X) + self.grid.L)
+
+
+def trig_interpolate(F, n: int, k, y):
+    """Band-limited interpolant of ``n`` periodic samples at offsets ``y`` from
+    the first sample.
+
+    ``F`` is the samples' rFFT and ``k`` its bin wavenumbers ``k_j = j*dk``
+    (``2*pi/dk`` is the period).  With ``G_0 = F_0`` and ``G_j = 2*F_j`` for
+    ``0 < j < n/2``, the value is ``Re sum_j G_j exp(i*k_j*y) / n``: for even
+    ``n`` the Nyquist bin ``F_{n/2}`` is split between its two images, and
+    for odd ``n`` every bin past the first is an ordinary one.  Splitting
+    ``j = a*B + b`` with ``B = ceil(sqrt(len(F)))`` factors the phase (baby
+    step/giant step): the inner sums over ``b`` are one
+    ``(points x B) @ (B x A)`` product, so only ``points*(A + B)`` complex
+    exponentials are taken instead of a dense ``points x len(F)`` table.
+    The result has the shape of ``y``.
+    """
+    modes = len(F)
+    B = math.isqrt(modes - 1) + 1  # ceil(sqrt(modes))
+    A = -(-modes // B)
+    G = np.zeros(A * B, dtype=F.dtype)
+    G[:modes] = F
+    G[1:(n + 1) // 2] *= 2
+    baby = np.exp(1j * np.multiply.outer(y, k[:B]))
+    giant = np.exp(1j * np.multiply.outer(y, k[::B]))
+    inner = baby @ G.reshape(A, B).T
+    return np.sum(giant * inner, axis=-1).real / n
 
 
 class PeriodicField:
@@ -393,16 +407,9 @@ def sup_norm(f: LineField) -> float:
     return float(np.max(np.abs(f.values)))
 
 
-NORM_VARIANTS = ("cosh_q_full", "cosh_q_ends", "cosh_pow_full", "cosh_pow_ends")
-
-
-def weighted_norm(f: LineField, q: float, r: int, variant: str) -> float:
-    """Weighted Sobolev norm of a localized field; four equivalent variants.
-
-    The weight is ``cosh(q*X)`` (``cosh_q_*``) or ``cosh(X)**q``
-    (``cosh_pow_*``); the Sobolev content is either the full sum over
-    derivative orders 0..r (``*_full``) or the endpoint orders {0, r} only
-    (``*_ends``).  Derivatives are spectral.
+def weighted_norm(f: LineField, q: float, r: int) -> float:
+    """Weighted Sobolev norm ``sqrt(sum_{j<=r} ||cosh(q*X) f^(j)||_2**2)`` of a
+    localized field, with spectral derivatives.
 
     Parameters
     ----------
@@ -415,13 +422,9 @@ def weighted_norm(f: LineField, q: float, r: int, variant: str) -> float:
         raise InvalidParams(f"r must be in {{0,1,2,3}}, got {r}")
     if q < 0:
         raise InvalidParams(f"q must be >= 0, got {q}")
-    if variant not in NORM_VARIANTS:
-        raise InvalidParams(f"variant must be one of {NORM_VARIANTS}, got {variant!r}")
-    X = f.grid.X
-    w = np.cosh(q * X) if variant.startswith("cosh_q") else np.cosh(X) ** q
-    orders = range(r + 1) if variant.endswith("full") else sorted({0, r})
+    w = np.cosh(q * f.grid.X)
     total = 0.0
-    for j in orders:
+    for j in range(r + 1):
         d = f.values if j == 0 else f.grid.derivative(f.values, j)
         total += f.grid.dx * np.sum((w * d) ** 2)
     return float(np.sqrt(total))

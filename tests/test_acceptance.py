@@ -82,11 +82,6 @@ def test_c06b_conjugation_halving_ratio_window():
     _check("06b halving-ratio window", rows, t0, 5.0)
 
 
-def test_c07_norm_variant_equivalence():
-    t0 = time.perf_counter()
-    _check("07 norm equivalence", gates.weighted_norms(), t0, 5.0)
-
-
 def test_c08_periodic_family():
     t0 = time.perf_counter()
     _check("08 periodic family", gates.periodic_family(QUAD, 0.1, 1e-3), t0, 30.0)

@@ -24,7 +24,7 @@ from dimerwave.cli import (
 from dimerwave.errors import NoConvergence
 from dimerwave.lattice import LatticeConfig, TravelingProfile, simulate
 from dimerwave.model import DimerParams
-from dimerwave.nanopteron import NanopteronConfig
+from dimerwave.nanopteron import NanopteronConfig, solve_nanopteron
 
 QUAD = DimerParams(kappa=2.0, beta=1.0, n1=(), n2=())
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -278,6 +278,43 @@ class TestSimulateCommand:
         record = (tmp_path / "simulate_record.txt").read_text()
         assert "shape_error = PASS" in record
         assert "peak_ratio = PASS" in record
+
+    @pytest.fixture(scope="class")
+    def kappa3(self, tmp_path_factory):
+        """A solution archive at kappa 3, beta -1, eps 0.2 (not the defaults)."""
+        params = DimerParams(kappa=3.0, beta=-1.0)
+        path = tmp_path_factory.mktemp("kappa3") / "sol.npz"
+        save_solution(path, params, 0.2, *solve_nanopteron(params, 0.2)[:2])
+        return path
+
+    @pytest.mark.parametrize("flags", [
+        [], ["--kappa", "3", "--beta", "-1", "--eps", "0.2"],
+    ], ids=["unset", "equal"])
+    def test_records_the_archive_parameters(self, tmp_path, kappa3, capsys, flags):
+        # the ring runs kappa 3 (its even/odd crest ratio is near 3), and the
+        # record says so; the exit code is the gates' (peak_ratio, ROADMAP item 17)
+        code = dispatch(["simulate", "--init", str(kappa3), *flags, "--sites", "512",
+                         "--T", "2", "--out", str(tmp_path)])
+        assert code in (0, 1)
+        record = (tmp_path / "simulate_record.txt").read_text()
+        for line in ("kappa = 3.0", "beta = -1.0", "eps = 0.2"):
+            assert f"\n{line}\n" in record
+        ratio = float(re.search(r"\nratio_min = (\S+)\n", record).group(1))
+        assert abs(ratio - 3.0) < 0.15
+
+    @pytest.mark.parametrize("flags, config, message", [
+        (["--kappa", "5"], "", "kappa = 5.0 differs from kappa = 3.0"),
+        ([], "eps = 0.1\n", "eps = 0.1 differs from eps = 0.2"),
+    ], ids=["flag", "config"])
+    def test_differing_parameter_exits_2(self, tmp_path, kappa3, capsys, flags, config,
+                                         message):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(config)
+        code = dispatch(["simulate", "--init", str(kappa3), "--config", str(cfgfile),
+                         *flags, "--T", "2", "--out", str(tmp_path)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "simulate_record.txt").exists()
 
     def test_undecayed_profile_exits_2(self, tmp_path, solved02, capsys):
         # a corrector offset by a constant is not decayed at X = -L; the ring

@@ -18,7 +18,6 @@ from dimerwave.lattice import (
     _OFFSETS,
     LatticeConfig,
     TravelingProfile,
-    _crest_table,
     _line_corrected_peak,
     _odd_mask,
     _parabolic_max,
@@ -30,7 +29,7 @@ from dimerwave.lattice import (
 )
 from dimerwave.model import DimerParams, SpringLaw, derived_constants, spring_law
 from dimerwave.nanopteron import solve_nanopteron
-from dimerwave.spectral import LineField, LineGrid
+from dimerwave.spectral import LineField, LineGrid, trig_interpolate
 
 QUAD = DimerParams(kappa=2.0, beta=1.0, n1=(), n2=())
 CUBIC = DimerParams(kappa=2.0, beta=1.0, n1=(0.5,), n2=(-0.3, 0.1))
@@ -112,7 +111,7 @@ def _full_upsample_peak(values, spacing, wavenumber, factor=16):
 
 def _crest_pair(values, wavenumber):
     """The crest-window estimate and the full-upsample oracle of one comb."""
-    got = _line_corrected_peak(values, 2.0, wavenumber, _crest_table(len(values)))
+    got = _line_corrected_peak(values, 2.0, wavenumber)
     return got, _full_upsample_peak(values, 2.0, wavenumber)
 
 
@@ -498,10 +497,12 @@ class TestTravelingWave:
 
     @pytest.mark.parametrize("n", [255, 256])
     def test_crest_table_reproduces_whole_samples(self, n):
-        # at whole comb spacings the interpolant is the comb itself; for odd n
-        # the last rfft bin is an ordinary frequency, not a split Nyquist bin
+        # at whole comb spacings the crest window's interpolant is the comb
+        # itself; for odd n the last rfft bin is an ordinary frequency, not a
+        # split Nyquist bin
         comb = self._synthetic_comb(n, 0.3)
-        fine = (_crest_table(n) @ np.fft.rfft(comb)).real
+        k = 2 * np.pi * np.arange(n // 2 + 1) / n
+        fine = trig_interpolate(np.fft.rfft(comb), n, k, _OFFSETS / _FACTOR)
         whole = _OFFSETS % _FACTOR == 0
         err = np.max(np.abs(fine[whole] - comb[_OFFSETS[whole] // _FACTOR]))
         assert err <= 1e-13 * np.max(comb)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from dimerwave import InvalidParams
 from dimerwave.spectral import (
-    NORM_VARIANTS,
     LineField,
     LineGrid,
     PeriodicField,
@@ -17,6 +16,7 @@ from dimerwave.spectral import (
     l2_norm,
     line_product,
     periodic_product,
+    trig_interpolate,
     weighted_norm,
 )
 
@@ -143,21 +143,32 @@ def test_line_eval_matches_dense_formula(data):
     # 1.5 (a lone Nyquist mode, where one phase error is the whole error);
     # mixed spectra stay below 0.7.
     dtype = data.draw(st.sampled_from([np.float64, np.longdouble]))
-    n = 2 ** data.draw(st.integers(6, 13))
-    grid = LineGrid(n, data.draw(st.floats(10, 60)), dtype)
+    L = data.draw(st.floats(10, 60))
+    comb = data.draw(st.one_of(st.none(), st.integers(8, 999)))
+    if comb is None:  # a line grid, through LineField.eval_at
+        grid = LineGrid(2 ** data.draw(st.integers(6, 13)), L, dtype)
+        n, L, X0, k = grid.n, grid.L, grid.X, grid.k
+    else:  # a comb of any size, odd or even, through trig_interpolate itself
+        n, L = comb, dtype(L)
+        X0 = -L + 2 * L * np.arange(n, dtype=dtype) / n
+        k = np.pi * np.arange(n // 2 + 1, dtype=dtype) / L
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     noise, nyquist = data.draw(st.sampled_from([(1, 0), (0, 1), (1, 0.5)]))
-    f = LineField(grid, noise * rng.standard_normal(n).astype(dtype)
-                  + nyquist * np.cos(grid.k[-1] * grid.X))
+    values = noise * rng.standard_normal(n).astype(dtype) + nyquist * np.cos(k[-1] * X0)
     unit = st.floats(-1, 1, exclude_max=True)
-    X = np.array(data.draw(st.lists(unit, min_size=1, max_size=16)), dtype=dtype) * grid.L
-    G = grid.rfft(f.values)
-    G[1:-1] *= 2
-    phase = np.multiply.outer(X + grid.L, grid.k)
+    X = np.array(data.draw(st.lists(unit, min_size=1, max_size=16)), dtype=dtype) * L
+    G = np.fft.rfft(values)
+    G[1:] *= 2
+    if n % 2 == 0:
+        G[-1] /= 2  # a Nyquist bin; for odd n the last bin is an ordinary one
+    phase = np.multiply.outer(X + L, k)
     dense = (np.cos(phase) @ G.real - np.sin(phase) @ G.imag) / n
-    value = f.eval_at(X)
+    if comb is None:
+        value = LineField(grid, values).eval_at(X)
+    else:
+        value = trig_interpolate(np.fft.rfft(values), n, k, X + L)
     assert value.dtype == dtype
-    weight = 1 + np.multiply.outer(np.abs(X) + grid.L, grid.k)
+    weight = 1 + np.multiply.outer(np.abs(X) + L, k)
     bound = 4 * np.finfo(dtype).eps * (weight @ np.abs(G)) / n
     assert np.all(np.abs(value - dense) <= bound)
 
@@ -368,24 +379,24 @@ def test_superpose_apply_matches_resampling_oracle(grid):
 
 
 def test_weighted_norm_variants():
-    g = LineGrid(1024, 40.0)
-    alpha = 4 / 27
-    w = 2 * np.sqrt(alpha)
-    f = LineField(g, 1 / np.cosh(g.X / w) ** 2)
-    # q = 0, r = 0 reduces to the plain L2 norm for every variant
-    for var in NORM_VARIANTS:
-        assert weighted_norm(f, 0.0, 0, var) == pytest.approx(l2_norm(f), rel=1e-14)
-    # finite and mutually comparable for admissible q
-    q = 0.9 / (2 * np.sqrt(alpha))
-    vals = [weighted_norm(f, q, 2, var) for var in NORM_VARIANTS]
-    assert all(np.isfinite(v) and v > 0 for v in vals)
-    for a in vals:
-        for b in vals:
-            assert 0.05 <= a / b <= 20
+    # the sech^2 core against sums of its analytic derivatives: with
+    # s = sech(X/w)**2 and t = tanh(X/w), the first three are -2*s*t/w,
+    # (4*s - 6*s**2)/w**2 and (24*s**2 - 8*s)*t/w**3
+    g = LineGrid(1024, 20.0)
+    w = 2 * np.sqrt(4 / 27)
+    s, t = 1 / np.cosh(g.X / w) ** 2, np.tanh(g.X / w)
+    derivs = [s, -2 * s * t / w, (4 * s - 6 * s**2) / w**2, (24 * s**2 - 8 * s) * t / w**3]
+    f = LineField(g, s)
+    assert weighted_norm(f, 0.0, 0) == pytest.approx(l2_norm(f), rel=1e-14)
+    for q in (0.0, 0.5 / w):
+        weight = np.cosh(q * g.X)
+        for r in range(4):
+            want = np.sqrt(g.dx * sum(np.sum((weight * d) ** 2) for d in derivs[: r + 1]))
+            assert weighted_norm(f, q, r) == pytest.approx(want, rel=1e-12)
     with pytest.raises(InvalidParams):
-        weighted_norm(f, 0.1, 5, "cosh_q_full")
+        weighted_norm(f, 0.1, 5)
     with pytest.raises(InvalidParams):
-        weighted_norm(f, 0.1, 1, "bogus")
+        weighted_norm(f, -0.1, 1)
 
 
 def test_conjugated_multiplier_q0_and_decay():
