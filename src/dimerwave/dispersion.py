@@ -161,18 +161,6 @@ class SymbolSet:
         """Analytic derivative ``-2*c**2*k + lambda_plus'(k)``."""
         return -2 * c * c * np.asarray(k) + self.lambda_pm_prime(k)[1]
 
-    def xi_second(self, c, k):
-        """Analytic second derivative of the traveling-wave symbol.
-
-        ``lambda_plus'' = -4*kappa*cos(2k)/rho - 4*kappa**2*sin(2k)**2/rho**3``
-        by differentiating ``lambda_plus' = -2*kappa*sin(2k)/rho``.
-        """
-        kap = self.params.kappa
-        k = np.asarray(k)
-        rho = self.rho(k)
-        lpp = -4 * kap * np.cos(2 * k) / rho - 4 * kap**2 * np.sin(2 * k) ** 2 / rho**3
-        return -2 * c * c + lpp
-
     def acoustic_over_k2(self, k):
         """``lambda_minus(k)/k**2`` in cancellation-free form; equals
         ``sound_speed**2`` at k = 0."""

@@ -254,17 +254,6 @@ def _sandwich(symbols: SymbolSet, bracket, args, eps) -> VectorField:
 # -- public operators ------------------------------------------------------------
 
 
-def calN(params: DimerParams, v: VectorField) -> VectorField:
-    """Componentwise cubic remainder ``calN(h)_j = h_j * N_j(h_j)`` (pointwise)."""
-    cx = v.grid.cos_phase(v.omega, DEALIAS_FACTOR)
-    lines, pers = [], []
-    for ln, pr, n in ((v.line1, v.per1, params.n1), (v.line2, v.per2, params.n2)):
-        decay, _ = _Split.calN((fine_samples(ln), pr.chebyshev_at(cx)), n)
-        lines.append(from_fine_samples(v.grid, decay))
-        pers.append(_Cosine.calN(pr, n))
-    return VectorField(*lines, *pers, v.omega)
-
-
 def B_eps(symbols: SymbolSet, theta: VectorField, theta2: VectorField, eps) -> VectorField:
     """Symmetric bilinear operator: J1 . M_{beta/kappa} [(J theta).(J theta2)]."""
     return _sandwich(symbols, _B_bracket, (theta, theta2), eps)

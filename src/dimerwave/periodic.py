@@ -6,7 +6,16 @@ the optical component only.  Substituting ``theta = a*phi`` into the
 traveling-wave system and projecting onto (i) the acoustic component, (ii)
 the optical modes other than the fundamental, and (iii) the fundamental
 optical mode produces three fixed-point maps ``(Psi1, Psi2, Psi3)`` for
-``(psi1, psi2, t)``.  Products of ripples are ripples, so the nonlinearity
+``(psi1, psi2, t)``.  The frequency map reads the fundamental mode's
+traveling-wave symbol ``xi_1 = xi(eps*(omega_eps + t))``,
+
+    Psi3 = -(xi_1 - xi_0 - Upsilon*eps*t)/(eps*Upsilon) - (eps*a/Upsilon)*c1,
+
+with ``xi_0`` its value at ``t = 0`` (the resonance root's residual),
+``Upsilon = xi'`` at the root and ``c1`` the fundamental coefficient of
+``lambda_plus (B + Q)_2``; the first term is the symbol's curvature
+remainder, ``O(t**2)``, and exactly 0 at ``t = 0``, so ``a = 0`` gives
+exactly ``t = 0``.  Products of ripples are ripples, so the nonlinearity
 ``(B + Q)`` is evaluated in cosine coefficients alone (``BQ_ripple``), with
 no line grid.  All three maps are projections of the same evaluation, so
 each Picard step (``PeriodicSolver.maps``) evaluates the nonlinearity and
@@ -65,27 +74,6 @@ def check_long_wave(eps):
 
 
 @dataclass
-class PeriodicState:
-    """Solver state: corrector pair, frequency shift, amplitude.
-
-    Invariants: ``|t| <= 1``; coefficients real; the optical corrector
-    ``psi2`` has zero fundamental-mode coefficient.
-    """
-
-    psi1: PeriodicField
-    psi2: PeriodicField
-    t: float
-    a: float
-
-    def validate(self):
-        if not abs(self.t) <= 1:
-            raise InvalidParams(f"|t| must be <= 1, got {self.t}")
-        if self.psi2.coeffs[1] != 0:
-            raise InvalidParams("optical corrector has fundamental-mode content")
-        return self
-
-
-@dataclass
 class PeriodicWave:
     """A converged ripple: amplitude, frequency, corrector, diagnostics."""
 
@@ -120,52 +108,47 @@ class PeriodicSolver:
 
     ``start`` is a solved wave of the same slice: Picard then starts from
     its ``(psi1, psi2, t)``, and its resonance is reused.
+
+    Raises ``InvalidParams`` for eps outside ``(0, EPS_MAX]`` or with
+    ``eps**2`` below ``1e8`` machine epsilons of its dtype: ``varpi_eps``
+    adds ``eps**2`` to ``c0**2`` and keeps about ``0.4*finfo.eps/eps**2`` of
+    relative error: 8.0e-4 at eps 1e-7 in float64, and infinite from 1e-8 down.
     """
 
     def __init__(self, params: DimerParams, eps: float, start: PeriodicWave = None):
         check_long_wave(eps)
         if start is not None and (start.params != params or start.eps != eps):
             raise InvalidParams("a warm start must come from the same params and eps")
-        self.eps = eps
-        self.symbols = SymbolSet(params)
-        self.start = start
-        self.resonance = self.symbols.find_resonance(eps) if start is None else start.resonance
-        self.M = MODES
         # carry the precision of eps (e.g. longdouble) through the whole solve
         dt = np.asarray(eps).dtype
         self._dtype = dt.type if dt.kind == "f" else np.float64
-
-    # -- assembly ------------------------------------------------------------
-
-    def _truncate(self, f: PeriodicField):
-        out = np.zeros(self.M + 1, dtype=f.coeffs.dtype)
-        upto = min(self.M, f.M) + 1
-        out[:upto] = f.coeffs[:upto]
-        return out
+        floor = 1e8 * np.finfo(self._dtype).eps
+        if eps * eps < floor:
+            raise InvalidParams(
+                f"eps = {eps} is below the floor {np.sqrt(floor):.3g} of the "
+                f"{self._dtype.__name__} ripple solve (varpi_eps adds eps**2 to c0**2, "
+                "so eps**2 must be at least 1e8 machine epsilons)"
+            )
+        self.eps = eps
+        self.symbols = SymbolSet(params)
+        self.start = start
+        r = self.symbols.find_resonance(eps) if start is None else start.resonance
+        self.resonance = r
+        # the mode-1 traveling symbol at t = 0 (the root's residual), for Psi3
+        self._xi0 = self.symbols.mode_symbols(r.c, eps, r.omega, MODES)[2][1]
 
     def _evaluate(self, psi, t, a):
         """The system's nonlinearity and mode symbols at state (psi, t, a).
 
         Returns the cosine coefficients of ``(B + Q)_1`` and ``(B + Q)_2``
-        truncated to the cutoff, and ``(varpi, lambda_plus, xi)`` at the
-        modes of frequency ``omega_eps + t``.
+        at modes 0..MODES, and ``(varpi, lambda_plus, xi)`` at the modes of
+        frequency ``omega_eps + t``.
         """
         r = self.resonance
         omega = r.omega + t
         b1, b2 = BQ_ripple(self.symbols, _phi(psi, 1.0), _phi(psi, a), omega, self.eps)
-        modes = self.symbols.mode_symbols(r.c, self.eps, omega, self.M)
-        return (self._truncate(b1), self._truncate(b2)) + modes
-
-    def R_curvature(self, s):
-        """Remainder ``R(s) = (xi(eps*omega + s) - Upsilon*s)/s**2`` of the
-        symbol's expansion at the resonance, with the series value
-        ``xi''(eps*omega)/2`` inside |s| < 1e-6."""
-        r = self.resonance
-        if abs(s) < 1e-6:
-            return 0.5 * self.symbols.xi_second(r.c, r.eps * r.omega)
-        return (self.symbols.xi_symbol(r.c, r.eps * r.omega + s) - r.Upsilon * s) / s**2
-
-    # -- the three fixed-point maps -------------------------------------------
+        modes = self.symbols.mode_symbols(r.c, self.eps, omega, MODES)
+        return (b1.coeffs[:MODES + 1], b2.coeffs[:MODES + 1]) + modes
 
     def maps(self, psi, t, a):
         """The updates ``(Psi1, Psi2, Psi3)`` of ``(psi1, psi2, t)``.
@@ -173,8 +156,13 @@ class PeriodicSolver:
         * ``Psi1 = -a * varpi (B1 + Q1)`` on every mode (acoustic);
         * ``Psi2 = -a*eps**2 * xi^{-1} Pi2 lambda_plus (B2 + Q2)``: division
           by the traveling-wave symbol with the fundamental mode zeroed first;
-        * ``Psi3 = -(eps/Upsilon)*R(eps*t)*t**2 - (eps*a/Upsilon) * c1``, with
-          c1 the fundamental coefficient of ``lambda_plus (B2 + Q2)``.
+        * ``Psi3 = -(xi_1 - xi_0 - Upsilon*eps*t)/(eps*Upsilon)
+          - (eps*a/Upsilon) * c1``, with ``xi_1`` the fundamental mode's
+          traveling-wave symbol ``xi(eps*(omega_eps + t))``, ``xi_0`` its
+          value at ``t = 0``, and c1 the fundamental coefficient of
+          ``lambda_plus (B2 + Q2)``.  The first term is the curvature
+          remainder ``-(eps/Upsilon)*(xi''/2)*t**2 + O(t**3)`` of the symbol
+          at the resonance, and it is exactly 0 at ``t = 0``.
 
         Raises
         ------
@@ -183,9 +171,11 @@ class PeriodicSolver:
             (a spurious secondary resonance of the truncation).
         """
         b1, b2, varpi, lam_plus, xi = self._evaluate(psi, t, a)
-        psi1 = PeriodicField(-a * varpi * b1)
+        r, eps = self.resonance, self.eps
         num = lam_plus * b2
-        c1 = num[1]
+        t_new = -(xi[1] - self._xi0 - r.Upsilon * eps * t) / (eps * r.Upsilon) - (
+            eps * a / r.Upsilon
+        ) * num[1]
         num[1] = 0.0
         bad = np.abs(xi) < 1e-8
         bad[1] = False
@@ -195,15 +185,7 @@ class PeriodicSolver:
                 f"traveling-wave symbol ~ 0 at mode {j}: xi={xi[j]:.3e}"
             )
         xi[1] = 1.0  # mode 1 already zeroed
-        psi2 = PeriodicField(-a * self.eps**2 * num / xi)
-        r = self.resonance
-        eps = self.eps
-        t_new = -(eps / r.Upsilon) * self.R_curvature(eps * t) * t * t - (
-            eps * a / r.Upsilon
-        ) * c1
-        return psi1, psi2, t_new
-
-    # -- residual of the full system -------------------------------------------
+        return PeriodicField(-a * varpi * b1), PeriodicField(-a * eps**2 * num / xi), t_new
 
     def system_residual(self, psi, t, a) -> float:
         """Max-abs coefficient residual of the projected traveling-wave system."""
@@ -212,29 +194,26 @@ class PeriodicSolver:
         res2 = xi * _phi(psi, 1.0)[1].coeffs + a * self.eps**2 * lam_plus * b2
         return max(np.max(np.abs(res1)), np.max(np.abs(res2)))
 
-    # -- driver -----------------------------------------------------------------
-
-    def _start_state(self, a) -> PeriodicState:
-        if self.start is None:
-            z = PeriodicField.zero(self.M, dtype=self._dtype)
-            return PeriodicState(z, z.copy(), self._dtype(0.0), a)
-        return PeriodicState(self.start.psi1, self.start.psi2, self.start.t, a)
-
     def iterate(self, a):
-        """Picard iteration from the zero state, or from the warm start.
+        """Picard iteration of ``maps`` from ``(0, 0, 0)``, or from the warm start.
 
-        Returns ``(state, iterations, worst_ratio)``.  Raises ``NoConvergence``
-        if the steps stop contracting or ``MAX_ITER`` steps do not reach ``TOL``.
+        Returns ``((psi1, psi2, t), iterations, worst_ratio)``.  Raises
+        ``NoConvergence`` if the steps stop contracting or ``MAX_ITER`` steps
+        do not reach ``TOL``.
         """
-        st = self._start_state(a)
+        if self.start is None:
+            zero = PeriodicField.zero(MODES, dtype=self._dtype)
+            st = (zero, zero, self._dtype(0.0))
+        else:
+            st = (self.start.psi1, self.start.psi2, self.start.t)
         prev_step = None
         worst_ratio = 0.0
         for it in range(1, MAX_ITER + 1):
-            new = PeriodicState(*self.maps((st.psi1, st.psi2), st.t, st.a), st.a)
+            new = self.maps(st[:2], st[2], a)
             step = max(
-                float(np.max(np.abs(new.psi1.coeffs - st.psi1.coeffs))),
-                float(np.max(np.abs(new.psi2.coeffs - st.psi2.coeffs))),
-                abs(new.t - st.t),
+                float(np.max(np.abs(new[0].coeffs - st[0].coeffs))),
+                float(np.max(np.abs(new[1].coeffs - st[1].coeffs))),
+                abs(new[2] - st[2]),
             )
             ratio = step / prev_step if (prev_step not in (None, 0.0)) else 0.0
             worst_ratio = max(worst_ratio, ratio)
@@ -261,7 +240,8 @@ def solve_periodic(params: DimerParams, eps: float, a: float,
     ------
     InvalidParams
         Unless ``a`` is finite with ``|a|`` at most the contraction-region
-        bound ``A_MAX``.
+        bound ``A_MAX``, for an eps ``PeriodicSolver`` refuses, or if the
+        converged frequency shift has ``|t| > 1``.
     NoConvergence
         If Picard iteration stops contracting or exhausts its budget, or the
         top quarter of the coefficients exceeds the tail bound (see ``MODES``).
@@ -269,27 +249,27 @@ def solve_periodic(params: DimerParams, eps: float, a: float,
     if not abs(a) <= A_MAX:
         raise InvalidParams(f"amplitude must be finite with |a| <= a_max={A_MAX}, got a={a}")
     solver = PeriodicSolver(params, eps, start)
-    st, iters, ratio = solver.iterate(a)
-    peak = max(st.psi1.coeffs @ st.psi1.coeffs, st.psi2.coeffs @ st.psi2.coeffs) ** 0.5
-    top = 3 * (solver.M + 1) // 4
-    tail = max(float(np.max(np.abs(f.coeffs[top:]))) for f in (st.psi1, st.psi2))
+    (psi1, psi2, t), iters, ratio = solver.iterate(a)
+    peak = max(psi1.coeffs @ psi1.coeffs, psi2.coeffs @ psi2.coeffs) ** 0.5
+    top = 3 * (MODES + 1) // 4
+    tail = max(float(np.max(np.abs(f.coeffs[top:]))) for f in (psi1, psi2))
     bound = max(TAIL_ABS, TAIL_REL * max(peak, 1e-30))
     if not tail <= bound:
         raise NoConvergence(
-            f"coefficient tail {tail:.2e} exceeds {bound:.2e} at the mode cutoff {solver.M}"
+            f"coefficient tail {tail:.2e} exceeds {bound:.2e} at the mode cutoff {MODES}"
         )
-    st.validate()
-    residual = solver.system_residual((st.psi1, st.psi2), st.t, a)
+    if not abs(t) <= 1:
+        raise InvalidParams(f"frequency shift |t| must be <= 1, got t = {t}")
     return PeriodicWave(
         params=params,
         eps=eps,
         a=a,
-        t=st.t,
-        omega=solver.resonance.omega + st.t,
-        psi1=st.psi1,
-        psi2=st.psi2,
+        t=t,
+        omega=solver.resonance.omega + t,
+        psi1=psi1,
+        psi2=psi2,
         resonance=solver.resonance,
-        residual=residual,
+        residual=solver.system_residual((psi1, psi2), t, a),
         iterations=iters,
         contraction_ratio=ratio,
         converged=True,

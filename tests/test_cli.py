@@ -168,7 +168,8 @@ class TestDispatch:
 
     def test_unresolvable_ripple_names_the_grid_ceiling(self, tmp_path, capsys):
         # the solve has already refined to its largest grid, so no flag can help
-        assert dispatch(["nanopteron", "--eps", "1e-5", "--out", str(tmp_path)]) == 2
+        # (eps 1e-5 is refused earlier, by the ripple solve's eps floor)
+        assert dispatch(["nanopteron", "--eps", "1e-3", "--out", str(tmp_path)]) == 2
         assert "refines its grid up to 65536 points" in capsys.readouterr().err
 
     def test_module_entry_point(self, tmp_path):
@@ -212,6 +213,17 @@ class TestPeriodicCommand:
         record = (tmp_path / "periodic_record.txt").read_text()
         assert "contraction = PASS" in record
         assert (tmp_path / "periodic.csv").exists()
+
+    @pytest.mark.parametrize("eps", ["1e-7", "1e-9"])
+    def test_eps_below_the_floor_exits_2_naming_it(self, tmp_path, capsys, eps):
+        # varpi_eps is 8e-4 off at eps 1e-7 and NaN at 1e-9 in float64
+        assert dispatch(["periodic", "--eps", eps, "--out", str(tmp_path)]) == 2
+        assert (f"eps = {float(eps)} is below the floor 0.000149 of the float64 ripple solve"
+                in capsys.readouterr().err)
+
+    def test_small_eps_above_the_floor_exits_0(self, tmp_path, capsys):
+        assert dispatch(["periodic", "--eps", "1e-3", "--out", str(tmp_path)]) == 0
+        assert "contraction = PASS" in (tmp_path / "periodic_record.txt").read_text()
 
 
 class TestSolutionRoundtrip:

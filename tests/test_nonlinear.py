@@ -6,9 +6,11 @@ import pytest
 from dimerwave import DimerParams, InvalidParams, SymbolSet
 from dimerwave.kdv import core_profile
 from dimerwave.nonlinear import (
-    B0_closed_form, B_eps, BQ_eps, BQ_ripple, Q_eps, VectorField, calN,
+    B0_closed_form, B_eps, BQ_eps, BQ_ripple, Q_eps, VectorField, _Cosine, _Split,
 )
-from dimerwave.spectral import LineField, LineGrid, PeriodicField, l2_norm
+from dimerwave.spectral import (
+    DEALIAS_FACTOR, LineField, LineGrid, PeriodicField, fine_samples, from_fine_samples, l2_norm,
+)
 
 
 @pytest.fixture(scope="module")
@@ -26,6 +28,19 @@ def _ripple(grid, omega, amps1, amps2):
     c2 = np.zeros(9)
     c2[1 : 1 + len(amps2)] = amps2
     return PeriodicField(c1), PeriodicField(c2)
+
+
+def calN(params, v):
+    """Componentwise cubic remainder ``calN(h)_j = h_j * N_j(h_j)`` of a mixed
+    field: the decaying half from ``_Split.calN`` on the fine grid, the ripple
+    half from ``_Cosine.calN``, as the operators' brackets evaluate them."""
+    cx = v.grid.cos_phase(v.omega, DEALIAS_FACTOR)
+    lines, pers = [], []
+    for ln, pr, n in ((v.line1, v.per1, params.n1), (v.line2, v.per2, params.n2)):
+        decay, _ = _Split.calN((fine_samples(ln), pr.chebyshev_at(cx)), n)
+        lines.append(from_fine_samples(v.grid, decay))
+        pers.append(_Cosine.calN(pr, n))
+    return VectorField(*lines, *pers, v.omega)
 
 
 def _samples(v, X):

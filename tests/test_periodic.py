@@ -13,11 +13,7 @@ import pytest
 from dimerwave import nonlinear, periodic
 from dimerwave.errors import InvalidParams, NoConvergence
 from dimerwave.model import DimerParams
-from dimerwave.periodic import (
-    PeriodicSolver,
-    PeriodicState,
-    solve_periodic,
-)
+from dimerwave.periodic import MODES, PeriodicSolver, solve_periodic
 from dimerwave.spectral import PeriodicField
 
 QUAD = DimerParams(kappa=2.0, beta=1.0, n1=(), n2=())
@@ -31,7 +27,7 @@ def zero_pair(M):
 class TestFixedPointMaps:
     def test_maps_vanish_at_zero_amplitude(self):
         s = PeriodicSolver(QUAD, 0.1)
-        p1, p2, p3 = s.maps(zero_pair(s.M), 0.0, 0.0)
+        p1, p2, p3 = s.maps(zero_pair(MODES), 0.0, 0.0)
         assert np.all(p1.coeffs == 0)
         assert np.all(p2.coeffs == 0)
         assert p3 == 0.0
@@ -40,7 +36,7 @@ class TestFixedPointMaps:
         # cos^2 forcing: only modes 0 and 2 appear, so the frequency map
         # returns exactly zero on the zero corrector.
         s = PeriodicSolver(QUAD, 0.1)
-        p1, p2, p3 = s.maps(zero_pair(s.M), 0.0, 1e-3)
+        p1, p2, p3 = s.maps(zero_pair(MODES), 0.0, 1e-3)
         live1 = np.nonzero(np.abs(p1.coeffs) > 1e-30)[0]
         live2 = np.nonzero(np.abs(p2.coeffs) > 1e-30)[0]
         assert set(live1) <= {0, 2}
@@ -50,8 +46,8 @@ class TestFixedPointMaps:
     def test_psi2_fundamental_mode_zeroed(self):
         s = PeriodicSolver(CUBIC, 0.1)
         rng = np.random.default_rng(7)
-        c1 = np.zeros(s.M + 1)
-        c2 = np.zeros(s.M + 1)
+        c1 = np.zeros(MODES + 1)
+        c2 = np.zeros(MODES + 1)
         c1[:5] = 1e-4 * rng.standard_normal(5)
         c2[:5] = 1e-4 * rng.standard_normal(5)
         c2[1] = 0.0
@@ -62,8 +58,8 @@ class TestFixedPointMaps:
     def test_psi2_inverts_traveling_symbol(self):
         # xi * Psi2 must reproduce -a*eps^2 * (lambda_plus (B+Q))_2 off mode 1.
         s = PeriodicSolver(QUAD, 0.1)
-        c1 = np.zeros(s.M + 1)
-        c2 = np.zeros(s.M + 1)
+        c1 = np.zeros(MODES + 1)
+        c2 = np.zeros(MODES + 1)
         c1[0], c1[2] = 2e-4, -1e-4
         c2[2] = 5e-5
         psi = (PeriodicField(c1), PeriodicField(c2))
@@ -76,25 +72,21 @@ class TestFixedPointMaps:
         recovered[1] = 0.0
         assert np.max(np.abs(recovered - target)) < 1e-12
 
-    def test_curvature_remainder_seam(self):
-        # The quotient form loses ~4 digits near the series cutoff (that is
-        # why the cutoff exists), so check consistency at a well-conditioned
-        # step: the symmetric average of the quotient branch recovers the
-        # series value to O(h^2).
+    def test_frequency_map_is_the_curvature_remainder(self):
+        # at a = 0 Psi3 is -(eps/Upsilon)*(xi''/2)*t**2 + O(t**3), with xi''
+        # the centred difference of xi at the resonance: the error over t**3
+        # is one constant on [1e-3, 1e-2]
         s = PeriodicSolver(QUAD, 0.1)
-        h = 1e-3
-        sym = 0.5 * (s.R_curvature(h) + s.R_curvature(-h))
-        series = s.R_curvature(0.0)
-        assert abs(sym - series) < 1e-4 * abs(series)
-        # and the series value matches a wide-step finite difference of xi
-        r = s.resonance
-        h = 1e-3
-        fd = (
-            s.symbols.xi_symbol(r.c, r.eps * r.omega + h)
-            - 2 * s.symbols.xi_symbol(r.c, r.eps * r.omega)
-            + s.symbols.xi_symbol(r.c, r.eps * r.omega - h)
-        ) / h**2
-        assert abs(2 * s.R_curvature(0.0) - fd) < 1e-5 * abs(fd)
+        r, h, K = s.resonance, 1e-3, s.resonance.eps * s.resonance.omega
+        xi = [s.symbols.xi_symbol(r.c, K + d) for d in (-h, 0.0, h)]
+        second = (xi[0] - 2 * xi[1] + xi[2]) / h**2
+        ts = np.geomspace(1e-3, 1e-2, 5)
+        got = np.array([s.maps(zero_pair(MODES), t, 0.0)[2] for t in ts])
+        want = -(s.eps / r.Upsilon) * 0.5 * second * ts**2
+        cubic = (got - want) / ts**3
+        assert np.max(np.abs(got - want) / np.abs(want)) < 5e-3
+        assert np.ptp(cubic) < 1e-3 * np.max(np.abs(cubic))
+        assert np.max(np.abs(cubic)) < 0.1
 
 
 class TestSolve:
@@ -122,7 +114,6 @@ class TestSolve:
     def test_converged_state_is_fixed_point(self):
         w = solve_periodic(QUAD, 0.1, 1e-3)
         s = PeriodicSolver(QUAD, 0.1)
-        s.M = w.psi1.M
         p1, p2, p3 = s.maps((w.psi1, w.psi2), w.t, w.a)
         assert np.max(np.abs(p1.coeffs - w.psi1.coeffs)) < 1e-14
         assert np.max(np.abs(p2.coeffs - w.psi2.coeffs)) < 1e-14
@@ -174,6 +165,16 @@ class TestSolve:
         with pytest.raises(InvalidParams):
             PeriodicSolver(QUAD, 0.9)
 
+    @pytest.mark.parametrize("dtype, below, above, floor",
+                             [(np.float64, 1.4e-4, 1.5e-4, "0.000149"),
+                              (np.longdouble, 3.2e-6, 3.4e-6, "3.29e-06")])
+    def test_eps_floor(self, dtype, below, above, floor):
+        # varpi_eps adds eps**2 to c0**2: eps**2 must be at least 1e8 epsilons
+        with pytest.raises(InvalidParams, match=rf"^eps = \S+ is below the floor {floor} of the "
+                                                rf"{dtype.__name__} ripple solve"):
+            PeriodicSolver(QUAD, dtype(below))
+        PeriodicSolver(QUAD, dtype(above))
+
     def test_iteration_budget_raises(self, monkeypatch):
         monkeypatch.setattr(periodic, "MAX_ITER", 2)
         with pytest.raises(NoConvergence, match=r"^ripple solve did not reach tol=\S+ in 2 "
@@ -200,14 +201,10 @@ class TestWaveRecord:
         assert abs(v.per2.coeffs[1] - w.a) < 1e-18
         assert np.allclose(v.per1.coeffs, w.a * w.psi1.coeffs, atol=1e-20)
 
-    def test_state_validation(self):
-        bad = PeriodicState(
-            PeriodicField.zero(8),
-            PeriodicField(np.eye(9)[1]),
-            0.0,
-            1e-3,
-        )
-        with pytest.raises(InvalidParams):
-            bad.validate()
-        with pytest.raises(InvalidParams):
-            PeriodicState(PeriodicField.zero(8), PeriodicField.zero(8), 2.0, 0.0).validate()
+    def test_state_validation(self, monkeypatch):
+        # a converged frequency shift with |t| > 1 is refused
+        zero = PeriodicField.zero(MODES)
+        monkeypatch.setattr(PeriodicSolver, "iterate", lambda s, a: ((zero, zero, 2.0), 1, 0.0))
+        with pytest.raises(InvalidParams,
+                           match=r"^frequency shift \|t\| must be <= 1, got t = 2\.0$"):
+            solve_periodic(QUAD, 0.1, 1e-3)

@@ -378,25 +378,53 @@ def test_superpose_apply_matches_resampling_oracle(grid):
     assert np.max(np.abs(direct.values - recombined)) < 1e-10
 
 
-def test_weighted_norm_variants():
-    # the sech^2 core against sums of its analytic derivatives: with
-    # s = sech(X/w)**2 and t = tanh(X/w), the first three are -2*s*t/w,
-    # (4*s - 6*s**2)/w**2 and (24*s**2 - 8*s)*t/w**3
-    g = LineGrid(1024, 20.0)
-    w = 2 * np.sqrt(4 / 27)
+CORE_WIDTH = 2 * np.sqrt(4 / 27)
+
+
+def _core_norms(g, q):
+    """The sech^2 core on ``g`` and its weighted norms of orders 0..3 from its
+    analytic derivatives: with s = sech(X/w)**2 and t = tanh(X/w), the first
+    three are -2*s*t/w, (4*s - 6*s**2)/w**2 and (24*s**2 - 8*s)*t/w**3."""
+    w = CORE_WIDTH
     s, t = 1 / np.cosh(g.X / w) ** 2, np.tanh(g.X / w)
     derivs = [s, -2 * s * t / w, (4 * s - 6 * s**2) / w**2, (24 * s**2 - 8 * s) * t / w**3]
-    f = LineField(g, s)
+    weight = np.cosh(q * g.X)
+    return LineField(g, s), [np.sqrt(g.dx * sum(np.sum((weight * d) ** 2) for d in derivs[: r + 1]))
+                             for r in range(4)]
+
+
+def test_weighted_norm_variants():
+    g = LineGrid(1024, 20.0)
+    f, _ = _core_norms(g, 0.0)
     assert weighted_norm(f, 0.0, 0) == pytest.approx(l2_norm(f), rel=1e-14)
-    for q in (0.0, 0.5 / w):
-        weight = np.cosh(q * g.X)
+    for q in (0.0, 0.5 / CORE_WIDTH):
+        _, want = _core_norms(g, q)
         for r in range(4):
-            want = np.sqrt(g.dx * sum(np.sum((weight * d) ** 2) for d in derivs[: r + 1]))
-            assert weighted_norm(f, q, r) == pytest.approx(want, rel=1e-12)
+            assert weighted_norm(f, q, r) == pytest.approx(want[r], rel=1e-12)
     with pytest.raises(InvalidParams):
         weighted_norm(f, 0.1, 5)
     with pytest.raises(InvalidParams):
         weighted_norm(f, -0.1, 1)
+
+
+@pytest.mark.parametrize("dtype, qw_kept, qL_max", [(np.float64, 0.25, 20.6),
+                                                    (np.longdouble, 0.35, 28.2)])
+def test_weighted_norm_refuses_weights_past_rounding(dtype, qw_kept, qL_max):
+    # the edge weight cosh(q*L) lifts the derivatives' rounding: a kept q*L
+    # stays within 1e-6 at r = 3, and q*L past the bound is refused
+    g = LineGrid(4096, 60.0, dtype=dtype)
+    q = qw_kept / CORE_WIDTH
+    f, want = _core_norms(g, q)
+    assert q * 60 < qL_max < 0.4 / CORE_WIDTH * 60
+    assert weighted_norm(f, q, 1) == pytest.approx(want[1], rel=1e-13)
+    assert weighted_norm(f, q, 3) == pytest.approx(want[3], rel=1e-6)
+    for q_out in (qL_max * 1.005 / 60, 0.4 / CORE_WIDTH):
+        with pytest.raises(InvalidParams, match=rf"^q\*L = \S+ is too large for a "
+                                                rf"{dtype.__name__} norm: the edge weight"):
+            weighted_norm(f, q_out, 0)
+    h = LineField(LineGrid(1024, 40.0), np.zeros(1024))
+    with pytest.raises(InvalidParams, match=r"^q\*L = 46\.77 is too large for a float64 norm"):
+        weighted_norm(h, 0.9 / CORE_WIDTH, 1)
 
 
 def test_conjugated_multiplier_q0_and_decay():
