@@ -161,6 +161,14 @@ class SymbolSet:
         """Analytic derivative ``-2*c**2*k + lambda_plus'(k)``."""
         return -2 * c * c * np.asarray(k) + self.lambda_pm_prime(k)[1]
 
+    def xi_remainder(self, c, k, s):
+        """``xi(k + s) - xi(k) - xi'(k)*s`` with no O(1) terms: the ``rho``
+        increment is ``-4*kappa*sin(2k + s)*sin(s)/(rho(k + s) + rho(k))``, so
+        the rounding is a few ulps of ``|s|``, and ``s = 0`` gives exactly 0."""
+        kap, rho = self.params.kappa, self.rho(k)
+        d_rho = -4 * kap * np.sin(2 * k + s) * np.sin(s) / (self.rho(k + s) + rho)
+        return -(c * c) * s * s + d_rho + 2 * kap * np.sin(2 * k) * s / rho
+
     def acoustic_over_k2(self, k):
         """``lambda_minus(k)/k**2`` in cancellation-free form; equals
         ``sound_speed**2`` at k = 0."""

@@ -6,24 +6,24 @@ the optical component only.  Substituting ``theta = a*phi`` into the
 traveling-wave system and projecting onto (i) the acoustic component, (ii)
 the optical modes other than the fundamental, and (iii) the fundamental
 optical mode produces three fixed-point maps ``(Psi1, Psi2, Psi3)`` for
-``(psi1, psi2, t)``.  The frequency map reads the fundamental mode's
-traveling-wave symbol ``xi_1 = xi(eps*(omega_eps + t))``,
+``(psi1, psi2, t)``.  The frequency map is
 
-    Psi3 = -(xi_1 - xi_0 - Upsilon*eps*t)/(eps*Upsilon) - (eps*a/Upsilon)*c1,
+    Psi3 = -D(eps*t)/(eps*Upsilon) - (eps*a/Upsilon)*c1,
 
-with ``xi_0`` its value at ``t = 0`` (the resonance root's residual),
-``Upsilon = xi'`` at the root and ``c1`` the fundamental coefficient of
-``lambda_plus (B + Q)_2``; the first term is the symbol's curvature
-remainder, ``O(t**2)``, and exactly 0 at ``t = 0``, so ``a = 0`` gives
-exactly ``t = 0``.  Products of ripples are ripples, so the nonlinearity
-``(B + Q)`` is evaluated in cosine coefficients alone (``BQ_ripple``), with
-no line grid.  All three maps are projections of the same evaluation, so
-each Picard step (``PeriodicSolver.maps``) evaluates the nonlinearity and
-the mode symbols once, and the residual of the full system reuses that
-evaluation.  The maps contract for small ``a``; plain Picard
-iteration converges, from (0, 0, 0) or from a solved ripple at a nearby
-amplitude (whose resonance is then reused), at one cosine cutoff ``MODES``,
-and the converged state is reported with the residual of the full system.
+with ``D(s) = xi(K + s) - xi(K) - Upsilon*s`` the traveling-wave symbol's
+curvature remainder at the resonance ``K = eps*omega_eps``
+(``SymbolSet.xi_remainder``, free of O(1) cancellation), ``Upsilon = xi'(K)``
+and ``c1`` the fundamental coefficient of ``lambda_plus (B + Q)_2``;
+``D(0) = 0`` exactly, so ``a = 0`` gives exactly ``t = 0``.  Products of
+ripples are ripples, so the nonlinearity ``(B + Q)`` is evaluated in cosine
+coefficients alone (``BQ_ripple``), with no line grid.  All three maps are
+projections of the same evaluation, so each Picard step
+(``PeriodicSolver.maps``) evaluates the nonlinearity and the mode symbols
+once, and the residual of the full system reuses that evaluation.  The maps
+contract for small ``a``; plain Picard iteration converges, from (0, 0, 0)
+or from a solved ripple at a nearby amplitude (whose resonance is then
+reused), at one cosine cutoff ``MODES``, and the converged state is reported
+with the residual of the full system.
 
 The corrector's optical component has no fundamental-mode content (the
 kernel direction is carried entirely by ``nu``); that normalization is what
@@ -132,10 +132,7 @@ class PeriodicSolver:
         self.eps = eps
         self.symbols = SymbolSet(params)
         self.start = start
-        r = self.symbols.find_resonance(eps) if start is None else start.resonance
-        self.resonance = r
-        # the mode-1 traveling symbol at t = 0 (the root's residual), for Psi3
-        self._xi0 = self.symbols.mode_symbols(r.c, eps, r.omega, MODES)[2][1]
+        self.resonance = self.symbols.find_resonance(eps) if start is None else start.resonance
 
     def _evaluate(self, psi, t, a):
         """The system's nonlinearity and mode symbols at state (psi, t, a).
@@ -156,13 +153,11 @@ class PeriodicSolver:
         * ``Psi1 = -a * varpi (B1 + Q1)`` on every mode (acoustic);
         * ``Psi2 = -a*eps**2 * xi^{-1} Pi2 lambda_plus (B2 + Q2)``: division
           by the traveling-wave symbol with the fundamental mode zeroed first;
-        * ``Psi3 = -(xi_1 - xi_0 - Upsilon*eps*t)/(eps*Upsilon)
-          - (eps*a/Upsilon) * c1``, with ``xi_1`` the fundamental mode's
-          traveling-wave symbol ``xi(eps*(omega_eps + t))``, ``xi_0`` its
-          value at ``t = 0``, and c1 the fundamental coefficient of
-          ``lambda_plus (B2 + Q2)``.  The first term is the curvature
-          remainder ``-(eps/Upsilon)*(xi''/2)*t**2 + O(t**3)`` of the symbol
-          at the resonance, and it is exactly 0 at ``t = 0``.
+        * ``Psi3 = -D(eps*t)/(eps*Upsilon) - (eps*a/Upsilon) * c1``, with
+          ``D = xi_remainder`` at the resonance ``K = eps*omega_eps`` and c1
+          the fundamental coefficient of ``lambda_plus (B2 + Q2)``.  The
+          first term is ``-(eps/Upsilon)*(xi''(K)/2)*t**2 + O(t**3)``, and
+          exactly 0 at ``t = 0``.
 
         Raises
         ------
@@ -173,9 +168,9 @@ class PeriodicSolver:
         b1, b2, varpi, lam_plus, xi = self._evaluate(psi, t, a)
         r, eps = self.resonance, self.eps
         num = lam_plus * b2
-        t_new = -(xi[1] - self._xi0 - r.Upsilon * eps * t) / (eps * r.Upsilon) - (
-            eps * a / r.Upsilon
-        ) * num[1]
+        t_new = -self.symbols.xi_remainder(r.c, r.eps * r.omega, eps * t) / (
+            eps * r.Upsilon
+        ) - (eps * a / r.Upsilon) * num[1]
         num[1] = 0.0
         bad = np.abs(xi) < 1e-8
         bad[1] = False

@@ -221,8 +221,9 @@ class TestPeriodicCommand:
         assert (f"eps = {float(eps)} is below the floor 0.000149 of the float64 ripple solve"
                 in capsys.readouterr().err)
 
-    def test_small_eps_above_the_floor_exits_0(self, tmp_path, capsys):
-        assert dispatch(["periodic", "--eps", "1e-3", "--out", str(tmp_path)]) == 0
+    @pytest.mark.parametrize("eps", ["1.5e-4", "1e-3"])
+    def test_small_eps_above_the_floor_exits_0(self, tmp_path, capsys, eps):
+        assert dispatch(["periodic", "--eps", eps, "--out", str(tmp_path)]) == 0
         assert "contraction = PASS" in (tmp_path / "periodic_record.txt").read_text()
 
 

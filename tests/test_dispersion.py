@@ -170,6 +170,21 @@ def test_xi_symbol_and_derivative(symbols):
     assert np.max(np.abs(symbols.xi_prime(c, k) - fd)) < 1e-8
 
 
+def test_xi_remainder(symbols):
+    c, k = 1.3, np.linspace(-2, 2, 11)
+    # the definition, where the direct difference loses little (|s| >= 0.1)
+    for s in (-0.3, -0.1, 0.1, 0.3):
+        direct = symbols.xi_symbol(c, k + s) - symbols.xi_symbol(c, k) - symbols.xi_prime(c, k) * s
+        assert np.max(np.abs(symbols.xi_remainder(c, k, s) - direct)) < 1e-13
+    assert np.all(symbols.xi_remainder(c, k, 0.0) == 0.0)
+    # no O(1) cancellation: at s = 1e-8 (D ~ 1e-16) float64 matches longdouble
+    # to 1e-6 relative, where xi(k + s) - xi(k) - xi'(k)*s is all rounding
+    ld = np.longdouble
+    want = symbols.xi_remainder(ld(c), k.astype(ld), ld(1e-8))
+    got = symbols.xi_remainder(c, k, 1e-8)
+    assert np.max(np.abs(got - want) / np.abs(want)) < 1e-6
+
+
 @pytest.mark.parametrize("kappa,eps", sorted(RESONANCE_REF))
 def test_resonance_against_reference(kappa, eps):
     S = SymbolSet(DimerParams(kappa=kappa, beta=1.0))

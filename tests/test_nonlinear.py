@@ -9,7 +9,7 @@ from dimerwave.nonlinear import (
     B0_closed_form, B_eps, BQ_eps, BQ_ripple, Q_eps, VectorField, _Cosine, _Split,
 )
 from dimerwave.spectral import (
-    DEALIAS_FACTOR, LineField, LineGrid, PeriodicField, fine_samples, from_fine_samples, l2_norm,
+    DEALIAS_FACTOR, LineField, LineGrid, PeriodicField, fine_samples, l2_norm,
 )
 
 
@@ -28,19 +28,6 @@ def _ripple(grid, omega, amps1, amps2):
     c2 = np.zeros(9)
     c2[1 : 1 + len(amps2)] = amps2
     return PeriodicField(c1), PeriodicField(c2)
-
-
-def calN(params, v):
-    """Componentwise cubic remainder ``calN(h)_j = h_j * N_j(h_j)`` of a mixed
-    field: the decaying half from ``_Split.calN`` on the fine grid, the ripple
-    half from ``_Cosine.calN``, as the operators' brackets evaluate them."""
-    cx = v.grid.cos_phase(v.omega, DEALIAS_FACTOR)
-    lines, pers = [], []
-    for ln, pr, n in ((v.line1, v.per1, params.n1), (v.line2, v.per2, params.n2)):
-        decay, _ = _Split.calN((fine_samples(ln), pr.chebyshev_at(cx)), n)
-        lines.append(from_fine_samples(v.grid, decay))
-        pers.append(_Cosine.calN(pr, n))
-    return VectorField(*lines, *pers, v.omega)
 
 
 def _samples(v, X):
@@ -65,40 +52,37 @@ def test_vectorfield_algebra(setup):
 
 def test_calN_constant_and_zero_remainder(setup):
     _, grid, sigma, bump = setup
-    v = VectorField.from_line(sigma, bump)
-    # N_j = c: calN(h) = c*h componentwise; the constant field (1,1) maps to (c,c)
-    pc = DimerParams(kappa=2.0, beta=1.0, n1=(0.5,), n2=(0.25,))
-    out = calN(pc, v)
-    assert np.max(np.abs(out.line1.values - 0.5 * sigma.values)) < 1e-12
-    assert np.max(np.abs(out.line2.values - 0.25 * bump.values)) < 1e-12
+    f, g = fine_samples(sigma), np.zeros(DEALIAS_FACTOR * grid.n)
+    # N = c: calN(h) = c*h in both halves
+    decay, ripple = _Split.calN((f, g), (0.5,))
+    assert np.max(np.abs(decay - 0.5 * f)) < 1e-12
+    assert np.max(np.abs(ripple)) == 0.0
+    per, _ = _ripple(grid, 2.0, [0.2, 0.1], [])
+    assert np.max(np.abs(_Cosine.calN(per, (0.25,)).coeffs[:9] - 0.25 * per.coeffs)) < 1e-12
     # N = 0: identically zero output
-    p0 = DimerParams(kappa=2.0, beta=1.0)
-    out0 = calN(p0, v)
-    assert np.max(np.abs(out0.line1.values)) == 0.0
-    assert np.max(np.abs(out0.per2.coeffs)) == 0.0
+    assert all(np.max(np.abs(half)) == 0.0 for half in _Split.calN((f, g), ()))
+    assert np.max(np.abs(_Cosine.calN(per, ()).coeffs)) == 0.0
 
 
 def test_calN_linear_remainder_is_quadratic_map(setup):
     _, grid, sigma, bump = setup
-    # N_j(r) = r gives calN(h) = h**2
-    p = DimerParams(kappa=2.0, beta=1.0, n1=(0.0, 1.0), n2=(0.0, 1.0))
-    out = calN(p, VectorField.from_line(sigma, bump))
-    assert np.max(np.abs(out.line1.values - sigma.values**2)) < 1e-12
-    assert np.max(np.abs(out.line2.values - bump.values**2)) < 1e-12
+    # N(r) = r gives calN(h) = h**2
+    for f in (fine_samples(sigma), fine_samples(bump)):
+        decay, _ = _Split.calN((f, np.zeros_like(f)), (0.0, 1.0))
+        assert np.max(np.abs(decay - f**2)) < 1e-12
 
 
 def test_calN_even_and_periodic_half(setup):
     _, grid, sigma, bump = setup
-    p = DimerParams(kappa=2.0, beta=1.0, n1=(0.0, 1.0), n2=(0.0, 1.0))
-    p1, p2 = _ripple(grid, 0.0, [0.5], [0.3])
-    v = VectorField(sigma, bump, p1, p2, omega=2.0)
-    out = calN(p, v)
     # ripple half of h**2 for h_per = 0.5 cos: 0.125 + 0.125 cos(2.)
-    assert out.per1.coeffs[0] == pytest.approx(0.125, abs=1e-14)
-    assert out.per1.coeffs[2] == pytest.approx(0.125, abs=1e-14)
+    per = _Cosine.calN(_ripple(grid, 2.0, [0.5], [0.3])[0], (0.0, 1.0))
+    assert per.coeffs[0] == pytest.approx(0.125, abs=1e-14)
+    assert per.coeffs[2] == pytest.approx(0.125, abs=1e-14)
     # decaying half carries the cross term 2*f*g plus f**2
-    expect = sigma.values**2 + 2 * sigma.values * 0.5 * np.cos(2.0 * grid.X)
-    assert np.max(np.abs(out.line1.values - expect)) < 1e-11
+    f, g = fine_samples(sigma), 0.5 * grid.cos_phase(2.0, DEALIAS_FACTOR)
+    decay, ripple = _Split.calN((f, g), (0.0, 1.0))
+    assert np.max(np.abs(decay - (f**2 + 2 * f * g))) < 1e-11
+    assert np.max(np.abs(ripple - g**2)) < 1e-15
 
 
 def test_B_symmetry_and_bilinearity(setup):

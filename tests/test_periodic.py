@@ -173,7 +173,25 @@ class TestSolve:
         with pytest.raises(InvalidParams, match=rf"^eps = \S+ is below the floor {floor} of the "
                                                 rf"{dtype.__name__} ripple solve"):
             PeriodicSolver(QUAD, dtype(below))
-        PeriodicSolver(QUAD, dtype(above))
+        # just above the floor the ripple solve converges, at a = A_MAX too
+        for a in (1e-3, periodic.A_MAX):
+            w = solve_periodic(QUAD, dtype(above), dtype(a))
+            assert w.iterations <= 5 and w.residual < 1e3 * np.finfo(dtype).eps
+
+    @pytest.mark.parametrize("kappa, eps, a, t", [
+        (2.0, 1.5e-4, 1e-3, 2.993854065735467e-11),
+        (2.0, 2.27e-4, 1e-2, 4.530823145259255e-09),
+        (5.0, 1.85e-4, 3e-3, 6.732772004587775e-10),
+        (2.0, 3e-4, 1e-3, 5.987706042264894e-11),
+        (2.0, 1e-3, 1e-3, 1.9958924906964223e-10),
+    ])
+    def test_small_eps_frequency_shift(self, kappa, eps, a, t):
+        # t from a solver that took the curvature term's series value
+        # xi''/2 at |eps*t| < 1e-6; a Psi3 that subtracts O(1) symbol values
+        # puts ~3e-16/eps of rounding into t and misses these or diverges
+        w = solve_periodic(DimerParams(kappa=kappa, beta=1.0), eps, a)
+        assert w.iterations <= 5
+        assert abs(w.t - t) <= 1e-12 * t
 
     def test_iteration_budget_raises(self, monkeypatch):
         monkeypatch.setattr(periodic, "MAX_ITER", 2)
