@@ -35,10 +35,10 @@ pipeline:
 - ``rk4``: the ring integrator with cubic spring remainders, in ns per
   site-step (wall time over sites x ``--steps``).
 - ``output``: ``stegoton_diagnostics`` (with the ripple wavenumber, as the
-  ``simulate`` record computes it) and ``_write_csv`` of the (t, j, r_j)
-  blocks ``simulate`` writes, in ms, on the ring-4096 trajectory: the float64
-  eps = 0.2 nanopteron on 4096 sites, run to 20/c with 25 steps between
-  snapshots.
+  ``simulate`` record computes it) and ``save_trajectory``, the
+  ``trajectory.npz`` archive ``simulate`` writes, in ms, with its bytes, on
+  the ring-4096 trajectory: the float64 eps = 0.2 nanopteron on 4096 sites,
+  run to 20/c with 25 steps between snapshots.
 """
 
 import argparse
@@ -57,7 +57,7 @@ HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent / "src"))
 
 from dimerwave import periodic, spectral  # noqa: E402
-from dimerwave.cli import _write_csv  # noqa: E402
+from dimerwave.cli import save_trajectory  # noqa: E402
 from dimerwave.dispersion import SymbolSet  # noqa: E402
 from dimerwave.kdv import core_profile  # noqa: E402
 from dimerwave.lattice import LatticeConfig, TravelingProfile  # noqa: E402
@@ -191,13 +191,12 @@ def bench_output(repeats, eps=0.2, sites=4096):
     diag = best_of(repeats, lambda: stegoton_diagnostics(
         traj, prof.core_width_sites(), ripple_wavenumber=eps * prof.omega))
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "trajectory.csv"
-        csv = best_of(repeats, lambda: _write_csv(
-            path, ("t", "j", "r_j"), ((t, traj.sites, R) for t, R in zip(traj.times, traj.R))))
+        path = Path(tmp) / "trajectory.npz"
+        write = best_of(repeats, lambda: save_trajectory(path, traj))
         size = path.stat().st_size
     return {"eps": eps, "sites": sites, "snapshots": len(traj.times),
-            "stegoton_diagnostics_ms": 1e3 * diag, "write_csv_ms": 1e3 * csv,
-            "csv_bytes": size}
+            "stegoton_diagnostics_ms": 1e3 * diag, "write_trajectory_ms": 1e3 * write,
+            "trajectory_bytes": size}
 
 
 def main():

@@ -5,7 +5,7 @@ Subcommands
 dispersion   sample both branches and their derivatives; locate the resonance
 periodic     solve the ripple family at one (eps, amplitude)
 nanopteron   solve the core + ripple + corrector system, optionally sweeping eps
-simulate     integrate a ring initialized from a profile; dump (t, j, r_j)
+simulate     integrate a ring initialized from a profile; write (t, j, r_j)
 validate     run the whole gate table
 
 Every gate in a run record comes from ``dimerwave.gates``: ``validate`` runs
@@ -43,9 +43,11 @@ configuration or usage.  Nothing in the pipeline draws fresh randomness, so
 for a fixed configuration the data files — and every run-record section
 except the trailing ``[timings]`` one — are byte-identical across reruns.
 
-A plotting helper is deliberately not part of the package; a trajectory dump
-loads with ``numpy.loadtxt(path, delimiter=",", skiprows=2)`` and reshapes to
-(snapshots, sites) for e.g. ``matplotlib.pyplot.pcolormesh``.
+Data files are uncompressed ``.npz`` archives that hold the exact float64
+values, one array per column and a ``schema`` key.  A plotting helper is
+deliberately not part of the package; ``numpy.load(path)["r_j"]`` of a
+``trajectory.npz`` is already shaped (snapshots, sites) for e.g.
+``matplotlib.pyplot.pcolormesh``, against its ``t`` and ``j`` arrays.
 """
 
 import argparse
@@ -70,7 +72,7 @@ from .spectral import LineField, LineGrid
 
 SCHEMA_RECORD = "dimerwave-runrecord/1"
 SCHEMA_SOLUTION = "dimerwave-nanopteron/1"
-SCHEMA_CSV = "dimerwave-csv/1"
+SCHEMA_DATA = "dimerwave-data/1"
 
 
 def _fmt(x):
@@ -125,48 +127,16 @@ class RunRecord:
             print(f"  {name:<{width}}  {'PASS' if p else 'FAIL'}  {detail}")
 
 
-_CSV_ROWS_PER_WRITE = 256
-
-
-def _cells(values: np.ndarray):
-    """``_fmt`` of every value of one column, formatted a column at a time."""
-    if values.dtype.kind == "f":  # _fmt prints repr of the float64 value
-        return list(map(repr, values.astype(np.float64).tolist()))
-    return list(map(_fmt, values.tolist()))
-
-
-def _write_csv(path: Path, header, blocks):
-    """Write a CSV whose cells read as ``_fmt`` prints them.
-
-    ``blocks`` yields tuples of equal-length arrays and 0-d values, which fill
-    every row.  An array that is the same (unmodified) object as in the last
-    block keeps its cells; others are formatted ``_CSV_ROWS_PER_WRITE`` rows at a time.
-    """
-    previous, kept = (), {}  # the last block's columns; cells of repeated arrays
-    with path.open("w", newline="\n") as fh:
-        fh.write(f"# schema = {SCHEMA_CSV}\n")
-        fh.write(",".join(header) + "\n")
-        for columns in blocks:
-            arrays = [np.asarray(col) for col in columns]
-            rows = min((len(a) for a in arrays if a.ndim), default=1)
-            kept = {i: kept[i] if i in kept else _cells(a)
-                    for i, (col, a) in enumerate(zip(columns, arrays))
-                    if a.ndim and i < len(previous) and previous[i] is col}
-            filled = {i: _cells(a.reshape(1)) * min(rows, _CSV_ROWS_PER_WRITE)
-                      for i, a in enumerate(arrays) if not a.ndim}
-            previous = columns
-            for lo in range(0, rows, _CSV_ROWS_PER_WRITE):
-                hi = lo + _CSV_ROWS_PER_WRITE
-                cells = [filled[i] if i in filled else kept[i][lo:hi] if i in kept
-                         else _cells(a[lo:hi]) for i, a in enumerate(arrays)]
-                fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
-
-
-# -- solution files -----------------------------------------------------------
+# -- solution and trajectory files --------------------------------------------
 
 
 def save_solution(path, params: DimerParams, eps, state, wave):
-    """Archive a solved nanopteron so ``simulate`` can reconstruct it."""
+    """Archive a solved nanopteron so ``simulate`` can reconstruct it.
+
+    ``X`` and ``sigma`` (the grid and the KdV core on it) sit beside the
+    correctors ``eta1`` and ``eta2`` for plotting; ``load_solution`` ignores them.
+    """
+    grid = state.eta1.grid
     np.savez(
         path,
         schema=SCHEMA_SOLUTION,
@@ -175,8 +145,10 @@ def save_solution(path, params: DimerParams, eps, state, wave):
         n1=np.asarray(params.n1, dtype=np.float64),
         n2=np.asarray(params.n2, dtype=np.float64),
         eps=float(eps),
-        grid_n=state.eta1.grid.n,
-        grid_L=state.eta1.grid.L,
+        grid_n=grid.n,
+        grid_L=grid.L,
+        X=np.asarray(grid.X, dtype=np.float64),
+        sigma=np.asarray(core_profile(params, grid)[0].values, dtype=np.float64),
         eta1=np.asarray(state.eta1.values, dtype=np.float64),
         eta2=np.asarray(state.eta2.values, dtype=np.float64),
         a=float(state.a),
@@ -194,6 +166,11 @@ def save_solution(path, params: DimerParams, eps, state, wave):
         res_Upsilon=float(wave.resonance.Upsilon),
         res_residual=float(wave.resonance.residual),
     )
+
+
+def save_trajectory(path, traj):
+    """Archive a ring's snapshot times ``t``, sites ``j`` and ``r_j`` (snapshots, sites)."""
+    np.savez(path, schema=SCHEMA_DATA, t=traj.times, j=traj.sites, r_j=traj.R)
 
 
 def load_solution(path):
@@ -332,9 +309,8 @@ def cmd_dispersion(cfg) -> int:
     rec.add(gates.dispersion(params) + gates.resonance(params, (cfg["eps"],)))
     rec.timings["total"] = time.perf_counter() - t0
     out = _outdir(cfg)
-    _write_csv(out / "dispersion.csv", ("k", "lambda_minus", "lambda_plus",
-                                        "dlambda_minus", "dlambda_plus"),
-               [(ks, lam_minus, lam_plus, d_minus, d_plus)])
+    np.savez(out / "dispersion.npz", schema=SCHEMA_DATA, k=ks, lambda_minus=lam_minus,
+             lambda_plus=lam_plus, dlambda_minus=d_minus, dlambda_plus=d_plus)
     rec.write(out / "dispersion_record.txt")
     rec.print_gates()
     return 0 if rec.all_passed else 1
@@ -354,8 +330,8 @@ def cmd_periodic(cfg) -> int:
     rec.add(gates.periodic(wave))
     out = _outdir(cfg)
     c1, c2 = wave.psi1.coeffs, wave.psi2.coeffs
-    _write_csv(out / "periodic.csv", ("mode", "psi1", "psi2"),
-               [(np.arange(len(c1)), c1, c2)])
+    np.savez(out / "periodic.npz", schema=SCHEMA_DATA, mode=np.arange(len(c1)), psi1=c1,
+             psi2=c2)
     rec.write(out / "periodic_record.txt")
     rec.print_gates()
     return 0 if rec.all_passed else 1
@@ -419,10 +395,6 @@ def cmd_nanopteron(cfg) -> int:
             continue
         state, wave = solved
         save_solution(out / f"nanopteron_{tag}.npz", params, eps, state, wave)
-        grid = state.eta1.grid
-        sigma, _ = core_profile(params, grid)
-        _write_csv(out / f"nanopteron_{tag}.csv", ("X", "sigma", "eta1", "eta2"),
-                   [(grid.X, sigma.values, state.eta1.values, state.eta2.values)])
         print(f"eps = {eps:g}: a = {state.a:.6e}")
         rec.print_gates()
         if not rec.all_passed:
@@ -468,8 +440,7 @@ def cmd_simulate(cfg) -> int:
     rec.summary.update(speed=prof.c, steps=int(round(horizon / cfg["dt"])), **measured)
     rec.add(rows)
     out = _outdir(cfg)
-    blocks = ((t, traj.sites, R) for t, R in zip(traj.times, traj.R))
-    _write_csv(out / "trajectory.csv", ("t", "j", "r_j"), blocks)
+    save_trajectory(out / "trajectory.npz", traj)
     rec.write(out / "simulate_record.txt")
     rec.print_gates()
     return 0 if rec.all_passed else 1

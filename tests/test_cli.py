@@ -1,7 +1,7 @@
 """Command-line driver tests.
 
-Exit-code contract, configuration layering, record/CSV artifacts, the
-solution-file roundtrip, and byte-identical reruns.
+Exit-code contract, configuration layering, run records and ``.npz`` data
+archives, the solution-file roundtrip, and byte-identical reruns.
 """
 
 import re
@@ -13,15 +13,9 @@ import numpy as np
 import pytest
 
 from dimerwave import cli, gates
-from dimerwave.cli import (
-    DEFAULTS,
-    SCHEMA_CSV,
-    _write_csv,
-    dispatch,
-    load_solution,
-    save_solution,
-)
+from dimerwave.cli import DEFAULTS, SCHEMA_DATA, dispatch, load_solution, save_solution
 from dimerwave.errors import NoConvergence
+from dimerwave.kdv import core_profile
 from dimerwave.lattice import LatticeConfig, TravelingProfile, simulate
 from dimerwave.model import DimerParams
 from dimerwave.nanopteron import NanopteronConfig, solve_nanopteron
@@ -34,22 +28,13 @@ def _strip_timings(text: str) -> str:
     return text.split("[timings]")[0]
 
 
-def _per_element_fmt(x):
-    """The record's cell format: repr of floats, str of ints, true/false."""
-    if isinstance(x, (bool, np.bool_)):
-        return "true" if x else "false"
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    return str(x)
-
-
-def _per_element_csv(path, header, rows):
-    """A CSV written one row and one formatted element at a time."""
-    with path.open("w", newline="\n") as fh:
-        fh.write(f"# schema = {SCHEMA_CSV}\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_per_element_fmt(x) for x in row) + "\n")
+def _assert_plot_columns(path):
+    """The solution archive's ``X`` and ``sigma`` are its grid and KdV core."""
+    params, _, state, _ = load_solution(path)
+    grid = state.eta1.grid
+    with np.load(path) as z:
+        assert np.array_equal(z["X"], grid.X)
+        assert np.array_equal(z["sigma"], core_profile(params, grid)[0].values)
 
 
 class TestDispatch:
@@ -179,7 +164,7 @@ class TestDispatch:
             capture_output=True, text=True,
         )
         assert proc.returncode == 0
-        assert (tmp_path / "dispersion.csv").exists()
+        assert (tmp_path / "dispersion.npz").exists()
 
 
 class TestDispersionCommand:
@@ -190,10 +175,11 @@ class TestDispersionCommand:
         record = (tmp_path / "dispersion_record.txt").read_text()
         assert "schema = dimerwave-runrecord/1" in record
         assert "FAIL" not in record
-        lines = (tmp_path / "dispersion.csv").read_text().splitlines()
-        assert lines[0].startswith("# schema =")
-        assert lines[1] == "k,lambda_minus,lambda_plus,dlambda_minus,dlambda_plus"
-        assert len(lines) == 2 + 128
+        with np.load(tmp_path / "dispersion.npz") as z:
+            assert z.files == ["schema", "k", "lambda_minus", "lambda_plus",
+                               "dlambda_minus", "dlambda_plus"]
+            assert str(z["schema"]) == SCHEMA_DATA
+            assert all(z[key].shape == (128,) for key in z.files[1:])
         assert "PASS" in capsys.readouterr().out
 
     def test_large_eps_locates_the_resonance(self, tmp_path, capsys):
@@ -212,7 +198,9 @@ class TestPeriodicCommand:
         assert code == 0
         record = (tmp_path / "periodic_record.txt").read_text()
         assert "contraction = PASS" in record
-        assert (tmp_path / "periodic.csv").exists()
+        with np.load(tmp_path / "periodic.npz") as z:
+            assert z.files == ["schema", "mode", "psi1", "psi2"]
+            assert np.array_equal(z["mode"], np.arange(len(z["psi1"])))
 
     @pytest.mark.parametrize("eps", ["1e-7", "1e-9"])
     def test_eps_below_the_floor_exits_2_naming_it(self, tmp_path, capsys, eps):
@@ -343,35 +331,9 @@ class TestSimulateCommand:
                          "--T", "0.1", "--out", str(tmp_path)])
         assert code == 2
         assert "profile line1 boundary value" in capsys.readouterr().err
-        assert not (tmp_path / "trajectory.csv").exists()
+        assert not (tmp_path / "trajectory.npz").exists()
 
     def test_leading_trajectory_dump(self, tmp_path, capsys):
-        code = dispatch(["simulate", "--init", "leading", "--eps", "0.2",
-                         "--sites", "64", "--T", "1.0", "--snap-every", "25",
-                         "--out", str(tmp_path)])
-        assert code == 0
-        data = np.loadtxt(tmp_path / "trajectory.csv", delimiter=",", skiprows=2)
-        snaps = 1 + 2  # t = 0 plus two 25-step snapshots at dt = 0.02
-        assert data.shape == (snaps * 64, 3)
-        assert data[0, 1] == -32  # site labels
-        assert np.all(np.diff(data[:, 0]) >= 0)  # time-major ordering
-
-    def test_rerun_is_bit_identical(self, tmp_path, capsys):
-        args = ["simulate", "--init", "leading", "--eps", "0.2", "--sites", "128",
-                "--T", "2.0"]
-        a, b = tmp_path / "a", tmp_path / "b"
-        assert dispatch(args + ["--out", str(a)]) == 0
-        assert dispatch(args + ["--out", str(b)]) == 0
-        assert (a / "trajectory.csv").read_bytes() == (b / "trajectory.csv").read_bytes()
-        assert _strip_timings((a / "simulate_record.txt").read_text()) == _strip_timings(
-            (b / "simulate_record.txt").read_text()
-        )
-
-
-class TestCsvWriter:
-    """The column-at-a-time writer gives the bytes of the per-element one."""
-
-    def test_trajectory_matches_per_element_writer(self, tmp_path, capsys):
         code = dispatch(["simulate", "--init", "leading", "--eps", "0.2",
                          "--sites", "64", "--T", "1.0", "--snap-every", "10",
                          "--out", str(tmp_path)])
@@ -379,51 +341,24 @@ class TestCsvWriter:
         prof = TravelingProfile.leading_order(QUAD, 0.2, 64)
         traj = simulate(QUAD, LatticeConfig(sites=64, dt=0.02, T=1.0, snap_every=10),
                         *prof.initial())
-        rows = ((traj.times[i], traj.sites[j], traj.R[i, j])
-                for i in range(len(traj.times)) for j in range(len(traj.sites)))
-        _per_element_csv(tmp_path / "want.csv", ("t", "j", "r_j"), rows)
-        assert (tmp_path / "trajectory.csv").read_bytes() == (
-            tmp_path / "want.csv").read_bytes()
+        with np.load(tmp_path / "trajectory.npz") as z:
+            assert z.files == ["schema", "t", "j", "r_j"]
+            assert str(z["schema"]) == SCHEMA_DATA
+            assert np.array_equal(z["t"], traj.times) and len(z["t"]) == 1 + 5
+            assert np.array_equal(z["j"], traj.sites) and z["j"][0] == -32
+            assert z["r_j"].shape == (len(z["t"]), 64)  # (snapshots, sites)
+            assert np.array_equal(z["r_j"], traj.R)
 
-    def test_mixed_table_matches_per_element_writer(self, tmp_path):
-        header = ("flag", "n", "x", "x_ld", "x_f32")
-        block = (
-            np.array([True, False, True, False, True]),
-            np.arange(5) - 2,
-            np.array([0.1, -0.0, 1e22, 5e-324, np.nan]),
-            np.array([1, 2, 3, 7, 11], dtype=np.longdouble) / 3,
-            np.array([0.1, 1e-7, -2.5, np.inf, 3e38], dtype=np.float32),
+    def test_rerun_is_bit_identical(self, tmp_path, capsys):
+        args = ["simulate", "--init", "leading", "--eps", "0.2", "--sites", "128",
+                "--T", "2.0"]
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert dispatch(args + ["--out", str(a)]) == 0
+        assert dispatch(args + ["--out", str(b)]) == 0
+        assert (a / "trajectory.npz").read_bytes() == (b / "trajectory.npz").read_bytes()
+        assert _strip_timings((a / "simulate_record.txt").read_text()) == _strip_timings(
+            (b / "simulate_record.txt").read_text()
         )
-        blocks = [block, tuple(col[::-2] for col in block)]
-        _write_csv(tmp_path / "got.csv", header, blocks)
-        _per_element_csv(tmp_path / "want.csv", header,
-                         (row for cols in blocks for row in zip(*cols)))
-        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
-
-    def test_scalar_column_matches_per_element_writer(self, tmp_path):
-        # a 0-d column fills every row of its block
-        header = ("t", "j", "x", "flag")
-        blocks = [
-            (0.1, np.arange(4), np.array([0.5, -0.0, 1e22, np.nan]), np.True_),
-            (np.float64(2.5e-7), np.arange(3) - 1, np.linspace(0, 1, 3), False),
-            (np.longdouble(1) / 3, np.array([7]), np.array([np.inf]), np.bool_(True)),
-        ]
-        _write_csv(tmp_path / "got.csv", header, blocks)
-        rows = ((t, j, x, flag) for t, js, xs, flag in blocks for j, x in zip(js, xs))
-        _per_element_csv(tmp_path / "want.csv", header, rows)
-        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
-
-    def test_repeated_column_matches_per_element_writer(self, tmp_path):
-        # the same array object in consecutive blocks, then a new object
-        # of equal length, which must not be mistaken for it
-        sites = np.arange(300) - 150
-        values = np.random.default_rng(0).standard_normal((5, 300))
-        columns = [sites, sites, sites, sites[::-1].copy(), sites]
-        blocks = [(t, col, v) for t, col, v in zip(range(5), columns, values)]
-        _write_csv(tmp_path / "got.csv", ("t", "j", "r_j"), blocks)
-        rows = ((t, j, x) for t, col, v in blocks for j, x in zip(col, v))
-        _per_element_csv(tmp_path / "want.csv", ("t", "j", "r_j"), rows)
-        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 class TestConfigLayering:
@@ -446,8 +381,8 @@ class TestSweep:
         assert code == 0
         for tag in ("eps0.2", "eps0.15"):
             assert (tmp_path / f"nanopteron_{tag}_record.txt").exists()
-            assert (tmp_path / f"nanopteron_{tag}.npz").exists()
-            assert (tmp_path / f"nanopteron_{tag}.csv").exists()
+            _assert_plot_columns(tmp_path / f"nanopteron_{tag}.npz")
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_out_of_range_eps_exits_1(self, tmp_path, capsys):
         code = dispatch(["nanopteron", "--eps", "0.25", "--out", str(tmp_path)])
@@ -480,9 +415,8 @@ class TestSweep:
         code = dispatch(["nanopteron", "--sweep", ",".join(sweep), "--out", str(tmp_path)])
         assert code == 2
         assert "noise floor" in capsys.readouterr().err
-        for name in ("nanopteron_eps0.1_record.txt", "nanopteron_eps0.1.npz",
-                     "nanopteron_eps0.1.csv"):
-            assert (tmp_path / name).exists()
+        assert (tmp_path / "nanopteron_eps0.1_record.txt").exists()
+        _assert_plot_columns(tmp_path / "nanopteron_eps0.1.npz")
         record = (tmp_path / "nanopteron_eps0.1_record.txt").read_text()
         listed = record.split("[gates]\n")[1].split("\n\n")[0].splitlines()
         assert listed and all(" = PASS (" in line for line in listed)

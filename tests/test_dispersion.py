@@ -221,9 +221,9 @@ def test_varpi_symbols(symbols):
     vc = symbols.varpi_eps(eps, k) / eps**2
     ve, v0 = symbols.varpi_eps(eps, eps * k), symbols.varpi_0(k)
     # removable singularity at k = 0
-    assert vc[0] == pytest.approx(-c0**2 / eps**2, rel=1e-12)
-    assert ve[0] == pytest.approx(-(c0**2), rel=1e-12)
-    assert v0[0] == pytest.approx(-(c0**2), rel=1e-14)
+    assert vc[0] == pytest.approx(-c0**2 / eps**2, rel=1e-12, abs=0)
+    assert ve[0] == pytest.approx(-(c0**2), rel=1e-12, abs=0)
+    assert v0[0] == pytest.approx(-(c0**2), rel=1e-14, abs=0)
     # defining identity varpi_c*(c**2 k**2 - lambda_minus) + lambda_minus = 0
     c2 = c0**2 + eps**2
     lm = symbols.lambda_pm(k)[0]
@@ -240,7 +240,7 @@ def test_mode_symbols_at_resonance(symbols):
     r = symbols.find_resonance(0.1)
     M = 16
     varpi, lam_plus, xi = symbols.mode_symbols(r.c, r.eps, r.omega, M)
-    assert varpi[0] == pytest.approx(-symbols.params.sound_speed**2, rel=1e-12)
+    assert varpi[0] == pytest.approx(-symbols.params.sound_speed**2, rel=1e-12, abs=0)
     # mode 1 is the resonant mode, where the traveling-wave symbol vanishes
     assert abs(xi[1]) <= 1e-12
     k = r.eps * r.omega * np.arange(M + 1)

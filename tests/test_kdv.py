@@ -36,9 +36,9 @@ def _at(params, X):
 def test_soliton_closed_form_values(params):
     A, w = _soliton_constants(params, np.float64)
     # (9/8)*(3/2)*(8/9) = 3/2 at the origin
-    assert _at(params, 0.0)[0][0] == pytest.approx(1.5, rel=1e-14)
-    assert A == pytest.approx(1.5, rel=1e-14)
-    assert w == pytest.approx(2 * np.sqrt(4 / 27), rel=1e-14)
+    assert _at(params, 0.0)[0][0] == pytest.approx(1.5, rel=1e-14, abs=0)
+    assert A == pytest.approx(1.5, rel=1e-14, abs=0)
+    assert w == pytest.approx(2 * np.sqrt(4 / 27), rel=1e-14, abs=0)
     X = np.linspace(-10, 10, 41)
     assert np.allclose(_at(params, X)[0], _at(params, -X)[0], atol=1e-15)  # even
     # sech**2 asymptotics: sigma(X)*exp(2X/w) bounded as X grows
@@ -103,20 +103,20 @@ def test_leading_profiles_alternate_by_kappa(params):
     prof = TravelingProfile.leading_order(params, eps, 64, grid=LineGrid(256, 20.0))
     odd, even = prof.line1, prof.line2
     assert np.max(np.abs(even.values / odd.values - params.kappa)) < 1e-12
-    assert np.max(odd.values) == pytest.approx(eps**2 * 0.75, rel=1e-14)
-    assert np.max(even.values) == pytest.approx(eps**2 * 1.5, rel=1e-14)
+    assert np.max(odd.values) == pytest.approx(eps**2 * 0.75, rel=1e-14, abs=0)
+    assert np.max(even.values) == pytest.approx(eps**2 * 1.5, rel=1e-14, abs=0)
     assert odd.even_defect() < 1e-14 and even.even_defect() < 1e-14
 
 
 def test_gmwz_coefficients_and_reduction(params):
     # the continuum KdV limit's dispersion (1 - kappa + kappa**2)/(6(1 + kappa)**2)
     # reduces to the profile equation through kdv_alpha = 2*c**2*dispersion
-    assert nonlinear_strength(params) == pytest.approx(3 / 4, rel=1e-15)
+    assert nonlinear_strength(params) == pytest.approx(3 / 4, rel=1e-15, abs=0)
     for kappa in (1.5, 2.0, 5.0, 17.0):
         p = DimerParams(kappa=kappa, beta=1.0)
         want = 2 * p.sound_speed**2 * (1 - kappa + kappa**2) / (6 * (1 + kappa) ** 2)
         assert abs(p.kdv_alpha - want) <= 1e-14
-    assert params.kdv_alpha == pytest.approx(2 * (4 / 3) / 18, rel=1e-15)
+    assert params.kdv_alpha == pytest.approx(2 * (4 / 3) / 18, rel=1e-15, abs=0)
 
 
 @settings(max_examples=100, deadline=None)

@@ -180,7 +180,7 @@ class TestLeadingProfile:
 
     def test_speed_above_sound(self):
         prof = TravelingProfile.leading_order(QUAD, 0.2, 64)
-        assert prof.c == pytest.approx(np.sqrt(CK**2 + 0.04), rel=1e-14)
+        assert prof.c == pytest.approx(np.sqrt(CK**2 + 0.04), rel=1e-14, abs=0)
         assert prof.c > CK
 
     def test_eps_up_to_the_long_wave_bound(self):

@@ -44,7 +44,7 @@ def test_grid_validation():
 
 def test_grid_nodes_and_wavenumbers(grid):
     assert grid.X[0] == -20.0 and grid.X[grid.n // 2] == 0.0
-    assert grid.k[1] == pytest.approx(np.pi / 20.0, rel=1e-15)
+    assert grid.k[1] == pytest.approx(np.pi / 20.0, rel=1e-15, abs=0)
     assert grid.k.shape == (grid.n // 2 + 1,)
     assert grid.resolves_ripple(1.0)
     assert not grid.resolves_ripple(100.0)
@@ -181,7 +181,7 @@ def test_line_eval_keeps_shape_and_dtype(grid):
     flat = f.eval_at(points.ravel())
     assert np.array_equal(f.eval_at(points).ravel(), flat)
     # a lone point goes through a matrix-vector product, summed in another order
-    assert f.eval_at(points[1, 2]) == pytest.approx(flat[6], rel=1e-14)
+    assert f.eval_at(points[1, 2]) == pytest.approx(flat[6], rel=1e-14, abs=0)
     assert f.eval_at(np.longdouble(0.7)).dtype == np.longdouble
     assert f.eval_at(points.astype(np.longdouble)).dtype == np.longdouble
 
@@ -396,11 +396,11 @@ def _core_norms(g, q):
 def test_weighted_norm_variants():
     g = LineGrid(1024, 20.0)
     f, _ = _core_norms(g, 0.0)
-    assert weighted_norm(f, 0.0, 0) == pytest.approx(l2_norm(f), rel=1e-14)
+    assert weighted_norm(f, 0.0, 0) == pytest.approx(l2_norm(f), rel=1e-14, abs=0)
     for q in (0.0, 0.5 / CORE_WIDTH):
         _, want = _core_norms(g, q)
         for r in range(4):
-            assert weighted_norm(f, q, r) == pytest.approx(want[r], rel=1e-12)
+            assert weighted_norm(f, q, r) == pytest.approx(want[r], rel=1e-12, abs=0)
     with pytest.raises(InvalidParams):
         weighted_norm(f, 0.1, 5)
     with pytest.raises(InvalidParams):
@@ -416,8 +416,8 @@ def test_weighted_norm_refuses_weights_past_rounding(dtype, qw_kept, qL_max):
     q = qw_kept / CORE_WIDTH
     f, want = _core_norms(g, q)
     assert q * 60 < qL_max < 0.4 / CORE_WIDTH * 60
-    assert weighted_norm(f, q, 1) == pytest.approx(want[1], rel=1e-13)
-    assert weighted_norm(f, q, 3) == pytest.approx(want[3], rel=1e-6)
+    assert weighted_norm(f, q, 1) == pytest.approx(want[1], rel=1e-13, abs=0)
+    assert weighted_norm(f, q, 3) == pytest.approx(want[3], rel=1e-6, abs=0)
     for q_out in (qL_max * 1.005 / 60, 0.4 / CORE_WIDTH):
         with pytest.raises(InvalidParams, match=rf"^q\*L = \S+ is too large for a "
                                                 rf"{dtype.__name__} norm: the edge weight"):
