@@ -361,6 +361,26 @@ class TestSimulateCommand:
         )
 
 
+class TestCsvWriter:
+    """The archive holds, element for element, the rows of the old CSV table."""
+
+    def test_trajectory_matches_per_element_writer(self, tmp_path, capsys):
+        code = dispatch(["simulate", "--init", "leading", "--eps", "0.2",
+                         "--sites", "64", "--T", "1.0", "--snap-every", "10",
+                         "--out", str(tmp_path)])
+        assert code == 0
+        prof = TravelingProfile.leading_order(QUAD, 0.2, 64)
+        traj = simulate(QUAD, LatticeConfig(sites=64, dt=0.02, T=1.0, snap_every=10),
+                        *prof.initial())
+        want = [(traj.times[i], traj.sites[j], traj.R[i, j])
+                for i in range(len(traj.times)) for j in range(len(traj.sites))]
+        with np.load(tmp_path / "trajectory.npz") as z:
+            t, sites, r = z["t"], z["j"], z["r_j"]
+        got = [(t[i], sites[j], r[i, j]) for i in range(len(t)) for j in range(len(sites))]
+        assert len(got) == 6 * 64
+        assert got == want
+
+
 class TestConfigLayering:
     def test_flags_override_config_file_overrides_defaults(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.cfg"
