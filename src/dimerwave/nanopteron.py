@@ -12,7 +12,8 @@ resonant frequency ``+-omega_eps``.  The ansatz
     theta = (sigma, 0) + a * phi + eta
 
 (core + amplitude-``a`` ripple from the periodic family + even decaying
-corrector) turns the system into a fixed point for ``(eta_1, eta_2, a)``:
+corrector) turns the system into a fixed point for ``(eta_1, eta_2, a)``
+and the amplitude-``a`` ripple's own unknowns ``(psi_1, psi_2, t)``:
 
 * the acoustic equation is preconditioned by the localized linearization
   ``A f = f + 2 gamma1 varpi0(sigma f)`` about the core (whose kernel is the
@@ -51,7 +52,8 @@ from .errors import (
 from .kdv import core_profile, nonlinear_strength
 from .model import DimerParams
 from .nonlinear import B_eps, BQ_eps, VectorField
-from .periodic import A_MAX, PeriodicWave, solve_periodic
+from .periodic import (A_MAX, MODES, PeriodicSolver, PeriodicWave, picard, ripple_vector,
+                       solve_periodic)
 from .spectral import LineField, LineGrid, PeriodicField, sup_norm
 
 # Starting grid size, and the most grid points the solve doubles it to while
@@ -59,12 +61,7 @@ from .spectral import LineField, LineGrid, PeriodicField, sup_norm
 GRID_N = 4096
 MAX_GRID_N = 1 << 16
 
-# Outer step size at which the solve counts as converged, and the step budget.
-# The step contracts by about 0.2 per pass, so the state then sits within a
-# quarter of the last step of the fixed point.  1e-12 is tight enough that
-# the longdouble solve at eps 0.05 reaches its fixed point's relative
-# residual, 1.8e-16; 1e-10 stops it one pass early, at 2.1e-14.
-TOL = 1e-12
+# Pass budget of the fixed point (its stop test is ``periodic.TOL``).
 MAX_ITER = 60
 
 # Largest boundary value |f(-L)|/max|f| a decaying field may keep (see
@@ -226,9 +223,6 @@ class NanopteronState:
             raise InvalidParams(f"|a| = {abs(self.a):.3e} exceeds a_max = {A_MAX}")
         return self
 
-    def sup(self) -> float:
-        return max(sup_norm(self.eta1), sup_norm(self.eta2))
-
 
 @dataclass(frozen=True)
 class NanopteronConfig:
@@ -365,18 +359,19 @@ class SolverOperators:
         return LineField(self.grid, self.grid.irfft(F))
 
 
-def _full_ansatz(ops: SolverOperators, state: NanopteronState, wave: PeriodicWave):
-    """The ansatz ``(sigma, 0) + eta + a * phi`` as one mixed field."""
+def _full_ansatz(ops: SolverOperators, state: NanopteronState, ripple: VectorField):
+    """The ansatz ``(sigma, 0) + eta + ripple``, ``ripple = a * phi``, as one mixed field."""
     core_vec = VectorField.from_line(ops.sigma, LineField.zero(ops.grid))
     eta_vec = VectorField.from_line(state.eta1, state.eta2)
-    return core_vec + eta_vec + wave.as_vector(ops.grid, amplitude=state.a)
+    return core_vec + eta_vec + ripple
 
 
-def N_maps(ops: SolverOperators, state: NanopteronState, wave: PeriodicWave,
+def N_maps(ops: SolverOperators, state: NanopteronState, ripple: VectorField,
            fixed_point: str = "new"):
     """One application of the fixed-point maps; returns ``(N1, N2, N3)``.
 
-    ``W = (B + Q)`` of the full ansatz is evaluated once.  The system's
+    ``W = (B + Q)`` of the full ansatz, with ``ripple = a * phi`` (e.g.
+    ``wave.as_vector(grid, amplitude=state.a)``), is evaluated once.  The system's
     right-hand sides are ``r1 = -sigma - varpi_eps W1`` and ``r2 =
     -lambda_plus W2``.  With ``s(f) = 2 varpi0(sigma f)``, so that ``s(gamma1
     eta1 + gamma2 eta2)`` is the bilinear linearized about the core, and the
@@ -385,7 +380,8 @@ def N_maps(ops: SolverOperators, state: NanopteronState, wave: PeriodicWave,
     ``N1 = A^{-1}(r1 + s(gamma1 eta1 + gamma2 eta2) - gamma2 s(z))`` with
     ``z = N2`` ("new") or the current eta2 ("original").
     """
-    W = BQ_eps(ops.symbols, _full_ansatz(ops, state, wave), ops.eps)
+    W = BQ_eps(ops.symbols, _full_ansatz(ops, state, ripple), ops.eps)
+    del ripple  # its zero line parts need not stay alive through the A-solve
     smooth = ops._smooth_core_multiply
     r1 = -ops.sigma - W.line1.apply(ops.varpi_eps_table)
     r1_mod = r1.values + 2 * smooth(ops.gamma1 * state.eta1.values + ops.gamma2 * state.eta2.values)
@@ -404,7 +400,7 @@ def system_residual(ops: SolverOperators, state: NanopteronState, wave: Periodic
     evaluated spectrally, the periodic parts mode by mode at the wave's own
     frequency, and the two are superposed on the grid before taking the sup.
     """
-    ansatz = _full_ansatz(ops, state, wave)
+    ansatz = _full_ansatz(ops, state, wave.as_vector(ops.grid, amplitude=state.a))
     W = BQ_eps(ops.symbols, ansatz, ops.eps)
     grid, eps = ops.grid, ops.eps
     omega = wave.omega
@@ -430,7 +426,9 @@ def system_residual(ops: SolverOperators, state: NanopteronState, wave: Periodic
 class SolveDiagnostics:
     """Iteration log and converged-state measurements.
 
-    ``gmres_iterations`` is the total over every ``A``-solve of the solve.
+    ``step_history`` holds each pass's sup-norm step over all six unknowns,
+    ``ripple_solves`` counts one ripple step per pass (so equals
+    ``iterations``), and ``gmres_iterations`` totals every ``A``-solve.
     """
 
     converged: bool
@@ -438,7 +436,6 @@ class SolveDiagnostics:
     residual_sup: float
     residual_rel: float
     step_history: list
-    a_history: list
     ripple_solves: int
     gmres_iterations: int
     eta_sup: tuple
@@ -449,19 +446,21 @@ class SolveDiagnostics:
 def solve_nanopteron(params: DimerParams, eps, config: NanopteronConfig = None):
     """Solve the nanopteron fixed point; returns ``(state, wave, diagnostics)``.
 
-    One fixed-point iteration from ``(0, 0, 0)`` and the ripple at ``a = 0``,
-    whose resonance the whole solve reuses.  Each pass applies the three
-    maps, measures the state change in sup norm, checks the amplitude bound
-    and divergence, and re-solves the ripple at the new ``a``, warm-started
-    from the previous pass's ripple; it stops once the change is at most
-    ``TOL``.  So the returned ``wave.a`` equals ``state.a`` and
-    ``ripple_solves`` equals ``iterations``.
+    One Picard iteration (``periodic.picard``) of the six unknowns ``(eta1,
+    eta2, a, psi1, psi2, t)`` from zero, the ripple at ``a = 0``, whose
+    resonance the whole solve reuses.  Each pass applies the three maps
+    ``N_maps``, checks the amplitude bound and divergence, and takes one
+    ripple step (``PeriodicSolver.maps``) at the new ``a``; it stops once the
+    change is at most ``periodic.TOL``.  The returned wave is the ripple
+    solved cold (``solve_periodic``) at the final amplitude, so ``wave.a``
+    equals ``state.a`` and the wave passes every check of a ripple solve.
 
     Raises
     ------
     NoConvergence
         If the iteration budget is exhausted, the state diverges, or the
-        amplitude escapes ``|a| <= periodic.A_MAX``.
+        amplitude escapes ``|a| <= periodic.A_MAX``; and as ``solve_periodic``
+        does at the final amplitude.
     UnresolvedCorrector
         (an ``InvalidParams``) If the converged corrector fails
         ``NanopteronState.validate``: it is not even, or has not decayed to
@@ -473,48 +472,37 @@ def solve_nanopteron(params: DimerParams, eps, config: NanopteronConfig = None):
     config = config or NanopteronConfig()
     dt = config.dtype
     eps = dt(eps)
-    wave = solve_periodic(params, eps, dt(0.0))
+    ripple = PeriodicSolver(params, eps)
     grid = LineGrid(GRID_N, config.L, dtype=dt)
-    while not grid.resolves_ripple(wave.resonance.omega) and grid.n < MAX_GRID_N:
+    while not grid.resolves_ripple(ripple.resonance.omega) and grid.n < MAX_GRID_N:
         grid = LineGrid(2 * grid.n, config.L, dtype=dt)
-    ops = SolverOperators(params, eps, grid, resonance=wave.resonance)
-    state = NanopteronState(LineField.zero(grid), LineField.zero(grid), dt(0.0))
+    ops = SolverOperators(params, eps, grid, resonance=ripple.resonance)
     core_peak = sup_norm(ops.sigma)
-    step_history, a_history = [], []
-    for iterations in range(1, MAX_ITER + 1):
-        eta1_new, eta2_new, a_new = N_maps(ops, state, wave, config.fixed_point)
-        step = max(
-            sup_norm(eta1_new - state.eta1),
-            sup_norm(eta2_new - state.eta2),
-            abs(a_new - state.a),
-        )
-        state = NanopteronState(eta1_new, eta2_new, a_new)
-        step_history.append(float(step))
-        a_history.append(float(a_new))
-        # checked before the ripple solve, which refuses |a| > A_MAX itself
-        if not abs(state.a) <= A_MAX:
-            raise NoConvergence(
-                f"ripple amplitude |a| = {abs(state.a):.3e} escaped the ansatz "
-                f"region a_max = {A_MAX}"
-            )
-        if state.sup() > 1e3 * core_peak:
+
+    def one_pass(x):
+        eta1, eta2, a, psi1, psi2, t = x
+        eta1, eta2, a = N_maps(ops, NanopteronState(eta1, eta2, a),
+                               ripple_vector(grid, (psi1, psi2), ops.resonance.omega + t, a),
+                               config.fixed_point)
+        if not abs(a) <= A_MAX:
+            raise NoConvergence(f"ripple amplitude |a| = {abs(a):.3e} escaped the ansatz "
+                                f"region a_max = {A_MAX}")
+        if max(sup_norm(eta1), sup_norm(eta2)) > 1e3 * core_peak:
             raise NoConvergence("corrector diverged past 1e3 * core amplitude")
-        wave = solve_periodic(params, eps, state.a, start=wave)
-        if step <= TOL:
-            break
-    else:
-        raise NoConvergence(
-            f"nanopteron solve did not reach tol={TOL} in "
-            f"{MAX_ITER} outer iterations (last step {step_history[-1]:.2e})"
-        )
+        return (eta1, eta2, a) + ripple.maps((psi1, psi2), t, a)
+
+    per0 = PeriodicField.zero(MODES, dtype=dt)
+    x, iterations, steps = picard(one_pass, (LineField.zero(grid), LineField.zero(grid), dt(0.0),
+                                             per0, per0, dt(0.0)), MAX_ITER, "nanopteron solve")
+    state = NanopteronState(*x[:3])
+    wave = solve_periodic(params, eps, state.a)
     residual = system_residual(ops, state, wave)
     diagnostics = SolveDiagnostics(
         converged=True,
         iterations=iterations,
         residual_sup=float(residual),
         residual_rel=float(residual / core_peak),
-        step_history=step_history,
-        a_history=a_history,
+        step_history=steps,
         ripple_solves=iterations,
         gmres_iterations=ops.gmres_iterations,
         eta_sup=(sup_norm(state.eta1), sup_norm(state.eta2)),

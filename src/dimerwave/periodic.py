@@ -20,10 +20,10 @@ coefficients alone (``BQ_ripple``), with no line grid.  All three maps are
 projections of the same evaluation, so each Picard step
 (``PeriodicSolver.maps``) evaluates the nonlinearity and the mode symbols
 once, and the residual of the full system reuses that evaluation.  The maps
-contract for small ``a``; plain Picard iteration converges, from (0, 0, 0)
-or from a solved ripple at a nearby amplitude (whose resonance is then
-reused), at one cosine cutoff ``MODES``, and the converged state is reported
-with the residual of the full system.
+contract for small ``a``; plain Picard iteration (``picard``, the package's
+one fixed-point driver) converges from (0, 0, 0) at one cosine cutoff
+``MODES``, and the converged state is reported with the residual of the full
+system.
 
 The corrector's optical component has no fundamental-mode content (the
 kernel direction is carried entirely by ``nu``); that normalization is what
@@ -44,7 +44,9 @@ from .nonlinear import BQ_ripple, VectorField
 from .spectral import LineGrid, PeriodicField
 
 
-# Picard step size at which the ripple counts as converged, and the step budget.
+# Picard step size at which a fixed point counts as converged (the longdouble
+# nanopteron at eps 0.05 then reaches its relative residual 1.8e-16; 1e-10
+# stops it one pass early, at 2.1e-14), and the ripple's step budget.
 TOL = 1e-12
 MAX_ITER = 200
 
@@ -93,7 +95,7 @@ class PeriodicWave:
     def as_vector(self, grid: LineGrid, amplitude=None) -> VectorField:
         """``amplitude * phi`` as a pure-ripple two-component field."""
         amp = self.a if amplitude is None else amplitude
-        return VectorField.from_periodic(grid, *_phi((self.psi1, self.psi2), amp), self.omega)
+        return ripple_vector(grid, (self.psi1, self.psi2), self.omega, amp)
 
 
 def _phi(psi, scale):
@@ -103,11 +105,39 @@ def _phi(psi, scale):
     return scale * psi[0], PeriodicField(scale * nu2)
 
 
+def ripple_vector(grid: LineGrid, psi, omega, a) -> VectorField:
+    """``a * phi`` of frequency ``omega`` as a pure-ripple two-component field."""
+    return VectorField.from_periodic(grid, *_phi(psi, a), omega)
+
+
+def _sup(x) -> float:
+    """Sup norm of a line field's samples, a cosine series' coefficients, or a scalar."""
+    return float(np.max(np.abs(getattr(x, "values", getattr(x, "coeffs", x)))))
+
+
+def picard(step, x, budget, what, check=None):
+    """Iterate ``x = step(x)`` on a tuple ``x`` of fields and scalars.
+
+    A step's size is the largest sup-norm change of any entry.  Returns
+    ``(x, iterations, steps)`` at the first step of at most ``TOL``;
+    ``check(steps)`` runs after each step that does not, and may raise, and
+    ``budget`` steps without convergence raise ``NoConvergence``.
+    """
+    steps = []
+    for iterations in range(1, budget + 1):
+        new = step(x)
+        steps.append(max(_sup(n - o) for n, o in zip(new, x)))
+        x = new
+        if steps[-1] <= TOL:
+            return x, iterations, steps
+        if check is not None:
+            check(steps)
+    raise NoConvergence(f"{what} did not reach tol={TOL} in {budget} iterations "
+                        f"(last step {steps[-1]:.2e})")
+
+
 class PeriodicSolver:
     """Fixed-point maps and Picard driver for one (params, eps) slice.
-
-    ``start`` is a solved wave of the same slice: Picard then starts from
-    its ``(psi1, psi2, t)``, and its resonance is reused.
 
     Raises ``InvalidParams`` for eps outside ``(0, EPS_MAX]`` or with
     ``eps**2`` below ``1e8`` machine epsilons of its dtype: ``varpi_eps``
@@ -115,10 +145,8 @@ class PeriodicSolver:
     relative error: 8.0e-4 at eps 1e-7 in float64, and infinite from 1e-8 down.
     """
 
-    def __init__(self, params: DimerParams, eps: float, start: PeriodicWave = None):
+    def __init__(self, params: DimerParams, eps: float):
         check_long_wave(eps)
-        if start is not None and (start.params != params or start.eps != eps):
-            raise InvalidParams("a warm start must come from the same params and eps")
         # carry the precision of eps (e.g. longdouble) through the whole solve
         dt = np.asarray(eps).dtype
         self._dtype = dt.type if dt.kind == "f" else np.float64
@@ -131,8 +159,7 @@ class PeriodicSolver:
             )
         self.eps = eps
         self.symbols = SymbolSet(params)
-        self.start = start
-        self.resonance = self.symbols.find_resonance(eps) if start is None else start.resonance
+        self.resonance = self.symbols.find_resonance(eps)
 
     def _evaluate(self, psi, t, a):
         """The system's nonlinearity and mode symbols at state (psi, t, a).
@@ -190,46 +217,30 @@ class PeriodicSolver:
         return max(np.max(np.abs(res1)), np.max(np.abs(res2)))
 
     def iterate(self, a):
-        """Picard iteration of ``maps`` from ``(0, 0, 0)``, or from the warm start.
+        """Picard iteration of ``maps`` from ``(0, 0, 0)``.
 
-        Returns ``((psi1, psi2, t), iterations, worst_ratio)``.  Raises
-        ``NoConvergence`` if the steps stop contracting or ``MAX_ITER`` steps
-        do not reach ``TOL``.
+        Returns ``((psi1, psi2, t), iterations, worst_ratio)``, the largest
+        ratio of consecutive steps.  Raises ``NoConvergence`` if the steps
+        stop contracting or ``MAX_ITER`` steps do not reach ``TOL``.
         """
-        if self.start is None:
-            zero = PeriodicField.zero(MODES, dtype=self._dtype)
-            st = (zero, zero, self._dtype(0.0))
-        else:
-            st = (self.start.psi1, self.start.psi2, self.start.t)
-        prev_step = None
-        worst_ratio = 0.0
-        for it in range(1, MAX_ITER + 1):
-            new = self.maps(st[:2], st[2], a)
-            step = max(
-                float(np.max(np.abs(new[0].coeffs - st[0].coeffs))),
-                float(np.max(np.abs(new[1].coeffs - st[1].coeffs))),
-                abs(new[2] - st[2]),
-            )
-            ratio = step / prev_step if (prev_step not in (None, 0.0)) else 0.0
-            worst_ratio = max(worst_ratio, ratio)
-            st = new
-            if step <= TOL:
-                return st, it, worst_ratio
-            if ratio >= 1.0 and it > 5 and step > 100 * TOL:
+
+        def contracting(steps):
+            if len(steps) > 5 and steps[-1] >= steps[-2] and steps[-1] > 100 * TOL:
                 raise NoConvergence(
-                    f"picard ratio {ratio:.3f} >= 1 at iteration {it}; "
+                    f"picard ratio {steps[-1] / steps[-2]:.3f} >= 1 at iteration {len(steps)}; "
                     "amplitude outside the contraction regime"
                 )
-            prev_step = step
-        raise NoConvergence(f"ripple solve did not reach tol={TOL} in {MAX_ITER} iterations")
+
+        zero = PeriodicField.zero(MODES, dtype=self._dtype)
+        st, iterations, steps = picard(lambda x: self.maps(x[:2], x[2], a),
+                                       (zero, zero, self._dtype(0.0)), MAX_ITER,
+                                       "ripple solve", contracting)
+        worst_ratio = max((s / p for p, s in zip(steps, steps[1:])), default=0.0)
+        return st, iterations, worst_ratio
 
 
-def solve_periodic(params: DimerParams, eps: float, a: float,
-                   start: PeriodicWave = None) -> PeriodicWave:
+def solve_periodic(params: DimerParams, eps: float, a: float) -> PeriodicWave:
     """Solve the ripple family at one amplitude, at the mode cutoff ``MODES``.
-
-    ``start``, a solved wave of the same ``(params, eps)``, warm-starts the
-    solve (see ``PeriodicSolver``).
 
     Raises
     ------
@@ -243,7 +254,7 @@ def solve_periodic(params: DimerParams, eps: float, a: float,
     """
     if not abs(a) <= A_MAX:
         raise InvalidParams(f"amplitude must be finite with |a| <= a_max={A_MAX}, got a={a}")
-    solver = PeriodicSolver(params, eps, start)
+    solver = PeriodicSolver(params, eps)
     (psi1, psi2, t), iters, ratio = solver.iterate(a)
     peak = max(psi1.coeffs @ psi1.coeffs, psi2.coeffs @ psi2.coeffs) ** 0.5
     top = 3 * (MODES + 1) // 4

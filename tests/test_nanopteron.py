@@ -324,7 +324,7 @@ class TestSolve:
         state.validate()
 
     def test_reference_solve_counts(self, solved02):
-        # pins the outer loop's pass count; every pass re-solves the ripple
+        # pins the outer loop's pass count; every pass takes one ripple step
         _, _, diag = solved02
         assert (diag.iterations, diag.ripple_solves, diag.gmres_iterations) == (15, 15, 150)
         assert diag.ripple_solves == diag.iterations
@@ -332,7 +332,7 @@ class TestSolve:
     def test_converged_state_is_fixed_point(self, solved02):
         state, wave, diag = solved02
         ops = SolverOperators(QUAD, 0.2, LineGrid(4096, 60.0))
-        eta1, eta2, a = N_maps(ops, state, wave)
+        eta1, eta2, a = N_maps(ops, state, wave.as_vector(ops.grid, amplitude=state.a))
         assert sup_norm(eta1 - state.eta1) < 5e-12
         assert sup_norm(eta2 - state.eta2) < 5e-12
         assert abs(a - state.a) < 5e-12
@@ -353,7 +353,8 @@ class TestSolve:
         for eps in (0.2, 0.1, 0.05):
             ops = SolverOperators(QUAD, eps, grid)
             wave = solve_periodic(QUAD, eps, 0.0)
-            _, _, a1 = N_maps(ops, zero_state(grid), wave)
+            state = zero_state(grid)
+            _, _, a1 = N_maps(ops, state, wave.as_vector(grid, amplitude=state.a))
             mags.append(abs(a1))
         assert mags[0] > mags[1] > mags[2]
         assert mags[1] / mags[0] > mags[2] / mags[1]
@@ -374,9 +375,10 @@ class TestSolve:
         assert sup_norm(state_new.eta2 - state_orig.eta2) < 1e-11
         assert abs(state_new.a - state_orig.a) < 1e-11
 
-    def test_ripple_resolves_warm_from_one_resonance(self, monkeypatch):
-        # the a = 0 ripple's resonance serves the whole solve, and each warm
-        # re-solve lands on the cold solve's ripple at the final amplitude
+    def test_ripple_resolved_cold_once_after_the_fixed_point(self, monkeypatch):
+        # the fixed point carries the ripple; one cold ripple solve at the
+        # final amplitude follows it, so the resonance is found twice per
+        # solve whatever the pass count
         find = SymbolSet.find_resonance
         calls = []
 
@@ -386,12 +388,11 @@ class TestSolve:
 
         monkeypatch.setattr(SymbolSet, "find_resonance", counting)
         state, wave, diag = solve_nanopteron(QUAD, 0.15)
-        assert len(calls) == 1 and diag.ripple_solves > 1
+        assert len(calls) == 2 and diag.ripple_solves > 2
         cold = solve_periodic(QUAD, 0.15, state.a)
-        M = max(wave.psi1.M, cold.psi1.M)
-        for warm_psi, cold_psi in ((wave.psi1, cold.psi1), (wave.psi2, cold.psi2)):
-            assert np.max(np.abs(warm_psi.pad_to(M).coeffs - cold_psi.pad_to(M).coeffs)) < 1e-13
-        assert abs(wave.t - cold.t) < 1e-13
+        assert np.array_equal(wave.psi1.coeffs, cold.psi1.coeffs)
+        assert np.array_equal(wave.psi2.coeffs, cold.psi2.coeffs)
+        assert wave.t == cold.t
 
     def test_gmres_iterations_total_every_A_solve(self, monkeypatch):
         counts = []
@@ -427,7 +428,20 @@ class TestSolve:
 
     def test_iteration_budget_raises(self, monkeypatch):
         monkeypatch.setattr(nanopteron, "MAX_ITER", 2)
-        with pytest.raises(NoConvergence):
+        with pytest.raises(NoConvergence, match=r"^nanopteron solve did not reach tol=\S+ in 2 "
+                                                 r"iterations \(last step \S+\)$"):
+            solve_nanopteron(QUAD, 0.2)
+
+    def test_diverging_corrector_raises(self, monkeypatch):
+        # a corrector that doubles every pass is refused once it passes
+        # 1e3 times the core's peak, before the budget runs out
+        def growing(ops, state, ripple, fixed_point="new"):
+            eta1 = state.eta1 * 2.0 if sup_norm(state.eta1) else ops.sigma
+            return eta1, state.eta2, state.a
+
+        monkeypatch.setattr(nanopteron, "N_maps", growing)
+        with pytest.raises(NoConvergence,
+                           match=r"^corrector diverged past 1e3 \* core amplitude$"):
             solve_nanopteron(QUAD, 0.2)
 
     def test_grid_resolution_gate(self):

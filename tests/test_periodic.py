@@ -196,7 +196,18 @@ class TestSolve:
     def test_iteration_budget_raises(self, monkeypatch):
         monkeypatch.setattr(periodic, "MAX_ITER", 2)
         with pytest.raises(NoConvergence, match=r"^ripple solve did not reach tol=\S+ in 2 "
-                                                 r"iterations$"):
+                                                 r"iterations \(last step \S+\)$"):
+            solve_periodic(QUAD, 0.1, 1e-3)
+
+    def test_growing_steps_raise(self, monkeypatch):
+        # maps whose step doubles each iteration stop contracting: refused
+        # once past the fifth step, long before the budget runs out
+        def growing(solver, psi, t, a):
+            return psi[0], psi[1], 2 * t if t else 1e-6
+
+        monkeypatch.setattr(PeriodicSolver, "maps", growing)
+        with pytest.raises(NoConvergence, match=r"^picard ratio 2\.000 >= 1 at iteration 6; "
+                                                 r"amplitude outside the contraction regime$"):
             solve_periodic(QUAD, 0.1, 1e-3)
 
     def test_unresolved_tail_raises_naming_tail_and_cutoff(self, monkeypatch):
@@ -207,6 +218,30 @@ class TestSolve:
         with pytest.raises(NoConvergence, match=r"^coefficient tail \S+ exceeds 0\.00e\+00 "
                                                  r"at the mode cutoff 32$"):
             solve_periodic(CUBIC, 0.1, 1e-3)
+
+
+class TestPicard:
+    @staticmethod
+    def halving(x):
+        # steps 1, 1/2, 1/4, ... in the array entry; the scalar lags by one
+        return x[0] / 2, x[0][0] / 2
+
+    def test_stops_at_first_step_within_tol(self):
+        checked = []
+        x, iterations, steps = periodic.picard(
+            self.halving, (np.array([2.0, -2.0]), 0.0), 100, "halving",
+            lambda steps: checked.append(len(steps)),
+        )
+        assert steps == [2.0 ** -k for k in range(iterations)]
+        assert steps[-1] <= periodic.TOL < steps[-2]
+        assert iterations == 41 and np.array_equal(x[0], [2.0 ** -40, -(2.0 ** -40)])
+        # check sees every step but the converging one
+        assert checked == list(range(1, iterations))
+
+    def test_budget_message(self):
+        with pytest.raises(NoConvergence, match=r"^halving did not reach tol=1e-12 in 3 "
+                                                 r"iterations \(last step 2\.50e-01\)$"):
+            periodic.picard(self.halving, (np.array([2.0]), 0.0), 3, "halving")
 
 
 class TestWaveRecord:
