@@ -34,10 +34,10 @@ pipeline:
   points on the solver's default n = 4096, L = 60 grid.
 - ``rk4``: the ring integrator with cubic spring remainders, in ns per
   site-step (wall time over sites x ``--steps``).
-- ``output``: ``stegoton_diagnostics`` (with the ripple wavenumber, as the
-  ``simulate`` record computes it) and ``save_trajectory``, the
-  ``trajectory.npz`` archive ``simulate`` writes, in ms, with its bytes, on
-  the ring-4096 trajectory: the float64 eps = 0.2 nanopteron on 4096 sites,
+- ``output``: ``stegoton_diagnostics`` of the solved profile (which lifts
+  its ripple line, as the ``simulate`` record does) and ``save_trajectory``,
+  the ``trajectory.npz`` archive ``simulate`` writes, in ms, with its bytes,
+  on the ring-4096 trajectory: the float64 eps = 0.2 nanopteron on 4096 sites,
   run to 20/c with 25 steps between snapshots.
 """
 
@@ -185,11 +185,10 @@ def bench_rk4(repeats, steps):
 
 def bench_output(repeats, eps=0.2, sites=4096):
     state, wave, _ = solve_nanopteron(PARAMS, eps)
-    prof = TravelingProfile.from_nanopteron(PARAMS, eps, state, wave, sites)
+    prof = TravelingProfile.from_nanopteron(state, wave, sites)
     config = LatticeConfig(sites=sites, dt=0.02, T=20.0 / prof.c, snap_every=25)
     traj = simulate(PARAMS, config, *prof.initial())
-    diag = best_of(repeats, lambda: stegoton_diagnostics(
-        traj, prof.core_width_sites(), ripple_wavenumber=eps * prof.omega))
+    diag = best_of(repeats, lambda: stegoton_diagnostics(traj, prof))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trajectory.npz"
         write = best_of(repeats, lambda: save_trajectory(path, traj))

@@ -130,13 +130,13 @@ class RunRecord:
 # -- solution and trajectory files --------------------------------------------
 
 
-def save_solution(path, params: DimerParams, eps, state, wave):
+def save_solution(path, state, wave):
     """Archive a solved nanopteron so ``simulate`` can reconstruct it.
 
     ``X`` and ``sigma`` (the grid and the KdV core on it) sit beside the
     correctors ``eta1`` and ``eta2`` for plotting; ``load_solution`` ignores them.
     """
-    grid = state.eta1.grid
+    params, grid = wave.params, state.eta1.grid
     np.savez(
         path,
         schema=SCHEMA_SOLUTION,
@@ -144,7 +144,7 @@ def save_solution(path, params: DimerParams, eps, state, wave):
         beta=params.beta,
         n1=np.asarray(params.n1, dtype=np.float64),
         n2=np.asarray(params.n2, dtype=np.float64),
-        eps=float(eps),
+        eps=float(wave.eps),
         grid_n=grid.n,
         grid_L=grid.L,
         X=np.asarray(grid.X, dtype=np.float64),
@@ -174,14 +174,14 @@ def save_trajectory(path, traj):
 
 
 def load_solution(path):
-    """Rebuild ``(params, eps, state, wave)`` from a solution archive.
+    """Rebuild ``(state, wave)`` from a solution archive.
 
     Raises
     ------
     InvalidParams
         If the file is not an ``.npz`` archive, lacks a key, holds a
-        non-finite number, or describes an invalid solution; the message
-        names the file and, where one is at fault, the key.
+        non-finite number, or describes an invalid solution (say, ``a`` and
+        ``wave_a`` differ); the message names the file and any key at fault.
     """
     try:
         archive = np.load(path)
@@ -199,6 +199,9 @@ def load_solution(path):
         if str(z["schema"]) != SCHEMA_SOLUTION:
             raise InvalidParams(f"unknown solution schema {z['schema']!r}")
         n = int(z["grid_n"])
+        if z["a"] != z["wave_a"]:
+            raise InvalidParams(f"key 'a' = {float(z['a'])!r} differs from key 'wave_a' = "
+                                f"{float(z['wave_a'])!r}, the amplitude the ring reads")
         for key in ("eta1", "eta2"):
             if z[key].shape != (n,):
                 raise InvalidParams(f"key {key!r} has shape {z[key].shape}, not ({n},)")
@@ -229,7 +232,7 @@ def load_solution(path):
         raise InvalidParams(f"{path}: missing key {exc}") from exc
     except (InvalidParams, TypeError, ValueError) as exc:
         raise InvalidParams(f"{path}: {exc}") from exc
-    return params, eps, state, wave
+    return state, wave
 
 
 # -- configuration ------------------------------------------------------------
@@ -394,7 +397,7 @@ def cmd_nanopteron(cfg) -> int:
             print(f"eps = {eps:g}: solver did not converge")
             continue
         state, wave = solved
-        save_solution(out / f"nanopteron_{tag}.npz", params, eps, state, wave)
+        save_solution(out / f"nanopteron_{tag}.npz", state, wave)
         print(f"eps = {eps:g}: a = {state.a:.6e}")
         rec.print_gates()
         if not rec.all_passed:
@@ -406,27 +409,23 @@ def cmd_nanopteron(cfg) -> int:
 
 def cmd_simulate(cfg) -> int:
     if cfg["init"] == "leading":
-        params = _params(cfg)
-        eps = cfg["eps"]
-        prof = TravelingProfile.leading_order(params, eps, cfg["sites"])
-        ripple_k = None
+        prof = TravelingProfile.leading_order(_params(cfg), cfg["eps"], cfg["sites"])
     else:
         if not Path(cfg["init"]).exists():
             raise InvalidParams(f"--init: no such solution file {cfg['init']!r}")
-        params, eps, state, wave = load_solution(cfg["init"])
-        saved = dict(kappa=params.kappa, beta=params.beta, eps=eps)
+        state, wave = load_solution(cfg["init"])
+        saved = dict(kappa=wave.params.kappa, beta=wave.params.beta, eps=wave.eps)
         for key in sorted(cfg["given"] & saved.keys()):
             if cfg[key] != saved[key]:
                 raise InvalidParams(
                     f"{key} = {cfg[key]!r} differs from {key} = {saved[key]!r} of the solution "
                     f"file {cfg['init']!r}, which sets it; leave {key} unset")
         cfg = dict(cfg, **saved)
-        prof = TravelingProfile.from_nanopteron(params, eps, state, wave, cfg["sites"])
-        ripple_k = eps * prof.omega
+        prof = TravelingProfile.from_nanopteron(state, wave, cfg["sites"])
     horizon = cfg["T"] if cfg["T"] is not None else 20.0 / prof.c
     if cfg["T"] is None and horizon < cfg["dt"] < np.inf:  # LatticeConfig names a bad dt
         raise InvalidParams(
-            f"eps = {eps!r} makes the default horizon T = 20/c = {horizon:g} shorter than "
+            f"eps = {prof.eps!r} makes the default horizon T = 20/c = {horizon:g} shorter than "
             f"one step dt = {cfg['dt']!r}; set --T or use a smaller --dt")
     lat = LatticeConfig(sites=cfg["sites"], dt=cfg["dt"], T=horizon,
                         snap_every=cfg["snap_every"])
@@ -434,9 +433,9 @@ def cmd_simulate(cfg) -> int:
         _record_config(cfg, ("eps", "init", "sites", "dt", "snap_every")), T=horizon))
     r0, v0 = prof.initial()
     t0 = time.perf_counter()
-    traj = simulate(params, lat, r0, v0)
+    traj = simulate(prof.params, lat, r0, v0)
     rec.timings["integrate"] = time.perf_counter() - t0
-    rows, measured = gates.ring(params, prof, traj, ripple_k)
+    rows, measured = gates.ring(prof, traj)
     rec.summary.update(speed=prof.c, steps=int(round(horizon / cfg["dt"])), **measured)
     rec.add(rows)
     out = _outdir(cfg)

@@ -180,7 +180,7 @@ def periodic_family(params, eps=0.1, amplitude=1e-3):
     waves = [solve_periodic(params, eps, a) for a in amps]
     omegas = np.array([w.omega for w in waves])
     lipschitz = np.max(np.abs(np.diff(omegas) / np.diff(amps)))
-    linear = abs(waves[0].omega - SymbolSet(params).find_resonance(eps).omega)
+    linear = abs(waves[0].omega - waves[0].resonance.omega)
     return periodic(waves[-1]) + [
         ("linear_frequency", linear <= 1e-12,
          f"|omega(a=0) - omega_eps| = {linear:.3e} <= 1e-12"),
@@ -202,23 +202,22 @@ def nanopteron(eps, diag):
     ]
 
 
-def ring(params, prof, traj, ripple_wavenumber=None):
+def ring(prof, traj):
     """Rows for one ring run, and the numbers its run record summarises.
 
-    A leading-order profile (no ``ripple_wavenumber``) is held to a shape
-    error of 5e-2; a solved one to 1e-3 and to peak ratios within 2% of kappa.
+    A leading-order profile (``prof.omega == 0``) is held to a shape error
+    of 5e-2; a solved one to 1e-3 and to peak ratios within 2% of kappa.
     """
     err = lattice.shape_error(traj, prof)
     drift = traj.energy_drift()
-    rep = lattice.stegoton_diagnostics(traj, prof.core_width_sites(),
-                                       ripple_wavenumber=ripple_wavenumber)
-    shape_bound = 5e-2 if ripple_wavenumber is None else 1e-3
+    rep = lattice.stegoton_diagnostics(traj, prof)
+    shape_bound = 1e-3 if prof.omega else 5e-2
     rows = [
         ("shape_error", err <= shape_bound, f"{err:.3e} <= {shape_bound:g}"),
         ("energy_drift", drift <= 1e-8, f"{drift:.3e} <= 1e-8"),
     ]
-    if ripple_wavenumber is not None:
-        ratio_dev = float(np.max(np.abs(rep.ratios - params.kappa) / params.kappa))
+    if prof.omega:
+        ratio_dev = float(np.max(np.abs(rep.ratios - prof.params.kappa) / prof.params.kappa))
         rows.append(("peak_ratio", ratio_dev <= 0.02,
                      f"max deviation {ratio_dev * 100:.2f}% <= 2%"))
     summary = dict(shape_error=err, energy_drift=drift, ratio_min=float(rep.ratios.min()),
@@ -227,15 +226,15 @@ def ring(params, prof, traj, ripple_wavenumber=None):
     return rows, summary
 
 
-def lattice_runs(params, eps, state, wave, sites=512):
+def lattice_runs(state, wave, sites=512):
     """The solved wave and the leading-order one, each run for 20 core transits."""
-    solved = lattice.TravelingProfile.from_nanopteron(params, eps, state, wave, sites)
-    lead = lattice.TravelingProfile.leading_order(params, eps, sites)
+    solved = lattice.TravelingProfile.from_nanopteron(state, wave, sites)
+    lead = lattice.TravelingProfile.leading_order(wave.params, wave.eps, sites)
     rows = []
-    for prof, k, prefix in ((solved, eps * solved.omega, ""), (lead, None, "leading_")):
+    for prof, prefix in ((solved, ""), (lead, "leading_")):
         config = lattice.LatticeConfig(sites=sites, dt=0.02, T=20.0 / prof.c, snap_every=50)
-        traj = lattice.simulate(params, config, *prof.initial())
-        run_rows, _ = ring(params, prof, traj, k)
+        traj = lattice.simulate(prof.params, config, *prof.initial())
+        run_rows, _ = ring(prof, traj)
         rows += [(prefix + name, passed, detail) for name, passed, detail in run_rows]
     return rows
 
@@ -320,6 +319,6 @@ def table(params: DimerParams, eps):
     else:
         solved[rung] = (state, diag)
         yield _named("nanopteron", nanopteron(eps, diag))
-        yield _run("lattice", lattice_runs, params, eps, state, wave)
+        yield _run("lattice", lattice_runs, state, wave)
         yield _run("fixed_point", fixed_point_forms, params, eps, state)
     yield _run("amplitude", amplitude_decay, params, DECAY_LADDER, solved)

@@ -156,21 +156,20 @@ class TravelingProfile:
                    np.zeros(1), np.zeros(1), sites)
 
     @classmethod
-    def from_nanopteron(cls, params: DimerParams, eps, state: NanopteronState,
-                        wave: PeriodicWave, sites: int):
+    def from_nanopteron(cls, state: NanopteronState, wave: PeriodicWave, sites: int):
         """Displacement profiles of a solved core + ripple + corrector triple.
 
-        The ripple frequency is snapped to the nearest ring mode
-        (relative detuning below pi/(sites * eps * omega)): the decaying parts
-        vanish at the wrap, but an incommensurate ripple leaves a velocity
-        jump at the seam that radiates at the full ripple amplitude and
-        swamps the traveling-shape comparison.
+        ``params``, ``eps`` and the amplitude ``a`` are the wave's.  The
+        ripple frequency is snapped to the nearest ring mode (relative
+        detuning below pi/(sites * eps * omega)): the decaying parts vanish at
+        the wrap, but an incommensurate ripple leaves a velocity jump at the
+        seam that radiates at the full ripple amplitude and swamps the
+        traveling-shape comparison.
         """
+        params, eps = wave.params, wave.eps
         grid = state.eta1.grid
         sigma, _ = core_profile(params, grid)
-        ansatz = VectorField.from_line(sigma + state.eta1, state.eta2) + wave.as_vector(
-            grid, amplitude=state.a
-        )
+        ansatz = VectorField.from_line(sigma + state.eta1, state.eta2) + wave.as_vector(grid)
         p = apply_J(SymbolSet(params), eps, ansatz) * (float(eps) ** 2)
         K = float(eps) * float(wave.omega)
         K = 2 * np.pi * round(K * sites / (2 * np.pi)) / sites
@@ -459,19 +458,19 @@ class StegotonReport:
         self.ratios = self.even_peaks / self.odd_peaks
 
 
-def stegoton_diagnostics(traj: LatticeTrajectory, core_width: float,
-                         ripple_wavenumber: float | None = None) -> StegotonReport:
+def stegoton_diagnostics(traj: LatticeTrajectory, profile: TravelingProfile) -> StegotonReport:
     """Even/odd peak amplitudes, their ratio, and the far-field ripple size.
 
-    ``core_width`` is the core half-width in lattice units; the tail
-    amplitude is the largest |r_j| further than three widths from the crest.
-    Passing the per-site ``ripple_wavenumber`` (``eps * omega`` of the
-    profile) enables alias-corrected crest estimates; without it the ripple
-    folds below the comb Nyquist and the ratio wobbles by roughly the
-    relative ripple amplitude.
+    The tail amplitude is the largest |r_j| further than three core widths
+    (``profile.core_width_sites()``) from the crest.  The crest estimates
+    lift the profile's ripple line at its per-site wavenumber ``eps *
+    omega`` (``_line_corrected_peak``); blind to it, the ripple would fold
+    below the comb Nyquist and the ratio wobble by roughly the relative
+    ripple amplitude.  A leading-order profile has ``omega = 0`` and no line.
     """
     odd = traj.odd
-    wavenumber = ripple_wavenumber or 0.0
+    core_width = profile.core_width_sites()
+    wavenumber = profile.eps * profile.omega
     even_peaks, odd_peaks, tails = [], [], []
     J = len(traj.sites)
     for i in range(len(traj.times)):

@@ -52,8 +52,8 @@ from .errors import (
 from .kdv import core_profile, nonlinear_strength
 from .model import DimerParams
 from .nonlinear import B_eps, BQ_eps, VectorField
-from .periodic import (A_MAX, MODES, PeriodicSolver, PeriodicWave, picard, ripple_vector,
-                       solve_periodic)
+from .periodic import (A_MAX, EPS_MAX, MODES, PeriodicSolver, PeriodicWave, picard,
+                       ripple_vector, solve_periodic)
 from .spectral import LineField, LineGrid, PeriodicField, sup_norm
 
 # Starting grid size, and the most grid points the solve doubles it to while
@@ -271,10 +271,13 @@ class SolverOperators:
         self.symbols = SymbolSet(params)
         self.resonance = resonance if resonance is not None else self.symbols.find_resonance(self.eps)
         if not grid.resolves_ripple(self.resonance.omega):
+            lowest = float(self.symbols.find_resonance(EPS_MAX).omega)  # omega falls as eps grows
+            advice = ("so use a larger eps" if LineGrid(MAX_GRID_N, grid.L).resolves_ripple(lowest)
+                      else f"too few even at eps = EPS_MAX = {EPS_MAX} (omega = {lowest:.2f})")
             raise InvalidParams(
                 f"grid spacing {grid.dx:.4f} on {grid.n} points cannot resolve the ripple "
                 f"at omega = {float(self.resonance.omega):.2f}; solve_nanopteron refines "
-                f"its grid up to {MAX_GRID_N} points, so use a larger eps"
+                f"its grid up to {MAX_GRID_N} points, {advice}"
             )
         self.sigma, self.sigma_slope = core_profile(params, grid)
         kap, beta = dt(params.kappa), dt(params.beta)
@@ -371,7 +374,7 @@ def N_maps(ops: SolverOperators, state: NanopteronState, ripple: VectorField,
     """One application of the fixed-point maps; returns ``(N1, N2, N3)``.
 
     ``W = (B + Q)`` of the full ansatz, with ``ripple = a * phi`` (e.g.
-    ``wave.as_vector(grid, amplitude=state.a)``), is evaluated once.  The system's
+    ``wave.as_vector(grid)``), is evaluated once.  The system's
     right-hand sides are ``r1 = -sigma - varpi_eps W1`` and ``r2 =
     -lambda_plus W2``.  With ``s(f) = 2 varpi0(sigma f)``, so that ``s(gamma1
     eta1 + gamma2 eta2)`` is the bilinear linearized about the core, and the
@@ -400,7 +403,7 @@ def system_residual(ops: SolverOperators, state: NanopteronState, wave: Periodic
     evaluated spectrally, the periodic parts mode by mode at the wave's own
     frequency, and the two are superposed on the grid before taking the sup.
     """
-    ansatz = _full_ansatz(ops, state, wave.as_vector(ops.grid, amplitude=state.a))
+    ansatz = _full_ansatz(ops, state, wave.as_vector(ops.grid))
     W = BQ_eps(ops.symbols, ansatz, ops.eps)
     grid, eps = ops.grid, ops.eps
     omega = wave.omega

@@ -92,10 +92,9 @@ class PeriodicWave:
     contraction_ratio: float
     converged: bool
 
-    def as_vector(self, grid: LineGrid, amplitude=None) -> VectorField:
-        """``amplitude * phi`` as a pure-ripple two-component field."""
-        amp = self.a if amplitude is None else amplitude
-        return ripple_vector(grid, (self.psi1, self.psi2), self.omega, amp)
+    def as_vector(self, grid: LineGrid) -> VectorField:
+        """``a * phi`` as a pure-ripple two-component field."""
+        return ripple_vector(grid, (self.psi1, self.psi2), self.omega, self.a)
 
 
 def _phi(psi, scale):

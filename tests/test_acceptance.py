@@ -98,7 +98,7 @@ def test_c09_ripple_amplitude_beyond_all_orders():
 def test_c10_lattice_validation(solved02):
     t0 = time.perf_counter()
     state, wave, _ = solved02
-    _check("10 lattice validation", gates.lattice_runs(QUAD, 0.2, state, wave, 512),
+    _check("10 lattice validation", gates.lattice_runs(state, wave, 512),
            t0, 300.0)
 
 

@@ -30,8 +30,8 @@ def _strip_timings(text: str) -> str:
 
 def _assert_plot_columns(path):
     """The solution archive's ``X`` and ``sigma`` are its grid and KdV core."""
-    params, _, state, _ = load_solution(path)
-    grid = state.eta1.grid
+    state, wave = load_solution(path)
+    params, grid = wave.params, state.eta1.grid
     with np.load(path) as z:
         assert np.array_equal(z["X"], grid.X)
         assert np.array_equal(z["sigma"], core_profile(params, grid)[0].values)
@@ -157,6 +157,17 @@ class TestDispatch:
         assert dispatch(["nanopteron", "--eps", "1e-3", "--out", str(tmp_path)]) == 2
         assert "refines its grid up to 65536 points" in capsys.readouterr().err
 
+    def test_unresolvable_ripple_at_the_eps_bound_advises_no_larger_eps(self, tmp_path, capsys):
+        # omega = Omega/eps falls as eps grows, but at kappa 1e5 even EPS_MAX
+        # leaves it above what the 65536-point grid resolves (omega < 428.9)
+        argv = ["nanopteron", "--kappa", "1e5", "--eps", "0.5", "--out", str(tmp_path)]
+        assert dispatch(argv) == 2
+        err = capsys.readouterr().err
+        assert re.search(r"cannot resolve the ripple at omega = 596\.29; solve_nanopteron "
+                         r"refines its grid up to 65536 points, too few even at eps = EPS_MAX = "
+                         r"0\.5 \(omega = 596\.29\)\n$", err)
+        assert "larger eps" not in err
+
     def test_module_entry_point(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "dimerwave.cli", "dispersion",
@@ -219,9 +230,9 @@ class TestSolutionRoundtrip:
     def test_save_load_preserves_fields(self, tmp_path, solved02):
         state, wave, _ = solved02
         path = tmp_path / "sol.npz"
-        save_solution(path, QUAD, 0.2, state, wave)
-        params, eps, state2, wave2 = load_solution(path)
-        assert params == QUAD and eps == 0.2
+        save_solution(path, state, wave)
+        state2, wave2 = load_solution(path)
+        assert wave2.params == QUAD and wave2.eps == 0.2
         assert np.array_equal(state2.eta1.values, state.eta1.values)
         assert np.array_equal(state2.eta2.values, state.eta2.values)
         assert state2.a == state.a
@@ -232,10 +243,10 @@ class TestSolutionRoundtrip:
     def test_reconstruction_matches_original(self, tmp_path, solved02):
         state, wave, _ = solved02
         path = tmp_path / "sol.npz"
-        save_solution(path, QUAD, 0.2, state, wave)
-        params, eps, state2, wave2 = load_solution(path)
-        a = TravelingProfile.from_nanopteron(QUAD, 0.2, state, wave, 64).initial()
-        b = TravelingProfile.from_nanopteron(params, eps, state2, wave2, 64).initial()
+        save_solution(path, state, wave)
+        state2, wave2 = load_solution(path)
+        a = TravelingProfile.from_nanopteron(state, wave, 64).initial()
+        b = TravelingProfile.from_nanopteron(state2, wave2, 64).initial()
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
@@ -244,12 +255,13 @@ class TestBadSolutionArchive:
         ("missing_key", "missing key 'psi1'"),
         ("not_npz", "not a solution archive"),
         ("nan_eta1", "key 'eta1' holds a non-finite value"),
-    ], ids=["missing_key", "not_npz", "nan_eta1"])
+        ("amplitudes_differ", "differs from key 'wave_a'"),
+    ], ids=["missing_key", "not_npz", "nan_eta1", "amplitudes_differ"])
     def test_exits_2_naming_file_and_key(self, tmp_path, solved02, capsys,
                                          defect, message):
         state, wave, _ = solved02
         path = tmp_path / "sol.npz"
-        save_solution(path, QUAD, 0.2, state, wave)
+        save_solution(path, state, wave)
         with np.load(path) as z:
             data = {k: z[k] for k in z.files}
         if defect == "missing_key":
@@ -257,6 +269,9 @@ class TestBadSolutionArchive:
             np.savez(path, **data)
         elif defect == "not_npz":
             path.write_text("not an archive\n")
+        elif defect == "amplitudes_differ":
+            data["a"] = 2 * data["a"]
+            np.savez(path, **data)
         else:
             data["eta1"] = data["eta1"].copy()
             data["eta1"][len(data["eta1"]) // 2] = np.nan
@@ -272,7 +287,7 @@ class TestSimulateCommand:
     def test_from_solution_file(self, tmp_path, solved02, capsys):
         state, wave, _ = solved02
         sol = tmp_path / "sol.npz"
-        save_solution(sol, QUAD, 0.2, state, wave)
+        save_solution(sol, state, wave)
         code = dispatch(["simulate", "--init", str(sol), "--sites", "512",
                          "--T", "5.0", "--out", str(tmp_path)])
         assert code == 0
@@ -285,7 +300,7 @@ class TestSimulateCommand:
         """A solution archive at kappa 3, beta -1, eps 0.2 (not the defaults)."""
         params = DimerParams(kappa=3.0, beta=-1.0)
         path = tmp_path_factory.mktemp("kappa3") / "sol.npz"
-        save_solution(path, params, 0.2, *solve_nanopteron(params, 0.2)[:2])
+        save_solution(path, *solve_nanopteron(params, 0.2)[:2])
         return path
 
     @pytest.mark.parametrize("flags", [
@@ -322,7 +337,7 @@ class TestSimulateCommand:
         # must refuse it rather than cut it off at the window's edge
         state, wave, _ = solved02
         sol = tmp_path / "sol.npz"
-        save_solution(sol, QUAD, 0.2, state, wave)
+        save_solution(sol, state, wave)
         with np.load(sol) as z:
             data = {k: z[k] for k in z.files}
         data["eta1"] = data["eta1"] + 1e-3

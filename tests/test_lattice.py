@@ -119,7 +119,7 @@ def _crest_pair(values, wavenumber):
 def ring02(solved02):
     """The reference validation run: 512 sites, horizon 20/c_eps."""
     state, wave, _ = solved02
-    prof = TravelingProfile.from_nanopteron(QUAD, 0.2, state, wave, 512)
+    prof = TravelingProfile.from_nanopteron(state, wave, 512)
     r0, v0 = prof.initial()
     cfg = LatticeConfig(sites=512, dt=0.02, T=20.0 / prof.c, snap_every=50)
     return prof, simulate(QUAD, cfg, r0, v0)
@@ -447,16 +447,17 @@ class TestTravelingWave:
 
     def test_peak_ratio_within_two_percent(self, ring02):
         prof, traj = ring02
-        rep = stegoton_diagnostics(traj, prof.core_width_sites(),
-                                   ripple_wavenumber=0.2 * prof.omega)
+        rep = stegoton_diagnostics(traj, prof)
         assert np.max(np.abs(rep.ratios - 2.0) / 2.0) <= 0.02
 
     def test_peak_ratio_blind_estimate_close(self, ring02):
         # without the alias correction the ripple folds below the comb
         # Nyquist and wobbles the crest at its own amplitude
-        prof, traj = ring02
-        rep = stegoton_diagnostics(traj, prof.core_width_sites())
-        assert np.max(np.abs(rep.ratios - 2.0) / 2.0) <= 0.05
+        _, traj = ring02
+        odd = traj.odd
+        ratios = np.array([_line_corrected_peak(r[~odd], 2.0, 0.0)
+                           / _line_corrected_peak(r[odd], 2.0, 0.0) for r in traj.R])
+        assert np.max(np.abs(ratios - 2.0) / 2.0) <= 0.05
 
     @pytest.mark.parametrize("with_line", [True, False])
     def test_crest_window_matches_full_upsample(self, ring02, with_line):
@@ -516,8 +517,7 @@ class TestTravelingWave:
     def test_ripple_tail_scale(self, ring02, solved02):
         state, _, _ = solved02
         prof, traj = ring02
-        rep = stegoton_diagnostics(traj, prof.core_width_sites(),
-                                   ripple_wavenumber=0.2 * prof.omega)
+        rep = stegoton_diagnostics(traj, prof)
         scaled = rep.tail_amplitudes / (abs(state.a) * 0.04)
         assert np.all((scaled > 1.0) & (scaled < 20.0))
 
@@ -540,7 +540,7 @@ class TestTravelingWave:
 
     def test_ring_commensurate_snap(self, solved02):
         state, wave, _ = solved02
-        prof = TravelingProfile.from_nanopteron(QUAD, 0.2, state, wave, 512)
+        prof = TravelingProfile.from_nanopteron(state, wave, 512)
         winding = 0.2 * prof.omega * 512 / (2 * np.pi)
         assert winding == pytest.approx(round(winding), abs=1e-9)
         assert abs(prof.omega - float(wave.omega)) / float(wave.omega) < 2e-2
@@ -551,7 +551,7 @@ class TestTravelingWave:
         # site inside the window |X| < L and zero outside it, and the ripple
         # series as dense cos/sin matrices, np.where picking each parity
         state, wave, _ = solved02
-        prof = TravelingProfile.from_nanopteron(QUAD, 0.2, state, wave, 512)
+        prof = TravelingProfile.from_nanopteron(state, wave, 512)
         X = prof.eps * ((prof.sites - prof.c * t + 256) % 512 - 256)
         inside = np.abs(X) < prof.line1.grid.L
         m = np.arange(len(prof.per1))
@@ -573,14 +573,13 @@ class TestTravelingWave:
     def test_ring_wider_than_window_passes_512_site_gates(self, solved02):
         # 4096 sites hold 6.8 line windows (2L/eps = 600 sites): one core, no images
         state, wave, _ = solved02
-        prof = TravelingProfile.from_nanopteron(QUAD, 0.2, state, wave, 4096)
+        prof = TravelingProfile.from_nanopteron(state, wave, 4096)
         r0, v0 = prof.initial()
         cfg = LatticeConfig(sites=4096, dt=0.02, T=20.0 / prof.c, snap_every=50)
         traj = simulate(QUAD, cfg, r0, v0)
         assert shape_error(traj, prof) <= 1e-3
         assert traj.energy_drift() <= 1e-8
-        rep = stegoton_diagnostics(traj, prof.core_width_sites(),
-                                   ripple_wavenumber=0.2 * prof.omega)
+        rep = stegoton_diagnostics(traj, prof)
         assert np.max(np.abs(rep.ratios - 2.0) / 2.0) <= 0.02
 
     def test_undecayed_line_field_rejected(self):
@@ -592,7 +591,7 @@ class TestTravelingWave:
 
     def test_zero_time_sample_kept_and_copied(self, solved02):
         state, wave, _ = solved02
-        prof = TravelingProfile.from_nanopteron(QUAD, 0.2, state, wave, 512)
+        prof = TravelingProfile.from_nanopteron(state, wave, 512)
         first = prof.sample(0.0)
         want = first.copy()
         first[:] = 0.0  # callers get a copy; the kept sample is untouched
@@ -604,7 +603,7 @@ class TestTravelingWave:
 @pytest.fixture(scope="module")
 def ring01():
     state, wave, _ = solve_nanopteron(QUAD, 0.1)
-    prof = TravelingProfile.from_nanopteron(QUAD, 0.1, state, wave, 512)
+    prof = TravelingProfile.from_nanopteron(state, wave, 512)
     r0, v0 = prof.initial()
     cfg = LatticeConfig(sites=512, dt=0.02, T=8.0 / prof.c, snap_every=100)
     return prof, simulate(QUAD, cfg, r0, v0)
@@ -613,8 +612,7 @@ def ring01():
 class TestSmallEps:
     def test_peak_ratio_at_eps_01(self, ring01):
         prof, traj = ring01
-        rep = stegoton_diagnostics(traj, prof.core_width_sites(),
-                                   ripple_wavenumber=0.1 * prof.omega)
+        rep = stegoton_diagnostics(traj, prof)
         assert np.max(np.abs(rep.ratios - 2.0) / 2.0) <= 0.02
 
     def test_shape_error_at_eps_01(self, ring01):
