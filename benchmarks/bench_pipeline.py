@@ -31,7 +31,8 @@ pipeline:
   its ``a``, ``residual_rel``, iteration counts, and the coefficient x point
   products its Clenshaw sweeps hold and run.
 - ``line_eval``: ``LineField.eval_at``, in ms per call, at 512 and 2048
-  points on the solver's default n = 4096, L = 60 grid.
+  points on the solver's default n = 4096, L = 60 grid.  The points are an
+  arithmetic progression, as ring sites are, so they take the chirp-z path.
 - ``rk4``: the ring integrator with cubic spring remainders, in ns per
   site-step (wall time over sites x ``--steps``).
 - ``output``: ``stegoton_diagnostics`` of the solved profile (which lifts

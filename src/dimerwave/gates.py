@@ -23,7 +23,7 @@ from .errors import (DegenerateSolvability, LinearSolveFailure, NoConvergence,
 from .kdv import core_profile, kdv_residual
 from .model import DimerParams
 from .nanopteron import NanopteronConfig, SolverOperators, solve_nanopteron
-from .periodic import solve_periodic
+from .periodic import PeriodicSolver
 from .spectral import LineField, LineGrid, conjugated_multiplier, l2_norm, sup_norm
 
 # Solves that end in one of these give a failed row instead of an exit.
@@ -177,7 +177,8 @@ def periodic_family(params, eps=0.1, amplitude=1e-3):
     At ``a = 0`` the frequency is the resonance's; it moves Lipschitz in ``a``.
     """
     amps = np.linspace(0.0, amplitude, 9)
-    waves = [solve_periodic(params, eps, a) for a in amps]
+    solver = PeriodicSolver(params, eps)  # one resonance for every amplitude
+    waves = [solver.solve(a) for a in amps]
     omegas = np.array([w.omega for w in waves])
     lipschitz = np.max(np.abs(np.diff(omegas) / np.diff(amps)))
     linear = abs(waves[0].omega - waves[0].resonance.omega)

@@ -182,7 +182,11 @@ class TravelingProfile:
 
         Each parity class is evaluated only at its own sites: odd sites sample
         the first component, even sites the second.  Offsets wrap into the
-        ring; the decaying part is sampled inside the line window only.
+        ring; the decaying part is sampled inside the line window only.  A
+        class's offsets inside the window are a rotation of one ascending
+        progression (the seam falls outside the window, or the window covers
+        the whole ring), so they are sampled rolled to start at their
+        minimum, which ``LineField.eval_at`` takes as one chirp-z transform.
         """
         n = len(self.sites)
         offset = self.sites - self.c * t
@@ -195,7 +199,9 @@ class TravelingProfile:
             x = X[sel]
             inside = np.abs(x) < L
             v = np.zeros(x.shape)
-            v[inside] = lines[k].eval_at(x[inside])
+            xs = x[inside]
+            first = int(np.argmin(xs))
+            v[inside] = np.roll(lines[k].eval_at(np.roll(xs, -first)), first)
             if self._ripples is not None:
                 ripple, theta = self._ripples[k], self.omega * x
                 if derivative:
@@ -412,7 +418,11 @@ def _line_corrected_peak(values, spacing: float, wavenumber: float):
     the crest slides between sites; band-limited interpolation (circular)
     recovers the crest height to the comb's aliasing level.  It is evaluated
     by ``spectral.trig_interpolate`` only on the window ``_OFFSETS`` (in
-    ``1/_FACTOR`` comb spacings) about the comb's maximum.
+    ``1/_FACTOR`` comb spacings) about the comb's maximum.  The window is not
+    wrapped into the comb: the interpolant is periodic on it, so a maximum
+    at either end reads across the seam, and the window stays one
+    arithmetic progression, which ``trig_interpolate`` takes as a chirp-z
+    transform with no matrix product.
 
     A ripple whose per-site wavenumber exceeds the comb Nyquist aliases
     under blind band-limited interpolation, smearing the crest estimate by
@@ -436,7 +446,7 @@ def _line_corrected_peak(values, spacing: float, wavenumber: float):
             line = np.conj(line)
         F[b] = 0.0
     i0 = int(np.argmax(values))
-    x = spacing * ((i0 * _FACTOR + _OFFSETS) % (n * _FACTOR)) / _FACTOR  # from sample 0
+    x = spacing * (i0 * _FACTOR + _OFFSETS) / _FACTOR  # from sample 0, unwrapped
     k = (2.0 * np.pi / (n * spacing)) * np.arange(len(F))
     fine = trig_interpolate(F, n, k, x)
     if lifted:

@@ -53,7 +53,7 @@ from .kdv import core_profile, nonlinear_strength
 from .model import DimerParams
 from .nonlinear import B_eps, BQ_eps, VectorField
 from .periodic import (A_MAX, EPS_MAX, MODES, PeriodicSolver, PeriodicWave, picard,
-                       ripple_vector, solve_periodic)
+                       ripple_vector)
 from .spectral import LineField, LineGrid, PeriodicField, sup_norm
 
 # Starting grid size, and the most grid points the solve doubles it to while
@@ -455,15 +455,16 @@ def solve_nanopteron(params: DimerParams, eps, config: NanopteronConfig = None):
     ``N_maps``, checks the amplitude bound and divergence, and takes one
     ripple step (``PeriodicSolver.maps``) at the new ``a``; it stops once the
     change is at most ``periodic.TOL``.  The returned wave is the ripple
-    solved cold (``solve_periodic``) at the final amplitude, so ``wave.a``
-    equals ``state.a`` and the wave passes every check of a ripple solve.
+    solved cold (``PeriodicSolver.solve``, on the solve's own solver and its
+    resonance) at the final amplitude, so ``wave.a`` equals ``state.a`` and
+    the wave passes every check of a ripple solve.
 
     Raises
     ------
     NoConvergence
         If the iteration budget is exhausted, the state diverges, or the
-        amplitude escapes ``|a| <= periodic.A_MAX``; and as ``solve_periodic``
-        does at the final amplitude.
+        amplitude escapes ``|a| <= periodic.A_MAX``; and as
+        ``PeriodicSolver.solve`` does at the final amplitude.
     UnresolvedCorrector
         (an ``InvalidParams``) If the converged corrector fails
         ``NanopteronState.validate``: it is not even, or has not decayed to
@@ -498,7 +499,7 @@ def solve_nanopteron(params: DimerParams, eps, config: NanopteronConfig = None):
     x, iterations, steps = picard(one_pass, (LineField.zero(grid), LineField.zero(grid), dt(0.0),
                                              per0, per0, dt(0.0)), MAX_ITER, "nanopteron solve")
     state = NanopteronState(*x[:3])
-    wave = solve_periodic(params, eps, state.a)
+    wave = ripple.solve(state.a)
     residual = system_residual(ops, state, wave)
     diagnostics = SolveDiagnostics(
         converged=True,

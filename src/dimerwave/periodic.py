@@ -237,45 +237,49 @@ class PeriodicSolver:
         worst_ratio = max((s / p for p, s in zip(steps, steps[1:])), default=0.0)
         return st, iterations, worst_ratio
 
+    def solve(self, a) -> PeriodicWave:
+        """The checked ripple at amplitude ``a``, at the mode cutoff ``MODES``.
+
+        Raises
+        ------
+        InvalidParams
+            Unless ``a`` is finite with ``|a|`` at most the contraction-region
+            bound ``A_MAX``, or if the converged frequency shift has ``|t| > 1``.
+        NoConvergence
+            If Picard iteration stops contracting or exhausts its budget, or the
+            top quarter of the coefficients exceeds the tail bound (see ``MODES``).
+        """
+        if not abs(a) <= A_MAX:
+            raise InvalidParams(f"amplitude must be finite with |a| <= a_max={A_MAX}, got a={a}")
+        (psi1, psi2, t), iters, ratio = self.iterate(a)
+        peak = max(psi1.coeffs @ psi1.coeffs, psi2.coeffs @ psi2.coeffs) ** 0.5
+        top = 3 * (MODES + 1) // 4
+        tail = max(float(np.max(np.abs(f.coeffs[top:]))) for f in (psi1, psi2))
+        bound = max(TAIL_ABS, TAIL_REL * max(peak, 1e-30))
+        if not tail <= bound:
+            raise NoConvergence(
+                f"coefficient tail {tail:.2e} exceeds {bound:.2e} at the mode cutoff {MODES}"
+            )
+        if not abs(t) <= 1:
+            raise InvalidParams(f"frequency shift |t| must be <= 1, got t = {t}")
+        return PeriodicWave(
+            params=self.symbols.params,
+            eps=self.eps,
+            a=a,
+            t=t,
+            omega=self.resonance.omega + t,
+            psi1=psi1,
+            psi2=psi2,
+            resonance=self.resonance,
+            residual=self.system_residual((psi1, psi2), t, a),
+            iterations=iters,
+            contraction_ratio=ratio,
+            converged=True,
+        )
+
 
 def solve_periodic(params: DimerParams, eps: float, a: float) -> PeriodicWave:
-    """Solve the ripple family at one amplitude, at the mode cutoff ``MODES``.
-
-    Raises
-    ------
-    InvalidParams
-        Unless ``a`` is finite with ``|a|`` at most the contraction-region
-        bound ``A_MAX``, for an eps ``PeriodicSolver`` refuses, or if the
-        converged frequency shift has ``|t| > 1``.
-    NoConvergence
-        If Picard iteration stops contracting or exhausts its budget, or the
-        top quarter of the coefficients exceeds the tail bound (see ``MODES``).
-    """
-    if not abs(a) <= A_MAX:
-        raise InvalidParams(f"amplitude must be finite with |a| <= a_max={A_MAX}, got a={a}")
-    solver = PeriodicSolver(params, eps)
-    (psi1, psi2, t), iters, ratio = solver.iterate(a)
-    peak = max(psi1.coeffs @ psi1.coeffs, psi2.coeffs @ psi2.coeffs) ** 0.5
-    top = 3 * (MODES + 1) // 4
-    tail = max(float(np.max(np.abs(f.coeffs[top:]))) for f in (psi1, psi2))
-    bound = max(TAIL_ABS, TAIL_REL * max(peak, 1e-30))
-    if not tail <= bound:
-        raise NoConvergence(
-            f"coefficient tail {tail:.2e} exceeds {bound:.2e} at the mode cutoff {MODES}"
-        )
-    if not abs(t) <= 1:
-        raise InvalidParams(f"frequency shift |t| must be <= 1, got t = {t}")
-    return PeriodicWave(
-        params=params,
-        eps=eps,
-        a=a,
-        t=t,
-        omega=solver.resonance.omega + t,
-        psi1=psi1,
-        psi2=psi2,
-        resonance=solver.resonance,
-        residual=solver.system_residual((psi1, psi2), t, a),
-        iterations=iters,
-        contraction_ratio=ratio,
-        converged=True,
-    )
+    """Solve the ripple family at one amplitude: ``PeriodicSolver(params,
+    eps).solve(a)``, which raises ``InvalidParams`` or ``NoConvergence`` as
+    that constructor and method do."""
+    return PeriodicSolver(params, eps).solve(a)

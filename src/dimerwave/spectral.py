@@ -14,7 +14,11 @@ Conventions fixed repo-wide:
 * ``trig_interpolate`` is the one band-limited interpolant of equispaced
   periodic samples: ``LineField.eval_at`` transfers line fields to lattice
   sites through it, and the lattice's crest estimate reads its parity combs
-  through it.
+  through it.  Points in arithmetic progression (ring sites, crest windows,
+  a lone point) are one chirp-z transform, an FFT convolution with the
+  chirp phases reduced exactly modulo a turn; other points are a
+  baby-step/giant-step matrix product.  So sampling a ring runs no BLAS
+  product, whose threads would spin after it and cost CPU time.
 * Periodic fields are even 2*pi-periodic profiles stored as cosine
   coefficients: ``f(th) = sum_j coeffs[j]*cos(j*th)``.  Since
   ``cos(j*th) = T_j(cos th)``, such a series (and its derivative, through
@@ -189,7 +193,9 @@ class LineField:
 
         Exact (to rounding) for any function band-limited to the grid; this is
         how profiles are transferred to lattice sites.  It is
-        ``trig_interpolate`` of the samples at ``y = X + L`` from ``X_0 = -L``.
+        ``trig_interpolate`` of the samples at ``y = X + L`` from ``X_0 = -L``,
+        so points in arithmetic progression (ascending or not) take its
+        chirp-z path, and any others its matrix product.
         """
         return trig_interpolate(self.grid.rfft(self.values), self.grid.n, self.grid.k,
                                 np.asarray(X) + self.grid.L)
@@ -203,23 +209,109 @@ def trig_interpolate(F, n: int, k, y):
     (``2*pi/dk`` is the period).  With ``G_0 = F_0`` and ``G_j = 2*F_j`` for
     ``0 < j < n/2``, the value is ``Re sum_j G_j exp(i*k_j*y) / n``: for even
     ``n`` the Nyquist bin ``F_{n/2}`` is split between its two images, and
-    for odd ``n`` every bin past the first is an ordinary one.  Splitting
-    ``j = a*B + b`` with ``B = ceil(sqrt(len(F)))`` factors the phase (baby
-    step/giant step): the inner sums over ``b`` are one
-    ``(points x B) @ (B x A)`` product, so only ``points*(A + B)`` complex
-    exponentials are taken instead of a dense ``points x len(F)`` table.
-    The result has the shape of ``y``.
+    for odd ``n`` every bin past the first is an ordinary one.  The result
+    has the shape of ``y``.
+
+    When the flattened ``y`` is an arithmetic progression to within 4 units
+    of rounding of ``max|y|`` (``_progression``; a lone point is one), the
+    sum is a chirp-z transform, taken as Bluestein's FFT convolution
+    (``_chirp_z``) with its phases reduced exactly.  Other points go through
+    the baby-step/giant-step product ``_baby_giant``.  Lattice sites and
+    crest windows are progressions, so sampling a ring runs no BLAS matrix
+    product, whose threads would spin after it.
     """
-    modes = len(F)
+    G = F.copy()
+    G[1:(n + 1) // 2] *= 2
+    y = np.asarray(y)
+    flat = y.ravel()
+    fit = _progression(flat)
+    out = _baby_giant(G, k, flat) if fit is None else _chirp_z(G, k, flat[0], *fit)
+    return (out / n).reshape(y.shape)[()]
+
+
+def _progression(y):
+    """``(step, dev)`` with ``y[m] = y[0] + m*step + dev[m]`` when every
+    ``|dev[m]|`` is at most 4 units of rounding of ``max|y|``, else None (also
+    for no points or a non-finite one).
+
+    ``step`` is the chord ``(y[-1] - y[0])/(len(y) - 1)`` (0 for a lone
+    point), and both are formed in ``np.longdouble``, so the progression
+    through the rounded points is known beyond their own precision.
+    """
+    if y.size == 0:
+        return None
+    first = np.longdouble(y[0])
+    step = (y[-1] - first) / (y.size - 1) if y.size > 1 else 0 * first
+    dev = y - (first + np.arange(y.size) * step)
+    tol = 4 * np.finfo(np.result_type(y, 1.0)).eps * np.max(np.abs(y))
+    return (step, dev) if np.max(np.abs(dev)) <= tol else None
+
+
+def _chirp_z(G, k, start, step, dev):
+    """``Re sum_j G_j exp(i*k_j*y_m)`` at ``y_m = start + m*step + dev[m]``, by
+    Bluestein's chirp-z transform (Rabiner, Schafer & Rader 1969).
+
+    With ``w_l = exp(i*dk*step*l**2/2)``, ``j*m = (j**2 + m**2 - (m - j)**2)/2``
+    makes the sum at ``dev = 0`` ``w_m * sum_j (G_j exp(i*k_j*start) w_j)
+    conj(w_{m-j})``, one linear convolution, taken by FFTs of a power-of-two
+    length at least ``len(G) + len(dev) - 1``.  The same convolution of
+    ``i*k_j`` times the first factor gives the slope (two more transforms),
+    and ``dev`` times the slope moves each value onto its own point.  ``dk``
+    is read off the top bin, ``k[-1]/(len(G) - 1)``, where a mismatch with
+    ``k`` would cost the most phase.  The phases are counted in turns of
+    ``dk*start`` and ``dk*step*l**2/2``, each reduced exactly modulo 1
+    (``_turns``), so none carries a rounding that grows with ``l``.
+    """
+    modes, points = len(G), len(dev)
+    dtype = np.result_type(start, k, 1.0).type
+    turn = np.longdouble(k[-1]) / ((modes - 1) * 8 * np.arctan(np.longdouble(1)))  # dk in turns
+    two_pi = 8 * np.arctan(dtype(1))
+    w = np.exp(1j * two_pi * _turns(turn * step / 2, 2, max(modes, points), dtype))
+    size = 1 << (modes + points - 2).bit_length()
+    a = np.zeros((2, size), w.dtype)
+    a[0, :modes] = G * np.exp(1j * two_pi * _turns(turn * start, 1, modes, dtype)) * w[:modes]
+    a[1, :modes] = 1j * k * a[0, :modes]
+    b = np.zeros(size, w.dtype)
+    b[:points] = w[:points].conj()
+    b[size - modes + 1:] = w[modes - 1:0:-1].conj()
+    value, slope = (w[:points] * np.fft.ifft(np.fft.fft(a) * np.fft.fft(b))[:, :points]).real
+    return value + dev.astype(dtype) * slope
+
+
+def _turns(beta, power: int, count: int, dtype):
+    """``beta * l**power`` modulo 1 for l = 0..count-1, in ``dtype``, with no
+    rounding that grows with ``l``.
+
+    ``beta`` comes in ``np.longdouble``.  It splits into a high part with few
+    enough significant bits that its product with every ``l**power`` (an
+    integer) is exact in ``dtype``, reduced by ``np.modf``, and a low
+    remainder whose product is smaller than ``beta`` by the bits cut off.
+    """
+    ints = np.arange(count, dtype=np.int64) ** power
+    bits = np.finfo(dtype).nmant + 1 - int(ints[-1]).bit_length()
+    mant, exp = np.frexp(beta)
+    hi = np.ldexp(np.round(np.ldexp(mant, bits)), exp - bits)
+    ints = ints.astype(dtype)
+    return np.modf(dtype(hi) * ints)[0] + dtype(beta - hi) * ints
+
+
+def _baby_giant(G, k, y):
+    """``Re sum_j G_j exp(i*k_j*y)`` at arbitrary points ``y`` (one axis).
+
+    Splitting ``j = a*B + b`` with ``B = ceil(sqrt(len(G)))`` factors the
+    phase (baby step/giant step): the inner sums over ``b`` are one
+    ``(points x B) @ (B x A)`` product, so only ``points*(A + B)`` complex
+    exponentials are taken instead of a dense ``points x len(G)`` table.
+    """
+    modes = len(G)
     B = math.isqrt(modes - 1) + 1  # ceil(sqrt(modes))
     A = -(-modes // B)
-    G = np.zeros(A * B, dtype=F.dtype)
-    G[:modes] = F
-    G[1:(n + 1) // 2] *= 2
+    Gab = np.zeros(A * B, dtype=G.dtype)
+    Gab[:modes] = G
     baby = np.exp(1j * np.multiply.outer(y, k[:B]))
     giant = np.exp(1j * np.multiply.outer(y, k[::B]))
-    inner = baby @ G.reshape(A, B).T
-    return np.sum(giant * inner, axis=-1).real / n
+    inner = baby @ Gab.reshape(A, B).T
+    return np.sum(giant * inner, axis=-1).real
 
 
 class PeriodicField:

@@ -10,6 +10,7 @@ fourth-order step scaling for the integrator itself.
 import numpy as np
 import pytest
 
+from dimerwave import spectral
 from dimerwave.dispersion import SymbolSet
 from dimerwave.errors import InvalidParams, NoConvergence
 from dimerwave.kdv import core_profile
@@ -107,6 +108,17 @@ def _full_upsample_peak(values, spacing, wavenumber, factor=16):
         return float(y1)
     d = 0.5 * (y0 - y2) / denom
     return float(y1 - 0.25 * (y0 - y2) * d)
+
+
+@pytest.fixture
+def no_point_product(monkeypatch):
+    """Make ``trig_interpolate``'s arbitrary-point product raise: every
+    sample taken under it must be a progression, a chirp-z transform."""
+
+    def refuse(*args):
+        raise AssertionError("sampled points that are not a progression")
+
+    monkeypatch.setattr(spectral, "_baby_giant", refuse)
 
 
 def _crest_pair(values, wavenumber):
@@ -477,8 +489,9 @@ class TestTravelingWave:
         return 1 / np.cosh(dist / 2.0) ** 2 + 1e-3 * np.cos(wavenumber * 2.0 * i + 0.4)
 
     @pytest.mark.parametrize("crest", [0.3, -0.2, 255.2, 254.7])
-    def test_crest_window_across_the_seam(self, crest):
-        # comb maximum at index 0 or n - 1: the window wraps round the ring
+    def test_crest_window_across_the_seam(self, crest, no_point_product):
+        # comb maximum at index 0 or n - 1: the window runs past the comb's
+        # end, unwrapped, and is still one progression
         n = 256
         k = 2 * np.pi * 40 / (n * 2.0)
         comb = self._synthetic_comb(n, crest, k)
@@ -537,6 +550,19 @@ class TestTravelingWave:
         # after 300 sites the core has crossed the seam at j = 256, so the
         # reference must re-enter on the far side (unwrapped, it reads 0.97)
         assert self._leading_order_shape_error(300.0) <= 5e-2
+
+    @pytest.mark.parametrize("sites", [4096, 512])
+    def test_ring_sampling_is_chirp_z(self, sites, no_point_product):
+        # each parity class is sampled as one progression: on 4096 sites the
+        # line window (600 sites at eps 0.2) lies inside the ring, on 512 it
+        # is wider, so every site is inside and the class is a rotated one
+        prof = TravelingProfile.leading_order(QUAD, 0.2, sites)
+        r0, v0 = prof.initial()
+        assert np.all(np.isfinite(prof.sample(7.3)))
+        traj = simulate(QUAD, LatticeConfig(sites=sites, dt=0.02, T=0.4, snap_every=10), r0, v0)
+        assert shape_error(traj, prof) <= 5e-2
+        rep = stegoton_diagnostics(traj, prof)
+        assert np.all(np.abs(rep.ratios - 2.0) <= 0.1)
 
     def test_ring_commensurate_snap(self, solved02):
         state, wave, _ = solved02
