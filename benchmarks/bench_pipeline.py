@@ -33,8 +33,9 @@ pipeline:
 - ``line_eval``: ``LineField.eval_at``, in ms per call, at 512 and 2048
   points on the solver's default n = 4096, L = 60 grid.  The points are an
   arithmetic progression, as ring sites are, so they take the chirp-z path.
-- ``rk4``: the ring integrator with cubic spring remainders, in ns per
-  site-step (wall time over sites x ``--steps``).
+- ``rk4``: the ring integrator in ns per site-step (wall time over sites x
+  ``--steps``), with the quadratic law every ``simulate`` ring runs and with
+  cubic spring remainders.
 - ``output``: ``stegoton_diagnostics`` of the solved profile (which lifts
   its ripple line, as the ``simulate`` record does) and ``save_trajectory``,
   the ``trajectory.npz`` archive ``simulate`` writes, in ms, with its bytes,
@@ -170,17 +171,18 @@ def bench_line_eval(repeats):
 
 
 def bench_rk4(repeats, steps):
-    def ns_per_site_step(sites):
+    def ns_per_site_step(params, sites):
         # copies of one wave on at most BASE sites: sampling the profile costs
         # memory in proportion to the sites, which the kernel does not
         base = min(sites, BASE)
-        prof = TravelingProfile.leading_order(CUBIC, 0.2, base)
+        prof = TravelingProfile.leading_order(params, 0.2, base)
         r, v = (np.tile(x, sites // base) for x in prof.initial())
         odd = np.tile(prof.odd, sites // base)
-        best = best_of(repeats, lambda: rk4_steps(r, v, 0.02, steps, odd, CUBIC))
+        best = best_of(repeats, lambda: rk4_steps(r, v, 0.02, steps, odd, params))
         return 1e9 * best / (sites * steps)
 
-    rows = [{"sites": sites, "numpy_ns": ns_per_site_step(sites)} for sites in SITES]
+    rows = [{"sites": sites, "quadratic_ns": ns_per_site_step(PARAMS, sites),
+             "cubic_ns": ns_per_site_step(CUBIC, sites)} for sites in SITES]
     return {"steps": steps, "n1": CUBIC.n1, "n2": CUBIC.n2, "rows": rows}
 
 

@@ -35,14 +35,23 @@ so each pair takes one force evaluation over two rows.
 ``rk4_steps`` builds the per-site spring law of ``model.spring_law`` once per
 call (per-site ``lin``/``quad`` arrays and zero-padded cubic-remainder rows,
 so every site runs one formula) and allocates every buffer once per call;
-nothing is allocated inside the step loop.  Each buffer holds its rows
-padded, ``W = J + 2`` entries each (a ghost cell, the sites, a ghost cell),
-laid end to end, so every stage-pair operation is one ufunc call on one
-contiguous array.  ``SpringLaw.force`` writes the forces of both rows by
-Horner's rule into such a buffer ``P``; one strided copy sets both rows'
-ghost cells to their ring's opposite edges, and the Laplacian is the
-difference of differences ``D = P[1:] - P[:-1]``, ``D[1:] - D[:-1]``.  For
-the quadratic law a step makes 22 ufunc calls and 2 ghost copies.  The
+inside the step loop only the halo refresh's gather allocates (4H cells
+every H/2 steps).  Each buffer holds its rows padded, W entries each (``H =
+16`` halo cells, the J sites, at least H halo cells), laid end to end, so
+every stage-pair operation is one ufunc call on one contiguous array.  W
+rounds ``J + 2H`` up to whole 64-byte cache lines and every buffer starts
+on one, so every row does: ufuncs on operands that straddle cache lines ran
+a step about a quarter slower.  A halo cell holds the image of a site across
+the ring's seam (wrapped as often as a ring narrower than the halo needs),
+and the spring law is laid out over the halo the same way, so a halo cell's
+forces and stages are its site's, bit for bit, while its neighbours' are.
+``SpringLaw.force`` writes the forces of both rows by Horner's rule into a
+buffer ``P``, and the Laplacian is the difference of differences ``D =
+P[1:] - P[:-1]``, ``D[1:] - D[:-1]``: exact one cell further in than its
+forces.  So each step leaves ``(r, v)`` exact two cells further in from the
+row ends, and one gather refreshes the halos of ``r`` and ``v`` from the
+sites every H/2 steps, before the stale cells (finite leftovers) reach a
+site.  For the quadratic law a step makes 22 ufunc calls and no copy.  The
 ``rk4`` section of ``benchmarks/bench_pipeline.py`` times it in ns per
 site-step.
 """
@@ -54,7 +63,7 @@ import numpy as np
 from .dispersion import SymbolSet
 from .errors import InvalidParams, NoConvergence
 from .kdv import _soliton_constants, core_profile
-from .model import DimerParams, derived_constants, spring_law
+from .model import DimerParams, SpringLaw, derived_constants, spring_law
 from .nanopteron import DECAY_TOL, NanopteronState
 from .nonlinear import VectorField, apply_J
 from .periodic import PeriodicWave, check_long_wave
@@ -230,9 +239,20 @@ class TravelingProfile:
         ring that mean is a uniform stretching mode that does work against
         the springs forever, so it is projected out (the lattice energy is
         then a true invariant of the flow).
+
+        Raises ``InvalidParams`` if the ring's energy is not a positive normal
+        float: below about eps = 1e-78 the squared profile underflows, and
+        ``energy_drift``, relative to that energy, would be 0/0 or rounding.
         """
         r0, v0 = self.sample(0.0), self.velocity(0.0)
-        return r0, v0 - np.mean(v0)
+        v0 = v0 - np.mean(v0)
+        energy = lattice_energy(self.params, r0, v0)
+        if not energy >= np.finfo(np.float64).tiny:
+            raise InvalidParams(
+                f"eps = {self.eps!r} gives a ring of initial energy {energy:.3e}, which is not "
+                "a positive normal float (the squared profile underflows), so its energy "
+                "drift cannot be measured; use a larger eps")
+        return r0, v0
 
     def core_width_sites(self) -> float:
         """Half-width of the squared-sech core in lattice units, ``w/eps`` with
@@ -282,57 +302,73 @@ def lattice_energy(params: DimerParams, r, rdot) -> float:
     return float(np.sum(u_dot**2) / 2 + np.sum(V))
 
 
+_HALO = 16  # halo cells on each side of a padded row; one step uses up two
+_LINE = 64  # bytes in a cache line, on which every buffer of rk4_steps starts
+
+
+def _aligned(a):
+    """A copy of the 1-D array ``a`` whose data start on a cache line (numpy
+    starts an allocation on any 16 bytes; module docstring)."""
+    raw = np.empty(a.nbytes + _LINE, np.uint8)
+    start = -raw.ctypes.data % _LINE
+    out = raw[start:start + a.nbytes].view(a.dtype)
+    out[...] = a
+    return out
+
+
 def rk4_steps(r, v, dt, steps, odd, params: DimerParams):
     """Advance ``(r, v)`` by ``steps`` RK4 steps in Nystrom form (module docstring);
     stiff law on the ``odd`` sites, soft law on the others.  Returns new arrays."""
-    J = len(r)
-    W = J + 2  # a padded row: ghost cell, the J sites, ghost cell
-    v = v.copy()
-    force = spring_law(params, np.tile(np.pad(odd, 1), 2)).force
-    P = np.empty(2 * W, r.dtype)  # forces of two padded rows laid end to end
-    D = np.empty(2 * W - 1, r.dtype)
-    ghosts, edges = P.reshape(2, W)[:, 0::W - 1], P.reshape(2, W)[:, J:0:-(J - 1)]
-    P_right, P_left, D_right, D_left = P[1:], P[:-1], D[1:], D[:-1]
-
-    def accel(x, out):
-        """r_ddot of both rows of ``x`` into ``out``: the sites of two padded
-        rows and the two ghost cells between them.  The forces at ``x``'s
-        ghost cells are replaced by the edges, so those cells need only hold
-        finite numbers."""
-        force(x, P)
-        np.copyto(ghosts, edges)
-        np.subtract(P_right, P_left, D)
-        np.subtract(D_right, D_left, out)
-
-    # Padded rows: (r, y, y4) with y = r + h/2 v and y4 = r + h v, the stages
-    # (k1, k2, k3, k4), and the inputs of k3 and k4, which then hold the
-    # increments (S, T).  Zeroed, so every ghost cell a force is taken at
-    # holds a finite number.
-    M, K, Z = np.zeros(3 * W, r.dtype), np.zeros(4 * W, r.dtype), np.zeros(2 * W, r.dtype)
-    w = np.empty_like(r)
-    (x, y, y4), (k1, k2, k3, k4), (S, T) = (a.reshape(-1, W)[:, 1:-1] for a in (M, K, Z))
-    x[...] = r
-    RY, YY, K12, K34 = M[:2 * W], M[W:], K[:2 * W], K[2 * W:]
+    J, H = len(r), _HALO
+    lanes = _LINE // r.dtype.itemsize
+    # a padded row: H halo cells, the J sites, at least H halo cells, and a
+    # whole number of cache lines, so that every row starts on one
+    W = -(-(J + 2 * H) // lanes) * lanes
+    image = (np.arange(W) - H) % J  # the site each cell of a padded row holds
+    lin, quad, rem = spring_law(params, np.tile(odd[image], 2))
+    force = SpringLaw(_aligned(lin), _aligned(quad), tuple(map(_aligned, rem))).force
+    cells = np.r_[:H, H + J:W]  # the halo cells of a padded row
+    halo = np.r_[cells, W + cells]  # those of the rows (v, r) laid end to end
+    source = np.r_[image[cells], W + image[cells]] + H  # the sites they hold
+    # Padded rows: (v, r, y, y4) with y = r + h/2 v and y4 = r + h v, the
+    # stages (k1, k2, k3, k4), the inputs of k3 and k4, which then hold the
+    # increments (S, T), the forces of two rows and their differences.
+    # Zeroed, so every cell a force is taken at holds a finite number.
+    M, K, Z, P, D, w = (_aligned(np.zeros(n, r.dtype))
+                        for n in (4 * W, 4 * W, 2 * W, 2 * W, 2 * W - 1, W))
+    (vel, x, y, y4), (k1, k2, k3, k4), (S, T) = (a.reshape(-1, W) for a in (M, K, Z))
+    vel[H:H + J], x[H:H + J] = v, r
+    VX = M[:2 * W]
+    RY, YY, K12, K34 = M[W:3 * W], M[2 * W:], K[:2 * W], K[2 * W:]
     K12_inner, K34_inner = K12[1:-1], K34[1:-1]
+    P_right, P_left, D_right, D_left = P[1:], P[:-1], D[1:], D[:-1]
     h, h2 = dt, dt * dt
     half_h = np.float64(0.5 * h)
-    C1 = np.repeat(np.array([0.25 * h2, 0.5 * h2]), W)  # per row of Z
-    C2 = np.repeat(np.array([h2 / 6, h / 6]), W)        # per row of (S, T)
-    for _ in range(steps):
-        np.multiply(v, half_h, w)
-        np.add(x, w, y)                     # y = r + h/2 v
-        np.add(y, w, y4)                    # y4 = r + h v
-        accel(RY, K12_inner)                # k1 = f(r), k2 = f(y)
-        np.multiply(K12, C1, Z)
-        np.add(Z, YY, Z)                    # y + h^2/4 k1, y4 + h^2/2 k2
-        accel(Z, K34_inner)                 # k3, k4
-        Q = np.add(k2, k3, k3)
-        np.add(k1, Q, S)
-        np.add(np.add(S, Q, T), k4, T)
-        np.multiply(Z, C2, Z)               # h^2/6 (k1 + k2 + k3), h/6 (k1 + 2 k2 + 2 k3 + k4)
-        np.add(y4, S, x)
-        np.add(v, T, v)
-    return x.copy(), v
+    C1 = _aligned(np.repeat(np.array([0.25 * h2, 0.5 * h2]), W))  # per row of Z
+    C2 = _aligned(np.repeat(np.array([h2 / 6, h / 6]), W))        # per row of (S, T)
+    add, sub, mul = np.add, np.subtract, np.multiply
+    block = H // 2  # each step leaves r and v exact two cells further in
+    for done in range(0, steps, block):
+        VX[halo] = VX[source]               # refresh the halos of v and r
+        for _ in range(min(block, steps - done)):
+            mul(vel, half_h, w)
+            add(x, w, y)                    # y = r + h/2 v
+            add(y, w, y4)                   # y4 = r + h v
+            force(RY, P)                    # k1 = f(r), k2 = f(y)
+            sub(P_right, P_left, D)
+            sub(D_right, D_left, K12_inner)
+            mul(K12, C1, Z)
+            add(Z, YY, Z)                   # y + h^2/4 k1, y4 + h^2/2 k2
+            force(Z, P)                     # k3, k4
+            sub(P_right, P_left, D)
+            sub(D_right, D_left, K34_inner)
+            add(k2, k3, k3)                 # Q = k2 + k3
+            add(k1, k3, S)
+            add(add(S, k3, T), k4, T)
+            mul(Z, C2, Z)                   # h^2/6 (k1 + k2 + k3), h/6 (k1 + 2 k2 + 2 k3 + k4)
+            add(y4, S, x)
+            add(vel, T, vel)
+    return x[H:H + J].copy(), vel[H:H + J].copy()
 
 
 def simulate(params: DimerParams, config: LatticeConfig, r0, v0) -> LatticeTrajectory:
@@ -353,15 +389,17 @@ def simulate(params: DimerParams, config: LatticeConfig, r0, v0) -> LatticeTraje
         )
     sites = _site_array(config.sites)
     odd = _odd_mask(config.sites)
-    r = np.asarray(r0, dtype=np.float64).copy()
-    v = np.asarray(v0, dtype=np.float64).copy()
+    r = np.asarray(r0, dtype=np.float64)
+    v = np.asarray(v0, dtype=np.float64)
     if r.shape != sites.shape or v.shape != sites.shape:
         raise InvalidParams("initial data must match the configured site count")
     n_steps = int(round(config.T / config.dt))
     stride = min(config.snap_every, n_steps)
-    times, Rs, Vs = [0.0], [r.copy()], [v.copy()]
+    shape = (1 + -(-n_steps // stride), len(sites))  # the start, then one per chunk
+    times, R, V = np.zeros(shape[0]), np.empty(shape), np.empty(shape)
+    R[0], V[0] = r, v
     done = 0
-    while done < n_steps:
+    for i in range(1, shape[0]):
         chunk = min(stride, n_steps - done)
         # a blow-up overflows inside the step; the finiteness check reports it
         with np.errstate(over="ignore", invalid="ignore"):
@@ -369,11 +407,8 @@ def simulate(params: DimerParams, config: LatticeConfig, r0, v0) -> LatticeTraje
         done += chunk
         if not (np.all(np.isfinite(r)) and np.all(np.isfinite(v))):
             raise NoConvergence(f"lattice state blew up by t = {done * config.dt:.3f}")
-        times.append(done * config.dt)
-        Rs.append(r.copy())
-        Vs.append(v.copy())
-    return LatticeTrajectory(params, config, sites, np.array(times),
-                             np.array(Rs), np.array(Vs))
+        times[i], R[i], V[i] = done * config.dt, r, v
+    return LatticeTrajectory(params, config, sites, times, R, V)
 
 
 def shape_error(traj: LatticeTrajectory, profile: TravelingProfile, t=None) -> float:

@@ -149,13 +149,13 @@ class SpringLaw(NamedTuple):
         ``2*len(rem) + 3`` ufunc calls.  ``out``, an array shaped like ``r``,
         receives the force in place, with no temporary.
         """
-        rem = self.rem
-        f = np.multiply(rem[-1] if rem else self.quad, r, out)
+        lin, quad, rem = self
+        f = np.multiply(rem[-1] if rem else quad, r, out)
         if rem:
             for c in rem[-2::-1]:
                 f = np.multiply(np.add(f, c, out), r, out)
-            f = np.multiply(np.add(f, self.quad, out), r, out)
-        return np.multiply(np.add(f, self.lin, out), r, out)
+            f = np.multiply(np.add(f, quad, out), r, out)
+        return np.multiply(np.add(f, lin, out), r, out)
 
     def potential(self, r):
         """Antiderivative of :meth:`force` that vanishes at ``r = 0``.

@@ -42,7 +42,6 @@ from .spectral import (
     PeriodicField,
     fine_samples,
     from_fine_samples,
-    line_product,
     periodic_product,
 )
 
@@ -294,27 +293,3 @@ def BQ_ripple(symbols: SymbolSet, v, third, omega, eps):
         q = _J_cosine(symbols, eps, omega, _Q_bracket(_Cosine, p, eps, a, a, h), inverse=True)
         out = (out[0] + q[0], out[1] + q[1])
     return out
-
-
-def B0_closed_form(params: DimerParams, pair, pair2):
-    """The eps -> 0 limit of the bilinear operator on line fields.
-
-    With w = (theta1/kappa + theta2, theta1 - theta2) and the analogous w' of
-    the second argument,
-
-        B0_1 = (kappa/(kappa+1)) * [(beta/kappa) w1 w1' + w2 w2']
-        B0_2 = (kappa/(kappa+1)) * [(beta/kappa) w1 w1' - w2 w2'/kappa]
-    """
-    kap, beta = params.kappa, params.beta
-    t1, t2 = pair
-    s1, s2 = pair2
-    w1 = t1 * (1 / kap) + t2
-    w2 = t1 - t2
-    u1 = s1 * (1 / kap) + s2
-    u2 = s1 - s2
-    p11 = line_product(w1, u1)
-    p22 = line_product(w2, u2)
-    front = kap / (kap + 1)
-    b1 = front * ((beta / kap) * p11 + p22)
-    b2 = front * ((beta / kap) * p11 + (-1 / kap) * p22)
-    return b1, b2

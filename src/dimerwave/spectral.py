@@ -162,7 +162,7 @@ class LineField:
 
     def __mul__(self, a):
         if isinstance(a, LineField):
-            raise TypeError("pointwise field products go through line_product()")
+            raise TypeError("a LineField scales by a number or an array, not by a LineField")
         return LineField(self.grid, self.values * a)
 
     __rmul__ = __mul__
@@ -479,13 +479,6 @@ def from_fine_samples(grid: LineGrid, fine_values):
     F = F_fine[: n // 2 + 1] / DEALIAS_FACTOR
     F = np.concatenate([F[:-1], [F[-1].real * 2]])
     return LineField(grid, np.fft.irfft(F, n=n))
-
-
-def line_product(f: LineField, g: LineField) -> LineField:
-    """De-aliased pointwise product of two line fields."""
-    f._check(g)
-    vals = fine_samples(f) * fine_samples(g)
-    return from_fine_samples(f.grid, vals)
 
 
 # -- norms and conjugation -----------------------------------------------------

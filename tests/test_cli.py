@@ -348,6 +348,20 @@ class TestSimulateCommand:
         assert "profile line1 boundary value" in capsys.readouterr().err
         assert not (tmp_path / "trajectory.npz").exists()
 
+    @pytest.mark.parametrize("eps", ["1e-100", "1e-160"])
+    def test_underflowing_ring_energy_exits_2(self, tmp_path, capsys, eps):
+        # the squared profile underflows, so the energy is 0 and its drift 0/0
+        assert dispatch(["simulate", "--eps", eps, "--out", str(tmp_path)]) == 2
+        assert (f"eps = {float(eps)!r} gives a ring of initial energy 0.000e+00, which is not "
+                "a positive normal float") in capsys.readouterr().err
+        assert not (tmp_path / "trajectory.npz").exists()
+
+    def test_tiny_eps_ring_keeps_its_energy(self, tmp_path):
+        # a 512-site ring at eps 1e-10 holds an energy of order 1e-38: tiny, but normal
+        assert dispatch(["simulate", "--eps", "1e-10", "--out", str(tmp_path)]) == 0
+        record = (tmp_path / "simulate_record.txt").read_text()
+        assert "\nenergy_drift = PASS (0.000e+00 <= 1e-8)\n" in record
+
     def test_leading_trajectory_dump(self, tmp_path, capsys):
         code = dispatch(["simulate", "--init", "leading", "--eps", "0.2",
                          "--sites", "64", "--T", "1.0", "--snap-every", "10",

@@ -16,9 +16,11 @@ from dimerwave.errors import InvalidParams, NoConvergence
 from dimerwave.kdv import core_profile
 from dimerwave.lattice import (
     _FACTOR,
+    _HALO,
     _OFFSETS,
     LatticeConfig,
     TravelingProfile,
+    _aligned,
     _line_corrected_peak,
     _odd_mask,
     _parabolic_max,
@@ -357,13 +359,32 @@ class TestPerSiteLaw:
         prof = TravelingProfile.leading_order(params, 0.3, sites)
         return params, prof.odd, *prof.initial()
 
-    @pytest.mark.parametrize("sites", [8, 64, 1024])  # 8: the smallest ring
+    # 8: the smallest ring; 8 and 10 are narrower than one halo (16 cells),
+    # 18 than a row's two, and 34 is wider than both
+    @pytest.mark.parametrize("sites", [8, 10, 18, 34, 64, 1024])
     @pytest.mark.parametrize("n1, n2", REMAINDERS)
     def test_rk4_matches_two_law_reference(self, n1, n2, sites):
         params, odd, r0, v0 = self._start(n1, n2, sites)
-        r, v = rk4_steps(r0, v0, 0.02, 200, odd, params)
-        r_ref, v_ref = _two_law_rk4(r0, v0, 0.02, 200, odd, params)
-        assert np.array_equal(r, r_ref) and np.array_equal(v, v_ref)
+        r_in, v_in = r0.copy(), v0.copy()
+        # The halos are refreshed every _HALO // 2 steps: runs that end inside
+        # the first block, one step into the second or the fifth, and on a
+        # block's end.  A halo a step stale reaches the sites through some 16
+        # Laplacians, each weighted by h**2, so only the coarse step 0.5
+        # (inside RK4's linear stability range, h*omega < 2.8) lifts it above
+        # rounding.
+        runs = [(0.02, n) for n in (1, 3, _HALO // 2 + 1, 2 * _HALO + 1, 200)]
+        runs += [(0.5, n) for n in (1, 3, _HALO // 2 + 1, 2 * _HALO + 1)]
+        for dt, steps in runs:
+            r, v = rk4_steps(r0, v0, dt, steps, odd, params)
+            r_ref, v_ref = _two_law_rk4(r0, v0, dt, steps, odd, params)
+            assert np.array_equal(r, r_ref) and np.array_equal(v, v_ref), (dt, steps)
+        assert np.array_equal(r0, r_in) and np.array_equal(v0, v_in)  # left unwritten
+
+    @pytest.mark.parametrize("a", [np.arange(3.0), np.arange(1056.0),
+                                   np.arange(5, dtype=np.longdouble)])
+    def test_kernel_buffers_start_on_a_cache_line(self, a):
+        b = _aligned(a)
+        assert b.ctypes.data % 64 == 0 and b.dtype == a.dtype and np.array_equal(b, a)
 
     @pytest.mark.parametrize("sites", [64, 1024])
     @pytest.mark.parametrize("n1, n2", REMAINDERS)

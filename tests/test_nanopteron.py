@@ -29,7 +29,7 @@ from dimerwave.nanopteron import (
     solve_nanopteron,
     system_residual,
 )
-from dimerwave.nonlinear import B0_closed_form, B_eps, BQ_eps, Q_eps, VectorField
+from dimerwave.nonlinear import B_eps, BQ_eps, Q_eps, VectorField
 from dimerwave.periodic import solve_periodic
 from dimerwave.spectral import LineField, LineGrid, sup_norm
 
@@ -134,7 +134,7 @@ class TestChiUpsilon:
         assert ops01.chi.even_defect() <= 1e-11 * np.max(np.abs(ops01.chi.values))
         assert 1.3 < ops01.upsilon < 1.45
 
-    def test_chi_matches_closed_form_at_small_eps(self):
+    def test_chi_matches_closed_form_at_small_eps(self, B0_closed_form):
         # With a frozen (artificial) resonance frequency, eps -> 0 sends the
         # bilinear to its closed form and lambda_plus to the constant 2+2k.
         grid = LineGrid(1024, 30.0)

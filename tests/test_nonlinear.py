@@ -6,7 +6,7 @@ import pytest
 from dimerwave import DimerParams, InvalidParams, SymbolSet
 from dimerwave.kdv import core_profile
 from dimerwave.nonlinear import (
-    B0_closed_form, B_eps, BQ_eps, BQ_ripple, Q_eps, VectorField, _Cosine, _Split,
+    B_eps, BQ_eps, BQ_ripple, Q_eps, VectorField, _Cosine, _Split,
 )
 from dimerwave.spectral import (
     DEALIAS_FACTOR, LineField, LineGrid, PeriodicField, fine_samples, l2_norm,
@@ -100,7 +100,7 @@ def test_B_symmetry_and_bilinearity(setup):
     assert np.max(np.abs(B0.line1.values)) == 0.0
 
 
-def test_B_small_eps_limit_matches_closed_form(setup):
+def test_B_small_eps_limit_matches_closed_form(setup, B0_closed_form):
     S, grid, sigma, bump = setup
     th = VectorField.from_line(sigma, bump)
     Bn = B_eps(S, th, th, 1e-8)
@@ -109,7 +109,7 @@ def test_B_small_eps_limit_matches_closed_form(setup):
     assert np.max(np.abs(Bn.line2.values - b2.values)) < 1e-10
 
 
-def test_B0_closed_form_soliton_component(setup):
+def test_B0_closed_form_soliton_component(setup, B0_closed_form):
     # With theta = (sigma, 0): B0_1 = (kappa/(kappa+1))*(beta/kappa**3 + 1)*sigma**2
     S, grid, sigma, _ = setup
     zero = LineField.zero(grid)

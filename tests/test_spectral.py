@@ -14,7 +14,6 @@ from dimerwave.spectral import (
     fine_samples,
     from_fine_samples,
     l2_norm,
-    line_product,
     periodic_product,
     trig_interpolate,
     weighted_norm,
@@ -206,7 +205,7 @@ def test_fine_sampling_roundtrip_with_nyquist_content(grid):
     assert np.max(np.abs(back.values - f.values)) < 1e-12
 
 
-def test_line_product_is_dealiased(grid):
+def test_line_product_is_dealiased(grid, line_product):
     # cos(k_a X) * cos(k_b X) with a + b beyond Nyquist: the aliased image must
     # not appear; only the surviving in-band difference mode remains.
     a_idx, b_idx = grid.n // 2 - 3, grid.n // 2 - 10
