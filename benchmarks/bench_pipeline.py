@@ -177,8 +177,7 @@ def bench_rk4(repeats, steps):
         base = min(sites, BASE)
         prof = TravelingProfile.leading_order(params, 0.2, base)
         r, v = (np.tile(x, sites // base) for x in prof.initial())
-        odd = np.tile(prof.odd, sites // base)
-        best = best_of(repeats, lambda: rk4_steps(r, v, 0.02, steps, odd, params))
+        best = best_of(repeats, lambda: rk4_steps(r, v, 0.02, steps, params))
         return 1e9 * best / (sites * steps)
 
     rows = [{"sites": sites, "quadratic_ns": ns_per_site_step(PARAMS, sites),

@@ -226,7 +226,7 @@ def load_solution(path):
             omega=float(z["wave_omega"]), psi1=PeriodicField(z["psi1"]),
             psi2=PeriodicField(z["psi2"]), resonance=resonance,
             residual=float(z["wave_residual"]), iterations=int(z["wave_iterations"]),
-            contraction_ratio=float(z["wave_contraction"]), converged=True,
+            contraction_ratio=float(z["wave_contraction"]),
         )
     except KeyError as exc:
         raise InvalidParams(f"{path}: missing key {exc}") from exc

@@ -64,7 +64,7 @@ from .dispersion import SymbolSet
 from .errors import InvalidParams, NoConvergence
 from .kdv import _soliton_constants, core_profile
 from .model import DimerParams, SpringLaw, derived_constants, spring_law
-from .nanopteron import DECAY_TOL, NanopteronState
+from .nanopteron import DECAY_TOL, GRID_N, WINDOW_L, NanopteronState
 from .nonlinear import VectorField, apply_J
 from .periodic import PeriodicWave, check_long_wave
 from .spectral import LineField, LineGrid, PeriodicField, trig_interpolate
@@ -156,7 +156,7 @@ class TravelingProfile:
         """
         check_long_wave(eps)
         if grid is None:
-            grid = LineGrid(4096, 60.0)
+            grid = LineGrid(GRID_N, WINDOW_L)
         sigma, _ = core_profile(params, grid)
         ck, _ = derived_constants(params.kappa)
         c = float(np.sqrt(ck * ck + eps * eps))
@@ -263,27 +263,22 @@ class TravelingProfile:
 
 @dataclass
 class LatticeTrajectory:
-    """Snapshots of one simulation: times, displacements, and velocities."""
+    """Snapshots of one simulation: times, displacements, and the lattice
+    Hamiltonian (``lattice_energy``) of each snapshot."""
 
     params: DimerParams
     config: LatticeConfig
     sites: np.ndarray
     times: np.ndarray
     R: np.ndarray
-    V: np.ndarray
+    energies: np.ndarray
 
     @property
     def odd(self):
         return (self.sites % 2) != 0
 
-    def energies(self):
-        """Lattice Hamiltonian at each snapshot (zero-momentum frame)."""
-        return np.array([
-            lattice_energy(self.params, self.R[i], self.V[i]) for i in range(len(self.times))
-        ])
-
     def energy_drift(self) -> float:
-        H = self.energies()
+        H = self.energies
         return float(np.max(np.abs(H - H[0])) / abs(H[0]))
 
 
@@ -316,16 +311,17 @@ def _aligned(a):
     return out
 
 
-def rk4_steps(r, v, dt, steps, odd, params: DimerParams):
+def rk4_steps(r, v, dt, steps, params: DimerParams):
     """Advance ``(r, v)`` by ``steps`` RK4 steps in Nystrom form (module docstring);
-    stiff law on the ``odd`` sites, soft law on the others.  Returns new arrays."""
+    stiff law on the ring's odd sites (``_odd_mask``), soft law on the others.
+    Returns new arrays."""
     J, H = len(r), _HALO
     lanes = _LINE // r.dtype.itemsize
     # a padded row: H halo cells, the J sites, at least H halo cells, and a
     # whole number of cache lines, so that every row starts on one
     W = -(-(J + 2 * H) // lanes) * lanes
     image = (np.arange(W) - H) % J  # the site each cell of a padded row holds
-    lin, quad, rem = spring_law(params, np.tile(odd[image], 2))
+    lin, quad, rem = spring_law(params, np.tile(_odd_mask(J)[image], 2))
     force = SpringLaw(_aligned(lin), _aligned(quad), tuple(map(_aligned, rem))).force
     cells = np.r_[:H, H + J:W]  # the halo cells of a padded row
     halo = np.r_[cells, W + cells]  # those of the rows (v, r) laid end to end
@@ -372,7 +368,8 @@ def rk4_steps(r, v, dt, steps, odd, params: DimerParams):
 
 
 def simulate(params: DimerParams, config: LatticeConfig, r0, v0) -> LatticeTrajectory:
-    """Integrate the ring from ``(r0, v0)`` to ``T``, recording snapshots.
+    """Integrate the ring from ``(r0, v0)`` to ``T``, recording each snapshot's
+    displacements and its energy (``lattice_energy``).
 
     Raises
     ------
@@ -388,7 +385,6 @@ def simulate(params: DimerParams, config: LatticeConfig, r0, v0) -> LatticeTraje
             f"for kappa = {params.kappa}"
         )
     sites = _site_array(config.sites)
-    odd = _odd_mask(config.sites)
     r = np.asarray(r0, dtype=np.float64)
     v = np.asarray(v0, dtype=np.float64)
     if r.shape != sites.shape or v.shape != sites.shape:
@@ -396,19 +392,19 @@ def simulate(params: DimerParams, config: LatticeConfig, r0, v0) -> LatticeTraje
     n_steps = int(round(config.T / config.dt))
     stride = min(config.snap_every, n_steps)
     shape = (1 + -(-n_steps // stride), len(sites))  # the start, then one per chunk
-    times, R, V = np.zeros(shape[0]), np.empty(shape), np.empty(shape)
-    R[0], V[0] = r, v
+    times, R, energies = np.zeros(shape[0]), np.empty(shape), np.empty(shape[0])
+    R[0], energies[0] = r, lattice_energy(params, r, v)
     done = 0
     for i in range(1, shape[0]):
         chunk = min(stride, n_steps - done)
         # a blow-up overflows inside the step; the finiteness check reports it
         with np.errstate(over="ignore", invalid="ignore"):
-            r, v = rk4_steps(r, v, config.dt, chunk, odd, params)
+            r, v = rk4_steps(r, v, config.dt, chunk, params)
         done += chunk
         if not (np.all(np.isfinite(r)) and np.all(np.isfinite(v))):
             raise NoConvergence(f"lattice state blew up by t = {done * config.dt:.3f}")
-        times[i], R[i], V[i] = done * config.dt, r, v
-    return LatticeTrajectory(params, config, sites, times, R, V)
+        times[i], R[i], energies[i] = done * config.dt, r, lattice_energy(params, r, v)
+    return LatticeTrajectory(params, config, sites, times, R, energies)
 
 
 def shape_error(traj: LatticeTrajectory, profile: TravelingProfile, t=None) -> float:

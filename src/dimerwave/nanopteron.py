@@ -56,8 +56,9 @@ from .periodic import (A_MAX, EPS_MAX, MODES, PeriodicSolver, PeriodicWave, pica
                        ripple_vector)
 from .spectral import LineField, LineGrid, PeriodicField, sup_norm
 
-# Starting grid size, and the most grid points the solve doubles it to while
-# the spacing misses the ripple.
+# Half-length of the line window, the starting grid size, and the most grid
+# points the solve doubles it to while the spacing misses the ripple.
+WINDOW_L = 60.0
 GRID_N = 4096
 MAX_GRID_N = 1 << 16
 
@@ -226,16 +227,15 @@ class NanopteronState:
 
 @dataclass(frozen=True)
 class NanopteronConfig:
-    """Window, coupling, and precision of the nanopteron solve.
+    """Coupling and precision of the nanopteron solve (its window is ``WINDOW_L``).
 
-    ``L`` is the half-length of the line window.  ``fixed_point`` selects
-    which update the acoustic solve uses for the cross term: ``"new"``
-    couples to the freshly computed optical corrector, ``"original"`` to the
-    previous iterate's.  Both have the same fixed points; "new" contracts
-    slightly faster.  ``dtype`` is the working precision.
+    ``fixed_point`` selects which update the acoustic solve uses for the
+    cross term: ``"new"`` couples to the freshly computed optical corrector,
+    ``"original"`` to the previous iterate's.  Both have the same fixed
+    points; "new" contracts slightly faster.  ``dtype`` is the working
+    precision.
     """
 
-    L: float = 60.0
     fixed_point: str = "new"
     dtype: type = np.float64
 
@@ -429,21 +429,22 @@ def system_residual(ops: SolverOperators, state: NanopteronState, wave: Periodic
 class SolveDiagnostics:
     """Iteration log and converged-state measurements.
 
-    ``step_history`` holds each pass's sup-norm step over all six unknowns,
-    ``ripple_solves`` counts one ripple step per pass (so equals
-    ``iterations``), and ``gmres_iterations`` totals every ``A``-solve.
+    ``step_history`` holds each pass's sup-norm step over all six unknowns
+    and ``gmres_iterations`` totals every ``A``-solve.  ``converged`` (always
+    true) and ``ripple_solves`` (one ripple step per pass, so ``iterations``)
+    are read-only.
     """
 
-    converged: bool
     iterations: int
     residual_sup: float
     residual_rel: float
     step_history: list
-    ripple_solves: int
     gmres_iterations: int
     eta_sup: tuple
     core_sup: float
     upsilon: float
+    converged = property(lambda self: True)
+    ripple_solves = property(lambda self: self.iterations)
 
 
 def solve_nanopteron(params: DimerParams, eps, config: NanopteronConfig = None):
@@ -454,17 +455,17 @@ def solve_nanopteron(params: DimerParams, eps, config: NanopteronConfig = None):
     resonance the whole solve reuses.  Each pass applies the three maps
     ``N_maps``, checks the amplitude bound and divergence, and takes one
     ripple step (``PeriodicSolver.maps``) at the new ``a``; it stops once the
-    change is at most ``periodic.TOL``.  The returned wave is the ripple
-    solved cold (``PeriodicSolver.solve``, on the solve's own solver and its
-    resonance) at the final amplitude, so ``wave.a`` equals ``state.a`` and
-    the wave passes every check of a ripple solve.
+    change is at most ``periodic.TOL``.  The returned wave is built
+    (``PeriodicSolver.wave``) from the ripple unknowns that loop converged,
+    with its pass count and steps, so ``wave.a`` equals ``state.a`` and the
+    wave passes every check of a ripple solve.
 
     Raises
     ------
     NoConvergence
         If the iteration budget is exhausted, the state diverges, or the
         amplitude escapes ``|a| <= periodic.A_MAX``; and as
-        ``PeriodicSolver.solve`` does at the final amplitude.
+        ``PeriodicSolver.wave`` does on the converged ripple.
     UnresolvedCorrector
         (an ``InvalidParams``) If the converged corrector fails
         ``NanopteronState.validate``: it is not even, or has not decayed to
@@ -477,9 +478,9 @@ def solve_nanopteron(params: DimerParams, eps, config: NanopteronConfig = None):
     dt = config.dtype
     eps = dt(eps)
     ripple = PeriodicSolver(params, eps)
-    grid = LineGrid(GRID_N, config.L, dtype=dt)
+    grid = LineGrid(GRID_N, WINDOW_L, dtype=dt)
     while not grid.resolves_ripple(ripple.resonance.omega) and grid.n < MAX_GRID_N:
-        grid = LineGrid(2 * grid.n, config.L, dtype=dt)
+        grid = LineGrid(2 * grid.n, WINDOW_L, dtype=dt)
     ops = SolverOperators(params, eps, grid, resonance=ripple.resonance)
     core_peak = sup_norm(ops.sigma)
 
@@ -499,15 +500,13 @@ def solve_nanopteron(params: DimerParams, eps, config: NanopteronConfig = None):
     x, iterations, steps = picard(one_pass, (LineField.zero(grid), LineField.zero(grid), dt(0.0),
                                              per0, per0, dt(0.0)), MAX_ITER, "nanopteron solve")
     state = NanopteronState(*x[:3])
-    wave = ripple.solve(state.a)
+    wave = ripple.wave(state.a, x[3:], steps)
     residual = system_residual(ops, state, wave)
     diagnostics = SolveDiagnostics(
-        converged=True,
         iterations=iterations,
         residual_sup=float(residual),
         residual_rel=float(residual / core_peak),
         step_history=steps,
-        ripple_solves=iterations,
         gmres_iterations=ops.gmres_iterations,
         eta_sup=(sup_norm(state.eta1), sup_norm(state.eta2)),
         core_sup=float(core_peak),

@@ -22,8 +22,8 @@ projections of the same evaluation, so each Picard step
 once, and the residual of the full system reuses that evaluation.  The maps
 contract for small ``a``; plain Picard iteration (``picard``, the package's
 one fixed-point driver) converges from (0, 0, 0) at one cosine cutoff
-``MODES``, and the converged state is reported with the residual of the full
-system.
+``MODES``; ``PeriodicSolver.wave`` reports a converged state, from this loop or
+the nanopteron's, with the residual of the full system.
 
 The corrector's optical component has no fundamental-mode content (the
 kernel direction is carried entirely by ``nu``); that normalization is what
@@ -90,7 +90,7 @@ class PeriodicWave:
     residual: float
     iterations: int
     contraction_ratio: float
-    converged: bool
+    converged = property(lambda self: True)  # a wave is built from a converged state only
 
     def as_vector(self, grid: LineGrid) -> VectorField:
         """``a * phi`` as a pure-ripple two-component field."""
@@ -136,7 +136,7 @@ def picard(step, x, budget, what, check=None):
 
 
 class PeriodicSolver:
-    """Fixed-point maps and Picard driver for one (params, eps) slice.
+    """Fixed-point maps, Picard driver and wave builder for one (params, eps) slice.
 
     Raises ``InvalidParams`` for eps outside ``(0, EPS_MAX]`` or with
     ``eps**2`` below ``1e8`` machine epsilons of its dtype: ``varpi_eps``
@@ -218,9 +218,9 @@ class PeriodicSolver:
     def iterate(self, a):
         """Picard iteration of ``maps`` from ``(0, 0, 0)``.
 
-        Returns ``((psi1, psi2, t), iterations, worst_ratio)``, the largest
-        ratio of consecutive steps.  Raises ``NoConvergence`` if the steps
-        stop contracting or ``MAX_ITER`` steps do not reach ``TOL``.
+        Returns ``picard``'s ``((psi1, psi2, t), iterations, steps)``.  Raises
+        ``NoConvergence`` if the steps stop contracting or ``MAX_ITER`` steps
+        do not reach ``TOL``.
         """
 
         def contracting(steps):
@@ -231,27 +231,27 @@ class PeriodicSolver:
                 )
 
         zero = PeriodicField.zero(MODES, dtype=self._dtype)
-        st, iterations, steps = picard(lambda x: self.maps(x[:2], x[2], a),
-                                       (zero, zero, self._dtype(0.0)), MAX_ITER,
-                                       "ripple solve", contracting)
-        worst_ratio = max((s / p for p, s in zip(steps, steps[1:])), default=0.0)
-        return st, iterations, worst_ratio
+        return picard(lambda x: self.maps(x[:2], x[2], a), (zero, zero, self._dtype(0.0)),
+                      MAX_ITER, "ripple solve", contracting)
 
     def solve(self, a) -> PeriodicWave:
-        """The checked ripple at amplitude ``a``, at the mode cutoff ``MODES``.
+        """The checked ripple at amplitude ``a``: ``iterate``, then ``wave``.
 
-        Raises
-        ------
-        InvalidParams
-            Unless ``a`` is finite with ``|a|`` at most the contraction-region
-            bound ``A_MAX``, or if the converged frequency shift has ``|t| > 1``.
-        NoConvergence
-            If Picard iteration stops contracting or exhausts its budget, or the
-            top quarter of the coefficients exceeds the tail bound (see ``MODES``).
+        Raises ``InvalidParams`` unless ``a`` is finite with ``|a|`` at most
+        the contraction-region bound ``A_MAX``, and as those two do.
         """
         if not abs(a) <= A_MAX:
             raise InvalidParams(f"amplitude must be finite with |a| <= a_max={A_MAX}, got a={a}")
-        (psi1, psi2, t), iters, ratio = self.iterate(a)
+        state, _, steps = self.iterate(a)
+        return self.wave(a, state, steps)
+
+    def wave(self, a, state, steps) -> PeriodicWave:
+        """The ripple at amplitude ``a`` from a converged ``state = (psi1, psi2,
+        t)`` and the Picard ``steps`` that converged it (their count and
+        largest consecutive ratio).  Raises ``NoConvergence`` if the top
+        quarter of the coefficients exceeds the tail bound (see ``MODES``),
+        and ``InvalidParams`` if ``|t| > 1``."""
+        psi1, psi2, t = state
         peak = max(psi1.coeffs @ psi1.coeffs, psi2.coeffs @ psi2.coeffs) ** 0.5
         top = 3 * (MODES + 1) // 4
         tail = max(float(np.max(np.abs(f.coeffs[top:]))) for f in (psi1, psi2))
@@ -272,9 +272,8 @@ class PeriodicSolver:
             psi2=psi2,
             resonance=self.resonance,
             residual=self.system_residual((psi1, psi2), t, a),
-            iterations=iters,
-            contraction_ratio=ratio,
-            converged=True,
+            iterations=len(steps),
+            contraction_ratio=max((s / p for p, s in zip(steps, steps[1:])), default=0.0),
         )
 
 

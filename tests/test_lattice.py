@@ -22,7 +22,6 @@ from dimerwave.lattice import (
     TravelingProfile,
     _aligned,
     _line_corrected_peak,
-    _odd_mask,
     _parabolic_max,
     lattice_energy,
     rk4_steps,
@@ -46,7 +45,7 @@ def _laws(params):
 
 def _step(params, r, v, dt):
     """One RK4 step of the ring, stiff law on its odd sites."""
-    return rk4_steps(r, v, dt, 1, _odd_mask(len(r)), params)
+    return rk4_steps(r, v, dt, 1, params)
 
 
 def _ring_laplacian(s):
@@ -66,7 +65,7 @@ def _kernel_acceleration_sum(params, r):
     velocity is ``(h/6)((k + (k + k)) + (k + k) + k)`` in the kernel's order:
     the kernel's acceleration, up to that exact sum and one scaling.
     """
-    r1, v1 = rk4_steps(r, np.zeros_like(r), _REST_DT, 1, _odd_mask(len(r)), params)
+    r1, v1 = rk4_steps(r, np.zeros_like(r), _REST_DT, 1, params)
     assert np.array_equal(r1, r)
     return v1
 
@@ -225,7 +224,20 @@ class TestConservationAndOrder:
         cfg = LatticeConfig(sites=J, dt=0.02, T=4.0, snap_every=50)
         traj = simulate(CUBIC, cfg, np.zeros(J), np.zeros(J))
         assert np.max(np.abs(traj.R)) == 0.0
-        assert np.max(np.abs(traj.V)) == 0.0
+        assert np.max(np.abs(traj.energies)) == 0.0
+
+    def test_energies_are_each_snapshots_energy(self):
+        # 50 steps in chunks of 7, the last one ragged: each recorded energy is
+        # lattice_energy of the snapshot's r and of its v, stepped again here
+        prof = TravelingProfile.leading_order(CUBIC, 0.2, 64)
+        r, v = prof.initial()
+        traj = simulate(CUBIC, LatticeConfig(sites=64, dt=0.02, T=1.0, snap_every=7), r, v)
+        want = [lattice_energy(CUBIC, r, v)]
+        for i, chunk in enumerate([7] * 7 + [1], start=1):
+            r, v = rk4_steps(r, v, 0.02, chunk, CUBIC)
+            assert np.array_equal(traj.R[i], r)
+            want.append(lattice_energy(CUBIC, r, v))
+        assert len(traj.times) == len(want) and np.array_equal(traj.energies, want)
 
     def test_energy_drift_small_step(self):
         # kappa = 2, dt = 1e-3, a hundred steps
@@ -246,20 +258,18 @@ class TestConservationAndOrder:
     def test_time_reversal(self):
         prof = TravelingProfile.leading_order(QUAD, 0.2, 128)
         r0, v0 = prof.initial()
-        odd = prof.odd
-        r, v = rk4_steps(r0.copy(), v0.copy(), 0.02, 100, odd, QUAD)
-        r, v = rk4_steps(r, -v, 0.02, 100, odd, QUAD)
+        r, v = rk4_steps(r0.copy(), v0.copy(), 0.02, 100, QUAD)
+        r, v = rk4_steps(r, -v, 0.02, 100, QUAD)
         assert np.max(np.abs(r - r0)) < 1e-8
         assert np.max(np.abs(-v - v0)) < 1e-8
 
     def test_fourth_order_convergence(self):
         prof = TravelingProfile.leading_order(QUAD, 0.2, 64)
         r0, v0 = prof.initial()
-        odd = prof.odd
 
         def endpoint(dt, T=0.4):
             steps = int(round(T / dt))
-            return rk4_steps(r0.copy(), v0.copy(), dt, steps, odd, QUAD)[0]
+            return rk4_steps(r0.copy(), v0.copy(), dt, steps, QUAD)[0]
 
         ref = endpoint(0.00125)
         e1 = np.max(np.abs(endpoint(0.02) - ref))
@@ -375,7 +385,7 @@ class TestPerSiteLaw:
         runs = [(0.02, n) for n in (1, 3, _HALO // 2 + 1, 2 * _HALO + 1, 200)]
         runs += [(0.5, n) for n in (1, 3, _HALO // 2 + 1, 2 * _HALO + 1)]
         for dt, steps in runs:
-            r, v = rk4_steps(r0, v0, dt, steps, odd, params)
+            r, v = rk4_steps(r0, v0, dt, steps, params)
             r_ref, v_ref = _two_law_rk4(r0, v0, dt, steps, odd, params)
             assert np.array_equal(r, r_ref) and np.array_equal(v, v_ref), (dt, steps)
         assert np.array_equal(r0, r_in) and np.array_equal(v0, v_in)  # left unwritten
@@ -392,7 +402,7 @@ class TestPerSiteLaw:
         # the same method, summed in another order: 200 steps leave only
         # rounding (measured: at most 7.6e-15 of max|v|)
         params, odd, r0, v0 = self._start(n1, n2, sites)
-        r, v = rk4_steps(r0, v0, 0.02, 200, odd, params)
+        r, v = rk4_steps(r0, v0, 0.02, 200, params)
         r_ref, v_ref = _textbook_rk4(r0, v0, 0.02, 200, odd, params)
         assert np.max(np.abs(r - r_ref)) <= 1e-13 * np.max(np.abs(r_ref))
         assert np.max(np.abs(v - v_ref)) <= 1e-13 * np.max(np.abs(v_ref))

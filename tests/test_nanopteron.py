@@ -16,7 +16,7 @@ import pytest
 from dimerwave.dispersion import Resonance, SymbolSet
 from dimerwave.errors import InvalidParams, LinearSolveFailure, NoConvergence
 from dimerwave.kdv import _soliton_constants, core_profile
-from dimerwave import nanopteron
+from dimerwave import nanopteron, periodic
 from dimerwave.model import DimerParams
 from dimerwave.nanopteron import (
     NanopteronConfig,
@@ -30,7 +30,7 @@ from dimerwave.nanopteron import (
     system_residual,
 )
 from dimerwave.nonlinear import B_eps, BQ_eps, Q_eps, VectorField
-from dimerwave.periodic import solve_periodic
+from dimerwave.periodic import PeriodicSolver, solve_periodic
 from dimerwave.spectral import LineField, LineGrid, sup_norm
 
 QUAD = DimerParams(kappa=2.0, beta=1.0, n1=(), n2=())
@@ -377,10 +377,10 @@ class TestSolve:
         assert sup_norm(state_new.eta2 - state_orig.eta2) < 1e-11
         assert abs(state_new.a - state_orig.a) < 1e-11
 
-    def test_ripple_resolved_cold_once_after_the_fixed_point(self, monkeypatch):
-        # the fixed point carries the ripple; one cold ripple solve at the
-        # final amplitude follows it on the same PeriodicSolver, so the
-        # resonance is found once per solve whatever the pass count
+    def test_ripple_is_the_fixed_points_own(self, monkeypatch):
+        # the fixed point carries the ripple, and the wave is built from the
+        # (psi1, psi2, t) it converged: the resonance is found once and no
+        # ripple Picard loop runs
         find = SymbolSet.find_resonance
         calls = []
 
@@ -388,13 +388,25 @@ class TestSolve:
             calls.append(eps)
             return find(symbols, eps)
 
+        def unreachable(solver, a):
+            raise AssertionError("PeriodicSolver.iterate ran inside solve_nanopteron")
+
         monkeypatch.setattr(SymbolSet, "find_resonance", counting)
+        monkeypatch.setattr(PeriodicSolver, "iterate", unreachable)
         state, wave, diag = solve_nanopteron(QUAD, 0.15)
-        assert len(calls) == 1 and diag.ripple_solves > 2
+        monkeypatch.undo()
+        assert len(calls) == 1 and wave.iterations == diag.iterations > 2
+
+        def gap(x, y):
+            return max(float(np.max(np.abs(x.psi1.coeffs - y[0].coeffs))),
+                       float(np.max(np.abs(x.psi2.coeffs - y[1].coeffs))), abs(x.t - y[2]))
+
+        # one more ripple step at the final amplitude moves it by at most TOL
+        assert gap(wave, PeriodicSolver(QUAD, 0.15).maps((wave.psi1, wave.psi2), wave.t,
+                                                         state.a)) <= periodic.TOL
+        # and it is the cold ripple solve's, to rounding (measured: 4e-17)
         cold = solve_periodic(QUAD, 0.15, state.a)
-        assert np.array_equal(wave.psi1.coeffs, cold.psi1.coeffs)
-        assert np.array_equal(wave.psi2.coeffs, cold.psi2.coeffs)
-        assert wave.t == cold.t
+        assert gap(wave, (cold.psi1, cold.psi2, cold.t)) <= 1e-15
 
     def test_gmres_iterations_total_every_A_solve(self, monkeypatch):
         counts = []

@@ -257,7 +257,7 @@ class TestWaveRecord:
     def test_state_validation(self, monkeypatch):
         # a converged frequency shift with |t| > 1 is refused
         zero = PeriodicField.zero(MODES)
-        monkeypatch.setattr(PeriodicSolver, "iterate", lambda s, a: ((zero, zero, 2.0), 1, 0.0))
+        monkeypatch.setattr(PeriodicSolver, "iterate", lambda s, a: ((zero, zero, 2.0), 1, [1.0]))
         with pytest.raises(InvalidParams,
                            match=r"^frequency shift \|t\| must be <= 1, got t = 2\.0$"):
             solve_periodic(QUAD, 0.1, 1e-3)
