@@ -148,16 +148,15 @@ class TravelingProfile:
         self._r0 = None  # the t = 0 sample, computed once
 
     @classmethod
-    def leading_order(cls, params: DimerParams, eps, sites: int, grid: LineGrid = None):
-        """Squared-sech core only: odd sites eps^2 sigma/kappa, even eps^2 sigma.
+    def leading_order(cls, params: DimerParams, eps, sites: int):
+        """Squared-sech core only: odd sites eps^2 sigma/kappa, even eps^2 sigma,
+        on the solver's default line grid.
 
         Refuses eps outside the long-wave range ``(0, periodic.EPS_MAX]``
         (``periodic.check_long_wave``).
         """
         check_long_wave(eps)
-        if grid is None:
-            grid = LineGrid(GRID_N, WINDOW_L)
-        sigma, _ = core_profile(params, grid)
+        sigma, _ = core_profile(params, LineGrid(GRID_N, WINDOW_L))
         ck, _ = derived_constants(params.kappa)
         c = float(np.sqrt(ck * ck + eps * eps))
         e2 = float(eps) ** 2
@@ -193,14 +192,15 @@ class TravelingProfile:
         the first component, even sites the second.  Offsets wrap into the
         ring; the decaying part is sampled inside the line window only.  A
         class's offsets inside the window are a rotation of one ascending
-        progression (the seam falls outside the window, or the window covers
-        the whole ring), so they are sampled rolled to start at their
-        minimum, which ``LineField.eval_at`` takes as one chirp-z transform.
+        progression of step ``2*eps`` (the seam falls outside the window, or
+        the window covers the whole ring), so ``LineField.eval_at`` samples
+        that progression from its minimum, and the values are rolled back
+        into site order.  That minimum is formed in ``np.longdouble`` from
+        its wrapped site, so no float64 rounding of it shifts the whole class.
         """
         n = len(self.sites)
-        offset = self.sites - self.c * t
-        offset = offset - n * np.floor((offset + n // 2) / n)
-        X = self.eps * offset
+        j = self.sites - n * np.floor((self.sites - self.c * t + n // 2) / n)  # wrapped sites
+        X = self.eps * (j - self.c * t)
         L = self.line1.grid.L
         lines = (self.dline1, self.dline2) if derivative else (self.line1, self.line2)
         vals = np.empty(X.shape)
@@ -210,7 +210,8 @@ class TravelingProfile:
             v = np.zeros(x.shape)
             xs = x[inside]
             first = int(np.argmin(xs))
-            v[inside] = np.roll(lines[k].eval_at(np.roll(xs, -first)), first)
+            start = np.longdouble(self.eps) * (j[sel][inside][first] - np.longdouble(self.c) * t)
+            v[inside] = np.roll(lines[k].eval_at(start, 2 * self.eps, len(xs)), first)
             if self._ripples is not None:
                 ripple, theta = self._ripples[k], self.omega * x
                 if derivative:
@@ -449,11 +450,11 @@ def _line_corrected_peak(values, spacing: float, wavenumber: float):
     the crest slides between sites; band-limited interpolation (circular)
     recovers the crest height to the comb's aliasing level.  It is evaluated
     by ``spectral.trig_interpolate`` only on the window ``_OFFSETS`` (in
-    ``1/_FACTOR`` comb spacings) about the comb's maximum.  The window is not
-    wrapped into the comb: the interpolant is periodic on it, so a maximum
-    at either end reads across the seam, and the window stays one
-    arithmetic progression, which ``trig_interpolate`` takes as a chirp-z
-    transform with no matrix product.
+    ``1/_FACTOR`` comb spacings) about the comb's maximum: the progression
+    from ``x[0]`` in steps of ``spacing/_FACTOR``.  The window is not wrapped
+    into the comb: the interpolant is periodic on it, so a maximum at either
+    end reads across the seam.  The crest is a maximum, so a comb of a
+    negative core is passed negated (see ``stegoton_diagnostics``).
 
     A ripple whose per-site wavenumber exceeds the comb Nyquist aliases
     under blind band-limited interpolation, smearing the crest estimate by
@@ -479,7 +480,7 @@ def _line_corrected_peak(values, spacing: float, wavenumber: float):
     i0 = int(np.argmax(values))
     x = spacing * (i0 * _FACTOR + _OFFSETS) / _FACTOR  # from sample 0, unwrapped
     k = (2.0 * np.pi / (n * spacing)) * np.arange(len(F))
-    fine = trig_interpolate(F, n, k, x)
+    fine = trig_interpolate(F, n, k, x[0], spacing / _FACTOR, len(x))
     if lifted:
         fine = fine + np.real(line * np.exp(1j * wavenumber * x))
     return _parabolic_max(fine)
@@ -508,16 +509,21 @@ def stegoton_diagnostics(traj: LatticeTrajectory, profile: TravelingProfile) -> 
     omega`` (``_line_corrected_peak``); blind to it, the ripple would fold
     below the comb Nyquist and the ratio wobble by roughly the relative
     ripple amplitude.  A leading-order profile has ``omega = 0`` and no line.
+
+    The crest is where ``polarity * r`` peaks, with ``polarity`` the sign of
+    the core amplitude ``A`` (``kdv._soliton_constants``): a core is negative
+    where the nonlinearity ``gamma`` is.  The peaks keep their sign.
     """
     odd = traj.odd
     core_width = profile.core_width_sites()
+    polarity = float(np.sign(_soliton_constants(profile.params, np.float64)[0]))
     wavenumber = profile.eps * profile.omega
     even_peaks, odd_peaks, tails = [], [], []
     J = len(traj.sites)
     for i in range(len(traj.times)):
-        r = traj.R[i]
-        even_peaks.append(_line_corrected_peak(r[~odd], 2.0, wavenumber))
-        odd_peaks.append(_line_corrected_peak(r[odd], 2.0, wavenumber))
+        r = polarity * traj.R[i]
+        even_peaks.append(polarity * _line_corrected_peak(r[~odd], 2.0, wavenumber))
+        odd_peaks.append(polarity * _line_corrected_peak(r[odd], 2.0, wavenumber))
         crest = traj.sites[int(np.argmax(r))]
         dist = np.abs(traj.sites - crest)
         dist = np.minimum(dist, J - dist)

@@ -14,11 +14,11 @@ Conventions fixed repo-wide:
 * ``trig_interpolate`` is the one band-limited interpolant of equispaced
   periodic samples: ``LineField.eval_at`` transfers line fields to lattice
   sites through it, and the lattice's crest estimate reads its parity combs
-  through it.  Points in arithmetic progression (ring sites, crest windows,
-  a lone point) are one chirp-z transform, an FFT convolution with the
-  chirp phases reduced exactly modulo a turn; other points are a
-  baby-step/giant-step matrix product.  So sampling a ring runs no BLAS
-  product, whose threads would spin after it and cost CPU time.
+  through it.  Both sample an arithmetic progression (a parity class of
+  ring sites, a crest window), so callers pass the progression ``(start,
+  step, count)``, and the sum is one chirp-z transform: an FFT convolution
+  with the chirp phases reduced exactly modulo a turn.  So sampling a ring
+  runs no BLAS product, whose threads would spin after it and cost CPU time.
 * Periodic fields are even 2*pi-periodic profiles stored as cosine
   coefficients: ``f(th) = sum_j coeffs[j]*cos(j*th)``.  Since
   ``cos(j*th) = T_j(cos th)``, such a series (and its derivative, through
@@ -37,8 +37,6 @@ Conventions fixed repo-wide:
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -188,94 +186,57 @@ class LineField:
         peak = np.max(np.abs(self.values))
         return float(np.abs(self.values[0]) / peak) if peak > 0 else 0.0
 
-    def eval_at(self, X):
-        """Trigonometric interpolation of the samples at arbitrary points.
+    def eval_at(self, start, step, count: int):
+        """Trigonometric interpolation of the samples at the ``count`` points
+        ``X_m = start + m*step``.
 
         Exact (to rounding) for any function band-limited to the grid; this is
         how profiles are transferred to lattice sites.  It is
-        ``trig_interpolate`` of the samples at ``y = X + L`` from ``X_0 = -L``,
-        so points in arithmetic progression (ascending or not) take its
-        chirp-z path, and any others its matrix product.
+        ``trig_interpolate`` of the samples from ``X_0 = -L``, with the first
+        offset ``start + L`` formed in ``np.longdouble`` so that it carries no
+        rounding of its own.
         """
         return trig_interpolate(self.grid.rfft(self.values), self.grid.n, self.grid.k,
-                                np.asarray(X) + self.grid.L)
+                                np.longdouble(start) + self.grid.L, step, count)
 
 
-def trig_interpolate(F, n: int, k, y):
-    """Band-limited interpolant of ``n`` periodic samples at offsets ``y`` from
-    the first sample.
+def trig_interpolate(F, n: int, k, start, step, count: int):
+    """Band-limited interpolant of ``n`` periodic samples at the offsets
+    ``y_m = start + m*step`` (m = 0..count-1) from the first sample.
 
     ``F`` is the samples' rFFT and ``k`` its bin wavenumbers ``k_j = j*dk``
     (``2*pi/dk`` is the period).  With ``G_0 = F_0`` and ``G_j = 2*F_j`` for
-    ``0 < j < n/2``, the value is ``Re sum_j G_j exp(i*k_j*y) / n``: for even
-    ``n`` the Nyquist bin ``F_{n/2}`` is split between its two images, and
-    for odd ``n`` every bin past the first is an ordinary one.  The result
-    has the shape of ``y``.
+    ``0 < j < n/2``, the value is ``Re sum_j G_j exp(i*k_j*y_m) / n``: for
+    even ``n`` the Nyquist bin ``F_{n/2}`` is split between its two images,
+    and for odd ``n`` every bin past the first is an ordinary one.  The
+    result has ``count`` entries in the dtype of ``k``.
 
-    When the flattened ``y`` is an arithmetic progression to within 4 units
-    of rounding of ``max|y|`` (``_progression``; a lone point is one), the
-    sum is a chirp-z transform, taken as Bluestein's FFT convolution
-    (``_chirp_z``) with its phases reduced exactly.  Other points go through
-    the baby-step/giant-step product ``_baby_giant``.  Lattice sites and
-    crest windows are progressions, so sampling a ring runs no BLAS matrix
-    product, whose threads would spin after it.
+    The sum is a chirp-z transform, taken as Bluestein's FFT convolution
+    (Rabiner, Schafer & Rader 1969).  With ``w_l = exp(i*dk*step*l**2/2)``,
+    ``j*m = (j**2 + m**2 - (m - j)**2)/2`` makes it ``w_m * sum_j (G_j
+    exp(i*k_j*start) w_j) conj(w_{m-j})``, one linear convolution, taken by
+    FFTs of a power-of-two length at least ``len(G) + count - 1``.  ``dk`` is
+    read off the top bin, ``k[-1]/(len(G) - 1)``, where a mismatch with ``k``
+    would cost the most phase.  The phases are counted in turns of
+    ``dk*start`` and ``dk*step*l**2/2``, formed in ``np.longdouble`` and each
+    reduced exactly modulo 1 (``_turns``), so none carries a rounding that
+    grows with ``l``.  No matrix product is taken, so sampling a ring wakes
+    no BLAS thread, which would spin after it and cost CPU time.
     """
     G = F.copy()
     G[1:(n + 1) // 2] *= 2
-    y = np.asarray(y)
-    flat = y.ravel()
-    fit = _progression(flat)
-    out = _baby_giant(G, k, flat) if fit is None else _chirp_z(G, k, flat[0], *fit)
-    return (out / n).reshape(y.shape)[()]
-
-
-def _progression(y):
-    """``(step, dev)`` with ``y[m] = y[0] + m*step + dev[m]`` when every
-    ``|dev[m]|`` is at most 4 units of rounding of ``max|y|``, else None (also
-    for no points or a non-finite one).
-
-    ``step`` is the chord ``(y[-1] - y[0])/(len(y) - 1)`` (0 for a lone
-    point), and both are formed in ``np.longdouble``, so the progression
-    through the rounded points is known beyond their own precision.
-    """
-    if y.size == 0:
-        return None
-    first = np.longdouble(y[0])
-    step = (y[-1] - first) / (y.size - 1) if y.size > 1 else 0 * first
-    dev = y - (first + np.arange(y.size) * step)
-    tol = 4 * np.finfo(np.result_type(y, 1.0)).eps * np.max(np.abs(y))
-    return (step, dev) if np.max(np.abs(dev)) <= tol else None
-
-
-def _chirp_z(G, k, start, step, dev):
-    """``Re sum_j G_j exp(i*k_j*y_m)`` at ``y_m = start + m*step + dev[m]``, by
-    Bluestein's chirp-z transform (Rabiner, Schafer & Rader 1969).
-
-    With ``w_l = exp(i*dk*step*l**2/2)``, ``j*m = (j**2 + m**2 - (m - j)**2)/2``
-    makes the sum at ``dev = 0`` ``w_m * sum_j (G_j exp(i*k_j*start) w_j)
-    conj(w_{m-j})``, one linear convolution, taken by FFTs of a power-of-two
-    length at least ``len(G) + len(dev) - 1``.  The same convolution of
-    ``i*k_j`` times the first factor gives the slope (two more transforms),
-    and ``dev`` times the slope moves each value onto its own point.  ``dk``
-    is read off the top bin, ``k[-1]/(len(G) - 1)``, where a mismatch with
-    ``k`` would cost the most phase.  The phases are counted in turns of
-    ``dk*start`` and ``dk*step*l**2/2``, each reduced exactly modulo 1
-    (``_turns``), so none carries a rounding that grows with ``l``.
-    """
-    modes, points = len(G), len(dev)
-    dtype = np.result_type(start, k, 1.0).type
+    modes = len(G)
+    dtype = k.dtype.type
     turn = np.longdouble(k[-1]) / ((modes - 1) * 8 * np.arctan(np.longdouble(1)))  # dk in turns
     two_pi = 8 * np.arctan(dtype(1))
-    w = np.exp(1j * two_pi * _turns(turn * step / 2, 2, max(modes, points), dtype))
-    size = 1 << (modes + points - 2).bit_length()
-    a = np.zeros((2, size), w.dtype)
-    a[0, :modes] = G * np.exp(1j * two_pi * _turns(turn * start, 1, modes, dtype)) * w[:modes]
-    a[1, :modes] = 1j * k * a[0, :modes]
+    w = np.exp(1j * two_pi * _turns(turn * step / 2, 2, max(modes, count), dtype))
+    size = 1 << (modes + max(count, 1) - 2).bit_length()  # holds G and the convolution
+    a = np.zeros(size, w.dtype)
+    a[:modes] = G * np.exp(1j * two_pi * _turns(turn * start, 1, modes, dtype)) * w[:modes]
     b = np.zeros(size, w.dtype)
-    b[:points] = w[:points].conj()
+    b[:count] = w[:count].conj()
     b[size - modes + 1:] = w[modes - 1:0:-1].conj()
-    value, slope = (w[:points] * np.fft.ifft(np.fft.fft(a) * np.fft.fft(b))[:, :points]).real
-    return value + dev.astype(dtype) * slope
+    return (w[:count] * np.fft.ifft(np.fft.fft(a) * np.fft.fft(b))[:count]).real / n
 
 
 def _turns(beta, power: int, count: int, dtype):
@@ -293,25 +254,6 @@ def _turns(beta, power: int, count: int, dtype):
     hi = np.ldexp(np.round(np.ldexp(mant, bits)), exp - bits)
     ints = ints.astype(dtype)
     return np.modf(dtype(hi) * ints)[0] + dtype(beta - hi) * ints
-
-
-def _baby_giant(G, k, y):
-    """``Re sum_j G_j exp(i*k_j*y)`` at arbitrary points ``y`` (one axis).
-
-    Splitting ``j = a*B + b`` with ``B = ceil(sqrt(len(G)))`` factors the
-    phase (baby step/giant step): the inner sums over ``b`` are one
-    ``(points x B) @ (B x A)`` product, so only ``points*(A + B)`` complex
-    exponentials are taken instead of a dense ``points x len(G)`` table.
-    """
-    modes = len(G)
-    B = math.isqrt(modes - 1) + 1  # ceil(sqrt(modes))
-    A = -(-modes // B)
-    Gab = np.zeros(A * B, dtype=G.dtype)
-    Gab[:modes] = G
-    baby = np.exp(1j * np.multiply.outer(y, k[:B]))
-    giant = np.exp(1j * np.multiply.outer(y, k[::B]))
-    inner = baby @ Gab.reshape(A, B).T
-    return np.sum(giant * inner, axis=-1).real
 
 
 class PeriodicField:

@@ -100,7 +100,7 @@ def test_residual_decays_spectrally(params):
 def test_leading_profiles_alternate_by_kappa(params):
     # the line fields, not sample(0): odd sites never sit at X = 0
     eps = 0.2
-    prof = TravelingProfile.leading_order(params, eps, 64, grid=LineGrid(256, 20.0))
+    prof = TravelingProfile.leading_order(params, eps, 64)
     odd, even = prof.line1, prof.line2
     assert np.max(np.abs(even.values / odd.values - params.kappa)) < 1e-12
     assert np.max(odd.values) == pytest.approx(eps**2 * 0.75, rel=1e-14, abs=0)

@@ -10,7 +10,6 @@ fourth-order step scaling for the integrator itself.
 import numpy as np
 import pytest
 
-from dimerwave import spectral
 from dimerwave.dispersion import SymbolSet
 from dimerwave.errors import InvalidParams, NoConvergence
 from dimerwave.kdv import core_profile
@@ -111,17 +110,6 @@ def _full_upsample_peak(values, spacing, wavenumber, factor=16):
     return float(y1 - 0.25 * (y0 - y2) * d)
 
 
-@pytest.fixture
-def no_point_product(monkeypatch):
-    """Make ``trig_interpolate``'s arbitrary-point product raise: every
-    sample taken under it must be a progression, a chirp-z transform."""
-
-    def refuse(*args):
-        raise AssertionError("sampled points that are not a progression")
-
-    monkeypatch.setattr(spectral, "_baby_giant", refuse)
-
-
 def _crest_pair(values, wavenumber):
     """The crest-window estimate and the full-upsample oracle of one comb."""
     got = _line_corrected_peak(values, 2.0, wavenumber)
@@ -177,11 +165,11 @@ class TestConfig:
 
 class TestLeadingProfile:
     def test_parity_sampling(self):
-        grid = LineGrid(4096, 60.0)
+        grid = LineGrid(4096, 60.0)  # the solver's default, which leading_order samples
         sigma, _ = core_profile(QUAD, grid)
-        prof = TravelingProfile.leading_order(QUAD, 0.1, 64, grid)
-        X = 0.1 * prof.sites
-        want = np.where(prof.odd, sigma.eval_at(X) / 2.0, sigma.eval_at(X)) * 0.01
+        prof = TravelingProfile.leading_order(QUAD, 0.1, 64)
+        core = sigma.eval_at(0.1 * prof.sites[0], 0.1, 64)  # at X = 0.1*j, every site
+        want = np.where(prof.odd, core / 2.0, core) * 0.01
         assert np.max(np.abs(prof.sample(0.0) - want)) < 1e-14
 
     def test_even_within_parity_classes(self):
@@ -520,9 +508,9 @@ class TestTravelingWave:
         return 1 / np.cosh(dist / 2.0) ** 2 + 1e-3 * np.cos(wavenumber * 2.0 * i + 0.4)
 
     @pytest.mark.parametrize("crest", [0.3, -0.2, 255.2, 254.7])
-    def test_crest_window_across_the_seam(self, crest, no_point_product):
+    def test_crest_window_across_the_seam(self, crest):
         # comb maximum at index 0 or n - 1: the window runs past the comb's
-        # end, unwrapped, and is still one progression
+        # end, unwrapped, and reads across the seam
         n = 256
         k = 2 * np.pi * 40 / (n * 2.0)
         comb = self._synthetic_comb(n, crest, k)
@@ -547,7 +535,8 @@ class TestTravelingWave:
         # split Nyquist bin
         comb = self._synthetic_comb(n, 0.3)
         k = 2 * np.pi * np.arange(n // 2 + 1) / n
-        fine = trig_interpolate(np.fft.rfft(comb), n, k, _OFFSETS / _FACTOR)
+        fine = trig_interpolate(np.fft.rfft(comb), n, k, _OFFSETS[0] / _FACTOR, 1 / _FACTOR,
+                                len(_OFFSETS))
         whole = _OFFSETS % _FACTOR == 0
         err = np.max(np.abs(fine[whole] - comb[_OFFSETS[whole] // _FACTOR]))
         assert err <= 1e-13 * np.max(comb)
@@ -583,10 +572,11 @@ class TestTravelingWave:
         assert self._leading_order_shape_error(300.0) <= 5e-2
 
     @pytest.mark.parametrize("sites", [4096, 512])
-    def test_ring_sampling_is_chirp_z(self, sites, no_point_product):
+    def test_ring_sampling_is_chirp_z(self, sites):
         # each parity class is sampled as one progression: on 4096 sites the
         # line window (600 sites at eps 0.2) lies inside the ring, on 512 it
-        # is wider, so every site is inside and the class is a rotated one
+        # is wider, so every site is inside and the class is a rotated one.
+        # The crest windows are progressions too.
         prof = TravelingProfile.leading_order(QUAD, 0.2, sites)
         r0, v0 = prof.initial()
         assert np.all(np.isfinite(prof.sample(7.3)))
@@ -595,6 +585,28 @@ class TestTravelingWave:
         rep = stegoton_diagnostics(traj, prof)
         assert np.all(np.abs(rep.ratios - 2.0) <= 0.1)
 
+    def test_negative_core_crest(self):
+        # gamma < 0 at beta = -30, so the core is negative and its crest is
+        # the comb minimum; read as a maximum, the "crest" was the ripple
+        # (ratios 0.35 to 1.18) and the "tail" the core itself
+        params = DimerParams(kappa=2.0, beta=-30.0, n1=(), n2=())
+        state, wave, diag = solve_nanopteron(params, 0.1)
+        assert diag.residual_rel <= 1e-10
+        prof = TravelingProfile.from_nanopteron(state, wave, 1024)
+        r0, v0 = prof.initial()
+        cfg = LatticeConfig(sites=1024, dt=0.02, T=20.0 / prof.c, snap_every=25)
+        traj = simulate(params, cfg, r0, v0)
+        rep = stegoton_diagnostics(traj, prof)
+        odd = traj.odd
+        assert np.all(rep.even_peaks < 0) and np.all(rep.odd_peaks < 0)
+        # the crest window holds the comb's own samples: no shallower than them
+        assert rep.even_peaks[0] <= np.min(r0[~odd]) * (1 - 1e-12)
+        assert rep.odd_peaks[0] <= np.min(r0[odd]) * (1 - 1e-12)
+        # steady over the run; 6% from kappa, as the profile's O(eps**2) shape has it
+        assert np.ptp(rep.ratios) <= 1e-6 * np.min(rep.ratios)
+        assert np.max(np.abs(rep.ratios - 2.0)) / 2.0 <= 0.1
+        assert np.max(rep.tail_amplitudes) <= 0.05 * np.max(np.abs(r0))
+
     def test_ring_commensurate_snap(self, solved02):
         state, wave, _ = solved02
         prof = TravelingProfile.from_nanopteron(state, wave, 512)
@@ -602,21 +614,34 @@ class TestTravelingWave:
         assert winding == pytest.approx(round(winding), abs=1e-9)
         assert abs(prof.omega - float(wave.omega)) / float(wave.omega) < 2e-2
 
-    @pytest.mark.parametrize("t", [0.0, 7.3])
-    def test_sampling_matches_dense_ripple_formula(self, solved02, t):
+    @pytest.mark.parametrize("t, sites", [
+        pytest.param(0.0, 512, id="0.0"), pytest.param(7.3, 512, id="7.3"),
+        pytest.param(0.0, 4096, id="0.0-4096"), pytest.param(7.3, 4096, id="7.3-4096")])
+    def test_sampling_matches_dense_ripple_formula(self, solved02, t, sites):
         # oracle: offsets wrapped into the ring, both line fields at every
-        # site inside the window |X| < L and zero outside it, and the ripple
-        # series as dense cos/sin matrices, np.where picking each parity
+        # site inside the window |X| < L as dense cos/sin sums of their
+        # spectra and zero outside it, and the ripple series as dense cos/sin
+        # matrices, np.where picking each parity.  On 512 sites every site is
+        # inside the window; on 4096 it covers 600 of them.
         state, wave, _ = solved02
-        prof = TravelingProfile.from_nanopteron(state, wave, 512)
-        X = prof.eps * ((prof.sites - prof.c * t + 256) % 512 - 256)
-        inside = np.abs(X) < prof.line1.grid.L
+        prof = TravelingProfile.from_nanopteron(state, wave, sites)
+        X = prof.eps * ((prof.sites - prof.c * t + sites // 2) % sites - sites // 2)
+        grid = prof.line1.grid
+        inside = np.abs(X) < grid.L
+        assert np.any(~inside) == (sites == 4096)
+        line_phase = np.multiply.outer(X[inside] + grid.L, grid.k)
         m = np.arange(len(prof.per1))
         phase = np.multiply.outer(prof.omega * X, m)
 
+        def line(f):
+            G = np.fft.rfft(f.values)
+            G[1:-1] *= 2  # the Nyquist bin is split between its two images
+            v = np.zeros(X.shape)
+            v[inside] = (np.cos(line_phase) @ G.real - np.sin(line_phase) @ G.imag) / grid.n
+            return v
+
         def dense(f1, f2, pv1, pv2):
-            line = np.where(prof.odd, f1.eval_at(X), f2.eval_at(X))
-            return np.where(inside, line, 0.0) + np.where(prof.odd, pv1, pv2)
+            return np.where(prof.odd, line(f1) + pv1, line(f2) + pv2)
 
         r = dense(prof.line1, prof.line2, np.cos(phase) @ prof.per1, np.cos(phase) @ prof.per2)
         rdot = (-prof.c * prof.eps) * dense(

@@ -30,10 +30,11 @@ def _ripple(grid, omega, amps1, amps2):
     return PeriodicField(c1), PeriodicField(c2)
 
 
-def _samples(v, X):
-    """Physical samples of both components of ``v`` at points X (core + ripple)."""
-    return (v.line1.eval_at(X) + v.per1.eval_at(v.omega * X),
-            v.line2.eval_at(X) + v.per2.eval_at(v.omega * X))
+def _samples(v):
+    """Physical samples of both components of ``v`` at its grid's nodes (core + ripple)."""
+    X = v.line1.grid.X
+    return (v.line1.values + v.per1.eval_at(v.omega * X),
+            v.line2.values + v.per2.eval_at(v.omega * X))
 
 
 def test_vectorfield_algebra(setup):
@@ -192,7 +193,7 @@ def test_mixed_representation_consistency(setup, op):
         out_m = Q_eps(S, mix, mix, mix, 0.1)
         out_p = Q_eps(S, pure, pure, pure, 0.1)
         tol = 1e-8
-    for got, want in zip(_samples(out_m, grid.X), _samples(out_p, grid.X)):
+    for got, want in zip(_samples(out_m), _samples(out_p)):
         assert np.max(np.abs(got - want)) < tol
 
 

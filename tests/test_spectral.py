@@ -126,24 +126,21 @@ def test_spectral_derivative_of_localized_core():
 def test_interpolation_off_grid(grid):
     k3, kn = grid.k[3], grid.k[-1]
     f = LineField(grid, np.cos(k3 * grid.X) + 0.5 * np.cos(kn * grid.X))
-    Xq = np.array([-13.77, -2.3, 0.1234, 9.99])
+    Xq = -13.77 + 7.9 * np.arange(4)
     exact = np.cos(k3 * Xq) + 0.5 * np.cos(kn * Xq)
-    assert np.max(np.abs(f.eval_at(Xq) - exact)) < 1e-12
-    assert f.eval_at(float(grid.X[17])) == pytest.approx(f.values[17], abs=1e-12)
+    assert np.max(np.abs(f.eval_at(-13.77, 7.9, 4) - exact)) < 1e-12
+    assert f.eval_at(float(grid.X[17]), 0.0, 1)[0] == pytest.approx(f.values[17], abs=1e-12)
 
 
-@settings(max_examples=80, deadline=None)  # about 40 draws for each path
+@settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_line_eval_matches_dense_formula(data):
-    # both evaluation paths against the dense cos/sin sums: arbitrary points
-    # take the factored phase tables, a progression the chirp-z transform.
-    # Rounding of y = X + L and of each phase k_j*y is amplified by |k_j|*y,
-    # in every form, so the difference is bounded by C*eps*sum_j (1 +
-    # |k_j|*(|X| + L))*|G_j|/n at each point.  Over 2,000 draws of arbitrary
-    # points the worst measured C was 1.5 (a lone Nyquist mode, where one
-    # phase error is the whole error); mixed spectra stay below 0.7.  Over
-    # 2,500 progressions the worst C was 1.7 (longdouble, a lone Nyquist
-    # mode), 0.5 in float64, and mixed spectra stay below 0.7.
+    # the chirp-z transform against the dense cos/sin sums at a progression
+    # X_m = start + m*step.  Rounding of y = X + L and of each phase k_j*y is
+    # amplified by |k_j|*y, in every form, so the difference is bounded by
+    # C*eps*sum_j (1 + |k_j|*(|X| + L))*|G_j|/n at each point.  Over 2,000
+    # draws the worst measured C was 1.7 (longdouble, a lone Nyquist mode),
+    # 1.3 in float64, and 1.4 for noise alone.
     dtype = data.draw(st.sampled_from([np.float64, np.longdouble]))
     L = data.draw(st.floats(10, 60))
     comb = data.draw(st.one_of(st.none(), st.integers(8, 999)))
@@ -157,13 +154,13 @@ def test_line_eval_matches_dense_formula(data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     noise, nyquist = data.draw(st.sampled_from([(1, 0), (0, 1), (1, 0.5)]))
     values = noise * rng.standard_normal(n).astype(dtype) + nyquist * np.cos(k[-1] * X0)
-    unit = st.floats(-1, 1, exclude_max=True)
-    if data.draw(st.booleans()):  # arbitrary points
-        X = np.array(data.draw(st.lists(unit, min_size=1, max_size=16)), dtype=dtype) * L
-    else:  # a progression of 1 to 600 points spanning up to 2L either way, or none
-        span = data.draw(st.sampled_from([-1, 0, 1])) * data.draw(st.floats(0, 2))
-        points = data.draw(st.integers(1, 600))
-        X = (data.draw(unit) + np.arange(points, dtype=dtype) * dtype(span) / points) * L
+    # 1 to 600 points from anywhere in the window, spanning up to 2L either way
+    # or not at all
+    span = data.draw(st.sampled_from([-1, 0, 1])) * data.draw(st.floats(0, 2))
+    count = data.draw(st.integers(1, 600))
+    start = dtype(data.draw(st.floats(-1, 1, exclude_max=True))) * L
+    step = dtype(span) / count * L
+    X = start + np.arange(count, dtype=dtype) * step
     G = np.fft.rfft(values)
     G[1:] *= 2
     if n % 2 == 0:
@@ -171,9 +168,9 @@ def test_line_eval_matches_dense_formula(data):
     phase = np.multiply.outer(X + L, k)
     dense = (np.cos(phase) @ G.real - np.sin(phase) @ G.imag) / n
     if comb is None:
-        value = LineField(grid, values).eval_at(X)
+        value = LineField(grid, values).eval_at(start, step, count)
     else:
-        value = trig_interpolate(np.fft.rfft(values), n, k, X + L)
+        value = trig_interpolate(np.fft.rfft(values), n, k, start + L, step, count)
     assert value.dtype == dtype
     weight = 1 + np.multiply.outer(np.abs(X) + L, k)
     bound = 4 * np.finfo(dtype).eps * (weight @ np.abs(G)) / n
@@ -181,18 +178,18 @@ def test_line_eval_matches_dense_formula(data):
 
 
 def test_line_eval_keeps_shape_and_dtype(grid):
+    # count points in the grid's dtype, whatever the type of start and step
     f = even_noise(grid)
-    points = np.linspace(-19.0, 19.0, 12).reshape(3, 4)
-    assert np.shape(f.eval_at(0.7)) == ()
-    assert f.eval_at(points).shape == (3, 4)
-    flat = f.eval_at(points.ravel())
-    # the reshaped progression is sampled flat: bit for bit its flat copy
-    assert np.array_equal(f.eval_at(points).ravel(), flat)
+    assert f.eval_at(0.7, 0.0, 1).shape == (1,)
+    flat = f.eval_at(-19.0, 3.25, 12)  # every point exact in float64
+    assert flat.shape == (12,) and flat.dtype == np.float64
+    assert f.eval_at(-19.0, 3.25, 0).shape == (0,)
     # a lone point is a progression of its own: a chirp-z transform of another
     # length, whose phases round differently
-    assert f.eval_at(points[1, 2]) == pytest.approx(flat[6], rel=1e-14, abs=0)
-    assert f.eval_at(np.longdouble(0.7)).dtype == np.longdouble
-    assert f.eval_at(points.astype(np.longdouble)).dtype == np.longdouble
+    assert f.eval_at(0.5, 0.0, 1)[0] == pytest.approx(flat[6], rel=1e-14, abs=0)
+    assert f.eval_at(np.longdouble(0.7), np.longdouble(0.1), 3).dtype == np.float64
+    ld = LineField(LineGrid(grid.n, float(grid.L), np.longdouble), f.values.astype(np.longdouble))
+    assert ld.eval_at(0.7, 0.1, 3).dtype == np.longdouble
 
 
 def test_fine_sampling_roundtrip_with_nyquist_content(grid):
