@@ -30,7 +30,9 @@ once, on the full ansatz, and the tests check its split into bilinear
 families (core*core, core*eta, ...).
 
 Everything is dtype-generic: pass a longdouble ``eps`` (and dtype in the
-config) to push the amplitude floor below double rounding.
+config) to push the amplitude floor below double rounding.  The one part
+that stays in float64 is the Krylov work of the ``A``-solve: a wider solve
+refines float64 GMRES solutions against its own residual (``A_solve``).
 """
 
 from __future__ import annotations
@@ -81,6 +83,11 @@ SYMMETRY_TOL = 1e-11
 # eps = 0.04 returns a = -5.8e-17 where longdouble finds -1.4e-19.
 AMPLITUDE_FLOOR_ULPS = 100
 
+# A wider-than-float64 A-solve refines until its residual is at most this
+# many machine epsilons of the right-hand side, in at most MAX_REFINE steps.
+REFINE_ULPS = 100
+MAX_REFINE = 3
+
 
 def amplitude_floor(dtype, core_sup) -> float:
     """Smallest ``|a|`` a solve in ``dtype`` resolves against a core of peak ``core_sup``."""
@@ -101,9 +108,9 @@ def iota_eps(g: LineField, omega) -> float:
 def gmres(apply_op, b, tol=1e-12, max_iter=400):
     """Solve ``op(x) = b`` by restart-free GMRES, returning ``(x, iterations)``.
 
-    Modified Gram-Schmidt Arnoldi with Givens rotations.  Hand-rolled rather
-    than a library call so extended-precision dtypes flow through (LAPACK
-    stops at double) and the operator stays matrix-free.
+    Modified Gram-Schmidt Arnoldi with Givens rotations, matrix-free and in
+    the dtype of ``b``.  ``SolverOperators.A_solve`` calls it in float64 only;
+    a longdouble solve refines its float64 solutions.
 
     Raises
     ------
@@ -157,6 +164,11 @@ def gmres(apply_op, b, tol=1e-12, max_iter=400):
         f"GMRES stalled at relative residual {abs(g[max_iter]) / norm_b:.3e} "
         f"after {max_iter} iterations", max_iter
     )
+
+
+def _even(v):
+    """The even part ``(v[m] + v[-m]) / 2`` of a sample array."""
+    return 0.5 * (v + v[-np.arange(v.size) % v.size])
 
 
 def build_chi_upsilon(symbols: SymbolSet, grid: LineGrid, sigma: LineField,
@@ -258,6 +270,8 @@ class SolverOperators:
     core's translation direction only when sigma, the smoothing symbol and
     ``gamma1`` belong to the same continuum limit.
 
+    ``sigma``, ``varpi0`` and ``gamma1`` are also kept rounded to float64,
+    the operands of the float64 ``A`` that ``A_solve``'s GMRES iterates with.
     Instances are immutable after construction, apart from the GMRES
     iteration counters that ``A_solve`` updates.
     """
@@ -308,6 +322,9 @@ class SolverOperators:
                 f"kernel residual |A sigma'|/|sigma'| = {self.kernel_defect:.2e} > 1e-6; "
                 "grid does not support the localized linearization"
             )
+        self._float64 = (self.sigma.values.astype(np.float64, copy=False),
+                         self.varpi0_table.astype(np.float64, copy=False),
+                         np.float64(self.gamma1))
         self.last_gmres_iterations = 0
         self.gmres_iterations = 0  # over every A-solve of these operators
 
@@ -324,18 +341,36 @@ class SolverOperators:
     def _A_values(self, values):
         return values + 2 * self.gamma1 * self._smooth_core_multiply(values)
 
+    def _A_float64(self, values):
+        """``_A_values`` with the float64 operands: the operator GMRES iterates with."""
+        sigma, varpi0, gamma1 = self._float64
+        return values + 2 * gamma1 * self.grid.apply(varpi0, sigma * values)
+
     def A_solve(self, f: LineField) -> LineField:
-        """``A^{-1}`` of the even part of ``f`` by matrix-free GMRES.
+        """``A^{-1}`` of the even part of ``f`` by matrix-free GMRES in float64.
 
         ``A`` annihilates the odd core slope ``sigma'``, so odd content is
         the one part of a right-hand side that GMRES cannot resolve; the
         fixed point's right-hand sides are even up to rounding, which is
-        dropped here.  Both iteration counters include a stalled solve.
+        dropped here.  In float64 this is one ``gmres`` call.  In a wider
+        dtype it is mixed-precision iterative refinement (Carson & Higham,
+        SIAM J. Sci. Comput. 2018): the even part ``r`` of ``b - A x`` is
+        formed in that dtype, ``A d = r`` is solved by float64 GMRES, and
+        the even part of ``d`` is added to ``x``, until ``|r| <= REFINE_ULPS *
+        eps_dtype * |b|``.
+
+        ``last_gmres_iterations`` and ``gmres_iterations`` count every float64
+        GMRES iteration, a stalled solve's included.
+
+        Raises
+        ------
+        LinearSolveFailure
+            If GMRES stalls, or the residual is still above its bound after
+            ``MAX_REFINE`` refinement steps; it carries the iteration total.
         """
-        v = f.values
         its = 0
         try:
-            x, its = gmres(self._A_values, 0.5 * (v + v[-np.arange(v.size) % v.size]))
+            x, its = self._solve_even(_even(f.values))
         except LinearSolveFailure as exc:
             its = exc.iterations
             raise
@@ -343,6 +378,27 @@ class SolverOperators:
             self.last_gmres_iterations = its
             self.gmres_iterations += its
         return LineField(self.grid, x)
+
+    def _solve_even(self, b):
+        """``(x, iterations)`` of ``A x = b`` for an even ``b`` (see ``A_solve``)."""
+        if b.dtype == np.float64:
+            return gmres(self._A_float64, b)
+        x, r, its = np.zeros_like(b), b, 0
+        bound = REFINE_ULPS * np.finfo(b.dtype).eps * np.sqrt(b @ b)
+        for _ in range(MAX_REFINE + 1):
+            try:
+                d, k = gmres(self._A_float64, r.astype(np.float64))
+            except LinearSolveFailure as exc:
+                exc.iterations += its
+                raise
+            its += k
+            x += _even(d)  # exactly even, so no float64 rounding of odd content stays in x
+            r = _even(b - self._A_values(x))
+            if np.sqrt(r @ r) <= bound:
+                return x, its
+        rel = float(np.sqrt(r @ r) / np.sqrt(b @ b))
+        raise LinearSolveFailure(f"A-solve refinement left relative residual {rel:.3e} "
+                                 f"after {MAX_REFINE} refinement steps", its)
 
     def iota(self, g: LineField):
         return iota_eps(g, self.resonance.omega)
@@ -380,19 +436,18 @@ def N_maps(ops: SolverOperators, state: NanopteronState, ripple: VectorField,
     eta1 + gamma2 eta2)`` is the bilinear linearized about the core, and the
     resonant correction ``r2' = r2 + 2 a chi``: ``N3 = iota[r2']/(2 upsilon)``
     (new amplitude), ``N2 = eps**2 P_eps r2'`` (new optical corrector), and
-    ``N1 = A^{-1}(r1 + s(gamma1 eta1 + gamma2 eta2) - gamma2 s(z))`` with
-    ``z = N2`` ("new") or the current eta2 ("original").
+    ``N1 = A^{-1}(r1 + s(gamma1 eta1 + gamma2 (eta2 - z)))`` with ``z = N2``
+    ("new") or the current eta2 ("original"), one coupling to the core.
     """
     W = BQ_eps(ops.symbols, _full_ansatz(ops, state, ripple), ops.eps)
     del ripple  # its zero line parts need not stay alive through the A-solve
-    smooth = ops._smooth_core_multiply
     r1 = -ops.sigma - W.line1.apply(ops.varpi_eps_table)
-    r1_mod = r1.values + 2 * smooth(ops.gamma1 * state.eta1.values + ops.gamma2 * state.eta2.values)
     r2_mod = (-1.0) * W.line2.apply(ops.lambda_plus_table) + (2 * state.a) * ops.chi
     a_new = ops.iota(r2_mod) / (2 * ops.upsilon)
     eta2_new = ops.eps**2 * ops.P_eps(r2_mod)
     z = eta2_new if fixed_point == "new" else state.eta2
-    eta1_new = ops.A_solve(LineField(ops.grid, r1_mod - 2 * ops.gamma2 * smooth(z.values)))
+    coupled = ops.gamma1 * state.eta1.values + ops.gamma2 * (state.eta2.values - z.values)
+    eta1_new = ops.A_solve(LineField(ops.grid, r1.values + 2 * ops._smooth_core_multiply(coupled)))
     return eta1_new, eta2_new, a_new
 
 
@@ -430,7 +485,8 @@ class SolveDiagnostics:
     """Iteration log and converged-state measurements.
 
     ``step_history`` holds each pass's sup-norm step over all six unknowns
-    and ``gmres_iterations`` totals every ``A``-solve.  ``converged`` (always
+    and ``gmres_iterations`` totals the float64 GMRES iterations of every
+    ``A``-solve, each refinement step's included.  ``converged`` (always
     true) and ``ripple_solves`` (one ripple step per pass, so ``iterations``)
     are read-only.
     """

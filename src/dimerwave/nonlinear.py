@@ -20,6 +20,9 @@ periodic ripple of frequency omega, ``theta_i(X) = f_i(X) + g_i(omega*X)``:
   with a decaying factor is decaying, ``(f, g).(f', g') = (f f' + f g' +
   g f', g g')``, and truncated back, so there is no quadratic or cubic
   aliasing.  Only calN's decaying half is a total minus its ripple value.
+  The decaying half stays in Fourier space between the diagonalizers: one
+  rFFT per component in, the padded spectrum straight to the fine grid, the
+  products' truncated spectra through ``J1``, one inverse rFFT out.
 
 An argument passed more than once (the solvers' ``B_eps(v, v)``) is
 J-transformed and sampled once, and the diagonalizer's line-grid entries are
@@ -139,6 +142,16 @@ def _J_cosine(symbols: SymbolSet, eps, omega, pair, inverse: bool = False):
     )
 
 
+def _J_spectra(E, F1, F2):
+    """The symbol matrix ``E`` applied to the spectra pair ``(F1, F2)``."""
+    return E[0][0] * F1 + E[0][1] * F2, E[1][0] * F1 + E[1][1] * F2
+
+
+def _J_lines(grid: LineGrid, E, F1, F2):
+    """The line fields whose spectra are ``_J_spectra(E, F1, F2)``."""
+    return tuple(LineField(grid, grid.irfft(G)) for G in _J_spectra(E, F1, F2))
+
+
 def apply_J(symbols: SymbolSet, eps, v: VectorField, inverse: bool = False) -> VectorField:
     """Apply the diagonalizer ``J`` (or its inverse) to a mixed field.
 
@@ -148,11 +161,9 @@ def apply_J(symbols: SymbolSet, eps, v: VectorField, inverse: bool = False) -> V
     """
     grid = v.grid
     E = _line_entries(symbols, eps, grid, inverse)
-    F1, F2 = grid.rfft(v.line1.values), grid.rfft(v.line2.values)
-    out_l1 = grid.irfft(E[0][0] * F1 + E[0][1] * F2)
-    out_l2 = grid.irfft(E[1][0] * F1 + E[1][1] * F2)
-    out_p1, out_p2 = _J_cosine(symbols, eps, v.omega, (v.per1, v.per2), inverse)
-    return VectorField(LineField(grid, out_l1), LineField(grid, out_l2), out_p1, out_p2, v.omega)
+    lines = _J_lines(grid, E, grid.rfft(v.line1.values), grid.rfft(v.line2.values))
+    return VectorField(*lines, *_J_cosine(symbols, eps, v.omega, (v.per1, v.per2), inverse),
+                       v.omega)
 
 
 # -- the two algebras -----------------------------------------------------------
@@ -221,10 +232,17 @@ def _Q_bracket(alg, p: DimerParams, eps, a, b, h):
 
 
 def _transform_and_sample(symbols: SymbolSet, eps, v: VectorField, cx):
-    """The ripple pair of ``J v`` and its fine-grid ``(decaying, ripple)`` samples."""
-    W = apply_J(symbols, eps, v)
-    pairs = ((W.line1, W.per1), (W.line2, W.per2))
-    return (W.per1, W.per2), [(fine_samples(ln), pr.chebyshev_at(cx)) for ln, pr in pairs]
+    """The ripple pair of ``J v`` and its fine-grid ``(decaying, ripple)`` samples.
+
+    The decaying half goes from one rFFT per component through the symbol
+    straight to the padded fine grid, never back to coarse values.
+    """
+    grid = v.grid
+    E = _line_entries(symbols, eps, grid, False)
+    spectra = _J_spectra(E, grid.rfft(v.line1.values), grid.rfft(v.line2.values))
+    ripples = _J_cosine(symbols, eps, v.omega, (v.per1, v.per2))
+    return ripples, [(fine_samples(grid, F), pr.chebyshev_at(cx))
+                     for F, pr in zip(spectra, ripples)]
 
 
 def _sandwich(symbols: SymbolSet, bracket, args, eps) -> VectorField:
@@ -232,7 +250,8 @@ def _sandwich(symbols: SymbolSet, bracket, args, eps) -> VectorField:
 
     Each distinct argument is J-transformed and sampled once, and the
     bracket is evaluated on the ripple pairs in ``_Cosine`` and on the
-    samples in ``_Split``.
+    samples in ``_Split``.  The decaying products' truncated spectra see
+    ``J1`` before the one inverse rFFT per component.
     """
     grid = args[0].grid
     if any(v.grid != grid for v in args):
@@ -244,10 +263,12 @@ def _sandwich(symbols: SymbolSet, bracket, args, eps) -> VectorField:
         if id(v) not in done:
             done[id(v)] = _transform_and_sample(symbols, eps, v, cx)
     ripples, samples = zip(*(done[id(v)] for v in args))
-    per1, per2 = bracket(_Cosine, symbols.params, eps, *ripples)
+    per = _J_cosine(symbols, eps, omega, bracket(_Cosine, symbols.params, eps, *ripples),
+                    inverse=True)
     decay = bracket(_Split, symbols.params, eps, *samples)
-    line1, line2 = (from_fine_samples(grid, d) for d, _ in decay)
-    return apply_J(symbols, eps, VectorField(line1, line2, per1, per2, omega), inverse=True)
+    E = _line_entries(symbols, eps, grid, True)
+    return VectorField(*_J_lines(grid, E, *(from_fine_samples(grid, d) for d, _ in decay)),
+                       *per, omega)
 
 
 # -- public operators ------------------------------------------------------------

@@ -31,9 +31,13 @@ Conventions fixed repo-wide:
   ``|T_j'(+-1)| = j**2`` amplifies the rounding of ``cos th``) and does not
   grow with ``|th|``, since no product ``j*th`` is formed.
 * Pointwise products are de-aliased by evaluating on a 2x zero-padded grid
-  and truncating back; this is exact through cubic products of band-limited
-  fields and leaves only rounding-level aliasing for the analytic,
-  exponentially-decaying spectra handled here.
+  and truncating back (Orszag, J. Atmos. Sci. 1971); this is exact through
+  cubic products of band-limited fields and leaves only rounding-level
+  aliasing for the analytic, exponentially-decaying spectra handled here.
+  The two entry points work from and to spectra: ``fine_samples`` takes an
+  rFFT to fine-grid values, ``from_fine_samples`` fine-grid values to the
+  truncated rFFT, so a caller that applies Fourier multipliers around a
+  product runs one transform each way and none on the coarse values.
 """
 
 from __future__ import annotations
@@ -400,14 +404,14 @@ def _two_sided(c):
 DEALIAS_FACTOR = 2  # fine points per line-grid point (see the module docstring)
 
 
-def fine_samples(f: LineField):
-    """Samples of the field's trig-polynomial on the ``DEALIAS_FACTOR``-times finer grid.
+def fine_samples(grid: LineGrid, F):
+    """Samples on the ``DEALIAS_FACTOR``-times finer grid of the trig polynomial
+    whose rFFT on ``grid`` is ``F``.
 
     Zero-pads the spectrum; the coarse Nyquist coefficient is halved because
     it becomes an interior (conjugate-paired) mode on the fine grid.
     """
-    n = f.grid.n
-    F = f.grid.rfft(f.values)
+    n = grid.n
     fine = np.zeros(DEALIAS_FACTOR * n // 2 + 1, dtype=F.dtype)
     fine[: n // 2 + 1] = F
     fine[n // 2] /= 2
@@ -415,12 +419,16 @@ def fine_samples(f: LineField):
 
 
 def from_fine_samples(grid: LineGrid, fine_values):
-    """Truncate fine-grid samples back to the coarse grid's band (de-aliasing)."""
+    """The rFFT on ``grid`` of fine-grid samples truncated to its band (de-aliasing).
+
+    The inverse of ``fine_samples`` on the band.  The fine mode at the coarse
+    Nyquist index keeps twice its real part, so that bin is real, as the DC
+    bin of real samples is: the spectrum of the truncated samples' values.
+    """
     n = grid.n
-    F_fine = np.fft.rfft(fine_values)
-    F = F_fine[: n // 2 + 1] / DEALIAS_FACTOR
-    F = np.concatenate([F[:-1], [F[-1].real * 2]])
-    return LineField(grid, np.fft.irfft(F, n=n))
+    F = np.fft.rfft(fine_values)[: n // 2 + 1] / DEALIAS_FACTOR
+    F[-1] = 2 * F[-1].real
+    return F
 
 
 # -- norms and conjugation -----------------------------------------------------

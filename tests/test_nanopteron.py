@@ -237,6 +237,83 @@ class TestLocalizedLinearization:
         assert ops.gmres_iterations == solved + 3
 
 
+@pytest.fixture(scope="module")
+def ops_ld():
+    return SolverOperators(QUAD, np.longdouble("0.2"), LineGrid(512, 20.0, np.longdouble))
+
+
+def _even_rhs(grid, seed):
+    """An even, enveloped random right-hand side in the grid's dtype."""
+    v = np.random.default_rng(seed).standard_normal(grid.n) * np.exp(-0.1 * grid.X**2)
+    return 0.5 * (v + v[-np.arange(grid.n) % grid.n])
+
+
+class TestRefinedASolve:
+    """A wider-than-float64 A-solve: float64 GMRES refined against its own residual."""
+
+    def test_residual_at_longdouble_rounding(self, ops_ld):
+        b = _even_rhs(ops_ld.grid, 21)
+        x = ops_ld.A_solve(LineField(ops_ld.grid, b))
+        r = b - ops_ld._A_values(x.values)
+        eps_ld = np.finfo(np.longdouble).eps
+        # measured 0.9 eps_ld; one float64 GMRES solve alone leaves about 1e-13
+        assert np.sqrt(r @ r) <= nanopteron.REFINE_ULPS * eps_ld * np.sqrt(b @ b)
+        assert x.values.dtype == np.longdouble
+
+    def test_matches_longdouble_gmres(self, ops_ld):
+        b = _even_rhs(ops_ld.grid, 22)
+        x = ops_ld.A_solve(LineField(ops_ld.grid, b))
+        oracle, _ = gmres(ops_ld._A_values, b, tol=1e-18)
+        # measured 6.7e-19 of the peak
+        assert np.max(np.abs(x.values - oracle)) <= 1e-17 * np.max(np.abs(oracle))
+
+    def test_gmres_runs_in_float64(self, ops_ld, monkeypatch):
+        seen = []
+
+        def recording_gmres(apply_op, b, **kwargs):
+            seen.append((b.dtype, apply_op(b).dtype))
+            return gmres(apply_op, b, **kwargs)
+
+        monkeypatch.setattr(nanopteron, "gmres", recording_gmres)
+        ops_ld.A_solve(LineField(ops_ld.grid, _even_rhs(ops_ld.grid, 23)))
+        assert len(seen) >= 2  # the first solve and at least one refinement
+        assert all(dtypes == (np.float64, np.float64) for dtypes in seen)
+
+    def test_float64_is_one_gmres_call(self, ops01, monkeypatch):
+        calls = []
+
+        def recording_gmres(apply_op, b, **kwargs):
+            calls.append(b)
+            return gmres(apply_op, b, **kwargs)
+
+        grid = ops01.grid
+        v = np.random.default_rng(24).standard_normal(grid.n) * np.exp(-0.1 * grid.X**2)
+        monkeypatch.setattr(nanopteron, "gmres", recording_gmres)
+        x = ops01.A_solve(LineField(grid, v))
+        assert len(calls) == 1
+        expected, _ = gmres(ops01._A_values, 0.5 * (v + v[-np.arange(grid.n) % grid.n]))
+        assert np.array_equal(x.values, expected)
+
+    def test_refinement_budget_is_a_failure(self, monkeypatch):
+        # a GMRES that returns half the solution halves the residual per step,
+        # so the refinement never reaches its bound
+        ops = SolverOperators(QUAD, np.longdouble("0.2"), LineGrid(512, 20.0, np.longdouble))
+        counts = []
+
+        def half_gmres(apply_op, b, **kwargs):
+            x, its = gmres(apply_op, b, **kwargs)
+            counts.append(its)
+            return 0.5 * x, its
+
+        monkeypatch.setattr(nanopteron, "gmres", half_gmres)
+        with pytest.raises(LinearSolveFailure, match="refinement steps") as info:
+            ops.A_solve(LineField(ops.grid, _even_rhs(ops.grid, 25)))
+        assert len(counts) == nanopteron.MAX_REFINE + 1
+        assert info.value.iterations == sum(counts)
+        assert ops.last_gmres_iterations == sum(counts)
+        assert ops.gmres_iterations == sum(counts)
+
+
 class TestGmres:
     def test_matches_dense_solve(self):
         rng = np.random.default_rng(11)

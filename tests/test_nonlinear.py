@@ -6,7 +6,7 @@ import pytest
 from dimerwave import DimerParams, InvalidParams, SymbolSet
 from dimerwave.kdv import core_profile
 from dimerwave.nonlinear import (
-    B_eps, BQ_eps, BQ_ripple, Q_eps, VectorField, _Cosine, _Split,
+    B_eps, BQ_eps, BQ_ripple, Q_eps, VectorField, _Cosine, _Split, apply_J,
 )
 from dimerwave.spectral import (
     DEALIAS_FACTOR, LineField, LineGrid, PeriodicField, fine_samples, l2_norm,
@@ -37,6 +37,11 @@ def _samples(v):
             v.line2.values + v.per2.eval_at(v.omega * X))
 
 
+def _fine(f):
+    """Fine-grid samples of a line field."""
+    return fine_samples(f.grid, f.grid.rfft(f.values))
+
+
 def test_vectorfield_algebra(setup):
     S, grid, sigma, bump = setup
     v = VectorField.from_line(sigma, bump)
@@ -53,7 +58,7 @@ def test_vectorfield_algebra(setup):
 
 def test_calN_constant_and_zero_remainder(setup):
     _, grid, sigma, bump = setup
-    f, g = fine_samples(sigma), np.zeros(DEALIAS_FACTOR * grid.n)
+    f, g = _fine(sigma), np.zeros(DEALIAS_FACTOR * grid.n)
     # N = c: calN(h) = c*h in both halves
     decay, ripple = _Split.calN((f, g), (0.5,))
     assert np.max(np.abs(decay - 0.5 * f)) < 1e-12
@@ -68,7 +73,7 @@ def test_calN_constant_and_zero_remainder(setup):
 def test_calN_linear_remainder_is_quadratic_map(setup):
     _, grid, sigma, bump = setup
     # N(r) = r gives calN(h) = h**2
-    for f in (fine_samples(sigma), fine_samples(bump)):
+    for f in (_fine(sigma), _fine(bump)):
         decay, _ = _Split.calN((f, np.zeros_like(f)), (0.0, 1.0))
         assert np.max(np.abs(decay - f**2)) < 1e-12
 
@@ -80,7 +85,7 @@ def test_calN_even_and_periodic_half(setup):
     assert per.coeffs[0] == pytest.approx(0.125, abs=1e-14)
     assert per.coeffs[2] == pytest.approx(0.125, abs=1e-14)
     # decaying half carries the cross term 2*f*g plus f**2
-    f, g = fine_samples(sigma), 0.5 * grid.cos_phase(2.0, DEALIAS_FACTOR)
+    f, g = _fine(sigma), 0.5 * grid.cos_phase(2.0, DEALIAS_FACTOR)
     decay, ripple = _Split.calN((f, g), (0.0, 1.0))
     assert np.max(np.abs(decay - (f**2 + 2 * f * g))) < 1e-11
     assert np.max(np.abs(ripple - g**2)) < 1e-15
@@ -291,3 +296,54 @@ def test_BQ_ripple_is_the_ripple_half_of_BQ_eps(setup, params, dtype):
     got = BQ_ripple(S, pair, pair, v.omega, eps)
     for g, w in zip(got, (full.per1, full.per2)):
         assert g.coeffs.dtype == dtype and np.array_equal(g.coeffs, w.coeffs)
+
+
+def _pad_values(values):
+    """Values on the fine grid, through the coarse values' own rFFT (zero padding)."""
+    n = values.size
+    F = np.fft.rfft(values)
+    fine = np.zeros(DEALIAS_FACTOR * n // 2 + 1, dtype=F.dtype)
+    fine[: n // 2 + 1] = F
+    fine[n // 2] /= 2
+    return np.fft.irfft(fine, n=DEALIAS_FACTOR * n) * DEALIAS_FACTOR
+
+
+def _truncate_values(fine, n):
+    """Coarse values of fine samples truncated to the coarse band."""
+    F = np.fft.rfft(fine)[: n // 2 + 1] / DEALIAS_FACTOR
+    F[-1] = 2 * F[-1].real
+    return np.fft.irfft(F, n=n)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_B_matches_values_level_sandwich(dtype):
+    # B_eps keeps the decaying half in Fourier space between J and J1; the
+    # oracle returns to coarse values after J, pads and truncates values, and
+    # applies J1 to the truncated values (the ripple half is BQ_ripple's)
+    params = DimerParams(kappa=2.0, beta=1.0, n1=(), n2=())
+    S = SymbolSet(params)
+    grid = LineGrid(512, 20.0, dtype=dtype)
+    eps = dtype(0.15)
+    core, _ = core_profile(params, grid)
+    bump = np.exp(-grid.X**2 / 3)
+    p1, p2 = _ripple(grid, 0.0, [0.05, -0.01], [0.02, 0.004])
+    v = (VectorField.from_line(core, LineField.zero(grid))
+         + VectorField.from_line(LineField(grid, 0.03 * bump), LineField(grid, -0.02 * bump))
+         + VectorField.from_periodic(grid, PeriodicField(p1.coeffs.astype(dtype)),
+                                     PeriodicField(p2.coeffs.astype(dtype)), dtype(2.3)))
+    W = apply_J(S, eps, v)
+    cx = grid.cos_phase(v.omega, DEALIAS_FACTOR)
+    decay = []
+    for line, per in ((W.line1, W.per1), (W.line2, W.per2)):
+        f, g = _pad_values(line.values), per.chebyshev_at(cx)
+        decay.append(_truncate_values(f * f + 2 * f * g, grid.n))
+    decay[0] = decay[0] * (params.beta / params.kappa)
+    line = apply_J(S, eps, VectorField.from_line(LineField(grid, decay[0]),
+                                                 LineField(grid, decay[1])), inverse=True)
+    ripple = BQ_ripple(S, (v.per1, v.per2), (v.per1, v.per2), v.omega, eps)
+    got = B_eps(S, v, v, eps)
+    tol = 50 * np.finfo(dtype).eps
+    oracle = (line.line1.values, line.line2.values, ripple[0].coeffs, ripple[1].coeffs)
+    for g, w in zip(_parts(got), oracle):
+        assert g.dtype == dtype
+        assert np.max(np.abs(g - w)) <= tol * np.max(np.abs(w))
