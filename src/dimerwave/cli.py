@@ -44,10 +44,12 @@ for a fixed configuration the data files — and every run-record section
 except the trailing ``[timings]`` one — are byte-identical across reruns.
 
 Data files are uncompressed ``.npz`` archives that hold the exact float64
-values, one array per column and a ``schema`` key.  A plotting helper is
-deliberately not part of the package; ``numpy.load(path)["r_j"]`` of a
-``trajectory.npz`` is already shaped (snapshots, sites) for e.g.
-``matplotlib.pyplot.pcolormesh``, against its ``t`` and ``j`` arrays.
+values, one array per column and a ``schema`` key; a solution archive holds
+only the solve's unknowns, and a load re-checks them (``load_solution``).  A
+plotting helper is deliberately not part of the package;
+``numpy.load(path)["r_j"]`` of a ``trajectory.npz`` is already shaped
+(snapshots, sites) for e.g. ``matplotlib.pyplot.pcolormesh``, against its
+``t`` and ``j`` arrays.
 """
 
 import argparse
@@ -61,17 +63,17 @@ from typing import NamedTuple
 import numpy as np
 
 from . import gates
-from .dispersion import Resonance, SymbolSet
+from .dispersion import SymbolSet
 from .errors import InvalidParams, LinearSolveFailure, NoConvergence
 from .kdv import core_profile
 from .lattice import LatticeConfig, TravelingProfile, simulate
 from .model import DimerParams
 from .nanopteron import NanopteronState, solve_nanopteron
-from .periodic import PeriodicField, PeriodicWave, check_long_wave, solve_periodic
+from .periodic import PeriodicField, PeriodicSolver, check_long_wave, solve_periodic
 from .spectral import LineField, LineGrid
 
 SCHEMA_RECORD = "dimerwave-runrecord/1"
-SCHEMA_SOLUTION = "dimerwave-nanopteron/1"
+SCHEMA_SOLUTION = "dimerwave-nanopteron/2"
 SCHEMA_DATA = "dimerwave-data/1"
 
 
@@ -131,10 +133,12 @@ class RunRecord:
 
 
 def save_solution(path, state, wave):
-    """Archive a solved nanopteron so ``simulate`` can reconstruct it.
+    """Archive a solved nanopteron's unknowns so ``simulate`` can rebuild it.
 
-    ``X`` and ``sigma`` (the grid and the KdV core on it) sit beside the
-    correctors ``eta1`` and ``eta2`` for plotting; ``load_solution`` ignores them.
+    Keys: ``schema``, ``kappa``, ``beta``, ``n1``, ``n2``, ``eps``, ``grid_L``,
+    ``eta1``, ``eta2``, ``a``, and the ripple's ``psi1``, ``psi2``, ``t`` and
+    Picard ``steps``; ``X`` and ``sigma`` (the grid and the KdV core on it)
+    sit beside them for plotting, and ``load_solution`` ignores them.
     """
     params, grid = wave.params, state.eta1.grid
     np.savez(
@@ -145,7 +149,6 @@ def save_solution(path, state, wave):
         n1=np.asarray(params.n1, dtype=np.float64),
         n2=np.asarray(params.n2, dtype=np.float64),
         eps=float(wave.eps),
-        grid_n=grid.n,
         grid_L=grid.L,
         X=np.asarray(grid.X, dtype=np.float64),
         sigma=np.asarray(core_profile(params, grid)[0].values, dtype=np.float64),
@@ -154,17 +157,8 @@ def save_solution(path, state, wave):
         a=float(state.a),
         psi1=np.asarray(wave.psi1.coeffs, dtype=np.float64),
         psi2=np.asarray(wave.psi2.coeffs, dtype=np.float64),
-        wave_a=float(wave.a),
-        wave_t=float(wave.t),
-        wave_omega=float(wave.omega),
-        wave_residual=float(wave.residual),
-        wave_iterations=wave.iterations,
-        wave_contraction=float(wave.contraction_ratio),
-        res_c=float(wave.resonance.c),
-        res_Omega=float(wave.resonance.Omega),
-        res_omega=float(wave.resonance.omega),
-        res_Upsilon=float(wave.resonance.Upsilon),
-        res_residual=float(wave.resonance.residual),
+        t=float(wave.t),
+        steps=np.asarray(wave.steps, dtype=np.float64),
     )
 
 
@@ -174,14 +168,17 @@ def save_trajectory(path, traj):
 
 
 def load_solution(path):
-    """Rebuild ``(state, wave)`` from a solution archive.
+    """Rebuild ``(state, wave)`` from a solution archive: the wave is
+    ``PeriodicSolver(params, eps).wave(a, (psi1, psi2, t), steps)``, which
+    recomputes the resonance and the residual and re-checks eps, the
+    coefficient tail and ``|t| <= 1``.
 
     Raises
     ------
     InvalidParams
-        If the file is not an ``.npz`` archive, lacks a key, holds a
-        non-finite number, or describes an invalid solution (say, ``a`` and
-        ``wave_a`` differ); the message names the file and any key at fault.
+        If the file is not an ``.npz`` archive of this schema, lacks a key,
+        holds a non-finite number, or fails those checks (its tail check
+        too); the message names the file and any key at fault.
     """
     try:
         archive = np.load(path)
@@ -198,39 +195,19 @@ def load_solution(path):
     try:
         if str(z["schema"]) != SCHEMA_SOLUTION:
             raise InvalidParams(f"unknown solution schema {z['schema']!r}")
-        n = int(z["grid_n"])
-        if z["a"] != z["wave_a"]:
-            raise InvalidParams(f"key 'a' = {float(z['a'])!r} differs from key 'wave_a' = "
-                                f"{float(z['wave_a'])!r}, the amplitude the ring reads")
-        for key in ("eta1", "eta2"):
-            if z[key].shape != (n,):
-                raise InvalidParams(f"key {key!r} has shape {z[key].shape}, not ({n},)")
         params = DimerParams(
             kappa=float(z["kappa"]), beta=float(z["beta"]),
             n1=tuple(z["n1"]), n2=tuple(z["n2"]),
         )
-        eps = float(z["eps"])
-        grid = LineGrid(n, float(z["grid_L"]))
-        state = NanopteronState(
-            LineField(grid, z["eta1"]),
-            LineField(grid, z["eta2"]),
-            float(z["a"]),
-        )
-        resonance = Resonance(
-            c=float(z["res_c"]), eps=eps, Omega=float(z["res_Omega"]),
-            omega=float(z["res_omega"]), Upsilon=float(z["res_Upsilon"]),
-            residual=float(z["res_residual"]),
-        )
-        wave = PeriodicWave(
-            params=params, eps=eps, a=float(z["wave_a"]), t=float(z["wave_t"]),
-            omega=float(z["wave_omega"]), psi1=PeriodicField(z["psi1"]),
-            psi2=PeriodicField(z["psi2"]), resonance=resonance,
-            residual=float(z["wave_residual"]), iterations=int(z["wave_iterations"]),
-            contraction_ratio=float(z["wave_contraction"]),
-        )
+        grid = LineGrid(len(z["eta1"]), float(z["grid_L"]))
+        a = float(z["a"])
+        state = NanopteronState(LineField(grid, z["eta1"]), LineField(grid, z["eta2"]), a)
+        ripple = (PeriodicField(z["psi1"]), PeriodicField(z["psi2"]), float(z["t"]))
+        steps = [float(s) for s in z["steps"]]
+        wave = PeriodicSolver(params, float(z["eps"])).wave(a, ripple, steps)
     except KeyError as exc:
         raise InvalidParams(f"{path}: missing key {exc}") from exc
-    except (InvalidParams, TypeError, ValueError) as exc:
+    except (InvalidParams, NoConvergence, TypeError, ValueError) as exc:
         raise InvalidParams(f"{path}: {exc}") from exc
     return state, wave
 

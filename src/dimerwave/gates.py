@@ -22,7 +22,7 @@ from .errors import (DegenerateSolvability, LinearSolveFailure, NoConvergence,
                      UnresolvedAmplitude, UnresolvedCorrector)
 from .kdv import core_profile, kdv_residual
 from .model import DimerParams
-from .nanopteron import NanopteronConfig, SolverOperators, solve_nanopteron
+from .nanopteron import NanopteronConfig, SolverOperators, refined_grid, solve_nanopteron
 from .periodic import PeriodicSolver
 from .spectral import LineField, LineGrid, conjugated_multiplier, l2_norm, sup_norm
 
@@ -118,8 +118,10 @@ def core(params, L_values=(40.0, 60.0)):
 
 
 def kernel(params, eps=0.1):
-    """The linearization ``A`` about the core annihilates the core's slope."""
-    ops = SolverOperators(params, eps, LineGrid(4096, 40.0))
+    """The linearization ``A`` about the core annihilates the core's slope, on
+    the 40-long window refined (``refined_grid``) until it resolves the ripple."""
+    resonance = SymbolSet(params).find_resonance(eps)
+    ops = SolverOperators(params, eps, refined_grid(resonance.omega, 40.0), resonance)
     return [_at_most("annihilates_slope", ops.kernel_defect, "1e-6")]
 
 

@@ -94,6 +94,15 @@ def amplitude_floor(dtype, core_sup) -> float:
     return AMPLITUDE_FLOOR_ULPS * float(np.finfo(dtype).eps) * float(core_sup)
 
 
+def refined_grid(omega, L=WINDOW_L, dtype=np.float64) -> LineGrid:
+    """The ``GRID_N``-point grid of half-length ``L``, doubled while its spacing
+    misses a ripple of frequency ``omega``, up to ``MAX_GRID_N`` points."""
+    grid = LineGrid(GRID_N, L, dtype=dtype)
+    while not grid.resolves_ripple(omega) and grid.n < MAX_GRID_N:
+        grid = LineGrid(2 * grid.n, L, dtype=dtype)
+    return grid
+
+
 def iota_eps(g: LineField, omega) -> float:
     """Solvability functional ``integral of g(X) cos(omega X) dX``.
 
@@ -486,12 +495,11 @@ class SolveDiagnostics:
 
     ``step_history`` holds each pass's sup-norm step over all six unknowns
     and ``gmres_iterations`` totals the float64 GMRES iterations of every
-    ``A``-solve, each refinement step's included.  ``converged`` (always
-    true) and ``ripple_solves`` (one ripple step per pass, so ``iterations``)
-    are read-only.
+    ``A``-solve, each refinement step's included.  ``iterations`` (the
+    passes), ``converged`` (always true) and ``ripple_solves`` (one ripple
+    step per pass) are read-only.
     """
 
-    iterations: int
     residual_sup: float
     residual_rel: float
     step_history: list
@@ -499,6 +507,7 @@ class SolveDiagnostics:
     eta_sup: tuple
     core_sup: float
     upsilon: float
+    iterations = property(lambda self: len(self.step_history))
     converged = property(lambda self: True)
     ripple_solves = property(lambda self: self.iterations)
 
@@ -513,8 +522,8 @@ def solve_nanopteron(params: DimerParams, eps, config: NanopteronConfig = None):
     ripple step (``PeriodicSolver.maps``) at the new ``a``; it stops once the
     change is at most ``periodic.TOL``.  The returned wave is built
     (``PeriodicSolver.wave``) from the ripple unknowns that loop converged,
-    with its pass count and steps, so ``wave.a`` equals ``state.a`` and the
-    wave passes every check of a ripple solve.
+    with its steps, so ``wave.a`` equals ``state.a`` and the wave passes
+    every check of a ripple solve.
 
     Raises
     ------
@@ -534,9 +543,7 @@ def solve_nanopteron(params: DimerParams, eps, config: NanopteronConfig = None):
     dt = config.dtype
     eps = dt(eps)
     ripple = PeriodicSolver(params, eps)
-    grid = LineGrid(GRID_N, WINDOW_L, dtype=dt)
-    while not grid.resolves_ripple(ripple.resonance.omega) and grid.n < MAX_GRID_N:
-        grid = LineGrid(2 * grid.n, WINDOW_L, dtype=dt)
+    grid = refined_grid(ripple.resonance.omega, dtype=dt)
     ops = SolverOperators(params, eps, grid, resonance=ripple.resonance)
     core_peak = sup_norm(ops.sigma)
 
@@ -553,13 +560,12 @@ def solve_nanopteron(params: DimerParams, eps, config: NanopteronConfig = None):
         return (eta1, eta2, a) + ripple.maps((psi1, psi2), t, a)
 
     per0 = PeriodicField.zero(MODES, dtype=dt)
-    x, iterations, steps = picard(one_pass, (LineField.zero(grid), LineField.zero(grid), dt(0.0),
+    x, _, steps = picard(one_pass, (LineField.zero(grid), LineField.zero(grid), dt(0.0),
                                              per0, per0, dt(0.0)), MAX_ITER, "nanopteron solve")
     state = NanopteronState(*x[:3])
     wave = ripple.wave(state.a, x[3:], steps)
     residual = system_residual(ops, state, wave)
     diagnostics = SolveDiagnostics(
-        iterations=iterations,
         residual_sup=float(residual),
         residual_rel=float(residual / core_peak),
         step_history=steps,

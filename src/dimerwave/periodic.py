@@ -22,8 +22,9 @@ projections of the same evaluation, so each Picard step
 once, and the residual of the full system reuses that evaluation.  The maps
 contract for small ``a``; plain Picard iteration (``picard``, the package's
 one fixed-point driver) converges from (0, 0, 0) at one cosine cutoff
-``MODES``; ``PeriodicSolver.wave`` reports a converged state, from this loop or
-the nanopteron's, with the residual of the full system.
+``MODES``.  ``PeriodicSolver.wave`` checks a converged state, from this
+loop, the nanopteron's or a solution archive, and builds the wave with the
+residual of the full system.
 
 The corrector's optical component has no fundamental-mode content (the
 kernel direction is carried entirely by ``nu``); that normalization is what
@@ -77,20 +78,24 @@ def check_long_wave(eps):
 
 @dataclass
 class PeriodicWave:
-    """A converged ripple: amplitude, frequency, corrector, diagnostics."""
+    """A converged ripple, built and checked by ``PeriodicSolver.wave`` only;
+    ``eps``, ``omega``, ``iterations`` and ``contraction_ratio`` are read off
+    its resonance and the Picard ``steps`` that converged it."""
 
     params: DimerParams
-    eps: float
     a: float
     t: float
-    omega: float  # omega_eps + t
     psi1: PeriodicField
     psi2: PeriodicField
     resonance: Resonance
     residual: float
-    iterations: int
-    contraction_ratio: float
+    steps: list
     converged = property(lambda self: True)  # a wave is built from a converged state only
+    eps = property(lambda self: self.resonance.eps)
+    omega = property(lambda self: self.resonance.omega + self.t)
+    iterations = property(lambda self: len(self.steps))
+    contraction_ratio = property(lambda w: max((s / p for p, s in zip(w.steps, w.steps[1:])),
+                                               default=0.0))
 
     def as_vector(self, grid: LineGrid) -> VectorField:
         """``a * phi`` as a pure-ripple two-component field."""
@@ -247,8 +252,8 @@ class PeriodicSolver:
 
     def wave(self, a, state, steps) -> PeriodicWave:
         """The ripple at amplitude ``a`` from a converged ``state = (psi1, psi2,
-        t)`` and the Picard ``steps`` that converged it (their count and
-        largest consecutive ratio).  Raises ``NoConvergence`` if the top
+        t)`` and the Picard ``steps`` that converged it, with the residual of
+        the full system at that state.  Raises ``NoConvergence`` if the top
         quarter of the coefficients exceeds the tail bound (see ``MODES``),
         and ``InvalidParams`` if ``|t| > 1``."""
         psi1, psi2, t = state
@@ -264,16 +269,13 @@ class PeriodicSolver:
             raise InvalidParams(f"frequency shift |t| must be <= 1, got t = {t}")
         return PeriodicWave(
             params=self.symbols.params,
-            eps=self.eps,
             a=a,
             t=t,
-            omega=self.resonance.omega + t,
             psi1=psi1,
             psi2=psi2,
             resonance=self.resonance,
             residual=self.system_residual((psi1, psi2), t, a),
-            iterations=len(steps),
-            contraction_ratio=max((s / p for p, s in zip(steps, steps[1:])), default=0.0),
+            steps=steps,
         )
 
 

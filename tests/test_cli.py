@@ -237,8 +237,11 @@ class TestSolutionRoundtrip:
         assert np.array_equal(state2.eta2.values, state.eta2.values)
         assert state2.a == state.a
         assert np.array_equal(wave2.psi1.coeffs, wave.psi1.coeffs)
-        assert wave2.omega == wave.omega
-        assert wave2.resonance.c == wave.resonance.c
+        assert np.array_equal(wave2.psi2.coeffs, wave.psi2.coeffs)
+        # the load rebuilds the wave, and every field it derives comes out bit for bit
+        assert wave2.resonance == wave.resonance
+        for name in ("a", "t", "omega", "residual", "steps", "iterations", "contraction_ratio"):
+            assert getattr(wave2, name) == getattr(wave, name), name
 
     def test_reconstruction_matches_original(self, tmp_path, solved02):
         state, wave, _ = solved02
@@ -255,8 +258,10 @@ class TestBadSolutionArchive:
         ("missing_key", "missing key 'psi1'"),
         ("not_npz", "not a solution archive"),
         ("nan_eta1", "key 'eta1' holds a non-finite value"),
-        ("amplitudes_differ", "differs from key 'wave_a'"),
-    ], ids=["missing_key", "not_npz", "nan_eta1", "amplitudes_differ"])
+        ("old_schema", "unknown solution schema"),
+        ("t_out_of_range", "frequency shift |t| must be <= 1, got t = 2.0"),
+        ("psi1_tail", "coefficient tail"),
+    ], ids=["missing_key", "not_npz", "nan_eta1", "old_schema", "t_out_of_range", "psi1_tail"])
     def test_exits_2_naming_file_and_key(self, tmp_path, solved02, capsys,
                                          defect, message):
         state, wave, _ = solved02
@@ -269,8 +274,16 @@ class TestBadSolutionArchive:
             np.savez(path, **data)
         elif defect == "not_npz":
             path.write_text("not an archive\n")
-        elif defect == "amplitudes_differ":
-            data["a"] = 2 * data["a"]
+        elif defect == "old_schema":
+            data["schema"] = np.array("dimerwave-nanopteron/1")
+            np.savez(path, **data)
+        elif defect == "t_out_of_range":
+            data["t"] = np.array(2.0)
+            np.savez(path, **data)
+        elif defect == "psi1_tail":
+            # the load re-runs the solve's tail check: a refusal, not a solver failure
+            data["psi1"] = data["psi1"].copy()
+            data["psi1"][-1] = 1e-3
             np.savez(path, **data)
         else:
             data["eta1"] = data["eta1"].copy()
@@ -591,6 +604,14 @@ class TestValidateCommand:
         record = (tmp_path / "validate_record.txt").read_text()
         assert "nanopteron_amplitude_resolved = FAIL (ripple amplitude" in record
         assert "lattice_" not in record and "amplitude_beyond_all_orders = PASS" in record
+
+    def test_large_kappa_kernel_gate_refines_its_grid(self, tmp_path, capsys):
+        # omega = 45.7 at kappa 20, eps 0.1: the kernel gate's 4096-point
+        # grid misses the ripple, so it doubles as solve_nanopteron's does
+        code = dispatch(["validate", "--kappa", "20", "--out", str(tmp_path)])
+        assert code == 1
+        record = (tmp_path / "validate_record.txt").read_text()
+        assert "\nkernel_annihilates_slope = PASS (" in record
 
     def test_unheld_corrector_is_a_failed_row(self, tmp_path, capsys):
         code = dispatch(["validate", "--kappa", "1.1", "--out", str(tmp_path)])
