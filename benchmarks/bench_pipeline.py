@@ -27,6 +27,10 @@ pipeline:
   (``spectral._clenshaw`` calls) of one product, the coefficients they hold,
   and the coefficients they run the recurrence over once the negligible tail
   is chopped.
+- ``A_solve``: one ``SolverOperators.A_solve`` of the enveloped cosine
+  ``exp(-X**2/10) cos(X)``, in ms, with its Krylov iterations (float64
+  applications of ``A``), on the same two grids.  The longdouble solve
+  refines float64 GCR solutions against a longdouble residual.
 - ``solve_ld``: ``solve_nanopteron`` at eps = 0.05 in longdouble, in s, with
   its ``a``, ``residual_rel``, iteration counts, and the coefficient x point
   products its Clenshaw sweeps hold and run.
@@ -66,7 +70,7 @@ from dimerwave.kdv import core_profile  # noqa: E402
 from dimerwave.lattice import LatticeConfig, TravelingProfile  # noqa: E402
 from dimerwave.lattice import rk4_steps, simulate, stegoton_diagnostics  # noqa: E402
 from dimerwave.model import DimerParams  # noqa: E402
-from dimerwave.nanopteron import NanopteronConfig, solve_nanopteron  # noqa: E402
+from dimerwave.nanopteron import NanopteronConfig, SolverOperators, solve_nanopteron  # noqa: E402
 from dimerwave.nonlinear import B_eps, VectorField  # noqa: E402
 from dimerwave.periodic import solve_periodic  # noqa: E402
 
@@ -145,6 +149,18 @@ def bench_B_eps(repeats):
     return rows
 
 
+def bench_A_solve(repeats):
+    rows = []
+    for name, eps, n, dtype in GRIDS:
+        ops = SolverOperators(PARAMS, dtype(eps), spectral.LineGrid(n, 60.0, dtype=dtype))
+        X = ops.grid.X
+        f = spectral.LineField(ops.grid, np.exp(-X**2 / 10) * np.cos(X))
+        best = best_of(repeats, lambda: ops.A_solve(f))
+        rows.append({"grid": name, "n": n, "dtype": dtype.__name__, "best_ms": 1e3 * best,
+                     "krylov_iterations": ops.last_gmres_iterations})
+    return rows
+
+
 def bench_solve_ld(repeats):
     eps, config = np.longdouble("0.05"), NanopteronConfig(dtype=np.longdouble)
     best = best_of(repeats, lambda: solve_nanopteron(PARAMS, eps, config))
@@ -216,6 +232,7 @@ def main():
     sections = (
         ("solve_periodic", bench_solve_periodic),
         ("B_eps", bench_B_eps),
+        ("A_solve", bench_A_solve),
         ("solve_ld", bench_solve_ld),
         ("line_eval", bench_line_eval),
         ("rk4", bench_rk4, args.steps),

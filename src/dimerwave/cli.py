@@ -69,7 +69,8 @@ from .kdv import core_profile
 from .lattice import LatticeConfig, TravelingProfile, simulate
 from .model import DimerParams
 from .nanopteron import NanopteronState, solve_nanopteron
-from .periodic import PeriodicField, PeriodicSolver, check_long_wave, solve_periodic
+from .periodic import (RESIDUAL_MAX, PeriodicField, PeriodicSolver, check_long_wave,
+                       solve_periodic)
 from .spectral import LineField, LineGrid
 
 SCHEMA_RECORD = "dimerwave-runrecord/1"
@@ -171,14 +172,16 @@ def load_solution(path):
     """Rebuild ``(state, wave)`` from a solution archive: the wave is
     ``PeriodicSolver(params, eps).wave(a, (psi1, psi2, t), steps)``, which
     recomputes the resonance and the residual and re-checks eps, the
-    coefficient tail and ``|t| <= 1``.
+    coefficient tail and ``|t| <= 1``; the residual must be at most
+    ``periodic.RESIDUAL_MAX``, the ripple gate's bound.
 
     Raises
     ------
     InvalidParams
         If the file is not an ``.npz`` archive of this schema, lacks a key,
         holds a non-finite number, or fails those checks (its tail check
-        too); the message names the file and any key at fault.
+        and residual bound too); the message names the file and any key at
+        fault.
     """
     try:
         archive = np.load(path)
@@ -205,6 +208,9 @@ def load_solution(path):
         ripple = (PeriodicField(z["psi1"]), PeriodicField(z["psi2"]), float(z["t"]))
         steps = [float(s) for s in z["steps"]]
         wave = PeriodicSolver(params, float(z["eps"])).wave(a, ripple, steps)
+        if not wave.residual <= RESIDUAL_MAX:
+            raise InvalidParams(f"rebuilt ripple residual {wave.residual:.3e} exceeds "
+                                f"RESIDUAL_MAX = {RESIDUAL_MAX:g}")
     except KeyError as exc:
         raise InvalidParams(f"{path}: missing key {exc}") from exc
     except (InvalidParams, NoConvergence, TypeError, ValueError) as exc:

@@ -23,7 +23,7 @@ from .errors import (DegenerateSolvability, LinearSolveFailure, NoConvergence,
 from .kdv import core_profile, kdv_residual
 from .model import DimerParams
 from .nanopteron import NanopteronConfig, SolverOperators, refined_grid, solve_nanopteron
-from .periodic import PeriodicSolver
+from .periodic import RESIDUAL_MAX, PeriodicSolver
 from .spectral import LineField, LineGrid, conjugated_multiplier, l2_norm, sup_norm
 
 # Solves that end in one of these give a failed row instead of an exit.
@@ -169,7 +169,7 @@ def periodic(wave):
         ("converged", wave.converged, f"{wave.iterations} iterations"),
         ("iteration_budget", wave.iterations <= 50, f"{wave.iterations} <= 50"),
         ("contraction", wave.contraction_ratio <= 0.9, f"{wave.contraction_ratio:.3f} <= 0.9"),
-        _at_most("residual", wave.residual, "1e-10"),
+        _at_most("residual", wave.residual, f"{RESIDUAL_MAX:g}"),
     ]
 
 

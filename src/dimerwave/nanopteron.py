@@ -32,7 +32,7 @@ families (core*core, core*eta, ...).
 Everything is dtype-generic: pass a longdouble ``eps`` (and dtype in the
 config) to push the amplitude floor below double rounding.  The one part
 that stays in float64 is the Krylov work of the ``A``-solve: a wider solve
-refines float64 GMRES solutions against its own residual (``A_solve``).
+refines float64 GCR solutions against its own residual (``A_solve``).
 """
 
 from __future__ import annotations
@@ -114,65 +114,45 @@ def iota_eps(g: LineField, omega) -> float:
     return grid.dx * (g.values @ grid.cos_phase(omega))
 
 
-def gmres(apply_op, b, tol=1e-12, max_iter=400):
-    """Solve ``op(x) = b`` by restart-free GMRES, returning ``(x, iterations)``.
+def gcr(apply_op, b, tol=1e-12, max_iter=400):
+    """Solve ``op(x) = b`` by restart-free generalized conjugate residuals.
 
-    Modified Gram-Schmidt Arnoldi with Givens rotations, matrix-free and in
-    the dtype of ``b``.  ``SolverOperators.A_solve`` calls it in float64 only;
-    a longdouble solve refines its float64 solutions.
+    GCR (Eisenstat, Elman & Schultz, SIAM J. Numer. Anal. 1983) takes the
+    GMRES iterates in exact arithmetic: each step applies ``op`` once to the
+    residual, orthogonalizes the image against the earlier images (modified
+    Gram-Schmidt, updating the directions alike) and minimizes the residual
+    along it.  Matrix-free (``apply_op`` returns a new array) and in the dtype
+    of ``b``; ``SolverOperators.A_solve`` calls it in float64 only, and a
+    longdouble solve refines its solutions.
 
     Raises
     ------
     LinearSolveFailure
         If the relative residual has not reached ``tol`` within ``max_iter``
-        Krylov steps; it carries the steps taken as ``iterations``.
+        steps; it carries ``max_iter`` as ``iterations``.
     """
     b = np.asarray(b)
-    norm_b = np.sqrt(b @ b)
-    if norm_b == 0:
-        return np.zeros_like(b), 0
-    V = [b / norm_b]
-    H = np.zeros((max_iter + 1, max_iter), dtype=b.dtype)
-    cs = np.zeros(max_iter, dtype=b.dtype)
-    sn = np.zeros(max_iter, dtype=b.dtype)
-    g = np.zeros(max_iter + 1, dtype=b.dtype)
-    g[0] = norm_b
-
-    def solution(j):
-        y = np.zeros(j + 1, dtype=b.dtype)
-        for i in range(j, -1, -1):
-            y[i] = (g[i] - H[i, i + 1 : j + 1] @ y[i + 1 : j + 1]) / H[i, i]
-        x = np.zeros_like(b)
-        for i in range(j + 1):
-            x += y[i] * V[i]
-        return x
-
-    for j in range(max_iter):
-        w = apply_op(V[j])
-        for i in range(j + 1):
-            H[i, j] = V[i] @ w
-            w = w - H[i, j] * V[i]
-        h_next = np.sqrt(w @ w)
-        H[j + 1, j] = h_next
-        for i in range(j):
-            hi, hj = H[i, j], H[i + 1, j]
-            H[i, j] = cs[i] * hi + sn[i] * hj
-            H[i + 1, j] = -sn[i] * hi + cs[i] * hj
-        r = np.hypot(H[j, j], H[j + 1, j])
-        if r == 0:
-            raise LinearSolveFailure("Arnoldi produced a zero pivot", j + 1)
-        cs[j], sn[j] = H[j, j] / r, H[j + 1, j] / r
-        H[j, j] = r
-        H[j + 1, j] = 0.0
-        g[j + 1] = -sn[j] * g[j]
-        g[j] = cs[j] * g[j]
-        if abs(g[j + 1]) <= tol * norm_b or h_next <= 1e-300:
-            return solution(j), j + 1
-        V.append(w / h_next)
-    raise LinearSolveFailure(
-        f"GMRES stalled at relative residual {abs(g[max_iter]) / norm_b:.3e} "
-        f"after {max_iter} iterations", max_iter
-    )
+    x, r = np.zeros_like(b), b.copy()
+    bound, P, Q = tol * np.sqrt(b @ b), [], []
+    while np.sqrt(r @ r) > bound:
+        if len(P) == max_iter:
+            rel = np.sqrt(r @ r) / np.sqrt(b @ b)
+            raise LinearSolveFailure(f"GCR stalled at relative residual {rel:.3e} after "
+                                     f"{max_iter} iterations", max_iter)
+        p, q = r.copy(), apply_op(r)
+        for pi, qi in zip(P, Q):
+            beta = qi @ q
+            p -= beta * pi
+            q -= beta * qi
+        norm_q = np.sqrt(q @ q)
+        p /= norm_q
+        q /= norm_q
+        alpha = q @ r
+        x += alpha * p
+        r -= alpha * q
+        P.append(p)
+        Q.append(q)
+    return x
 
 
 def _even(v):
@@ -197,12 +177,8 @@ def build_chi_upsilon(symbols: SymbolSet, grid: LineGrid, sigma: LineField,
     DegenerateSolvability
         If ``|upsilon| <= 1e-6`` (the split would amplify noise).
     """
-    dt = grid.X.dtype
-    unit = np.zeros(9, dtype=dt)
-    unit[1] = 1.0
-    nu = VectorField.from_periodic(
-        grid, PeriodicField(np.zeros(9, dtype=dt)), PeriodicField(unit), resonance.omega
-    )
+    zero = PeriodicField.zero(dtype=grid.X.dtype)
+    nu = ripple_vector(grid, (zero, zero), resonance.omega, 1)
     core_vec = VectorField.from_line(sigma, LineField.zero(grid))
     b = B_eps(symbols, core_vec, nu, eps)
     chi = LineField(grid, grid.apply(lambda_plus, b.line2.values))
@@ -280,9 +256,9 @@ class SolverOperators:
     ``gamma1`` belong to the same continuum limit.
 
     ``sigma``, ``varpi0`` and ``gamma1`` are also kept rounded to float64,
-    the operands of the float64 ``A`` that ``A_solve``'s GMRES iterates with.
-    Instances are immutable after construction, apart from the GMRES
-    iteration counters that ``A_solve`` updates.
+    the operands of the float64 ``A`` that ``A_solve``'s GCR iterates with.
+    Instances are immutable after construction, apart from the Krylov
+    iteration counters that the float64 ``A`` and ``A_solve`` update.
     """
 
     def __init__(self, params: DimerParams, eps, grid: LineGrid,
@@ -351,63 +327,59 @@ class SolverOperators:
         return values + 2 * self.gamma1 * self._smooth_core_multiply(values)
 
     def _A_float64(self, values):
-        """``_A_values`` with the float64 operands: the operator GMRES iterates with."""
+        """``_A_values`` with the float64 operands: the operator GCR iterates with.
+        Each application is one Krylov iteration, counted in ``gmres_iterations``."""
+        self.gmres_iterations += 1
         sigma, varpi0, gamma1 = self._float64
         return values + 2 * gamma1 * self.grid.apply(varpi0, sigma * values)
 
     def A_solve(self, f: LineField) -> LineField:
-        """``A^{-1}`` of the even part of ``f`` by matrix-free GMRES in float64.
+        """``A^{-1}`` of the even part of ``f`` by matrix-free GCR in float64.
 
         ``A`` annihilates the odd core slope ``sigma'``, so odd content is
-        the one part of a right-hand side that GMRES cannot resolve; the
+        the one part of a right-hand side that GCR cannot resolve; the
         fixed point's right-hand sides are even up to rounding, which is
-        dropped here.  In float64 this is one ``gmres`` call.  In a wider
+        dropped here.  In float64 this is one ``gcr`` call.  In a wider
         dtype it is mixed-precision iterative refinement (Carson & Higham,
         SIAM J. Sci. Comput. 2018): the even part ``r`` of ``b - A x`` is
-        formed in that dtype, ``A d = r`` is solved by float64 GMRES, and
+        formed in that dtype, ``A d = r`` is solved by float64 GCR, and
         the even part of ``d`` is added to ``x``, until ``|r| <= REFINE_ULPS *
         eps_dtype * |b|``.
 
         ``last_gmres_iterations`` and ``gmres_iterations`` count every float64
-        GMRES iteration, a stalled solve's included.
+        application of ``A`` (one per Krylov iteration), a stalled solve's
+        included.
 
         Raises
         ------
         LinearSolveFailure
-            If GMRES stalls, or the residual is still above its bound after
+            If GCR stalls, or the residual is still above its bound after
             ``MAX_REFINE`` refinement steps; it carries the iteration total.
         """
-        its = 0
+        before = self.gmres_iterations
         try:
-            x, its = self._solve_even(_even(f.values))
+            return LineField(self.grid, self._solve_even(_even(f.values)))
         except LinearSolveFailure as exc:
-            its = exc.iterations
+            exc.iterations = self.gmres_iterations - before
             raise
         finally:
-            self.last_gmres_iterations = its
-            self.gmres_iterations += its
-        return LineField(self.grid, x)
+            self.last_gmres_iterations = self.gmres_iterations - before
 
     def _solve_even(self, b):
-        """``(x, iterations)`` of ``A x = b`` for an even ``b`` (see ``A_solve``)."""
+        """``x`` of ``A x = b`` for an even ``b`` (see ``A_solve``)."""
         if b.dtype == np.float64:
-            return gmres(self._A_float64, b)
-        x, r, its = np.zeros_like(b), b, 0
+            return gcr(self._A_float64, b)
+        x, r = np.zeros_like(b), b
         bound = REFINE_ULPS * np.finfo(b.dtype).eps * np.sqrt(b @ b)
         for _ in range(MAX_REFINE + 1):
-            try:
-                d, k = gmres(self._A_float64, r.astype(np.float64))
-            except LinearSolveFailure as exc:
-                exc.iterations += its
-                raise
-            its += k
-            x += _even(d)  # exactly even, so no float64 rounding of odd content stays in x
+            # an exactly even step, so no float64 rounding of odd content stays in x
+            x += _even(gcr(self._A_float64, r.astype(np.float64)))
             r = _even(b - self._A_values(x))
             if np.sqrt(r @ r) <= bound:
-                return x, its
+                return x
         rel = float(np.sqrt(r @ r) / np.sqrt(b @ b))
         raise LinearSolveFailure(f"A-solve refinement left relative residual {rel:.3e} "
-                                 f"after {MAX_REFINE} refinement steps", its)
+                                 f"after {MAX_REFINE} refinement steps")
 
     def iota(self, g: LineField):
         return iota_eps(g, self.resonance.omega)
@@ -494,7 +466,7 @@ class SolveDiagnostics:
     """Iteration log and converged-state measurements.
 
     ``step_history`` holds each pass's sup-norm step over all six unknowns
-    and ``gmres_iterations`` totals the float64 GMRES iterations of every
+    and ``gmres_iterations`` totals the float64 GCR iterations of every
     ``A``-solve, each refinement step's included.  ``iterations`` (the
     passes), ``converged`` (always true) and ``ripple_solves`` (one ripple
     step per pass) are read-only.

@@ -66,6 +66,12 @@ TAIL_ABS = 1e-16
 A_MAX = 1e-2
 EPS_MAX = 0.5
 
+# Largest residual a ripple may keep: the ripple gate's bound, and the bound
+# on the wave a solution archive rebuilds.  The nanopteron's ripples keep at
+# most 3.6e-15 in float64 (kappa 2, 3 and 5, cubic springs too, eps 0.1 to
+# 0.2) and 4.3e-19 in longdouble (eps 0.05).
+RESIDUAL_MAX = 1e-10
+
 
 def check_long_wave(eps):
     """Raise ``InvalidParams`` unless ``0 < eps <= EPS_MAX``: past the bound

@@ -261,7 +261,9 @@ class TestBadSolutionArchive:
         ("old_schema", "unknown solution schema"),
         ("t_out_of_range", "frequency shift |t| must be <= 1, got t = 2.0"),
         ("psi1_tail", "coefficient tail"),
-    ], ids=["missing_key", "not_npz", "nan_eta1", "old_schema", "t_out_of_range", "psi1_tail"])
+        ("psi1_moved", "rebuilt ripple residual 1.000e-03 exceeds RESIDUAL_MAX = 1e-10"),
+    ], ids=["missing_key", "not_npz", "nan_eta1", "old_schema", "t_out_of_range", "psi1_tail",
+            "psi1_moved"])
     def test_exits_2_naming_file_and_key(self, tmp_path, solved02, capsys,
                                          defect, message):
         state, wave, _ = solved02
@@ -284,6 +286,11 @@ class TestBadSolutionArchive:
             # the load re-runs the solve's tail check: a refusal, not a solver failure
             data["psi1"] = data["psi1"].copy()
             data["psi1"][-1] = 1e-3
+            np.savez(path, **data)
+        elif defect == "psi1_moved":
+            # tail untouched, so only the rebuilt residual (1.0e-3) refuses it
+            data["psi1"] = data["psi1"].copy()
+            data["psi1"][0] += 1e-3
             np.savez(path, **data)
         else:
             data["eta1"] = data["eta1"].copy()

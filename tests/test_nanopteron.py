@@ -23,7 +23,7 @@ from dimerwave.nanopteron import (
     NanopteronState,
     SolverOperators,
     build_chi_upsilon,
-    gmres,
+    gcr,
     iota_eps,
     N_maps,
     solve_nanopteron,
@@ -40,6 +40,14 @@ CUBIC = DimerParams(kappa=2.0, beta=1.0, n1=(0.5,), n2=(-0.3, 0.1))
 @pytest.fixture(scope="module")
 def ops01():
     return SolverOperators(QUAD, 0.1, LineGrid(4096, 60.0))
+
+
+def counting(apply_op, log):
+    """``apply_op`` that appends one entry to ``log`` per application."""
+    def op(v):
+        log.append(None)
+        return apply_op(v)
+    return op
 
 
 def zero_state(grid):
@@ -213,7 +221,8 @@ class TestLocalizedLinearization:
 
     def test_solve_returns_for_random_right_hand_side(self):
         # A annihilates the odd slope sigma', so only the even part is solvable;
-        # with the odd part in, GMRES stalls at 3.7e-3 after 400 iterations
+        # with the odd part in, GCR nears breakdown: after 400 iterations its
+        # updated residual reads 8.0e-12 and the true one 1.8e7
         grid = LineGrid(4096, 40.0)
         ops = SolverOperators(QUAD, 0.1, grid)
         v = np.random.default_rng(5).standard_normal(grid.n)
@@ -228,7 +237,7 @@ class TestLocalizedLinearization:
         f = LineField(grid, np.random.default_rng(6).standard_normal(grid.n))
         ops.A_solve(f)
         solved = ops.last_gmres_iterations
-        monkeypatch.setattr(nanopteron, "gmres", lambda op, b: gmres(op, b, max_iter=3))
+        monkeypatch.setattr(nanopteron, "gcr", lambda op, b: gcr(op, b, max_iter=3))
         with pytest.raises(LinearSolveFailure) as info:
             ops.A_solve(f)
         assert info.value.iterations == 3
@@ -249,32 +258,32 @@ def _even_rhs(grid, seed):
 
 
 class TestRefinedASolve:
-    """A wider-than-float64 A-solve: float64 GMRES refined against its own residual."""
+    """A wider-than-float64 A-solve: float64 GCR refined against its own residual."""
 
     def test_residual_at_longdouble_rounding(self, ops_ld):
         b = _even_rhs(ops_ld.grid, 21)
         x = ops_ld.A_solve(LineField(ops_ld.grid, b))
         r = b - ops_ld._A_values(x.values)
         eps_ld = np.finfo(np.longdouble).eps
-        # measured 0.9 eps_ld; one float64 GMRES solve alone leaves about 1e-13
+        # measured 0.4 eps_ld; one float64 GCR solve alone leaves about 1e-13
         assert np.sqrt(r @ r) <= nanopteron.REFINE_ULPS * eps_ld * np.sqrt(b @ b)
         assert x.values.dtype == np.longdouble
 
     def test_matches_longdouble_gmres(self, ops_ld):
         b = _even_rhs(ops_ld.grid, 22)
         x = ops_ld.A_solve(LineField(ops_ld.grid, b))
-        oracle, _ = gmres(ops_ld._A_values, b, tol=1e-18)
-        # measured 6.7e-19 of the peak
+        oracle = gcr(ops_ld._A_values, b, tol=1e-18)
+        # measured 1.0e-18 of the peak
         assert np.max(np.abs(x.values - oracle)) <= 1e-17 * np.max(np.abs(oracle))
 
     def test_gmres_runs_in_float64(self, ops_ld, monkeypatch):
         seen = []
 
-        def recording_gmres(apply_op, b, **kwargs):
+        def recording_gcr(apply_op, b, **kwargs):
             seen.append((b.dtype, apply_op(b).dtype))
-            return gmres(apply_op, b, **kwargs)
+            return gcr(apply_op, b, **kwargs)
 
-        monkeypatch.setattr(nanopteron, "gmres", recording_gmres)
+        monkeypatch.setattr(nanopteron, "gcr", recording_gcr)
         ops_ld.A_solve(LineField(ops_ld.grid, _even_rhs(ops_ld.grid, 23)))
         assert len(seen) >= 2  # the first solve and at least one refinement
         assert all(dtypes == (np.float64, np.float64) for dtypes in seen)
@@ -282,30 +291,31 @@ class TestRefinedASolve:
     def test_float64_is_one_gmres_call(self, ops01, monkeypatch):
         calls = []
 
-        def recording_gmres(apply_op, b, **kwargs):
+        def recording_gcr(apply_op, b, **kwargs):
             calls.append(b)
-            return gmres(apply_op, b, **kwargs)
+            return gcr(apply_op, b, **kwargs)
 
         grid = ops01.grid
         v = np.random.default_rng(24).standard_normal(grid.n) * np.exp(-0.1 * grid.X**2)
-        monkeypatch.setattr(nanopteron, "gmres", recording_gmres)
+        monkeypatch.setattr(nanopteron, "gcr", recording_gcr)
         x = ops01.A_solve(LineField(grid, v))
         assert len(calls) == 1
-        expected, _ = gmres(ops01._A_values, 0.5 * (v + v[-np.arange(grid.n) % grid.n]))
+        expected = gcr(ops01._A_values, 0.5 * (v + v[-np.arange(grid.n) % grid.n]))
         assert np.array_equal(x.values, expected)
 
     def test_refinement_budget_is_a_failure(self, monkeypatch):
-        # a GMRES that returns half the solution halves the residual per step,
+        # a GCR that returns half the solution halves the residual per step,
         # so the refinement never reaches its bound
         ops = SolverOperators(QUAD, np.longdouble("0.2"), LineGrid(512, 20.0, np.longdouble))
         counts = []
 
-        def half_gmres(apply_op, b, **kwargs):
-            x, its = gmres(apply_op, b, **kwargs)
-            counts.append(its)
-            return 0.5 * x, its
+        def half_gcr(apply_op, b, **kwargs):
+            applied = []
+            x = gcr(counting(apply_op, applied), b, **kwargs)
+            counts.append(len(applied))
+            return 0.5 * x
 
-        monkeypatch.setattr(nanopteron, "gmres", half_gmres)
+        monkeypatch.setattr(nanopteron, "gcr", half_gcr)
         with pytest.raises(LinearSolveFailure, match="refinement steps") as info:
             ops.A_solve(LineField(ops.grid, _even_rhs(ops.grid, 25)))
         assert len(counts) == nanopteron.MAX_REFINE + 1
@@ -314,26 +324,30 @@ class TestRefinedASolve:
         assert ops.gmres_iterations == sum(counts)
 
 
-class TestGmres:
+class TestGcr:
     def test_matches_dense_solve(self):
         rng = np.random.default_rng(11)
         A = np.eye(40) + 0.3 * rng.standard_normal((40, 40))
         b = rng.standard_normal(40)
-        x, its = gmres(lambda v: A @ v, b, tol=1e-13, max_iter=60)
+        applied = []
+        x = gcr(counting(lambda v: A @ v, applied), b, tol=1e-13, max_iter=60)
         assert np.max(np.abs(x - np.linalg.solve(A, b))) < 1e-10
-        assert its <= 41
+        assert len(applied) <= 41
 
     def test_budget_exhaustion_raises(self):
         rng = np.random.default_rng(12)
         A = np.eye(40) + 0.3 * rng.standard_normal((40, 40))
         b = rng.standard_normal(40)
+        applied = []
         with pytest.raises(LinearSolveFailure) as info:
-            gmres(lambda v: A @ v, b, tol=1e-13, max_iter=3)
-        assert info.value.iterations == 3
+            gcr(counting(lambda v: A @ v, applied), b, tol=1e-13, max_iter=3)
+        assert len(applied) == info.value.iterations == 3
+        assert str(info.value).endswith("after 3 iterations")
 
     def test_zero_rhs_short_circuits(self):
-        x, its = gmres(lambda v: v, np.zeros(8), tol=1e-13)
-        assert its == 0 and np.all(x == 0)
+        applied = []
+        x = gcr(counting(lambda v: v, applied), np.zeros(8), tol=1e-13)
+        assert applied == [] and np.all(x == 0)
 
 
 class TestAssembleTerms:
@@ -488,12 +502,13 @@ class TestSolve:
     def test_gmres_iterations_total_every_A_solve(self, monkeypatch):
         counts = []
 
-        def counting_gmres(*args, **kwargs):
-            x, its = gmres(*args, **kwargs)
-            counts.append(its)
-            return x, its
+        def counting_gcr(apply_op, b, **kwargs):
+            applied = []
+            x = gcr(counting(apply_op, applied), b, **kwargs)
+            counts.append(len(applied))
+            return x
 
-        monkeypatch.setattr(nanopteron, "gmres", counting_gmres)
+        monkeypatch.setattr(nanopteron, "gcr", counting_gcr)
         _, _, diag = solve_nanopteron(QUAD, 0.2)
         assert len(counts) > 1
         assert diag.gmres_iterations == sum(counts)
