@@ -46,6 +46,9 @@ pipeline:
   the ``trajectory.npz`` archive ``simulate`` writes, in ms, with its bytes,
   on the ring-4096 trajectory: the float64 eps = 0.2 nanopteron on 4096 sites,
   run to 20/c with 25 steps between snapshots.
+- ``validate``: ``gates.table``, the table ``dimerwave validate`` runs, at its
+  acceptance input (kappa = 2, beta = 1, eps = 0.2), in ms per group, as
+  ``cmd_validate`` times them, and in total, with its gate count.
 """
 
 import argparse
@@ -63,7 +66,7 @@ import numpy as np
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent / "src"))
 
-from dimerwave import periodic, spectral  # noqa: E402
+from dimerwave import gates, periodic, spectral  # noqa: E402
 from dimerwave.cli import save_trajectory  # noqa: E402
 from dimerwave.dispersion import SymbolSet  # noqa: E402
 from dimerwave.kdv import core_profile  # noqa: E402
@@ -217,6 +220,21 @@ def bench_output(repeats, eps=0.2, sites=4096):
             "trajectory_bytes": size}
 
 
+def bench_validate(repeats, eps=0.2):
+    best, total = {}, float("inf")
+    for _ in range(repeats):
+        t_all = t0 = time.perf_counter()
+        rows = 0
+        for group, group_rows in gates.table(PARAMS, eps):
+            t1 = time.perf_counter()
+            best[group] = min(best.get(group, float("inf")), t1 - t0)
+            rows += len(group_rows)
+            t0 = t1
+        total = min(total, time.perf_counter() - t_all)
+    return {"eps": eps, "gates": rows, "total_ms": 1e3 * total,
+            "group_ms": {group: 1e3 * t for group, t in best.items()}}
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeats", type=int, default=5)
@@ -237,6 +255,7 @@ def main():
         ("line_eval", bench_line_eval),
         ("rk4", bench_rk4, args.steps),
         ("output", bench_output),
+        ("validate", bench_validate),
     )
     for name, bench, *extra in sections:
         record[name] = bench(args.repeats, *extra)

@@ -341,7 +341,7 @@ def _solve_one_nanopteron(params, eps, cfg):
         eta2_sup=diag.eta_sup[1], upsilon=diag.upsilon, omega=wave.omega,
         speed=wave.resonance.c,
     )
-    rec.add(gates.nanopteron(eps, diag))
+    rec.add(gates.nanopteron(state, wave, diag))
     return rec, (state, wave)
 
 

@@ -191,17 +191,18 @@ def periodic_family(params, eps=0.1, amplitude=1e-3):
     ]
 
 
-def nanopteron(eps, diag):
-    """Residual and corrector size of one solve.
+def nanopteron(state, wave, diag):
+    """Residuals (``lattice.traveling_residual`` too) and corrector size of one solve.
 
     ``solve_nanopteron`` has already run ``NanopteronState.validate`` and
     refused an amplitude below ``amplitude_floor`` (see ``failure``).
     """
-    ratio = max(diag.eta_sup) / eps
+    ratio = max(diag.eta_sup) / wave.eps
     return [
         ("converged", diag.converged, f"{diag.iterations} iterations"),
         _at_most("residual_rel", diag.residual_rel, "1e-6"),
         ("corrector_bound", ratio <= 2.0, f"sup(eta)/eps = {ratio:.3f} <= 2.0"),
+        _at_most("lattice_residual", lattice.traveling_residual(state, wave), "1e-6"),
     ]
 
 
@@ -242,13 +243,6 @@ def lattice_runs(state, wave, sites=512):
     return rows
 
 
-def fixed_point_forms(params, eps, state):
-    """The "original" fixed-point form reaches ``state``, the "new" form's solution."""
-    other, _, _ = solve_nanopteron(params, eps, NanopteronConfig(fixed_point="original"))
-    d_eta = max(sup_norm(state.eta1 - other.eta1), sup_norm(state.eta2 - other.eta2))
-    return [_at_most("eta_agree", d_eta, "1e-8"), _at_most("a_agree", abs(state.a - other.a), "1e-8")]
-
-
 def amplitude_decay(params, ladder=DECAY_LADDER, solved=None):
     """``|a|`` shrinks beyond all orders down an eps ladder of converged solves.
 
@@ -258,7 +252,7 @@ def amplitude_decay(params, ladder=DECAY_LADDER, solved=None):
     """
     solved = solved or {}
     eps = np.array([e for e, _ in ladder])
-    amps, residual, corrector = [], 0.0, 0.0
+    amps, residuals, correctors = [], [], []
     for e, dtype in ladder:
         held = solved.get((e, dtype))
         if isinstance(held, Exception):
@@ -268,12 +262,14 @@ def amplitude_decay(params, ladder=DECAY_LADDER, solved=None):
         else:
             state, _, diag = solve_nanopteron(params, e, NanopteronConfig(dtype=dtype))
         amps.append(abs(float(state.a)))
-        residual = max(residual, diag.residual_rel)
-        corrector = max(corrector, max(float(s) for s in diag.eta_sup) / e)
+        residuals.append(diag.residual_rel)
+        correctors.append(max(float(s) for s in diag.eta_sup) / e)
     slopes = np.abs(np.diff(np.log(amps)) / np.diff(np.log(eps)))
+    (residual, at_r), (corrector, at_c) = (max(zip(v, eps)) for v in (residuals, correctors))
     return [
-        _at_most("residual_rel", residual, "1e-6"),
-        ("corrector_bound", corrector <= 2.0, f"sup(eta)/eps <= {corrector:.3f} <= 2.0"),
+        ("residual_rel", residual <= 1e-6, f"{residual:.3e} <= 1e-6, largest at eps = {at_r:g}"),
+        ("corrector_bound", corrector <= 2.0,
+         f"sup(eta)/eps = {corrector:.3f} <= 2.0, largest at eps = {at_c:g}"),
         ("decreasing", np.all(np.diff(amps) < 0),
          "|a| = " + " > ".join(f"{a:.3e}" for a in amps)
          + " at eps = " + ", ".join(f"{e:g}" for e in eps)),
@@ -301,10 +297,9 @@ def table(params: DimerParams, eps):
 
     Yields ``(group, rows)`` in order, each row name prefixed with its group,
     as soon as the group is computed.  A solve that fails gives its group one
-    failed row carrying the message (``failure``); the lattice and
-    fixed-point groups need the nanopteron and are left out without it.  The
-    amplitude ladder reuses the nanopteron solve, or its failure, for a rung
-    at ``eps``.
+    failed row carrying the message (``failure``); the lattice group needs
+    the nanopteron and is left out without it.  The amplitude ladder reuses
+    the nanopteron solve, or its failure, for a rung at ``eps``.
     """
     yield _run("dispersion", dispersion, params)
     yield _run("resonance", resonance, params)
@@ -321,7 +316,6 @@ def table(params: DimerParams, eps):
         yield _named("nanopteron", [failure(exc)])
     else:
         solved[rung] = (state, diag)
-        yield _named("nanopteron", nanopteron(eps, diag))
+        yield _named("nanopteron", nanopteron(state, wave, diag))
         yield _run("lattice", lattice_runs, state, wave)
-        yield _run("fixed_point", fixed_point_forms, params, eps, state)
     yield _run("amplitude", amplitude_decay, params, DECAY_LADDER, solved)

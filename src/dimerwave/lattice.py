@@ -65,7 +65,7 @@ from .errors import InvalidParams, NoConvergence
 from .kdv import _soliton_constants, core_profile
 from .model import DimerParams, SpringLaw, derived_constants, spring_law
 from .nanopteron import DECAY_TOL, GRID_N, WINDOW_L, NanopteronState
-from .nonlinear import VectorField, apply_J
+from .nonlinear import VectorField, _Cosine, _Split, apply_J
 from .periodic import PeriodicWave, check_long_wave
 from .spectral import LineField, LineGrid, PeriodicField, trig_interpolate
 
@@ -174,15 +174,11 @@ class TravelingProfile:
         seam that radiates at the full ripple amplitude and swamps the
         traveling-shape comparison.
         """
-        params, eps = wave.params, wave.eps
-        grid = state.eta1.grid
-        sigma, _ = core_profile(params, grid)
-        ansatz = VectorField.from_line(sigma + state.eta1, state.eta2) + wave.as_vector(grid)
-        p = apply_J(SymbolSet(params), eps, ansatz) * (float(eps) ** 2)
+        eps, p = wave.eps, _displacements(state, wave)
         K = float(eps) * float(wave.omega)
         K = 2 * np.pi * round(K * sites / (2 * np.pi)) / sites
         omega = K / float(eps)
-        return cls(params, eps, wave.resonance.c, omega,
+        return cls(wave.params, eps, wave.resonance.c, omega,
                    p.line1, p.line2, p.per1.coeffs, p.per2.coeffs, sites)
 
     def _eval(self, t, derivative: bool):
@@ -260,6 +256,42 @@ class TravelingProfile:
         ``w`` from ``kdv._soliton_constants``."""
         _, w = _soliton_constants(self.params, np.float64)
         return float(w / self.eps)
+
+
+def _displacements(state: NanopteronState, wave: PeriodicWave) -> VectorField:
+    """The displacement profiles ``p = eps**2 (J theta)(eps x)`` of a solved wave."""
+    grid = state.eta1.grid
+    sigma, _ = core_profile(wave.params, grid)
+    ansatz = VectorField.from_line(sigma + state.eta1, state.eta2) + wave.as_vector(grid)
+    return apply_J(SymbolSet(wave.params), wave.eps, ansatz) * wave.eps**2
+
+
+def traveling_residual(state: NanopteronState, wave: PeriodicWave) -> float:
+    """Sup of the residuals of the lattice's advance-delay equations at a solved
+    wave, ``c**2 p1'' - [F2(p2(x + 1)) + F2(p2(x - 1)) - 2 F1(p1)]`` and the same
+    with 1 and 2 swapped, over the largest ``|2 F(p)|``, where ``p`` is the pair
+    ``from_nanopteron`` samples.  The forces (``model.spring_law``) split as the
+    nonlinear operators split products: a decaying half shifts by ``2 cos(eps k)``
+    on the line grid, a ripple half by ``2 cos(eps omega j)`` at mode j.  No
+    operator of the solver enters."""
+    p = _displacements(state, wave)
+    grid, eps, omega, c = p.grid, wave.eps, p.omega, wave.resonance.c
+    lin, quad, rem = spring_law(wave.params, np.array([True, False]))
+    cx = grid.cos_phase(omega)
+    profiles, forces, scale = ((p.line1.values, p.per1), (p.line2.values, p.per2)), [], 0.0
+    for (values, per), law in zip(profiles, np.array([lin, quad, *rem]).T):  # F1, then F2
+        decaying, ripple = _Split.calN((values, per.chebyshev_at(cx)), law)
+        forces.append((decaying, _Cosine.calN(per, law)))
+        scale = max(scale, np.max(np.abs(2 * (decaying + ripple))))
+
+    def equation(w, prof, force, other):  # an equation's residual at wavenumbers w
+        return -((c * eps * w) ** 2) * prof - 2 * np.cos(eps * w) * other + 2 * force
+    M, worst = max(f.M for _, f in forces), 0.0  # a force has more modes than its profile
+    for lines, ripples in (zip(*eq) for eq in zip(profiles, forces, forces[::-1])):
+        line = grid.irfft(equation(grid.k, *map(grid.rfft, lines)))
+        modes = equation(omega * np.arange(M + 1), *(f.pad_to(M).coeffs for f in ripples))
+        worst = max(worst, np.max(np.abs(line + PeriodicField(modes).chebyshev_at(cx))))
+    return float(worst / scale)
 
 
 @dataclass

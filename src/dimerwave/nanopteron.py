@@ -88,6 +88,10 @@ AMPLITUDE_FLOOR_ULPS = 100
 REFINE_ULPS = 100
 MAX_REFINE = 3
 
+# GCR has broken down (its updated residual is no longer the true one) once a step's
+# orthogonalized image keeps at most this share of |A r|; even right-hand sides keep 0.57.
+BREAKDOWN_RATIO = 1e-6
+
 
 def amplitude_floor(dtype, core_sup) -> float:
     """Smallest ``|a|`` a solve in ``dtype`` resolves against a core of peak ``core_sup``."""
@@ -129,7 +133,8 @@ def gcr(apply_op, b, tol=1e-12, max_iter=400):
     ------
     LinearSolveFailure
         If the relative residual has not reached ``tol`` within ``max_iter``
-        steps; it carries ``max_iter`` as ``iterations``.
+        steps, or breaks down (``BREAKDOWN_RATIO``); it carries the
+        applications of ``op`` as ``iterations``.
     """
     b = np.asarray(b)
     x, r = np.zeros_like(b), b.copy()
@@ -140,11 +145,15 @@ def gcr(apply_op, b, tol=1e-12, max_iter=400):
             raise LinearSolveFailure(f"GCR stalled at relative residual {rel:.3e} after "
                                      f"{max_iter} iterations", max_iter)
         p, q = r.copy(), apply_op(r)
+        norm_image = np.sqrt(q @ q)
         for pi, qi in zip(P, Q):
             beta = qi @ q
             p -= beta * pi
             q -= beta * qi
         norm_q = np.sqrt(q @ q)
+        if not norm_q > BREAKDOWN_RATIO * norm_image:
+            raise LinearSolveFailure(f"GCR broke down at iteration {len(P) + 1}: |A r| = "
+                                     f"{norm_image:.3e}, orthogonalized {norm_q:.3e}", len(P) + 1)
         p /= norm_q
         q /= norm_q
         alpha = q @ r
@@ -224,21 +233,9 @@ class NanopteronState:
 
 @dataclass(frozen=True)
 class NanopteronConfig:
-    """Coupling and precision of the nanopteron solve (its window is ``WINDOW_L``).
+    """Working precision ``dtype`` of the nanopteron solve (its window is ``WINDOW_L``)."""
 
-    ``fixed_point`` selects which update the acoustic solve uses for the
-    cross term: ``"new"`` couples to the freshly computed optical corrector,
-    ``"original"`` to the previous iterate's.  Both have the same fixed
-    points; "new" contracts slightly faster.  ``dtype`` is the working
-    precision.
-    """
-
-    fixed_point: str = "new"
     dtype: type = np.float64
-
-    def __post_init__(self):
-        if self.fixed_point not in ("new", "original"):
-            raise InvalidParams(f"unknown fixed_point {self.fixed_point!r}")
 
 
 class SolverOperators:
@@ -406,8 +403,7 @@ def _full_ansatz(ops: SolverOperators, state: NanopteronState, ripple: VectorFie
     return core_vec + eta_vec + ripple
 
 
-def N_maps(ops: SolverOperators, state: NanopteronState, ripple: VectorField,
-           fixed_point: str = "new"):
+def N_maps(ops: SolverOperators, state: NanopteronState, ripple: VectorField):
     """One application of the fixed-point maps; returns ``(N1, N2, N3)``.
 
     ``W = (B + Q)`` of the full ansatz, with ``ripple = a * phi`` (e.g.
@@ -417,8 +413,8 @@ def N_maps(ops: SolverOperators, state: NanopteronState, ripple: VectorField,
     eta1 + gamma2 eta2)`` is the bilinear linearized about the core, and the
     resonant correction ``r2' = r2 + 2 a chi``: ``N3 = iota[r2']/(2 upsilon)``
     (new amplitude), ``N2 = eps**2 P_eps r2'`` (new optical corrector), and
-    ``N1 = A^{-1}(r1 + s(gamma1 eta1 + gamma2 (eta2 - z)))`` with ``z = N2``
-    ("new") or the current eta2 ("original"), one coupling to the core.
+    ``N1 = A^{-1}(r1 + s(gamma1 eta1 + gamma2 (eta2 - N2)))``, one coupling to
+    the core: the acoustic solve sees the optical corrector of this pass.
     """
     W = BQ_eps(ops.symbols, _full_ansatz(ops, state, ripple), ops.eps)
     del ripple  # its zero line parts need not stay alive through the A-solve
@@ -426,8 +422,7 @@ def N_maps(ops: SolverOperators, state: NanopteronState, ripple: VectorField,
     r2_mod = (-1.0) * W.line2.apply(ops.lambda_plus_table) + (2 * state.a) * ops.chi
     a_new = ops.iota(r2_mod) / (2 * ops.upsilon)
     eta2_new = ops.eps**2 * ops.P_eps(r2_mod)
-    z = eta2_new if fixed_point == "new" else state.eta2
-    coupled = ops.gamma1 * state.eta1.values + ops.gamma2 * (state.eta2.values - z.values)
+    coupled = ops.gamma1 * state.eta1.values + ops.gamma2 * (state.eta2.values - eta2_new.values)
     eta1_new = ops.A_solve(LineField(ops.grid, r1.values + 2 * ops._smooth_core_multiply(coupled)))
     return eta1_new, eta2_new, a_new
 
@@ -522,8 +517,7 @@ def solve_nanopteron(params: DimerParams, eps, config: NanopteronConfig = None):
     def one_pass(x):
         eta1, eta2, a, psi1, psi2, t = x
         eta1, eta2, a = N_maps(ops, NanopteronState(eta1, eta2, a),
-                               ripple_vector(grid, (psi1, psi2), ops.resonance.omega + t, a),
-                               config.fixed_point)
+                               ripple_vector(grid, (psi1, psi2), ops.resonance.omega + t, a))
         if not abs(a) <= A_MAX:
             raise NoConvergence(f"ripple amplitude |a| = {abs(a):.3e} escaped the ansatz "
                                 f"region a_max = {A_MAX}")

@@ -568,7 +568,7 @@ class TestValidateCommand:
 
         def recording_solve(params, eps, config=None):
             cfg = config or NanopteronConfig()
-            solves.append((eps, cfg.dtype, cfg.fixed_point))
+            solves.append((eps, cfg.dtype))
             return solve(params, eps, config)
 
         monkeypatch.setattr(gates, "table", recording_table)
@@ -576,8 +576,9 @@ class TestValidateCommand:
         code = dispatch(["validate", "--kappa", "2", "--beta", "1",
                          "--out", str(tmp_path)])
         assert code == 0 and names
-        # the amplitude ladder's eps 0.2 rung is the nanopteron group's solve
-        assert len(set(solves)) == len(solves) and (0.2, np.float64, "new") in solves
+        # one solve per rung: the amplitude ladder's eps 0.2 rung is the
+        # nanopteron group's solve
+        assert solves == [(0.2, np.float64), (0.1, np.float64), (0.05, np.longdouble)]
         assert f"{len(names)}/{len(names)} gates passed" in capsys.readouterr().out
         # README quotes the gate count in its CLI quick start and its testing notes
         quoted = re.findall(r"\b(\d+)\s+(?:self-check\s+)?gates\b", README.read_text())

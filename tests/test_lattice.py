@@ -1,11 +1,15 @@
 """Lattice integration tests.
 
 Oracles: the dense ring linearization's spectrum against the dispersion
-branches; a single Bloch mode's measured oscillation frequency against
+branches; a solved wave's residual in the lattice's advance-delay equations
+against the solver's own residual, and perturbed waves against its bound; a
+single Bloch mode's measured oscillation frequency against
 ``sqrt(lambda_plus)``; the leading-order profile against direct evaluation
 of the squared-sech core; energy conservation, time reversal, and
 fourth-order step scaling for the integrator itself.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -27,9 +31,10 @@ from dimerwave.lattice import (
     shape_error,
     simulate,
     stegoton_diagnostics,
+    traveling_residual,
 )
 from dimerwave.model import DimerParams, SpringLaw, derived_constants, spring_law
-from dimerwave.nanopteron import solve_nanopteron
+from dimerwave.nanopteron import NanopteronConfig, solve_nanopteron
 from dimerwave.spectral import LineField, LineGrid, trig_interpolate
 
 QUAD = DimerParams(kappa=2.0, beta=1.0, n1=(), n2=())
@@ -700,3 +705,36 @@ class TestSmallEps:
     def test_shape_error_at_eps_01(self, ring01):
         prof, traj = ring01
         assert shape_error(traj, prof) <= 1e-6
+
+
+class TestTravelingResidual:
+    """``traveling_residual`` shares no operator with the solver, yet reads
+    0.47 to 0.50 of its ``residual_rel`` on every input below (measured:
+    2.156e-7, 1.077e-8, 1.546e-11, 2.224e-7, 2.631e-8 and 9.21e-17)."""
+
+    @pytest.mark.parametrize("params, eps, dtype", [
+        pytest.param(QUAD, 0.15, np.float64, id="eps0.15"),
+        pytest.param(QUAD, 0.1, np.float64, id="eps0.1"),
+        pytest.param(CUBIC, 0.2, np.float64, id="cubic"),
+        pytest.param(DimerParams(kappa=3.0, beta=-1.0), 0.2, np.float64, id="kappa3-beta-1"),
+        pytest.param(QUAD, "0.05", np.longdouble, id="longdouble-eps0.05"),
+    ])
+    def test_solved_wave_solves_the_lattice(self, params, eps, dtype):
+        state, wave, diag = solve_nanopteron(params, dtype(eps), NanopteronConfig(dtype=dtype))
+        assert traveling_residual(state, wave) <= 100 * diag.residual_rel
+
+    def test_reference_wave(self, solved02):
+        state, wave, diag = solved02
+        residual = traveling_residual(state, wave)
+        assert residual <= 100 * diag.residual_rel
+        assert residual == pytest.approx(2.156e-7, rel=1e-3)
+
+    @pytest.mark.parametrize("perturb", [
+        pytest.param(lambda state, wave: (state, dataclasses.replace(wave, a=10 * wave.a)),
+                     id="a-times-10"),
+        pytest.param(lambda state, wave: (dataclasses.replace(state, eta2=state.eta2 * 1.01),
+                                          wave), id="eta2-times-1.01"),
+    ])
+    def test_perturbed_wave_fails_the_bound(self, solved02, perturb):
+        # measured: 1.2e-3 with a ten times larger ripple, 4.0e-4 with eta2 1% larger
+        assert traveling_residual(*perturb(*solved02[:2])) > 1e-6

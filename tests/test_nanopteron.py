@@ -349,6 +349,17 @@ class TestGcr:
         x = gcr(counting(lambda v: v, applied), np.zeros(8), tol=1e-13)
         assert applied == [] and np.all(x == 0)
 
+    def test_breakdown_raises(self):
+        # white noise keeps an odd part in A's near-kernel (the core slope):
+        # without the guard GCR returned |x| = 7.8e15 at true relative
+        # residual 1.5e7 here; the guard refuses it at no extra application
+        ops = SolverOperators(QUAD, 0.1, LineGrid(4096, 40.0))
+        b = np.random.default_rng(0).standard_normal(4096)
+        applied = []
+        with pytest.raises(LinearSolveFailure, match=r"^GCR broke down at iteration \d+: ") as info:
+            gcr(counting(ops._A_float64, applied), b)
+        assert len(applied) == info.value.iterations < 400
+
 
 class TestAssembleTerms:
     def test_only_core_families_survive_at_zero_state(self):
@@ -459,15 +470,6 @@ class TestSolve:
         r1 = max(diag1.eta_sup) / 0.1
         assert r1 < 2.0 and r2 < 2.0
 
-    def test_fixed_point_forms_agree(self, solved02):
-        state_new, _, _ = solved02
-        state_orig, _, _ = solve_nanopteron(
-            QUAD, 0.2, NanopteronConfig(fixed_point="original")
-        )
-        assert sup_norm(state_new.eta1 - state_orig.eta1) < 1e-11
-        assert sup_norm(state_new.eta2 - state_orig.eta2) < 1e-11
-        assert abs(state_new.a - state_orig.a) < 1e-11
-
     def test_ripple_is_the_fixed_points_own(self, monkeypatch):
         # the fixed point carries the ripple, and the wave is built from the
         # (psi1, psi2, t) it converged: the resonance is found once and no
@@ -541,7 +543,7 @@ class TestSolve:
     def test_diverging_corrector_raises(self, monkeypatch):
         # a corrector that doubles every pass is refused once it passes
         # 1e3 times the core's peak, before the budget runs out
-        def growing(ops, state, ripple, fixed_point="new"):
+        def growing(ops, state, ripple):
             eta1 = state.eta1 * 2.0 if sup_norm(state.eta1) else ops.sigma
             return eta1, state.eta2, state.a
 
